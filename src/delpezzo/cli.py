@@ -64,6 +64,18 @@ def _toolkit_errors(f):
     return wrapper
 
 
+class _Rational(click.ParamType):
+    """A rational number such as 2 or 5/2, parsed to an exact Fraction."""
+
+    name = "rational"
+
+    def convert(self, value, param, ctx):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"{value!r} is not a rational number", param, ctx)
+
+
 def _lattice_for_degree(degree: int):
     if not (1 <= degree <= 9):
         raise click.BadParameter(f"fiber degree {degree} outside 1..9")
@@ -246,7 +258,10 @@ def _convergence_csv_rows(report):
 @main.command(name="count")
 @click.option("--profile", help="shipped profile name or JSON path")
 @click.option("--model", "model_path", help="counting model JSON path")
-@click.option("--q", default="2", show_default=True, help="counting base, rational > 1")
+@click.option(
+    "--q", type=_Rational(), default="2", show_default=True,
+    help="counting base, rational > 1",
+)
 @click.option("--dmax", type=int, default=12, show_default=True)
 @click.option(
     "--format",
@@ -264,7 +279,7 @@ def count_cmd(profile, model_path, q, dmax, fmt):
         model = counting.load_model(model_path)
     else:
         p = thresholds.load_profile(profile)
-        model = counting.default_model(p, Fraction(q))
+        model = counting.default_model(p, q)
     report = counting.convergence_report(model, dmax)
     if fmt == "csv":
         _emit_csv(["d", "exact", "asymptotic", "ratio"], _convergence_csv_rows(report))
@@ -318,7 +333,10 @@ def run_example(name: str, q: Fraction, dmax: int) -> dict:
     ),
     required=True,
 )
-@click.option("--q", default="2", show_default=True, help="counting base, rational > 1")
+@click.option(
+    "--q", type=_Rational(), default="2", show_default=True,
+    help="counting base, rational > 1",
+)
 @click.option("--dmax", type=int, default=12, show_default=True)
 @click.option(
     "--format",
@@ -330,7 +348,7 @@ def run_example(name: str, q: Fraction, dmax: int) -> dict:
 @_toolkit_errors
 def example_cmd(name, q, dmax, fmt):
     """Reproduce the shipped worked examples end to end."""
-    report = run_example(name, Fraction(q), dmax)
+    report = run_example(name, q, dmax)
     if fmt == "csv":
         _emit_csv(
             ["d", "exact", "asymptotic", "ratio"],

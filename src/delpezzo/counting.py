@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from pathlib import Path
 
@@ -165,37 +166,17 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
         return all(_dot(f, delta) >= 0 for f in facets)
 
     count = 0
-    if rho == 1:
-        q, r = divmod(s, height[0])
-        delta = (q,)
-        if r == 0 and admissible(delta):
-            count = 1
-        return count
-    ranges = [range(-box[k], box[k] + 1) for k in free]
-    if rho == 2:
-        for a in ranges[0]:
-            rest = s - height[free[0]] * a
-            q, r = divmod(rest, height[pivot])
-            if r:
-                continue
-            delta = [0, 0]
-            delta[free[0]] = a
-            delta[pivot] = q
-            if admissible(tuple(delta)):
-                count += 1
-        return count
-    for a in ranges[0]:
-        for b in ranges[1]:
-            rest = s - height[free[0]] * a - height[free[1]] * b
-            q, r = divmod(rest, height[pivot])
-            if r:
-                continue
-            delta = [0, 0, 0]
-            delta[free[0]] = a
-            delta[free[1]] = b
-            delta[pivot] = q
-            if admissible(tuple(delta)):
-                count += 1
+    for coords in product(*(range(-box[k], box[k] + 1) for k in free)):
+        rest = s - sum(height[k] * a for k, a in zip(free, coords))
+        q, r = divmod(rest, height[pivot])
+        if r:
+            continue
+        delta = [0] * rho
+        for k, a in zip(free, coords):
+            delta[k] = a
+        delta[pivot] = q
+        if admissible(delta):
+            count += 1
     return count
 
 
@@ -290,11 +271,21 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     """
     if d_max < 3:
         raise DomainError(f"convergence report needs d_max >= 3, got {d_max}")
+    cone = m.profile.nef_cone_eta
+    starts = [(t, cone.height_of(t)) for t in m.translates]
+    theorem = theorem_constant(m)
+    rho = m.profile.rho_eta
     rows = []
     prev_ratio: Fraction | None = None
+    # running total: each slice is counted once, at the first row it enters
+    exact = count_exact(m, 0)
     for d in range(1, d_max + 1):
-        exact = count_exact(m, d)
-        asym = asymptotic(m, d)
+        for t, start in starts:
+            if start <= d:
+                pts = lattice_points_at_height(cone.generators, cone.height, t, d)
+                if pts:
+                    exact += m.profile.brauer_order * pts * m.q ** (d + m.dim_rule)
+        asym = theorem * m.q**d * d ** (rho - 1)
         ratio = exact / asym
         if prev_ratio is None:
             stabilized = None
@@ -313,7 +304,6 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     limit = rows[-1]["stabilized"]
     last_ratio = rows[-1]["ratio"]
     stabilizes = limit != 0 and abs(last_ratio - limit) <= abs(limit) * Fraction(1, 20)
-    theorem = theorem_constant(m)
     return {
         "rows": tuple(rows),
         "theorem_constant": theorem,
@@ -333,6 +323,8 @@ def model_to_json(m: CountingModel) -> dict:
 
 
 def model_from_json(data: dict) -> CountingModel:
+    if not isinstance(data, dict):
+        raise DomainError("counting model JSON must be an object")
     try:
         raw = data["profile"]
         profile = (
@@ -346,6 +338,8 @@ def model_from_json(data: dict) -> CountingModel:
         )
     except KeyError as missing:
         raise DomainError(f"counting model JSON missing field {missing}") from None
+    except (TypeError, ValueError, ArithmeticError) as ex:
+        raise DomainError(f"counting model JSON has a malformed field: {ex}") from None
 
 
 def load_model(path) -> CountingModel:

@@ -9,10 +9,7 @@ bilinear form into the normals first).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-import sympy
 
 from .errors import DomainError
 
@@ -31,17 +28,6 @@ def primitive(v) -> Vec:
     if g == 0:
         raise DomainError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
-
-
-def mat_rank(rows) -> int:
-    if not rows:
-        return 0
-    return sympy.Matrix([list(r) for r in rows]).rank()
-
-
-def det(rows) -> Fraction:
-    m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
-    return Fraction(sympy.Rational(m.det()))
 
 
 def row_echelon_transform(rows):
@@ -96,8 +82,17 @@ def integer_kernel(rows) -> list[Vec]:
     return [tuple(U[i]) for i in range(rank, ncols)]
 
 
+def mat_rank(rows) -> int:
+    return row_echelon_transform(rows)[2]
+
+
 def _initial_simplicial_rays(normals):
-    """Pick a spanning subset of normals and invert it to seed the DD run."""
+    """Pick a spanning subset of normals; its simplicial cone seeds the DD run.
+
+    Seed ray j spans the kernel of the other picked normals, oriented so that
+    picked normal j is positive on it (a column of the inverse matrix, made
+    primitive).
+    """
     dim = len(normals[0])
     picked: list[int] = []
     acc: list[Vec] = []
@@ -112,16 +107,11 @@ def _initial_simplicial_rays(normals):
             "inequality normals do not span the ambient space; "
             "the dual cone is not pointed"
         )
-    M = sympy.Matrix([list(r) for r in acc])
-    Minv = M.inv()
     rays = []
     for j in range(dim):
-        col = [sympy.Rational(Minv[i, j]) for i in range(dim)]
-        denlcm = 1
-        for c in col:
-            denlcm = denlcm * c.q // gcd(denlcm, c.q)
-        ray = tuple(int(c * denlcm) for c in col)
-        rays.append(primitive(ray))
+        others = acc[:j] + acc[j + 1 :]
+        ray = integer_kernel(others)[0] if others else (1,)
+        rays.append(ray if dot(acc[j], ray) > 0 else tuple(-x for x in ray))
     return picked, rays
 
 

@@ -169,6 +169,8 @@ def fibertree_to_json(t: FiberTree) -> dict:
 
 
 def fibertree_from_json(data: dict) -> FiberTree:
+    if not isinstance(data, dict):
+        raise DomainError("fiber tree JSON must be an object")
     try:
         return FiberTree(
             components=tuple((int(s), int(m)) for s, m in data["components"]),
@@ -177,6 +179,8 @@ def fibertree_from_json(data: dict) -> FiberTree:
         )
     except KeyError as missing:
         raise DomainError(f"fiber tree JSON missing field {missing}") from None
+    except (TypeError, ValueError, OverflowError) as ex:
+        raise DomainError(f"fiber tree JSON has a malformed field: {ex}") from None
 
 
 def blow_up_fiber(t: FiberTree, target) -> FiberTree:

@@ -84,6 +84,8 @@ class FibrationProfile:
 
 
 def _profile_from_dict(data: dict) -> FibrationProfile:
+    if not isinstance(data, dict):
+        raise DomainError("profile JSON must be an object")
     try:
         nef = data["nef_cone_eta"]
         table = {int(k): int(v) for k, v in data["maxdef_table"].items()}
@@ -106,6 +108,8 @@ def _profile_from_dict(data: dict) -> FibrationProfile:
         )
     except KeyError as missing:
         raise DomainError(f"profile JSON missing field {missing}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as ex:
+        raise DomainError(f"profile JSON has a malformed field: {ex}") from None
 
 
 def profile_to_dict(p: FibrationProfile) -> dict:

@@ -1,10 +1,15 @@
 """Lattice isometries: Weyl groups, orbits, and monodromy-style subgroups.
 
-Groups are closed under a breadth-first product search with matrices stored as
-canonical int8 byte strings (row-major).  The search is budgeted: closures
-that would pass the cap raise CapExceeded instead of thrashing memory, so the
-blow-up-count-8 Weyl group (order 696729600) is refused by default while orbit
-computations under its generators stay available.
+Every search in this module goes through two routines.  `generate_group`
+closes a set of integer matrices under products, breadth first, with the
+elements stored as canonical int8 byte strings (row-major); it is budgeted,
+so a closure that would pass the cap raises CapExceeded instead of thrashing
+memory, and the blow-up-count-8 Weyl group (order 696729600) is refused by
+default.  `orbits_under_generators` partitions a closed class set by applying
+only the generators, so orbits stay available for groups too large to
+materialize.  The Weyl groups, the diagonal-cubic subgroup search and the
+signed permutation groups of the conic bundle analysis (as 4 x 4 matrices)
+all use these two.
 """
 
 from __future__ import annotations
@@ -116,14 +121,6 @@ def _encode_batch(mats: np.ndarray) -> np.ndarray:
     return small.reshape(len(mats), -1)
 
 
-def _decode(key: bytes, rank: int) -> Matrix:
-    flat = np.frombuffer(key, dtype=np.int8).astype(int)
-    return tuple(
-        tuple(int(x) for x in flat[i * rank : (i + 1) * rank])
-        for i in range(rank)
-    )
-
-
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite matrix group, stored as canonical byte keys of its elements."""
@@ -139,11 +136,6 @@ class FiniteGroup:
     def __contains__(self, g) -> bool:
         M = np.array(_as_matrix(g), dtype=np.int64)
         return _encode_batch(M[None, :, :])[0].tobytes() in self.element_keys
-
-    def elements(self):
-        """Iterate elements in canonical (byte-sorted) order."""
-        for key in sorted(self.element_keys):
-            yield IsometryElement(_decode(key, self.rank))
 
     def element_matrices(self) -> np.ndarray:
         keys = sorted(self.element_keys)
@@ -355,26 +347,6 @@ def find_diagonal_cubic_subgroup(
     Pc = P[cand]
     Pc2 = P2[cand]
 
-    def orbit_sizes(perms) -> list[int]:
-        seen = np.zeros(m, dtype=bool)
-        sizes = []
-        for s in range(m):
-            if seen[s]:
-                continue
-            comp = {s}
-            queue = [s]
-            while queue:
-                x = queue.pop()
-                for p in perms:
-                    y = int(p[x])
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            for x in comp:
-                seen[x] = True
-            sizes.append(len(comp))
-        return sorted(sizes)
-
     target = [9, 9, 9]
     for i1 in range(len(cand)):
         A, A2 = Pc[i1], Pc2[i1]
@@ -401,17 +373,10 @@ def find_diagonal_cubic_subgroup(
                     continue
                 if C.tobytes() in sub9:
                     continue
-                gens_p = [A, B, C]
-                if orbit_sizes(gens_p) != target:
+                Ms = [mats[cand[i]] for i in (i1, i2, i3)]
+                if orbits_under_generators(Ms, lines).sizes != target:
                     continue
-                Ms = [
-                    tuple(tuple(int(x) for x in row) for row in mats[cand[i]])
-                    for i in (i1, i2, i3)
-                ]
-                conic_perms = _permutation_action(
-                    np.array(Ms, dtype=np.int64), conics
-                )
-                if orbit_sizes(list(conic_perms)) != target:
+                if orbits_under_generators(Ms, conics).sizes != target:
                     continue
                 sub = generate_group(Ms, cap=27)
                 if sub.order != 27:
@@ -422,80 +387,13 @@ def find_diagonal_cubic_subgroup(
     )
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Element of the signed permutation group on 4 letters.
-
-    Acts on sign vectors v in {-1,+1}^4 by (g.v)_i = signs_i * v_{perm^-1(i)},
-    where perm maps position j to perm[j].
-    """
-
-    perm: tuple[int, int, int, int]
-    signs: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2, 3]:
-            raise DomainError(f"not a permutation of 0..3: {self.perm}")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise DomainError(f"signs must be +-1: {self.signs}")
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        inv = [0] * 4
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return tuple(inv)
-
-    def act(self, v) -> tuple[int, ...]:
-        inv = self.inverse_perm()
-        return tuple(self.signs[i] * v[inv[i]] for i in range(4))
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: (self * other).act(v) == self.act(other.act(v))."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(4))
-        inv = self.inverse_perm()
-        signs = tuple(self.signs[i] * other.signs[inv[i]] for i in range(4))
-        return SignedPermutation(perm, signs)
-
-
-_SP_IDENT = SignedPermutation((0, 1, 2, 3), (1, 1, 1, 1))
-_SP_SIGMA = SignedPermutation((0, 1, 2, 3), (-1, -1, -1, -1))
-
-
-def _sp_closure(gens, cap: int = 400) -> frozenset[SignedPermutation]:
-    seen = {_SP_IDENT}
-    frontier = [_SP_IDENT]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = a.compose(g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        if len(seen) > cap:
-            raise CapExceeded(f"signed permutation closure passed {cap}")
-        frontier = nxt
-    return frozenset(seen)
-
-
-def _sp_orbit_sizes(elements) -> list[int]:
-    vectors = [tuple(v) for v in product((-1, 1), repeat=4)]
-    remaining = set(vectors)
-    sizes = []
-    while remaining:
-        v = min(remaining)
-        orbit = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for g in elements:
-                y = g.act(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        remaining -= orbit
-        sizes.append(len(orbit))
-    return sorted(sizes)
+def _signed_perm_matrix(perm, signs) -> Matrix:
+    """4 x 4 matrix of a signed permutation acting on sign vectors by
+    (g.v)_i = signs_i * v_{perm^-1(i)}, where perm maps position j to perm[j]."""
+    M = [[0] * 4 for _ in range(4)]
+    for j in range(4):
+        M[perm[j]][j] = signs[perm[j]]
+    return tuple(tuple(row) for row in M)
 
 
 def conic_bundle_extension_analysis() -> dict:
@@ -514,47 +412,45 @@ def conic_bundle_extension_analysis() -> dict:
     """
     t_perm = (1, 0, 2, 3)
     c_perm = (1, 2, 3, 0)
+    ident_perm = (0, 1, 2, 3)
+    plus = (1, 1, 1, 1)
+    sigma = _signed_perm_matrix(ident_perm, (-1, -1, -1, -1))
     basis_flips = [
-        SignedPermutation(
-            (0, 1, 2, 3), tuple(-1 if j == i else 1 for j in range(4))
-        )
+        _signed_perm_matrix(ident_perm, tuple(-1 if j == i else 1 for j in range(4)))
         for i in range(4)
     ]
-    b4 = _sp_closure(
-        [
-            SignedPermutation(t_perm, (1, 1, 1, 1)),
-            SignedPermutation(c_perm, (1, 1, 1, 1)),
-        ]
-        + basis_flips
+    b4 = generate_group(
+        [_signed_perm_matrix(t_perm, plus), _signed_perm_matrix(c_perm, plus)]
+        + basis_flips,
+        cap=384,
     )
-    sigma_central = all(
-        g.compose(_SP_SIGMA) == _SP_SIGMA.compose(g) for g in b4
-    )
+    b4_mats = b4.element_matrices()
+    sig = np.array(sigma, dtype=np.int64)
+    sigma_central = bool((b4_mats @ sig == sig @ b4_mats).all())
 
     sign_choices = list(product((-1, 1), repeat=4))
-    ident_perm = (0, 1, 2, 3)
     found: dict[frozenset, dict] = {}
     for st in sign_choices:
-        a = SignedPermutation(t_perm, st)
+        a = _signed_perm_matrix(t_perm, st)
         for sc in sign_choices:
-            b = SignedPermutation(c_perm, sc)
-            group = _sp_closure([a, b, _SP_SIGMA], cap=384)
-            if len(group) != 48:
+            b = _signed_perm_matrix(c_perm, sc)
+            group = generate_group([a, b, sigma], cap=384)
+            if group.order != 48 or group.element_keys in found:
                 continue
-            diagonal = {g for g in group if g.perm == ident_perm}
-            if diagonal != {_SP_IDENT, _SP_SIGMA}:
+            mats = group.element_matrices()
+            # perms[e, j] = perm[j] of element e: the row of column j's entry
+            perms = [tuple(p) for p in np.abs(mats).argmax(axis=1).tolist()]
+            # sigma is a generator, so two diagonal elements means {1, sigma}
+            if perms.count(ident_perm) != 2:
                 continue
-            if frozenset(group) in found:
-                continue
-            lifts_t = [g for g in group if g.perm == t_perm]
-            lifts_c = [g for g in group if g.perm == c_perm]
-            split = False
-            for at in lifts_t:
-                for bc in lifts_c:
-                    sub = _sp_closure([at, bc], cap=384)
-                    if len(sub) == 24:
-                        split = True
-            sizes = _sp_orbit_sizes(group)
+            lifts_t = [m for m, p in zip(mats, perms) if p == t_perm]
+            lifts_c = [m for m, p in zip(mats, perms) if p == c_perm]
+            split = any(
+                generate_group([at, bc], cap=384).order == 24
+                for at in lifts_t
+                for bc in lifts_c
+            )
+            sizes = orbits_under_generators(group.generators, sign_choices).sizes
             if not split and sizes != [16]:
                 raise ToolkitError(
                     f"claim falsified: non-split subgroup with orbits {sizes}"
@@ -563,7 +459,7 @@ def conic_bundle_extension_analysis() -> dict:
                 raise ToolkitError(
                     f"claim falsified: split subgroup with orbits {sizes}"
                 )
-            found[frozenset(group)] = {
+            found[group.element_keys] = {
                 "order": 48,
                 "split": split,
                 "orbit_sizes": sizes,
@@ -573,7 +469,7 @@ def conic_bundle_extension_analysis() -> dict:
         key=lambda d: (d["split"], d["orbit_sizes"]),
     )
     return {
-        "ambient_order": len(b4),
+        "ambient_order": b4.order,
         "sigma_central": sigma_central,
         "subgroup_count": len(subgroups),
         "subgroups": subgroups,

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from delpezzo.cli import main, run_example
+from delpezzo.thresholds import load_profile, profile_to_dict
 
 
 @pytest.fixture()
@@ -204,3 +209,68 @@ def test_byte_identical_reruns(runner, args):
     second = invoke(runner, args)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
+
+
+def _bad_inputs(tmp_path):
+    x5 = profile_to_dict(load_profile("x5-pencil"))
+    model = {"profile": x5, "translates": [[x5["neg"]]], "q": "2"}
+    files = {
+        "q-zero-denominator": dict(model, q="1/0"),
+        "top-level-list": [model],
+        "maxdef-list": dict(x5, maxdef_table=[[-1, 1]]),
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    return {
+        "q-not-rational": (["count", "--profile", "cubic-pencil", "--q", "abc"], 2),
+        "example-q-not-rational": (
+            ["example", "--name", "x5-pencil", "--q", "x/2"], 2
+        ),
+        "q-zero-denominator": (
+            ["count", "--model", str(tmp_path / "q-zero-denominator.json")], 1
+        ),
+        "top-level-list": (
+            ["count", "--model", str(tmp_path / "top-level-list.json")], 1
+        ),
+        "maxdef-list": (
+            ["thresholds", "--profile", str(tmp_path / "maxdef-list.json")], 1
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "q-not-rational",
+        "example-q-not-rational",
+        "q-zero-denominator",
+        "top-level-list",
+        "maxdef-list",
+    ],
+)
+def test_bad_input_exits_cleanly(runner, tmp_path, case):
+    args, code = _bad_inputs(tmp_path)[case]
+    res = invoke(runner, args)
+    assert res.exit_code == code
+    assert "Traceback" not in res.stderr
+    if code == 1:
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert "Invalid value for '--q'" in res.stderr
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is a test-only dependency; the CLI must not pull it in
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import delpezzo.cli, sys; assert 'sympy' not in sys.modules",
+        ],
+        env=env,
+        check=True,
+    )

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -22,6 +23,7 @@ from delpezzo import (
     tau,
     theorem_constant,
 )
+from delpezzo.linalg import mat_rank
 from delpezzo.thresholds import FibrationProfile, NefConeEta
 
 
@@ -275,3 +277,58 @@ def test_count_linear_in_brauer(qnum, br):
         q=q,
     )
     assert count_exact(scaled, 6) == br * count_exact(base, 6)
+
+
+def _random_model(rng, rho):
+    while True:
+        gens = tuple(
+            tuple(rng.randint(0, 3) for _ in range(rho))
+            for _ in range(rho + rng.randint(0, 1))
+        )
+        cov = tuple(rng.randint(1, 2) for _ in range(rho))
+        if all(any(g) for g in gens) and mat_rank(gens) == rho:
+            break
+    profile = make_profile(
+        rho, -1, gens, cov, br=rng.randint(1, 2), idx=rng.randint(1, 3)
+    )
+    translates = []
+    while len(translates) < rng.randint(1, 2):
+        t = tuple(rng.randint(-1, 2) for _ in range(rho))
+        if sum(a * b for a, b in zip(cov, t)) >= -1:
+            translates.append(t)
+    q = Fraction(rng.randint(3, 8), 2)
+    return CountingModel(profile, tuple(translates), q, dim_rule=rng.randint(1, 3))
+
+
+def test_convergence_rows_match_counts_from_scratch():
+    # the report accumulates slices once; every row must equal the count
+    # and the closed form recomputed on their own
+    rng = random.Random(2024)
+    for rho, dmax in ((1, 12), (2, 8), (3, 5)):
+        for _ in range(4):
+            m = _random_model(rng, rho)
+            rep = convergence_report(m, dmax)
+            assert [r["d"] for r in rep["rows"]] == list(range(1, dmax + 1))
+            for r in rep["rows"]:
+                assert r["exact"] == count_exact(m, r["d"])
+                assert r["asymptotic"] == asymptotic(m, r["d"])
+                assert r["ratio"] == r["exact"] / r["asymptotic"]
+            assert rep["theorem_constant"] == theorem_constant(m)
+
+
+def test_model_json_rejects_malformed_documents():
+    good = model_to_json(default_model(load_profile("cubic-pencil"), 2))
+    bad_profile = dict(good["profile"], maxdef_table=[[-1, 1]])
+    for data in (
+        [good],
+        "cubic-pencil",
+        dict(good, q="1/0"),
+        dict(good, translates=5),
+        dict(good, profile=bad_profile),
+        dict(good, profile=[bad_profile]),
+        # json.loads reads Infinity as a float, which int() cannot convert
+        dict(good, dim_rule=float("inf")),
+        dict(good, profile=dict(good["profile"], brauer_order=float("inf"))),
+    ):
+        with pytest.raises(DomainError):
+            model_from_json(data)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from delpezzo.errors import DomainError
 from delpezzo.linalg import (
+    _initial_simplicial_rays,
     cone_contains,
     convex_hull_2d,
-    det,
     dual_cone_rays,
     integer_kernel,
     mat_rank,
@@ -24,11 +25,60 @@ def test_primitive():
         primitive((0, 0))
 
 
-def test_rank_det():
+def test_rank():
     assert mat_rank([(1, 0), (0, 1), (1, 1)]) == 2
     assert mat_rank([(2, 4), (1, 2)]) == 1
-    assert det([(2, 0), (0, 3)]) == 6
-    assert det([(0, 1), (1, 0)]) == -1
+    assert mat_rank([]) == 0
+
+
+def test_rank_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for _ in range(200):
+        ncols = rng.randint(1, 5)
+        rows = [
+            tuple(rng.randint(-3, 3) for _ in range(ncols))
+            for _ in range(rng.randint(1, 5))
+        ]
+        assert mat_rank(rows) == sympy.Matrix(rows).rank()
+
+
+def _seed_by_inverse(sympy, normals):
+    """Reference seed: the first spanning normals by sympy rank, and the
+    columns of the inverse of their matrix, made primitive."""
+    dim = len(normals[0])
+    picked, acc = [], []
+    for idx, h in enumerate(normals):
+        if sympy.Matrix(acc + [list(h)]).rank() > len(acc):
+            acc.append(list(h))
+            picked.append(idx)
+        if len(acc) == dim:
+            break
+    inv = sympy.Matrix(acc).inv()
+    rays = []
+    for j in range(dim):
+        col = [inv[i, j] for i in range(dim)]
+        den = sympy.ilcm(1, *[c.q for c in col])
+        rays.append(primitive(tuple(int(c * den) for c in col)))
+    return picked, rays
+
+
+def test_seed_rays_against_matrix_inverse():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for dim in range(1, 10):
+        done = 0
+        while done < 6:
+            normals = [
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(dim + rng.randint(0, 3))
+            ]
+            if sympy.Matrix(normals).rank() < dim:
+                continue
+            assert _initial_simplicial_rays(normals) == _seed_by_inverse(
+                sympy, normals
+            )
+            done += 1
 
 
 def test_integer_kernel():

@@ -126,6 +126,14 @@ def test_fibertree_json_round_trip():
     assert fibertree_from_json(data) == t
     with pytest.raises(DomainError):
         fibertree_from_json({"components": [[0, 1]]})
+    for bad in (
+        [data],
+        dict(data, components=[[0]]),
+        dict(data, marked="x"),
+        dict(data, marked=float("inf")),
+    ):
+        with pytest.raises(DomainError):
+            fibertree_from_json(bad)
 
 
 def test_glue_normal_bundle_table():

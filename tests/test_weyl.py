@@ -9,7 +9,6 @@ from delpezzo import (
     CapExceeded,
     DomainError,
     NotFound,
-    SignedPermutation,
     conic_bundle_extension_analysis,
     enumerate_conic_classes,
     enumerate_neg_one_curves,
@@ -24,6 +23,7 @@ from delpezzo import (
     validate_isometry,
     weyl_generators,
 )
+from delpezzo.weyl import _signed_perm_matrix
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
 
@@ -152,20 +152,26 @@ def test_diagonal_cubic_search_needs_n6():
         find_diagonal_cubic_subgroup(group, lat)
 
 
-def test_signed_permutation_algebra():
-    a = SignedPermutation(perm=(1, 0, 2, 3), signs=(1, 1, -1, 1))
-    b = SignedPermutation(perm=(0, 2, 1, 3), signs=(-1, 1, 1, 1))
-    v = (3, 5, 7, 11)
-    assert a.act(b.act(v)) == a.compose(b).act(v)
-    ident = SignedPermutation(perm=(0, 1, 2, 3), signs=(1, 1, 1, 1))
-    a_inv = SignedPermutation(
-        a.inverse_perm(), tuple(a.signs[a.perm[i]] for i in range(4))
-    )
-    assert a_inv.compose(a) == ident and a.compose(a_inv) == ident
-    with pytest.raises(DomainError):
-        SignedPermutation(perm=(0, 0, 1, 2), signs=(1, 1, 1, 1))
-    with pytest.raises(DomainError):
-        SignedPermutation(perm=(0, 1, 2, 3), signs=(1, 2, 1, 1))
+def test_signed_perm_matrix():
+    # (g.v)_i = signs_i * v[perm^-1(i)], written out without matrices
+    def act(perm, signs, v):
+        inv = [perm.index(i) for i in range(4)]
+        return tuple(signs[i] * v[inv[i]] for i in range(4))
+
+    pairs = [
+        ((0, 1, 2, 3), (1, 1, 1, 1)),
+        ((1, 0, 2, 3), (1, 1, -1, 1)),
+        ((0, 2, 1, 3), (-1, 1, 1, 1)),
+        ((1, 2, 3, 0), (-1, 1, -1, -1)),
+        ((3, 0, 2, 1), (1, -1, -1, 1)),
+    ]
+    for a in pairs:
+        M = np.array(_signed_perm_matrix(*a))
+        for b in pairs:
+            N = np.array(_signed_perm_matrix(*b))
+            for v in [(3, 5, 7, 11), (-2, 13, 1, -4)]:
+                assert tuple(M @ v) == act(*a, v)
+                assert tuple(M @ N @ v) == act(*a, act(*b, v))
 
 
 def test_conic_bundle_extension_analysis():
