@@ -182,9 +182,8 @@ def weyl_cmd(degree, cap):
     default="lines",
     show_default=True,
 )
-@click.option("--cap", type=int, default=weyl.DEFAULT_CAP, show_default=True)
 @_toolkit_errors
-def orbits(degree, classes, cap):
+def orbits(degree, classes):
     """Orbit sizes of curve classes under the full Weyl group."""
     lat = _lattice_for_degree(degree)
     vectors = _KINDS[classes](lat)

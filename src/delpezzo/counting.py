@@ -17,24 +17,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import factorial
 from pathlib import Path
 
-from .errors import CapExceeded, DomainError
-from .linalg import convex_hull_2d, dual_cone_rays, mat_rank
+from .errors import CapExceeded, DomainError, _json_field
+from .linalg import convex_hull_2d, dot, dual_cone_rays, mat_rank
 from .picard import Vec
 from .thresholds import (
     FibrationProfile,
+    _int_rows,
     _profile_from_dict,
     load_profile,
     profile_to_dict,
 )
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _det2(a, b) -> Fraction:
@@ -85,7 +82,7 @@ def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
         raise DomainError("cone is not full-dimensional")
     vertices = []
     for g in gens:
-        h = _dot(height, g)
+        h = dot(height, g)
         if h <= 0:
             raise DomainError(f"generator {g} has height {h} <= 0")
         v = tuple(Fraction(x, 1) / h for x in g)
@@ -100,7 +97,7 @@ def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
         direction = next(
             tuple(a - b for a, b in zip(v, base)) for v in vertices if v != base
         )
-        vertices.sort(key=lambda v: _dot(direction, v))
+        vertices.sort(key=lambda v: dot(direction, v))
         for u, w in zip(vertices, vertices[1:]):
             d = abs(_det2(u, w))
             if d:
@@ -127,8 +124,6 @@ def tau(p: FibrationProfile) -> int:
 
 @lru_cache(maxsize=None)
 def _facets_of(gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    if len(gens[0]) == 1:
-        return ((1,),) if all(g[0] > 0 for g in gens) else ((-1,),)
     return tuple(dual_cone_rays(list(gens)))
 
 
@@ -146,10 +141,10 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     for v in gens + (translate,):
         if len(v) != rho:
             raise DomainError(f"vector {v} does not match dimension {rho}")
-    heights = [_dot(height, g) for g in gens]
+    heights = [dot(height, g) for g in gens]
     if any(h <= 0 for h in heights):
         raise DomainError("every generator must have positive height")
-    s = i - _dot(height, translate)
+    s = i - dot(height, translate)
     if s < 0:
         return 0
     facets = _facets_of(gens)
@@ -163,7 +158,7 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     free = [k for k in range(rho) if k != pivot]
 
     def admissible(delta) -> bool:
-        return all(_dot(f, delta) >= 0 for f in facets)
+        return all(dot(f, delta) >= 0 for f in facets)
 
     count = 0
     for coords in product(*(range(-box[k], box[k] + 1) for k in free)):
@@ -323,23 +318,16 @@ def model_to_json(m: CountingModel) -> dict:
 
 
 def model_from_json(data: dict) -> CountingModel:
-    if not isinstance(data, dict):
-        raise DomainError("counting model JSON must be an object")
-    try:
-        raw = data["profile"]
-        profile = (
-            load_profile(raw) if isinstance(raw, str) else _profile_from_dict(raw)
-        )
-        return CountingModel(
-            profile=profile,
-            translates=tuple(tuple(int(x) for x in t) for t in data["translates"]),
-            q=Fraction(data["q"]),
-            dim_rule=int(data.get("dim_rule", 2)),
-        )
-    except KeyError as missing:
-        raise DomainError(f"counting model JSON missing field {missing}") from None
-    except (TypeError, ValueError, ArithmeticError) as ex:
-        raise DomainError(f"counting model JSON has a malformed field: {ex}") from None
+    get = partial(_json_field, "counting model", data)
+    return CountingModel(
+        profile=get(
+            "profile",
+            lambda raw: load_profile(raw) if isinstance(raw, str) else _profile_from_dict(raw),
+        ),
+        translates=get("translates", _int_rows),
+        q=get("q", Fraction),
+        dim_rule=get("dim_rule", int, 2),
+    )
 
 
 def load_model(path) -> CountingModel:

@@ -2,7 +2,11 @@
 
 Enumeration is a depth-first search over the exceptional coordinates with a
 Cauchy-Schwarz prune; it is exhaustive within the derived coefficient bounds,
-so the outputs are complete lists, not samples.
+so the outputs are complete lists, not samples.  Nefness is read from one
+table per lattice, the pairing normals of the effective-cone generators (the
+(-1)-curves from two blow-ups on): `is_nef`, `nef_curve_cone` and
+`decompose_nef_integral` all test against it through `linalg.cone_contains`
+or dualize it with `linalg.dual_cone_rays`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import DecompositionNotFound, DomainError
-from .picard import PicardLattice, Vec, anticanonical_degree, pair
+from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
 
 
 class CurveClassKind(Enum):
@@ -141,18 +145,18 @@ def effective_cone_generators(lat: PicardLattice) -> Cone:
     return Cone(generators=gens, facets=())
 
 
-def _eff_gens(lat: PicardLattice) -> tuple[Vec, ...]:
-    return effective_cone_generators(lat).generators
+@lru_cache(maxsize=None)
+def _nef_normals(lat: PicardLattice) -> tuple[Vec, ...]:
+    """The effective-cone generators with the gram folded in, so that the
+    standard dot with row g is pair(., g): x is nef iff every dot is >= 0."""
+    return tuple(
+        (g[0],) + tuple(-x for x in g[1:])
+        for g in effective_cone_generators(lat).generators
+    )
 
 
 def is_nef(lat: PicardLattice, c) -> bool:
-    c = tuple(c)
-    return all(pair(lat, c, g) >= 0 for g in _eff_gens(lat))
-
-
-def _pairing_normal(lat: PicardLattice, g: Vec) -> Vec:
-    """Fold the lattice gram into g so standard dot realizes pair(., g)."""
-    return (g[0],) + tuple(-x for x in g[1:])
+    return linalg.cone_contains(_nef_normals(lat), _check_vec(lat, c))
 
 
 def nef_curve_cone(lat: PicardLattice) -> Cone:
@@ -161,10 +165,8 @@ def nef_curve_cone(lat: PicardLattice) -> Cone:
     Generators are the extreme rays (primitive, sorted); facets echo the
     effective generators, each supporting a facet of the dual.
     """
-    gens = _eff_gens(lat)
-    normals = [_pairing_normal(lat, g) for g in gens]
-    rays = linalg.dual_cone_rays(normals)
-    return Cone(generators=tuple(rays), facets=gens)
+    rays = linalg.dual_cone_rays(_nef_normals(lat))
+    return Cone(generators=tuple(rays), facets=effective_cone_generators(lat).generators)
 
 
 def _feasible_squares(lat: PicardLattice, height: int) -> list[int]:
@@ -192,25 +194,13 @@ def nef_classes_of_height(lat: PicardLattice, height: int) -> list[Vec]:
     return sorted(found)
 
 
-def _decomposition_generators(lat: PicardLattice) -> list[Vec]:
+@lru_cache(maxsize=None)
+def _decomposition_generators(lat: PicardLattice) -> tuple[Vec, ...]:
     """Height-2 and height-3 nef classes plus -K, ordered by descending height."""
     gens = set(nef_classes_of_height(lat, 2))
     gens |= set(nef_classes_of_height(lat, 3))
     gens.add(lat.anticanonical)
-    return sorted(gens, key=lambda g: (-anticanonical_degree(lat, g), g))
-
-
-@lru_cache(maxsize=None)
-def _lat_cached(n: int) -> PicardLattice:
-    return PicardLattice(n)
-
-
-@lru_cache(maxsize=None)
-def _decomp_data(n: int):
-    lat = _lat_cached(n)
-    gens = _decomposition_generators(lat)
-    normals = [_pairing_normal(lat, g) for g in _eff_gens(lat)]
-    return gens, normals
+    return tuple(sorted(gens, key=lambda g: (-anticanonical_degree(lat, g), g)))
 
 
 def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
@@ -229,7 +219,7 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
     c = tuple(c)
     if not is_nef(lat, c):
         raise DomainError(f"class {c} is not nef")
-    gens, normals = _decomp_data(lat.n)
+    gens, normals = _decomposition_generators(lat), _nef_normals(lat)
 
     @lru_cache(maxsize=None)
     def search(residual: Vec, start: int):

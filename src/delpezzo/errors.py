@@ -1,4 +1,5 @@
-"""Error taxonomy shared by every module.
+"""Error taxonomy shared by every module, and the field reader of the JSON
+parsers (profile, counting model, fiber tree), whose errors name the field path.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are raised as click.UsageError and exit with code 2.
@@ -11,6 +12,38 @@ class ToolkitError(Exception):
 
 class DomainError(ToolkitError):
     """An input violates a documented precondition."""
+
+
+class FieldError(DomainError):
+    """A missing or malformed field of a JSON document, named by its path."""
+
+    def __init__(self, doc: str, path: str, reason: str):
+        super().__init__(f"{doc} JSON field '{path}': {reason}")
+        self.path, self.reason = path, reason
+
+
+_REQUIRED = object()
+
+
+def _json_field(doc: str, data, key: str, convert, default=_REQUIRED):
+    """convert(data[key]) for a JSON object `data`; `default` when the key is
+    absent and a default is given.
+
+    Every error the conversion raises becomes a FieldError naming the key; a
+    FieldError from a nested document comes back with the key as its prefix.
+    """
+    if not isinstance(data, dict):
+        raise DomainError(f"{doc} JSON must be an object")
+    if key not in data:
+        if default is _REQUIRED:
+            raise FieldError(doc, key, "missing")
+        return default
+    try:
+        return convert(data[key])
+    except FieldError as ex:
+        raise FieldError(doc, f"{key}.{ex.path}", ex.reason) from None
+    except (DomainError, TypeError, ValueError, ArithmeticError, AttributeError) as ex:
+        raise FieldError(doc, key, str(ex)) from None
 
 
 class HeightBelowModel(DomainError):

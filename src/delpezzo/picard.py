@@ -47,13 +47,6 @@ class PicardLattice:
         object.__setattr__(self, "canonical", (-3,) + (1,) * self.n)
         object.__setattr__(self, "degree", 9 - self.n)
 
-    # convenience wrappers so call sites can use methods or module functions
-    def pair(self, a, b) -> int:
-        return pair(self, a, b)
-
-    def height(self, c) -> int:
-        return anticanonical_degree(self, c)
-
     @property
     def anticanonical(self) -> Vec:
         return tuple(-x for x in self.canonical)

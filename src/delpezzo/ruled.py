@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import (
     DomainError,
@@ -20,6 +21,7 @@ from .errors import (
     NotApplicable,
     NotFound,
     ToolkitError,
+    _json_field,
 )
 
 
@@ -169,18 +171,12 @@ def fibertree_to_json(t: FiberTree) -> dict:
 
 
 def fibertree_from_json(data: dict) -> FiberTree:
-    if not isinstance(data, dict):
-        raise DomainError("fiber tree JSON must be an object")
-    try:
-        return FiberTree(
-            components=tuple((int(s), int(m)) for s, m in data["components"]),
-            edges=tuple((int(i), int(j)) for i, j in data["edges"]),
-            marked=None if data.get("marked") is None else int(data["marked"]),
-        )
-    except KeyError as missing:
-        raise DomainError(f"fiber tree JSON missing field {missing}") from None
-    except (TypeError, ValueError, OverflowError) as ex:
-        raise DomainError(f"fiber tree JSON has a malformed field: {ex}") from None
+    get = partial(_json_field, "fiber tree", data)
+    return FiberTree(
+        components=get("components", lambda cs: tuple((int(s), int(m)) for s, m in cs)),
+        edges=get("edges", lambda es: tuple((int(i), int(j)) for i, j in es)),
+        marked=get("marked", lambda m: None if m is None else int(m), None),
+    )
 
 
 def blow_up_fiber(t: FiberTree, target) -> FiberTree:

@@ -15,11 +15,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from importlib import resources
 from itertools import product
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import DomainError, _json_field
 from .picard import Vec
 
 
@@ -83,33 +84,37 @@ class FibrationProfile:
         return dict(self.maxdef_table)
 
 
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def _nef_from_dict(nef) -> NefConeEta:
+    get = partial(_json_field, "nef cone", nef)
+    return NefConeEta(
+        generators=get("generators", _int_rows),
+        height=get("height", lambda h: tuple(int(x) for x in h)),
+    )
+
+
 def _profile_from_dict(data: dict) -> FibrationProfile:
-    if not isinstance(data, dict):
-        raise DomainError("profile JSON must be an object")
-    try:
-        nef = data["nef_cone_eta"]
-        table = {int(k): int(v) for k, v in data["maxdef_table"].items()}
-        return FibrationProfile(
-            name=str(data["name"]),
-            fiber_degree=int(data["fiber_degree"]),
-            rho_eta=int(data["rho_eta"]),
-            neg=int(data["neg"]),
-            maxdef_table=tuple(sorted(table.items())),
-            brauer_order=int(data["brauer_order"]),
-            num_profiles=int(data["num_profiles"]),
-            lattice_index=int(data["lattice_index"]),
-            has_ff_conic=bool(data["has_ff_conic"]),
-            nef_cone_eta=NefConeEta(
-                generators=tuple(tuple(int(x) for x in g) for g in nef["generators"]),
-                height=tuple(int(x) for x in nef["height"]),
-            ),
-            provenance=str(data.get("provenance", "")),
-            transcription_note=str(data.get("transcription_note", "")),
-        )
-    except KeyError as missing:
-        raise DomainError(f"profile JSON missing field {missing}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as ex:
-        raise DomainError(f"profile JSON has a malformed field: {ex}") from None
+    get = partial(_json_field, "profile", data)
+    return FibrationProfile(
+        name=get("name", str),
+        fiber_degree=get("fiber_degree", int),
+        rho_eta=get("rho_eta", int),
+        neg=get("neg", int),
+        maxdef_table=get(
+            "maxdef_table",
+            lambda t: tuple(sorted({int(k): int(v) for k, v in t.items()}.items())),
+        ),
+        brauer_order=get("brauer_order", int),
+        num_profiles=get("num_profiles", int),
+        lattice_index=get("lattice_index", int),
+        has_ff_conic=get("has_ff_conic", bool),
+        nef_cone_eta=get("nef_cone_eta", _nef_from_dict),
+        provenance=get("provenance", str, ""),
+        transcription_note=get("transcription_note", str, ""),
+    )
 
 
 def profile_to_dict(p: FibrationProfile) -> dict:

@@ -1,15 +1,17 @@
 """Lattice isometries: Weyl groups, orbits, and monodromy-style subgroups.
 
-Every search in this module goes through two routines.  `generate_group`
-closes a set of integer matrices under products, breadth first, with the
-elements stored as canonical int8 byte strings (row-major); it is budgeted,
-so a closure that would pass the cap raises CapExceeded instead of thrashing
-memory, and the blow-up-count-8 Weyl group (order 696729600) is refused by
-default.  `orbits_under_generators` partitions a closed class set by applying
-only the generators, so orbits stay available for groups too large to
-materialize.  The Weyl groups, the diagonal-cubic subgroup search and the
-signed permutation groups of the conic bundle analysis (as 4 x 4 matrices)
-all use these two.
+Every search in this module goes through one closure routine and one action
+kernel.  `generate_group` closes a set of integer matrices under products,
+breadth first, with the elements stored as canonical int8 byte strings
+(row-major); it is budgeted, so a closure that would pass the cap raises
+CapExceeded instead of thrashing memory, and the blow-up-count-8 Weyl group
+(order 696729600) is refused by default.  `_permutation_action` maps matrices
+to the permutations they induce on a finite class set, exactly in int64, with
+the classes keyed by the bytes of their rows.  `orbits_under_generators` reads
+orbits off the generators' permutations, so orbits stay available for groups
+too large to materialize.  The Weyl groups, the diagonal-cubic subgroup search
+and the signed permutation groups of the conic bundle analysis (as 4 x 4
+matrices) all use these.
 """
 
 from __future__ import annotations
@@ -33,28 +35,10 @@ def mat_apply(M: Matrix, v) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def identity_matrix(rank: int) -> Matrix:
     return tuple(
         tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
     )
-
-
-@dataclass(frozen=True)
-class IsometryElement:
-    """An integer matrix acting on lattice vectors by left multiplication."""
-
-    matrix: Matrix
-
-    def apply(self, v) -> Vec:
-        return mat_apply(self.matrix, v)
 
 
 def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
@@ -62,8 +46,7 @@ def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
     r = lat.rank
     if len(M) != r or any(len(row) != r for row in M):
         raise DomainError(f"matrix shape does not match rank {r}")
-    basis = identity_matrix(r)
-    cols = [mat_apply(M, e) for e in basis]
+    cols = list(zip(*M))
     for i in range(r):
         for j in range(r):
             if pair(lat, cols[i], cols[j]) != lat.gram[i][j]:
@@ -98,19 +81,17 @@ def simple_roots(lat: PicardLattice) -> list[Vec]:
     return roots
 
 
-def weyl_generators(lat: PicardLattice) -> list[IsometryElement]:
+def weyl_generators(lat: PicardLattice) -> list[Matrix]:
     """Reflections in the simple roots; empty for n <= 1."""
     out = []
     for root in simple_roots(lat):
         M = _reflection(lat, root)
         validate_isometry(lat, M)
-        out.append(IsometryElement(M))
+        out.append(M)
     return out
 
 
 def _as_matrix(g) -> Matrix:
-    if isinstance(g, IsometryElement):
-        return g.matrix
     return tuple(tuple(int(x) for x in row) for row in g)
 
 
@@ -218,47 +199,94 @@ class OrbitPartition:
         return [o[0] for o in self.orbits]
 
 
+_ACTION_ROWS = 1 << 15
+# images are computed in int64; the bound is estimated in float64, so keep a
+# factor-2 margin under 2**63 for its rounding
+_IMAGE_BOUND = 2.0**62
+
+
+def _permutation_action(mats, classes) -> np.ndarray:
+    """Permutations induced on a closed class set, one int32 row per matrix.
+
+    Row g maps class index k to the index of mats[g] @ classes[k].  Classes
+    are keyed by the bytes of their int64 rows (sorted, then searched), and
+    each image row is found exactly, so any integer classes work as long as
+    every image provably stays inside int64; an input that could leave it is
+    refused before any product.  Images are built at most 2**15 rows at a time.
+    Raises DomainError for duplicate classes or an image outside the set.
+    """
+    try:
+        arr = np.array(classes, dtype=np.int64)
+        mats = np.array(mats, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("class or matrix entry outside int64") from None
+    k, r = arr.shape
+    mats = mats.reshape(-1, r, r) if mats.size == 0 else mats
+    if mats.ndim != 3 or mats.shape[1:] != (r, r):
+        raise DomainError(f"matrices do not act on classes of length {r}")
+    out = np.empty((len(mats), k), dtype=np.int32)
+    if not len(mats):
+        return out
+    reach = (np.abs(arr, dtype=np.float64).max()
+             * np.abs(mats, dtype=np.float64).sum(axis=2).max())
+    if reach >= _IMAGE_BOUND:
+        raise DomainError("class images could leave int64; refusing inexact action")
+    vdt = np.dtype((np.void, 8 * r))
+    keys = arr.view(vdt).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise DomainError("class set contains duplicates")
+    step = min(k, _ACTION_ROWS)
+    per = max(1, _ACTION_ROWS // step)
+    mats_t = mats.transpose(0, 2, 1)
+    for lo in range(0, k, step):
+        rows = arr[lo : lo + step]
+        for g in range(0, len(mats), per):
+            img = (rows @ mats_t[g : g + per]).view(vdt)[..., 0]
+            pos = np.searchsorted(sorted_keys, img)
+            pos[pos == k] = 0
+            miss = sorted_keys[pos] != img
+            if miss.any():
+                c = tuple(int(x) for x in rows[np.argwhere(miss)[0][1]])
+                raise DomainError(
+                    f"class set is not closed: a matrix moves {c} outside"
+                )
+            out[g : g + per, lo : lo + step] = order[pos]
+    return out
+
+
 def orbits_under_generators(gens, classes) -> OrbitPartition:
     """Orbit partition of a class set closed under the generated action.
 
-    Only the generators are applied (breadth first per orbit), so this works
-    for groups too large to materialize.  A generator image falling outside
-    the class set raises DomainError: the set was not closed.
+    Only the generators' permutations are computed (`_permutation_action`), so
+    this works for groups too large to materialize.  Each orbit is a union of
+    cycles of every generator, so hooking the larger label of each moved pair
+    onto the smaller and shortcutting until no generator moves a label leaves
+    every class labelled by the least index in its orbit.  Raises DomainError
+    for duplicate classes or a generator image outside the set.
     """
-    mats = [_as_matrix(g) for g in gens]
     classes = [tuple(c) for c in classes]
-    class_set = set(classes)
-    if len(class_set) != len(classes):
-        raise DomainError("class set contains duplicates")
-    for M in mats:
-        for c in classes:
-            if mat_apply(M, c) not in class_set:
-                raise DomainError(
-                    f"class set is not closed: generator moves {c} outside"
-                )
-    unassigned = set(classes)
-    orbs = []
-    for c in classes:
-        if c not in unassigned:
-            continue
-        orbit = {c}
-        queue = [c]
-        while queue:
-            x = queue.pop()
-            for M in mats:
-                y = mat_apply(M, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        unassigned -= orbit
-        orbs.append(tuple(sorted(orbit)))
-    return OrbitPartition(tuple(sorted(orbs)))
+    if not classes:
+        return OrbitPartition(())
+    perms = _permutation_action(list(gens), classes)
+    label = np.arange(len(classes), dtype=perms.dtype)
+    while True:
+        ends = label[perms]
+        hi, lo = np.maximum(label, ends), np.minimum(label, ends)
+        moved = hi != lo
+        if not moved.any():
+            break
+        np.minimum.at(label, hi[moved], lo[moved])
+        while (label[label] != label).any():
+            label = label[label]
+    by_label: dict[int, list[Vec]] = {}
+    for c, root in zip(classes, label.tolist()):
+        by_label.setdefault(root, []).append(c)
+    return OrbitPartition(tuple(sorted(tuple(sorted(o)) for o in by_label.values())))
 
 
 def orbits(group: FiniteGroup, classes) -> OrbitPartition:
-    if not group.generators:
-        classes = [tuple(c) for c in classes]
-        return OrbitPartition(tuple(sorted((c,) for c in classes)))
     return orbits_under_generators(group.generators, classes)
 
 
@@ -287,38 +315,6 @@ def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
     return sorted(out)
 
 
-_LINE_CODE_BASE = 41
-_LINE_CODE_SHIFT = 20
-
-
-def _permutation_action(mats: np.ndarray, classes: list[Vec]) -> np.ndarray:
-    """Permutations induced on a closed class set, one row per matrix.
-
-    Classes are keyed by a positional code Sum (x_i + 20) * 41^i, injective on
-    integer vectors with |entries| <= 20; every class and every image stays in
-    that box for the groups handled here, and membership of each image code is
-    checked exactly.
-    """
-    arr = np.array(classes, dtype=np.int64)
-    if np.abs(arr).max() >= _LINE_CODE_SHIFT:
-        raise DomainError("class entries outside the code box")
-    w = _LINE_CODE_BASE ** np.arange(arr.shape[1], dtype=np.int64)
-    codes = arr @ w
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    if len(np.unique(sorted_codes)) != len(classes):
-        raise ToolkitError("class code collision; box bound violated")
-    images = np.einsum("nij,kj->nki", mats, arr)
-    if np.abs(images).max() >= _LINE_CODE_SHIFT:
-        raise DomainError("image entries outside the code box")
-    img_codes = images @ w
-    pos = np.searchsorted(sorted_codes, img_codes)
-    pos[pos == len(classes)] = 0
-    if not (sorted_codes[pos] == img_codes).all():
-        raise DomainError("class set is not closed under the matrices")
-    return order[pos].astype(np.int16)
-
-
 def find_diagonal_cubic_subgroup(
     group: FiniteGroup, lat: PicardLattice
 ) -> FiniteGroup:
@@ -336,8 +332,7 @@ def find_diagonal_cubic_subgroup(
     conics = curves.enumerate_conic_classes(lat)
     mats = group.element_matrices()
     P = _permutation_action(mats, lines)
-    m = len(lines)
-    ident = np.arange(m, dtype=np.int16)
+    ident = np.arange(len(lines), dtype=P.dtype)
 
     P2 = np.take_along_axis(P, P, axis=1)
     P3 = np.take_along_axis(P, P2, axis=1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -319,16 +320,20 @@ def test_convergence_rows_match_counts_from_scratch():
 def test_model_json_rejects_malformed_documents():
     good = model_to_json(default_model(load_profile("cubic-pencil"), 2))
     bad_profile = dict(good["profile"], maxdef_table=[[-1, 1]])
-    for data in (
-        [good],
-        "cubic-pencil",
-        dict(good, q="1/0"),
-        dict(good, translates=5),
-        dict(good, profile=bad_profile),
-        dict(good, profile=[bad_profile]),
+    for data, path in (
+        ([good], None),
+        ("cubic-pencil", None),
+        (dict(good, q="1/0"), "q"),
+        (dict(good, translates=5), "translates"),
+        (dict(good, profile=bad_profile), "profile.maxdef_table"),
+        (dict(good, profile=[bad_profile]), "profile"),
         # json.loads reads Infinity as a float, which int() cannot convert
-        dict(good, dim_rule=float("inf")),
-        dict(good, profile=dict(good["profile"], brauer_order=float("inf"))),
+        (dict(good, dim_rule=float("inf")), "dim_rule"),
+        (
+            dict(good, profile=dict(good["profile"], brauer_order=float("inf"))),
+            "profile.brauer_order",
+        ),
     ):
-        with pytest.raises(DomainError):
+        where = "must be an object" if path is None else f"field '{path}':"
+        with pytest.raises(DomainError, match=re.escape(f"counting model JSON {where}")):
             model_from_json(data)

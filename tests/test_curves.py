@@ -115,6 +115,17 @@ def test_is_nef():
     assert is_nef(lat, lat.anticanonical)
     assert not is_nef(lat, (0, 1, 0))
     assert not is_nef(lat, (1, -1, -1))
+    for bad in ((1, 0), (1, 0, 0.5)):
+        with pytest.raises(DomainError):
+            is_nef(lat, bad)
+    # the normal table is kept per lattice: n = 8 between two rounds of n = 2
+    lat8 = make_lattice(8)
+    assert is_nef(lat8, lat8.anticanonical)
+    assert is_nef(lat8, (1, -1) + (0,) * 7)
+    assert not is_nef(lat8, (1, -1, -1) + (0,) * 6)
+    with pytest.raises(DomainError):
+        is_nef(lat8, (1, 0, 0))
+    assert is_nef(lat, (1, -1, 0)) and not is_nef(lat, (1, -1, -1))
 
 
 def test_nef_classes_of_height_brute_force():

@@ -124,15 +124,15 @@ def test_fibertree_json_round_trip():
     assert data["components"] == [[-2, 1], [-2, 1], [-1, 2]]
     assert data["marked"] == 0
     assert fibertree_from_json(data) == t
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="fiber tree JSON field 'edges': missing"):
         fibertree_from_json({"components": [[0, 1]]})
-    for bad in (
-        [data],
-        dict(data, components=[[0]]),
-        dict(data, marked="x"),
-        dict(data, marked=float("inf")),
+    for bad, where in (
+        ([data], "must be an object"),
+        (dict(data, components=[[0]]), "field 'components':"),
+        (dict(data, marked="x"), "field 'marked':"),
+        (dict(data, marked=float("inf")), "field 'marked':"),
     ):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"fiber tree JSON {where}"):
             fibertree_from_json(bad)
 
 

@@ -11,6 +11,7 @@ from delpezzo import (
     NotFound,
     conic_bundle_extension_analysis,
     enumerate_conic_classes,
+    enumerate_cubic_classes,
     enumerate_neg_one_curves,
     generate_group,
     invariant_sublattice,
@@ -23,7 +24,7 @@ from delpezzo import (
     validate_isometry,
     weyl_generators,
 )
-from delpezzo.weyl import _signed_perm_matrix
+from delpezzo.weyl import _signed_perm_matrix, mat_apply
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
 
@@ -52,7 +53,7 @@ def test_weyl_e7_order_vs_permutation_oracle():
     gens = weyl_generators(lat)
     lines = enumerate_neg_one_curves(lat)
     index = {c: k for k, c in enumerate(lines)}
-    perms = [Permutation([index[g.apply(c)] for c in lines]) for g in gens]
+    perms = [Permutation([index[mat_apply(g, c)] for c in lines]) for g in gens]
     assert PermutationGroup(perms).order() == 2903040
 
 
@@ -73,7 +74,7 @@ def test_validate_isometry():
     lat = make_lattice(2)
     gens = weyl_generators(lat)
     for g in gens:
-        validate_isometry(lat, g.matrix)
+        validate_isometry(lat, g)
     bad = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(DomainError):
         validate_isometry(lat, bad)
@@ -105,6 +106,51 @@ def test_orbit_closure_violation():
         orbits_under_generators(
             weyl_generators(lat), [(0, 1, 0), (1, -1, -1)]
         )
+    with pytest.raises(DomainError, match="duplicates"):
+        orbits_under_generators(
+            weyl_generators(lat), [(0, 1, 0), (1, -1, -1), (0, 0, 1), (0, 1, 0)]
+        )
+
+
+def _orbits_by_elements(mats, classes):
+    """Orbits read off every element matrix of a materialized group."""
+    found, covered = [], set()
+    for c in classes:
+        if c not in covered:
+            images = np.unique(mats @ np.array(c, dtype=np.int64), axis=0)
+            found.append(tuple(sorted(tuple(int(x) for x in row) for row in images)))
+            covered.update(found[-1])
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_orbits_match_group_elements(n):
+    lat = make_lattice(n)
+    gens = weyl_generators(lat)
+    class_sets = [
+        enumerate_neg_one_curves(lat),
+        enumerate_conic_classes(lat),
+        [c for c, _ in enumerate_cubic_classes(lat)],
+    ]
+    for subgens in (gens, gens[:2]):
+        mats = generate_group(subgens).element_matrices()
+        for classes in class_sets:
+            part = orbits_under_generators(subgens, classes)
+            assert part.orbits == _orbits_by_elements(mats, classes)
+
+
+def test_orbits_past_small_entries(lat6):
+    # 25 (H - E1) and its images have entries well past 20
+    conics = [tuple(25 * x for x in c) for c in enumerate_conic_classes(lat6)]
+    assert orbits_under_generators(weyl_generators(lat6), conics).sizes == [27]
+
+
+def test_orbits_refuse_inexact_entries():
+    gens = weyl_generators(make_lattice(3))
+    # not an int64, and an int64 whose image under s_{H-E1-E2-E3} is 2**63
+    for big in (2**70, 2**62):
+        with pytest.raises(DomainError, match="int64"):
+            orbits_under_generators(gens, [(big, 0, 0, 0)])
 
 
 def test_orbits_trivial_group():
