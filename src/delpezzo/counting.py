@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from math import factorial
 from pathlib import Path
 
 from .errors import CapExceeded, DomainError, _json_field
-from .linalg import convex_hull_2d, dot, dual_cone_rays, mat_rank
+from .linalg import cone_contains, convex_hull_2d, dot, dual_cone_rays, mat_rank
 from .picard import Vec
 from .thresholds import (
     FibrationProfile,
@@ -122,11 +122,6 @@ def tau(p: FibrationProfile) -> int:
     return p.num_profiles * p.lattice_index
 
 
-@lru_cache(maxsize=None)
-def _facets_of(gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    return tuple(dual_cone_rays(list(gens)))
-
-
 def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
     by exhaustive enumeration over the bounding box of the height slice."""
@@ -147,7 +142,7 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     s = i - dot(height, translate)
     if s < 0:
         return 0
-    facets = _facets_of(gens)
+    facets = dual_cone_rays(gens)
     # lam_j <= s / h_j bounds each coordinate of a cone point at height s
     bound = [
         sum((Fraction(s, h) * abs(g[k]) for g, h in zip(gens, heights)), Fraction(0))
@@ -156,9 +151,6 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     box = [int(b) for b in bound]
     pivot = max(range(rho), key=lambda k: abs(height[k]))
     free = [k for k in range(rho) if k != pivot]
-
-    def admissible(delta) -> bool:
-        return all(dot(f, delta) >= 0 for f in facets)
 
     count = 0
     for coords in product(*(range(-box[k], box[k] + 1) for k in free)):
@@ -170,7 +162,7 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
         for k, a in zip(free, coords):
             delta[k] = a
         delta[pivot] = q
-        if admissible(delta):
+        if cone_contains(facets, delta):
             count += 1
     return count
 

@@ -11,7 +11,6 @@ Hirzebruch surfaces are provided.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -86,21 +85,6 @@ def hirzebruch_polarized(e: int, polarization=None) -> PolarizedSurface:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _cone_facets(gram, generators) -> list[Vec]:
-    normals = [
-        tuple(sum(gram[i][j] * g[j] for j in range(len(g))) for i in range(len(g)))
-        for g in generators
-    ]
-    return linalg.dual_cone_rays(normals)
-
-
-def _eff_facets(s: PolarizedSurface) -> list[Vec]:
-    # facets depend on the cone alone, and the big effective cones (rank 9
-    # has 241 generators) are expensive to dualize, so memoize per cone
-    return _cone_facets(s.gram, s.eff_generators)
-
-
 def a_invariant(s: PolarizedSurface):
     """Minimal t with K + t L effective; +inf when L is nef but not big.
 
@@ -113,7 +97,11 @@ def a_invariant(s: PolarizedSurface):
             raise DomainError(
                 f"polarization {L} is not nef: negative against {g}"
             )
-    facets = _eff_facets(s)
+    # gram folded into the generators: the same normals as the nef cone's,
+    # so both share one (memoized) double description run
+    facets = linalg.dual_cone_rays(
+        [tuple(linalg.dot(row, g) for row in s.gram) for g in s.eff_generators]
+    )
     if any(s.pair(f, L) == 0 for f in facets):
         return INFINITE_A
     return max(Fraction(-s.pair(f, s.canonical), s.pair(f, L)) for f in facets)

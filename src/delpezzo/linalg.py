@@ -9,6 +9,7 @@ bilinear form into the normals first).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError
@@ -123,8 +124,15 @@ def dual_cone_rays(normals) -> list[Vec]:
     combining adjacent rays across each new hyperplane.  Adjacency is the
     combinatorial test on exact tight sets.  Requires the normals to span
     (pointed dual cone).  Returns primitive integer rays, lexicographically
-    sorted.
+    sorted, as a fresh list.  Memoized on the normals, so every caller that
+    dualizes the same cone (the nef cone and the a-invariant facets of a
+    lattice, a counting cone slice after slice) shares one run.
     """
+    return list(_dual_cone_rays(tuple(tuple(h) for h in normals)))
+
+
+@lru_cache(maxsize=None)
+def _dual_cone_rays(normals: tuple[Vec, ...]) -> tuple[Vec, ...]:
     seen = set()
     cleaned = []
     for h in normals:
@@ -197,8 +205,7 @@ def dual_cone_rays(normals) -> list[Vec]:
                 known.add(w)
                 current.append((w, tightset(w)))
 
-    out = sorted(r for r, _ in current)
-    return out
+    return tuple(sorted(r for r, _ in current))
 
 
 def cone_contains(facet_normals, x) -> bool:

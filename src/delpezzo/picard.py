@@ -8,6 +8,7 @@ tuples in that basis.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -16,14 +17,17 @@ Vec = tuple[int, ...]
 
 
 def _check_vec(lat: "PicardLattice", v) -> Vec:
+    """The vector as a tuple of Python ints; integer types such as numpy's
+    are converted exactly, anything else raises DomainError."""
     v = tuple(v)
     if len(v) != lat.rank:
         raise DomainError(
             f"vector length {len(v)} does not match lattice rank {lat.rank}"
         )
-    if not all(isinstance(x, int) for x in v):
-        raise DomainError(f"vector {v!r} has non-integer coordinates")
-    return v
+    try:
+        return tuple(operator.index(x) for x in v)
+    except TypeError:
+        raise DomainError(f"vector {v!r} has non-integer coordinates") from None
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 """Lattice isometries: Weyl groups, orbits, and monodromy-style subgroups.
 
-Every search in this module goes through one closure routine and one action
-kernel.  `generate_group` closes a set of integer matrices under products,
-breadth first, with the elements stored as canonical int8 byte strings
-(row-major); it is budgeted, so a closure that would pass the cap raises
-CapExceeded instead of thrashing memory, and the blow-up-count-8 Weyl group
-(order 696729600) is refused by default.  `_permutation_action` maps matrices
-to the permutations they induce on a finite class set, exactly in int64, with
-the classes keyed by the bytes of their rows.  `orbits_under_generators` reads
-orbits off the generators' permutations, so orbits stay available for groups
-too large to materialize.  The Weyl groups, the diagonal-cubic subgroup search
-and the signed permutation groups of the conic bundle analysis (as 4 x 4
-matrices) all use these.
+Every search in this module goes through one closure routine, one action
+kernel and one row index.  The row index is a pair of helpers: `_row_keys`
+views each row of an integer array as one fixed-width byte key, and `_find`
+looks keys up in a sorted key array.  `generate_group` closes a set of
+integer matrices under products, breadth first, and keeps the group as one
+table, a read-only int8 array of its elements sorted by their row-major
+bytes; each level's new elements are inserted where `_find` placed them.  It
+is budgeted, so a closure that would pass the cap raises CapExceeded instead
+of thrashing memory, and the blow-up-count-8 Weyl group (order 696729600) is
+refused by default.  `_permutation_action` maps matrices to the permutations
+they induce on a finite class set, exactly in int64, with the classes keyed
+by the same helpers.  `orbits_under_generators` reads orbits off the
+generators' permutations, so orbits stay available for groups too large to
+materialize.  The Weyl groups, the diagonal-cubic subgroup search and the
+signed permutation groups of the conic bundle analysis (as 4 x 4 matrices)
+all use these.
 """
 
 from __future__ import annotations
@@ -102,86 +106,80 @@ def _encode_batch(mats: np.ndarray) -> np.ndarray:
     return small.reshape(len(mats), -1)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite matrix group, stored as canonical byte keys of its elements."""
+_ACTION_ROWS = 1 << 15
 
-    rank: int
-    element_keys: frozenset[bytes]
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of an array as one fixed-width void key, so that
+    sorting and `searchsorted` order rows by their bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[-1])))[..., 0]
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray):
+    """(insertion positions, present mask) of keys in a sorted key array."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroup:
+    """A finite matrix group as one table: `elements` is a read-only int8
+    array of shape (order, rank, rank), sorted by the bytes of its rows."""
+
+    elements: np.ndarray
     generators: tuple[Matrix, ...]
+
+    def __post_init__(self):
+        self.elements.flags.writeable = False
 
     @property
     def order(self) -> int:
-        return len(self.element_keys)
-
-    def __contains__(self, g) -> bool:
-        M = np.array(_as_matrix(g), dtype=np.int64)
-        return _encode_batch(M[None, :, :])[0].tobytes() in self.element_keys
+        return len(self.elements)
 
     def element_matrices(self) -> np.ndarray:
-        keys = sorted(self.element_keys)
-        arr = np.frombuffer(b"".join(keys), dtype=np.int8)
-        return arr.reshape(len(keys), self.rank, self.rank).astype(np.int64)
+        return self.elements.astype(np.int64)
 
 
 def trivial_group(rank: int) -> FiniteGroup:
-    I = np.eye(rank, dtype=np.int64)[None, :, :]
-    return FiniteGroup(rank, frozenset({_encode_batch(I)[0].tobytes()}), ())
-
-
-_CHUNK = 200_000
+    return FiniteGroup(np.eye(rank, dtype=np.int8)[None], ())
 
 
 def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Close a generating set under products, breadth first.
 
     Raises CapExceeded as soon as the element count would pass `cap`.
-    Products are batched through numpy in int64 and stored as int8 byte keys;
-    entries must stay within int8, which holds for every Weyl group this
-    package generates in full.  Deduplication runs at C speed on fixed-width
-    byte rows, so the level sets never live as Python objects.
+    Products are batched through numpy in int64, at most 2**15 rows at a
+    time, and stored as int8; entries must stay within int8, which holds for
+    every Weyl group this package generates in full.  The elements live in
+    one sorted table of row keys: each level is deduplicated, looked up in
+    the table, and its new rows are inserted where the lookup found their
+    place, so the level sets never live as Python objects.
     """
-    mats = []
-    seen_gen = set()
-    for g in gens:
-        M = _as_matrix(g)
-        if M not in seen_gen:
-            seen_gen.add(M)
-            mats.append(M)
+    mats = list(dict.fromkeys(_as_matrix(g) for g in gens))
     if not mats:
         raise DomainError("generate_group needs at least one generator")
     rank = len(mats[0])
-    nb = rank * rank
-    vdt = np.dtype((np.void, nb))
     gen_arr = np.array(mats, dtype=np.int64)
-    ident = np.eye(rank, dtype=np.int64)[None, :, :]
-
-    def as_void(rows_i8: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(rows_i8).view(vdt).ravel()
-
-    seen_v = np.sort(as_void(_encode_batch(ident)))
-    frontier = ident.astype(np.int8)
+    frontier = np.eye(rank, dtype=np.int8)[None]
+    seen = _row_keys(frontier.reshape(1, -1))
     while len(frontier):
-        parts = []
-        for g in gen_arr:
-            for lo in range(0, len(frontier), _CHUNK):
-                block = frontier[lo : lo + _CHUNK].astype(np.int64) @ g
-                parts.append(_encode_batch(block))
-        level = as_void(np.concatenate(parts, axis=0))
-        del parts
-        uniq = np.unique(level)
-        pos = np.searchsorted(seen_v, uniq)
-        pos[pos == len(seen_v)] = 0
-        fresh = uniq[seen_v[pos] != uniq]
-        if len(seen_v) + len(fresh) > cap:
+        level = np.concatenate([
+            _encode_batch(frontier[lo : lo + _ACTION_ROWS].astype(np.int64) @ g)
+            for g in gen_arr
+            for lo in range(0, len(frontier), _ACTION_ROWS)
+        ])
+        level = np.unique(_row_keys(level))
+        pos, hit = _find(seen, level)
+        new = ~hit
+        fresh = level[new]
+        if len(seen) + len(fresh) > cap:
             raise CapExceeded(
                 f"group closure passed the cap of {cap} elements"
             )
-        seen_v = np.sort(np.concatenate([seen_v, fresh]))
+        seen = np.insert(seen, pos[new], fresh)
         frontier = fresh.view(np.int8).reshape(-1, rank, rank)
-    blob = seen_v.view(np.int8).tobytes()
-    keys = frozenset(blob[i * nb : (i + 1) * nb] for i in range(len(seen_v)))
-    return FiniteGroup(rank, keys, tuple(mats))
+    return FiniteGroup(seen.view(np.int8).reshape(-1, rank, rank), tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,6 @@ class OrbitPartition:
         return [o[0] for o in self.orbits]
 
 
-_ACTION_ROWS = 1 << 15
 # images are computed in int64; the bound is estimated in float64, so keep a
 # factor-2 margin under 2**63 for its rounding
 _IMAGE_BOUND = 2.0**62
@@ -209,15 +206,18 @@ def _permutation_action(mats, classes) -> np.ndarray:
     """Permutations induced on a closed class set, one int32 row per matrix.
 
     Row g maps class index k to the index of mats[g] @ classes[k].  Classes
-    are keyed by the bytes of their int64 rows (sorted, then searched), and
-    each image row is found exactly, so any integer classes work as long as
-    every image provably stays inside int64; an input that could leave it is
-    refused before any product.  Images are built at most 2**15 rows at a time.
+    are keyed by the bytes of their int64 rows (`_row_keys`, sorted, then
+    searched with `_find`), and each image row is found exactly, so any
+    integer classes work as long as every image provably stays inside int64;
+    an input that could leave it is refused before any product.  Images are
+    built at most 2**15 rows at a time, so a signed integer array of matrices
+    (such as a group's int8 table) is used as it is, without a copy.
     Raises DomainError for duplicate classes or an image outside the set.
     """
     try:
         arr = np.array(classes, dtype=np.int64)
-        mats = np.array(mats, dtype=np.int64)
+        if not (isinstance(mats, np.ndarray) and mats.dtype.kind == "i"):
+            mats = np.array(mats, dtype=np.int64)
     except OverflowError:
         raise DomainError("class or matrix entry outside int64") from None
     k, r = arr.shape
@@ -231,8 +231,7 @@ def _permutation_action(mats, classes) -> np.ndarray:
              * np.abs(mats, dtype=np.float64).sum(axis=2).max())
     if reach >= _IMAGE_BOUND:
         raise DomainError("class images could leave int64; refusing inexact action")
-    vdt = np.dtype((np.void, 8 * r))
-    keys = arr.view(vdt).ravel()
+    keys = _row_keys(arr)
     order = np.argsort(keys)
     sorted_keys = keys[order]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
@@ -243,12 +242,9 @@ def _permutation_action(mats, classes) -> np.ndarray:
     for lo in range(0, k, step):
         rows = arr[lo : lo + step]
         for g in range(0, len(mats), per):
-            img = (rows @ mats_t[g : g + per]).view(vdt)[..., 0]
-            pos = np.searchsorted(sorted_keys, img)
-            pos[pos == k] = 0
-            miss = sorted_keys[pos] != img
-            if miss.any():
-                c = tuple(int(x) for x in rows[np.argwhere(miss)[0][1]])
+            pos, hit = _find(sorted_keys, _row_keys(rows @ mats_t[g : g + per]))
+            if not hit.all():
+                c = tuple(int(x) for x in rows[np.argwhere(~hit)[0][1]])
                 raise DomainError(
                     f"class set is not closed: a matrix moves {c} outside"
                 )
@@ -330,7 +326,7 @@ def find_diagonal_cubic_subgroup(
         raise DomainError("the diagonal cubic search needs blow-up count 6")
     lines = curves.enumerate_neg_one_curves(lat)
     conics = curves.enumerate_conic_classes(lat)
-    mats = group.element_matrices()
+    mats = group.elements
     P = _permutation_action(mats, lines)
     ident = np.arange(len(lines), dtype=P.dtype)
 
@@ -424,13 +420,14 @@ def conic_bundle_extension_analysis() -> dict:
     sigma_central = bool((b4_mats @ sig == sig @ b4_mats).all())
 
     sign_choices = list(product((-1, 1), repeat=4))
-    found: dict[frozenset, dict] = {}
+    found: dict[bytes, dict] = {}
     for st in sign_choices:
         a = _signed_perm_matrix(t_perm, st)
         for sc in sign_choices:
             b = _signed_perm_matrix(c_perm, sc)
             group = generate_group([a, b, sigma], cap=384)
-            if group.order != 48 or group.element_keys in found:
+            key = group.elements.tobytes()
+            if group.order != 48 or key in found:
                 continue
             mats = group.element_matrices()
             # perms[e, j] = perm[j] of element e: the row of column j's entry
@@ -454,7 +451,7 @@ def conic_bundle_extension_analysis() -> dict:
                 raise ToolkitError(
                     f"claim falsified: split subgroup with orbits {sizes}"
                 )
-            found[group.element_keys] = {
+            found[key] = {
                 "order": 48,
                 "split": split,
                 "orbit_sizes": sizes,

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +17,13 @@ from delpezzo import (
     enumerate_conic_classes,
     enumerate_cubic_classes,
     enumerate_neg_one_curves,
+    generate_group,
     is_nef,
     make_lattice,
     nef_classes_of_height,
     nef_curve_cone,
     pair,
+    weyl_generators,
 )
 
 LINE_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
@@ -126,6 +129,19 @@ def test_is_nef():
     with pytest.raises(DomainError):
         is_nef(lat8, (1, 0, 0))
     assert is_nef(lat, (1, -1, 0)) and not is_nef(lat, (1, -1, -1))
+    # numpy integers are read exactly; numpy floats are refused
+    assert is_nef(lat, np.array([1, 0, 0], dtype=np.int64))
+    assert not is_nef(lat, np.array([0, 1, 0], dtype=np.int64))
+    with pytest.raises(DomainError):
+        is_nef(lat, np.array([1.0, 0.0, 0.0]))
+    # the images of -K under the group are -K, which is nef; a row of an
+    # element matrix is nef exactly when its tuple of ints is
+    lat4 = make_lattice(4)
+    mats = generate_group(weyl_generators(lat4)).element_matrices()
+    for M in mats:
+        assert is_nef(lat4, M @ np.array(lat4.anticanonical))
+        for row in M:
+            assert is_nef(lat4, row) == is_nef(lat4, tuple(int(x) for x in row))
 
 
 def test_nef_classes_of_height_brute_force():

@@ -1,10 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delpezzo import DomainError, anticanonical_degree, make_lattice, pair
+from delpezzo import (
+    DomainError,
+    anticanonical_degree,
+    generate_group,
+    make_lattice,
+    pair,
+    weyl_generators,
+)
 
 
 def test_lattice_shapes():
@@ -40,6 +48,18 @@ def test_pair_examples():
     assert pair(lat, line, line) == -1
     assert anticanonical_degree(lat, line) == 1
     assert anticanonical_degree(lat, lat.anticanonical) == lat.degree
+    # numpy integers become Python ints, so products past int64 stay exact
+    assert pair(lat, np.array(line), np.array(line, dtype=np.int8)) == -1
+    assert anticanonical_degree(lat, np.array(line)) == 1
+    big = np.array([2**40, 0, 0], dtype=np.int64)
+    value = pair(lat, big, big)
+    assert type(value) is int and value == 2**80
+    # the rows of group elements pair like the tuples they hold
+    lat3 = make_lattice(3)
+    for M in generate_group(weyl_generators(lat3)).element_matrices():
+        ints = [tuple(int(x) for x in row) for row in M]
+        for row, t in zip(M, ints):
+            assert pair(lat3, row, M[0]) == pair(lat3, t, ints[0])
 
 
 def test_pair_length_validation():
@@ -48,6 +68,14 @@ def test_pair_length_validation():
         pair(lat, (1, 0), (1, 0, 0, 0))
     with pytest.raises(DomainError):
         anticanonical_degree(lat, (1, 0))
+    for bad in (
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        (1, np.float64(0), 0, 0),
+        (1, Fraction(1, 1), 0, 0),
+        (1, "0", 0, 0),
+    ):
+        with pytest.raises(DomainError, match="non-integer"):
+            pair(lat, bad, (1, 0, 0, 0))
 
 
 vecs = st.integers(-9, 9)

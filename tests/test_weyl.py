@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -68,6 +69,41 @@ def test_cap_refusal():
     lat = make_lattice(8)
     with pytest.raises(CapExceeded):
         generate_group(weyl_generators(lat), cap=200_000)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cap_is_exact(n):
+    # the closure refuses exactly when the order passes the cap
+    gens = weyl_generators(make_lattice(n))
+    assert generate_group(gens, cap=WEYL_ORDERS[n]).order == WEYL_ORDERS[n]
+    with pytest.raises(CapExceeded):
+        generate_group(gens, cap=WEYL_ORDERS[n] - 1)
+
+
+def test_group_table(we6):
+    table = we6.elements
+    assert table.dtype == np.int8 and table.shape == (51840, 7, 7)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
+    keys = [row.tobytes() for row in table.reshape(len(table), -1)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    mats = we6.element_matrices()
+    assert mats.dtype == np.int64 and (mats == table).all()
+
+
+def test_diagonal_subgroup_scan_order(diag_subgroup):
+    # pins the canonical order in which the search scans W(E6)
+    digest = hashlib.sha256(diag_subgroup.element_matrices().tobytes()).hexdigest()
+    assert digest == (
+        "c0eb300afffe358e009deddae7f6f99a3697e2a6259c438434877544edc79130"
+    )
+
+
+def test_trivial_group():
+    group = trivial_group(4)
+    assert group.order == 1 and group.generators == ()
+    assert (group.element_matrices() == np.eye(4, dtype=np.int64)).all()
 
 
 def test_validate_isometry():
