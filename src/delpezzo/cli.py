@@ -160,8 +160,10 @@ def curves_cmd(degree, kind, fmt):
 @click.option("--cap", type=int, default=weyl.DEFAULT_CAP, show_default=True)
 @_toolkit_errors
 def weyl_cmd(degree, cap):
-    """Order of the lattice Weyl group, by breadth-first closure."""
+    """Order of the lattice Weyl group, by breadth-first closure; refused at
+    once when the group's known order passes the cap."""
     lat = _lattice_for_degree(degree)
+    weyl.check_cap(weyl.WEYL_ORDERS[lat.n], cap)
     gens = weyl.weyl_generators(lat)
     group = weyl.generate_group(gens, cap=cap)
     _emit_json(

@@ -3,23 +3,28 @@
 Every search in this module goes through one closure routine, one action
 kernel and one row index.  The row index is a pair of helpers: `_row_keys`
 views each row of an integer array as one fixed-width byte key, and `_find`
-looks keys up in a sorted key array.  `generate_group` closes a set of
-integer matrices under products, breadth first, and keeps the group as one
-table, a read-only int8 array of its elements sorted by their row-major
-bytes; each level's new elements are inserted where `_find` placed them.  It
-is budgeted, so a closure that would pass the cap raises CapExceeded instead
-of thrashing memory, and the blow-up-count-8 Weyl group (order 696729600) is
-refused by default.  `_permutation_action` maps matrices to the permutations
-they induce on a finite class set, exactly in int64, with the classes keyed
-by the same helpers.  `orbits_under_generators` reads orbits off the
-generators' permutations, so orbits stay available for groups too large to
-materialize.  The Weyl groups, the diagonal-cubic subgroup search and the
-signed permutation groups of the conic bundle analysis (as 4 x 4 matrices)
-all use these.
+looks keys up in a sorted key array.  `generate_group` closes a set of int8
+matrices under products, breadth first, and keeps the group as one table, a
+read-only int8 array of its elements sorted by their row-major bytes; each
+level's new elements are inserted where `_find` placed them.  A level's
+products come from one float32 matrix product per chunk of the frontier,
+with every generator laid side by side: the factors are int8, so each
+partial sum is an integer of size at most rank * 128 * 128 < 2**24, which
+float32 holds exactly.  The closure is budgeted, so one that would pass the
+cap raises CapExceeded instead of thrashing memory, and the blow-up-count-8
+Weyl group (order 696729600, see `WEYL_ORDERS`) is refused by default.
+`_permutation_action` maps matrices to the permutations they induce on a
+finite class set, exactly in int64, with the classes keyed by the same
+helpers.  `orbits_under_generators` reads orbits off the generators'
+permutations, so orbits stay available for groups too large to materialize.
+The Weyl groups, the diagonal-cubic subgroup search and the signed
+permutation groups of the conic bundle analysis (as 4 x 4 matrices) all use
+these.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,6 +38,16 @@ from .picard import PicardLattice, Vec, pair
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_CAP = 4_000_000
+
+# |W(E_n)| for n = 0..8 blow-ups, the Weyl group of the roots in K^perp:
+# trivial for n <= 1, then A1, A2 x A1, A4, D5, E6, E7, E8
+WEYL_ORDERS = (1, 1, 2, 12, 120, 1920, 51840, 2903040, 696729600)
+
+
+def check_cap(count: int, cap: int) -> None:
+    """Raise CapExceeded when a closure of `count` elements passes `cap`."""
+    if count > cap:
+        raise CapExceeded(f"group closure passed the cap of {cap} elements")
 
 
 def mat_apply(M: Matrix, v) -> Vec:
@@ -96,14 +111,17 @@ def weyl_generators(lat: PicardLattice) -> list[Matrix]:
 
 
 def _as_matrix(g) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in g)
-
-
-def _encode_batch(mats: np.ndarray) -> np.ndarray:
-    small = mats.astype(np.int8)
-    if not (small == mats).all():
-        raise ToolkitError("matrix entry outside int8 range; encoding invalid")
-    return small.reshape(len(mats), -1)
+    """A generator as a tuple of rows of Python ints.  Raises DomainError
+    unless it is a nonempty square matrix of integers within int8."""
+    try:
+        rows = tuple(tuple(operator.index(x) for x in row) for row in g)
+    except TypeError:
+        raise DomainError("generator entries must be integers") from None
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DomainError("generator is not a nonempty square matrix")
+    if any(not -128 <= x <= 127 for row in rows for x in row):
+        raise DomainError("generator entry outside int8")
+    return rows
 
 
 _ACTION_ROWS = 1 << 15
@@ -145,38 +163,60 @@ def trivial_group(rank: int) -> FiniteGroup:
     return FiniteGroup(np.eye(rank, dtype=np.int8)[None], ())
 
 
+def _products(frontier: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Every product frontier[f] @ mats[g] as an int8 array of shape
+    (len(frontier), k, rank, rank), for the k generators `mats` laid side by
+    side in G as `generate_group` builds it: one matrix product per chunk of
+    at most 2**15 stacked rows.  Raises ToolkitError for an entry outside
+    int8."""
+    rank = G.shape[0]
+    k = G.shape[1] // rank
+    level = np.empty((len(frontier), k, rank, rank), dtype=np.int8)
+    step = max(1, _ACTION_ROWS // rank)
+    for lo in range(0, len(frontier), step):
+        chunk = frontier[lo : lo + step]
+        P = chunk.reshape(-1, rank).astype(G.dtype) @ G
+        if P.min() < -128 or P.max() > 127:
+            raise ToolkitError("matrix entry outside int8 range; encoding invalid")
+        level[lo : lo + len(chunk)] = P.reshape(len(chunk), rank, k, rank).transpose(0, 2, 1, 3)
+    return level
+
+
 def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Close a generating set under products, breadth first.
 
-    Raises CapExceeded as soon as the element count would pass `cap`.
-    Products are batched through numpy in int64, at most 2**15 rows at a
-    time, and stored as int8; entries must stay within int8, which holds for
-    every Weyl group this package generates in full.  The elements live in
-    one sorted table of row keys: each level is deduplicated, looked up in
+    Generators must be square integer matrices of one rank with entries
+    within int8; anything else raises DomainError before any product.
+    Raises CapExceeded as soon as the element count would pass `cap`, and
+    ToolkitError when a product has an entry outside int8, the type the
+    elements are stored in.  Each level multiplies its frontier by every
+    generator at once (`_products`), exactly in float32: both factors are
+    int8, so every partial sum is an integer of size at most
+    rank * 128 * 128 < 2**24 (float64 from rank 1024 on).  The elements live
+    in one sorted table of row keys: each level is deduplicated, looked up in
     the table, and its new rows are inserted where the lookup found their
     place, so the level sets never live as Python objects.
     """
     mats = list(dict.fromkeys(_as_matrix(g) for g in gens))
     if not mats:
         raise DomainError("generate_group needs at least one generator")
-    rank = len(mats[0])
-    gen_arr = np.array(mats, dtype=np.int64)
+    rank, k = len(mats[0]), len(mats)
+    if any(len(m) != rank for m in mats):
+        raise DomainError("generators have different ranks")
+    # |partial sum| <= rank * 128 * 128; float32 is exact on integers to 2**24
+    exact = np.float32 if rank * 128 * 128 < 2**24 else np.float64
+    # G[m, g * rank + j] = mats[g][m][j]: block g of the columns of x @ G is
+    # x @ mats[g]
+    G = np.array(mats, dtype=exact).transpose(1, 0, 2).reshape(rank, k * rank)
     frontier = np.eye(rank, dtype=np.int8)[None]
     seen = _row_keys(frontier.reshape(1, -1))
     while len(frontier):
-        level = np.concatenate([
-            _encode_batch(frontier[lo : lo + _ACTION_ROWS].astype(np.int64) @ g)
-            for g in gen_arr
-            for lo in range(0, len(frontier), _ACTION_ROWS)
-        ])
-        level = np.unique(_row_keys(level))
+        level = _products(frontier, G)
+        level = np.unique(_row_keys(level.reshape(-1, rank * rank)))
         pos, hit = _find(seen, level)
         new = ~hit
         fresh = level[new]
-        if len(seen) + len(fresh) > cap:
-            raise CapExceeded(
-                f"group closure passed the cap of {cap} elements"
-            )
+        check_cap(len(seen) + len(fresh), cap)
         seen = np.insert(seen, pos[new], fresh)
         frontier = fresh.view(np.int8).reshape(-1, rank, rank)
     return FiniteGroup(seen.view(np.int8).reshape(-1, rank, rank), tuple(mats))

@@ -66,6 +66,18 @@ def test_weyl_and_orbits(runner):
     assert data["orbit_sizes"] == [16]
 
 
+def test_weyl_refuses_known_order_past_cap(runner, monkeypatch):
+    # refused from the closed-form order, before any closure runs
+    def closure(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr("delpezzo.weyl.generate_group", closure)
+    for args, cap in ((["--degree", "1"], 4_000_000), (["--degree", "3", "--cap", "51839"], 51839)):
+        res = invoke(runner, ["weyl", *args])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: group closure passed the cap of {cap} elements\n"
+
+
 def test_fujita_cmd(runner):
     res = invoke(runner, ["fujita", "--degree", "9"])
     data = json.loads(res.output)

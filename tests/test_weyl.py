@@ -1,5 +1,7 @@
 import hashlib
 import random
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from delpezzo import (
     CapExceeded,
     DomainError,
     NotFound,
+    ToolkitError,
     conic_bundle_extension_analysis,
     enumerate_conic_classes,
     enumerate_cubic_classes,
@@ -25,6 +28,7 @@ from delpezzo import (
     validate_isometry,
     weyl_generators,
 )
+from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import _signed_perm_matrix, mat_apply
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
@@ -46,16 +50,29 @@ def test_weyl_orders(n):
     assert group.order == WEYL_ORDERS[n]
 
 
-def test_weyl_e7_order_vs_permutation_oracle():
-    # independent route: Schreier-Sims on the 56-line permutation action
+def _line_action_order(n):
+    """|W(E_n)| by Schreier-Sims on its faithful permutation action on lines."""
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    lat = make_lattice(7)
+    lat = make_lattice(n)
     gens = weyl_generators(lat)
     lines = enumerate_neg_one_curves(lat)
     index = {c: k for k, c in enumerate(lines)}
     perms = [Permutation([index[mat_apply(g, c)] for c in lines]) for g in gens]
-    assert PermutationGroup(perms).order() == 2903040
+    return PermutationGroup(perms).order()
+
+
+def test_weyl_e7_order_vs_permutation_oracle():
+    # independent route: Schreier-Sims on the 56-line permutation action
+    assert _line_action_order(7) == 2903040
+
+
+def test_closed_form_orders():
+    # the orders `delpezzo weyl` refuses by before closing anything
+    assert CLOSED_FORM_ORDERS[:2] == (1, 1)
+    assert not weyl_generators(make_lattice(0)) and not weyl_generators(make_lattice(1))
+    for n in range(2, 9):
+        assert CLOSED_FORM_ORDERS[n] == _line_action_order(n)
 
 
 def test_weyl_e7_order_by_closure():
@@ -78,6 +95,94 @@ def test_cap_is_exact(n):
     assert generate_group(gens, cap=WEYL_ORDERS[n]).order == WEYL_ORDERS[n]
     with pytest.raises(CapExceeded):
         generate_group(gens, cap=WEYL_ORDERS[n] - 1)
+
+
+def _bfs_table(gens):
+    """The closure of integer matrices by a plain breadth-first search over
+    tuples, as the int8 bytes of its elements in sorted order."""
+    r = len(gens[0])
+    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                p = tuple(
+                    tuple(sum(a[i][m] * g[m][j] for m in range(r)) for j in range(r))
+                    for i in range(r)
+                )
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    keys = sorted(struct.pack(f"{r * r}b", *(x for row in M for x in row)) for M in seen)
+    return b"".join(keys)
+
+
+def _signed_perm_gens():
+    flips = [
+        _signed_perm_matrix((0, 1, 2, 3), tuple(-1 if j == i else 1 for j in range(4)))
+        for i in range(4)
+    ]
+    plus = (1, 1, 1, 1)
+    return [_signed_perm_matrix((1, 0, 2, 3), plus), _signed_perm_matrix((1, 2, 3, 0), plus)] + flips
+
+
+CLOSURE_CASES = {
+    "W(E2)": (lambda: weyl_generators(make_lattice(2)), 2),
+    "W(E3)": (lambda: weyl_generators(make_lattice(3)), 12),
+    "W(E4)": (lambda: weyl_generators(make_lattice(4)), 120),
+    "signed-perm-4": (_signed_perm_gens, 384),
+    # a rotation of order 3; the generating set holds no inverse
+    "order-3": (lambda: [((0, -1), (1, -1))], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+def test_closure_matches_python_bfs(case):
+    make_gens, order = CLOSURE_CASES[case]
+    gens = make_gens()
+    group = generate_group(gens)
+    assert group.order == order
+    assert group.elements.tobytes() == _bfs_table(gens)
+
+
+def test_closure_int8_edges():
+    # as errors: a product past float16's range would overflow it with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # -128 is inside int8
+        assert generate_group([((1, 0), (-128, -1))]).order == 2
+        # the squares' partial sums reach 127 * 127 before cancelling to 1
+        assert generate_group([((127, 126), (-128, -127))]).order == 2
+        # 2 ** 8 leaves int8; 5 * 127 * 127 leaves it by more than float16 holds
+        for gens in ([((1, 0), (128, -1))], [[[2]]], [[[127] * 5] * 5]):
+            with pytest.raises(ToolkitError):
+                generate_group(gens)
+    # from rank 1024 on the products run in float64
+    swap = np.eye(1024, dtype=np.int64)[[1, 0, *range(2, 1024)]]
+    group = generate_group([swap])
+    eye = np.eye(1024, dtype=np.int8)
+    assert group.elements.tobytes() == swap.astype(np.int8).tobytes() + eye.tobytes()
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [],
+        [[[1.5]]],
+        [np.eye(2)],
+        [[[2**70]]],
+        [[[1, 0, 0], [0, 1, 0]]],
+        [[[]]],
+        [[[1]], [[1, 0], [0, 1]]],
+        [5],
+    ],
+    ids=["none", "float", "float-array", "past-int64", "2x3", "empty-row", "mixed-ranks", "scalar"],
+)
+def test_closure_refuses_bad_generators(gens):
+    with pytest.raises(DomainError):
+        generate_group(gens)
 
 
 def test_group_table(we6):
