@@ -76,6 +76,21 @@ class _Rational(click.ParamType):
             self.fail(f"{value!r} is not a rational number", param, ctx)
 
 
+# options shared by several commands
+_FORMAT = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["json", "csv"]),
+    default="json",
+    show_default=True,
+)
+_Q = click.option(
+    "--q", type=_Rational(), default="2", show_default=True,
+    help="counting base, rational > 1",
+)
+_DMAX = click.option("--dmax", type=int, default=12, show_default=True)
+
+
 def _lattice_for_degree(degree: int):
     if not (1 <= degree <= 9):
         raise click.BadParameter(f"fiber degree {degree} outside 1..9")
@@ -121,13 +136,7 @@ def lattice(degree):
     default="lines",
     show_default=True,
 )
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    show_default=True,
-)
+@_FORMAT
 @_toolkit_errors
 def curves_cmd(degree, kind, fmt):
     """Enumerate line, conic, or cubic classes on the fiber lattice."""
@@ -165,7 +174,8 @@ def weyl_cmd(degree, cap):
     lat = _lattice_for_degree(degree)
     weyl.check_cap(weyl.WEYL_ORDERS[lat.n], cap)
     gens = weyl.weyl_generators(lat)
-    group = weyl.generate_group(gens, cap=cap)
+    # no simple roots for n <= 1: the group is trivial
+    group = weyl.generate_group(gens, cap=cap) if gens else weyl.trivial_group(lat.rank)
     _emit_json(
         {
             "degree": degree,
@@ -251,26 +261,19 @@ def ruled_cmd(seed, trials, depth):
     _emit_json(ruled.fuzz_blow_up_sequences(count=trials, depth=depth, seed=seed))
 
 
-def _convergence_csv_rows(report):
-    for row in report["rows"]:
-        yield [row["d"], str(row["exact"]), str(row["asymptotic"]), str(row["ratio"])]
+def _emit_convergence_csv(report) -> None:
+    _emit_csv(
+        ["d", "exact", "asymptotic", "ratio"],
+        ([r["d"], str(r["exact"]), str(r["asymptotic"]), str(r["ratio"])] for r in report["rows"]),
+    )
 
 
 @main.command(name="count")
 @click.option("--profile", help="shipped profile name or JSON path")
 @click.option("--model", "model_path", help="counting model JSON path")
-@click.option(
-    "--q", type=_Rational(), default="2", show_default=True,
-    help="counting base, rational > 1",
-)
-@click.option("--dmax", type=int, default=12, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    show_default=True,
-)
+@_Q
+@_DMAX
+@_FORMAT
 @_toolkit_errors
 def count_cmd(profile, model_path, q, dmax, fmt):
     """Exact counting function vs the closed-form asymptotic."""
@@ -283,7 +286,7 @@ def count_cmd(profile, model_path, q, dmax, fmt):
         model = counting.default_model(p, q)
     report = counting.convergence_report(model, dmax)
     if fmt == "csv":
-        _emit_csv(["d", "exact", "asymptotic", "ratio"], _convergence_csv_rows(report))
+        _emit_convergence_csv(report)
         return
     _emit_json(report)
 
@@ -334,27 +337,15 @@ def run_example(name: str, q: Fraction, dmax: int) -> dict:
     ),
     required=True,
 )
-@click.option(
-    "--q", type=_Rational(), default="2", show_default=True,
-    help="counting base, rational > 1",
-)
-@click.option("--dmax", type=int, default=12, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    show_default=True,
-)
+@_Q
+@_DMAX
+@_FORMAT
 @_toolkit_errors
 def example_cmd(name, q, dmax, fmt):
     """Reproduce the shipped worked examples end to end."""
     report = run_example(name, q, dmax)
     if fmt == "csv":
-        _emit_csv(
-            ["d", "exact", "asymptotic", "ratio"],
-            _convergence_csv_rows(report["convergence"]),
-        )
+        _emit_convergence_csv(report["convergence"])
         return
     _emit_json(report)
 

@@ -124,7 +124,8 @@ def tau(p: FibrationProfile) -> int:
 
 def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
-    by exhaustive enumeration over the bounding box of the height slice."""
+    by exhaustive enumeration over the bounding box of the height slice; the
+    slice's candidates are tested in one `cone_contains` call."""
     gens = _generators_of(cone)
     rho = len(height)
     if rho > 3:
@@ -152,19 +153,15 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     pivot = max(range(rho), key=lambda k: abs(height[k]))
     free = [k for k in range(rho) if k != pivot]
 
-    count = 0
+    deltas = []
     for coords in product(*(range(-box[k], box[k] + 1) for k in free)):
         rest = s - sum(height[k] * a for k, a in zip(free, coords))
         q, r = divmod(rest, height[pivot])
         if r:
             continue
-        delta = [0] * rho
-        for k, a in zip(free, coords):
-            delta[k] = a
-        delta[pivot] = q
-        if cone_contains(facets, delta):
-            count += 1
-    return count
+        # coords fill the free coordinates in order; q goes in at the pivot
+        deltas.append(coords[:pivot] + (q,) + coords[pivot:])
+    return int(cone_contains(facets, deltas).sum()) if deltas else 0
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Enumeration is a depth-first search over the exceptional coordinates with a
 Cauchy-Schwarz prune; it is exhaustive within the derived coefficient bounds,
 so the outputs are complete lists, not samples.  Nefness is read from one
 table per lattice, the pairing normals of the effective-cone generators (the
-(-1)-curves from two blow-ups on): `is_nef`, `nef_curve_cone` and
-`decompose_nef_integral` all test against it through `linalg.cone_contains`
-or dualize it with `linalg.dual_cone_rays`.
+(-1)-curves from two blow-ups on): `is_nef`, `nef_classes_of_height`,
+`decompose_nef_integral` and `break_fiber_class` test against it through
+`linalg.cone_contains`, each search testing all its candidates in one call,
+and `nef_curve_cone` dualizes it with `linalg.dual_cone_rays`.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ def _class_search(lat: PicardLattice, self_int: int, degree: int) -> list[Vec]:
     n = lat.n
     s, d = self_int, degree
     out: list[Vec] = []
-    if n == 0:
-        if d % 3 == 0:
-            a = d // 3
-            if a * a == s:
-                out.append((a,))
-        return out
-
     # (9-n) a^2 - 6 d a + (d^2 + n s) <= 0
     A, B, C = 9 - n, -6 * d, d * d + n * s
     disc = B * B - 4 * A * C
@@ -186,12 +180,9 @@ def nef_classes_of_height(lat: PicardLattice, height: int) -> list[Vec]:
         return []
     if height == 0:
         return [(0,) * lat.rank]
-    found = []
-    for s in _feasible_squares(lat, height):
-        for c in _class_search(lat, s, height):
-            if is_nef(lat, c):
-                found.append(c)
-    return sorted(found)
+    found = [c for s in _feasible_squares(lat, height) for c in _class_search(lat, s, height)]
+    nef = linalg.cone_contains(_nef_normals(lat), found) if found else []
+    return sorted(c for c, ok in zip(found, nef) if ok)
 
 
 @lru_cache(maxsize=None)
@@ -228,12 +219,10 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
         h = anticanonical_degree(lat, residual)
         if h < 2:
             return None
-        for i in range(start, len(gens)):
-            g = gens[i]
-            if anticanonical_degree(lat, g) > h:
-                continue
-            nxt = tuple(a - b for a, b in zip(residual, g))
-            if not linalg.cone_contains(normals, nxt):
+        rest = [tuple(a - b for a, b in zip(residual, g)) for g in gens[start:]]
+        nef = linalg.cone_contains(normals, rest)
+        for i, (g, nxt, ok) in enumerate(zip(gens[start:], rest, nef), start):
+            if not ok or anticanonical_degree(lat, g) > h:
                 continue
             tail = search(nxt, i)
             if tail is not None:
@@ -270,15 +259,10 @@ def break_fiber_class(lat: PicardLattice, c) -> tuple[Vec, Vec]:
     h = anticanonical_degree(lat, c)
     if h < 4:
         raise DomainError(f"height {h} < 4; nothing to break")
-    candidates: list[Vec] = []
-    for t in range(2, h - 1):
-        candidates.extend(nef_classes_of_height(lat, t))
-    best = None
-    for c0 in sorted(candidates):
-        c1 = tuple(a - b for a, b in zip(c, c0))
-        if is_nef(lat, c1):
-            best = (c0, c1)
-            break
-    if best is None:
-        raise DecompositionNotFound(f"no nef splitting of {c} with both heights >= 2")
-    return best
+    pieces = sorted(c0 for t in range(2, h - 1) for c0 in nef_classes_of_height(lat, t))
+    rest = [tuple(a - b for a, b in zip(c, c0)) for c0 in pieces]
+    nef = linalg.cone_contains(_nef_normals(lat), rest) if rest else []
+    for c0, c1, ok in zip(pieces, rest, nef):
+        if ok:
+            return c0, c1
+    raise DecompositionNotFound(f"no nef splitting of {c} with both heights >= 2")

@@ -1,20 +1,49 @@
-"""Exact integer/rational linear algebra helpers.
+"""Exact integer linear algebra and the cone layer.
 
-Everything here is over Z or Q (fractions.Fraction); no floating point.
-The double description routine is the single source of cone duality for the
-whole package: given inequality normals h_i it returns the extreme rays of
-{x : h_i . x >= 0 for all i} under the standard dot product (callers fold any
-bilinear form into the normals first).
+Ranks and kernels are exact over Z in Python.  `dual_cone_rays` is the single
+source of cone duality for the package: the extreme rays of
+{x : h . x >= 0 for every normal h} (callers fold any bilinear form into the
+normals), by the double description method on matrices (Fukuda & Prodon,
+"Double description method revisited", 1996).  Rays are the rows of an int64
+matrix and their tight sets the rows of a bool matrix; the candidate pairs
+and the adjacency test are float32 products of bool rows, exact since a count
+never exceeds the number of normals (below 2**24).  Each ray spans the kernel
+of dim - 1 tight normals, so by Hadamard's bound every product a run forms is
+at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest Euclidean norm
+of a normal (about 4e16 for the 240 lines of eight blow-ups).
+`cone_contains` is one int64 product, bounded by max |x| times the largest
+row-abs-sum of the normals.  One guard, `_refuse_past_int64`, refuses before
+any work an input whose bound reaches int64.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 from .errors import DomainError
 
 Vec = tuple[int, ...]
+
+# float32 product blocks of the double description: _BLOCK x _BLOCK cells, 1 MB
+_BLOCK = 512
+
+
+def _refuse_past_int64(bound, what: str) -> None:
+    """Raise DomainError when `bound`, a bound on every value an int64
+    computation forms (exact, or estimated in float64), reaches 2**62: the
+    factor-2 margin under 2**63 covers the rounding of an estimate."""
+    if bound >= 2**62:
+        raise DomainError(f"{what} could leave int64; refusing inexact arithmetic")
+
+
+def _product_bound(rows: np.ndarray, X: np.ndarray) -> float:
+    """max |x| times the largest row-abs-sum of `rows`, in float64: a bound
+    on every partial sum of the products of the rows with the vectors X."""
+    return (np.abs(X, dtype=np.float64).max(initial=0.0)
+            * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=0.0))
 
 
 def dot(a, b) -> int:
@@ -23,9 +52,7 @@ def dot(a, b) -> int:
 
 def primitive(v) -> Vec:
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise DomainError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -77,10 +104,9 @@ def integer_kernel(rows) -> list[Vec]:
     """Z-basis of {x : A x = 0} for an integer matrix A given as rows."""
     if not rows:
         raise DomainError("integer_kernel needs at least one row")
-    ncols = len(rows[0])
-    transpose = [tuple(r[j] for r in rows) for j in range(ncols)]
+    transpose = list(zip(*rows))
     _, U, rank = row_echelon_transform(transpose)
-    return [tuple(U[i]) for i in range(rank, ncols)]
+    return [tuple(U[i]) for i in range(rank, len(transpose))]
 
 
 def mat_rank(rows) -> int:
@@ -119,98 +145,84 @@ def _initial_simplicial_rays(normals):
 def dual_cone_rays(normals) -> list[Vec]:
     """Extreme rays of {x : n . x >= 0 for every normal n}, exact.
 
-    Double description over the integers: seed with a simplicial subcone from
-    a spanning subset of the normals, then cut by the remaining inequalities,
+    Double description on matrices: seed with a simplicial subcone from a
+    spanning subset of the normals, then cut by the remaining inequalities,
     combining adjacent rays across each new hyperplane.  Adjacency is the
     combinatorial test on exact tight sets.  Requires the normals to span
-    (pointed dual cone).  Returns primitive integer rays, lexicographically
-    sorted, as a fresh list.  Memoized on the normals, so every caller that
-    dualizes the same cone (the nef cone and the a-invariant facets of a
-    lattice, a counting cone slice after slice) shares one run.
+    (pointed dual cone); refuses (DomainError) normals whose products could
+    leave int64.  Returns primitive integer rays, lexicographically sorted,
+    as a fresh list.  Memoized on the normals, so every caller that dualizes
+    the same cone (the nef cone and the a-invariant facets of a lattice, a
+    counting cone slice after slice) shares one run.
     """
     return list(_dual_cone_rays(tuple(tuple(h) for h in normals)))
 
 
 @lru_cache(maxsize=None)
 def _dual_cone_rays(normals: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    seen = set()
-    cleaned = []
-    for h in normals:
-        h = primitive(tuple(h))
-        if h not in seen:
-            seen.add(h)
-            cleaned.append(h)
-    normals = cleaned
+    normals = list(dict.fromkeys(primitive(h) for h in normals))
     dim = len(normals[0])
-
+    # the Hadamard bound of the module docstring, with H**2 = hsq
+    hsq = max(dot(h, h) for h in normals)
+    _refuse_past_int64(isqrt(4 * dim * hsq ** (2 * dim - 1)) + 1, "double description")
     picked, rays = _initial_simplicial_rays(normals)
-    processed = list(picked)
-
-    # tight sets as bitmasks over normal indices: bit j set iff normal j
-    # is tight on the ray
-    def tightset(ray):
-        mask = 0
-        for j in processed:
-            if dot(normals[j], ray) == 0:
-                mask |= 1 << j
-        return mask
-
-    current = [(r, tightset(r)) for r in rays]
-
-    for idx, h in enumerate(normals):
-        if idx in picked:
+    # seed normals first, so the normals cut so far are a prefix of the columns
+    order = picked + [i for i in range(len(normals)) if i not in picked]
+    N = np.array([normals[i] for i in order], dtype=np.int64)
+    R = np.array(rays, dtype=np.int64)
+    T = R @ N.T == 0
+    for c in range(dim, len(N)):
+        s = R @ N[c]
+        neg = s < 0
+        if not neg.any():
             continue
-        processed.append(idx)
-        bit = 1 << idx
-        pos, zero, neg = [], [], []
-        for ray, tight in current:
-            s = dot(h, ray)
-            if s > 0:
-                pos.append((ray, tight, s))
-            elif s == 0:
-                zero.append((ray, tight | bit))
-            else:
-                neg.append((ray, tight, s))
-        if not neg:
-            current = [(r, t) for r, t, _ in pos] + zero
-            continue
-        others = (
-            [(r, t) for r, t, _ in pos]
-            + zero
-            + [(r, t) for r, t, _ in neg]
-        )
-        newly = []
-        for rp, tp, sp in pos:
-            for rn, tn, sn in neg:
-                common = tp & tn
-                if common.bit_count() < dim - 2:
-                    continue
-                blocked = False
-                for ro, to in others:
-                    if ro is rp or ro is rn:
-                        continue
-                    if common & ~to == 0:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                w = primitive(
-                    tuple(sp * b - sn * a for a, b in zip(rp, rn))
-                )
-                newly.append(w)
-        current = [(r, t) for r, t, _ in pos] + zero
-        known = {r for r, _ in current}
-        for w in newly:
-            if w not in known:
-                known.add(w)
-                current.append((w, tightset(w)))
-
-    return tuple(sorted(r for r, _ in current))
+        i, j = _adjacent_pairs(T[:, :c], np.flatnonzero(s > 0), np.flatnonzero(neg), dim)
+        W = s[i, None] * R[j] - s[j, None] * R[i]
+        W //= np.gcd.reduce(W, axis=1)[:, None]
+        R = np.concatenate([R[~neg], W])
+        T = np.concatenate([T[~neg], W @ N.T == 0])
+    return tuple(sorted(map(tuple, R.tolist())))
 
 
-def cone_contains(facet_normals, x) -> bool:
-    """Membership in {x : n . x >= 0} given the facet normals."""
-    return all(dot(n, x) >= 0 for n in facet_normals)
+def _adjacent_pairs(T, pos, neg, dim):
+    """The adjacent pairs (i, j), i in `pos` and j in `neg`, among the rays
+    whose tight sets are the rows of the bool matrix T: their common tight
+    set has at least dim - 2 normals and exactly two rows of T (i and j)
+    contain it.  Both counts are float32 products in blocks of _BLOCK rows."""
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for a in range(0, len(pos), _BLOCK):
+        P = T[pos[a : a + _BLOCK]].astype(np.float32)
+        for b in range(0, len(neg), _BLOCK):
+            Q = T[neg[b : b + _BLOCK]].astype(np.float32)
+            i, j = np.nonzero(P @ Q.T >= dim - 2)
+            pairs.append(np.stack([pos[a + i], neg[b + j]], axis=1))
+    i, j = np.concatenate(pairs).T
+    keep = np.empty(len(i), dtype=bool)
+    for a in range(0, len(i), _BLOCK):
+        common = (T[i[a : a + _BLOCK]] & T[j[a : a + _BLOCK]]).astype(np.float32)
+        size = common.sum(axis=1, keepdims=True)
+        holders = np.zeros(len(common), dtype=np.intp)
+        for r in range(0, len(T), _BLOCK):
+            holders += (common @ T[r : r + _BLOCK].T.astype(np.float32) == size).sum(axis=1)
+        keep[a : a + _BLOCK] = holders == 2
+    return i[keep], j[keep]
+
+
+def cone_contains(normals, x):
+    """Membership in {x : n . x >= 0 for every normal n}: a bool for one
+    vector, a bool array for the rows of a matrix.
+
+    One int64 product; refuses (DomainError) an input whose product could
+    leave int64.
+    """
+    try:
+        X = np.asarray(x, dtype=np.int64)
+        N = np.asarray(normals, dtype=np.int64).reshape(-1, X.shape[-1])
+    except OverflowError:
+        raise DomainError("cone membership entry outside int64") from None
+    _refuse_past_int64(_product_bound(N, X), "cone membership")
+    inside = (X @ N.T >= 0).all(axis=-1)
+    return bool(inside) if X.ndim == 1 else inside
 
 
 def convex_hull_2d(points):

@@ -97,8 +97,8 @@ class FiberTree:
         for s, m in self.components:
             if m < 1:
                 raise DomainError(f"multiplicity {m} must be >= 1")
-        norm = []
         seen = set()
+        adjacent: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise DomainError(f"bad edge ({i}, {j})")
@@ -106,50 +106,44 @@ class FiberTree:
             if e in seen:
                 raise DomainError(f"duplicate edge {e}")
             seen.add(e)
-            norm.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
         if len(self.edges) != n - 1:
             raise DomainError("edge count must be component count minus one")
+        # sorted neighbour tuples, kept outside the fields so that equality
+        # and hashing still read components, edges and marked only
+        object.__setattr__(self, "_adjacent", tuple(tuple(sorted(a)) for a in adjacent))
         reached = {0}
         frontier = [0]
         while frontier:
-            x = frontier.pop()
-            for i, j in self.edges:
-                for a, b in ((i, j), (j, i)):
-                    if a == x and b not in reached:
-                        reached.add(b)
-                        frontier.append(b)
+            for b in self._adjacent[frontier.pop()]:
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
         if len(reached) != n:
             raise DomainError("fiber tree is not connected")
         if self.marked is not None and not (0 <= self.marked < n):
             raise DomainError(f"marked index {self.marked} out of range")
         for j in range(n):
             s, m = self.components[j]
-            around = sum(
-                self.components[b][1]
-                for a, b in self._directed()
-                if a == j
-            )
+            around = self._around(j)
             if s * m + around != 0:
                 raise DomainError(
                     f"fiber class relation fails at component {j}: "
                     f"{s}*{m} + {around} != 0"
                 )
 
-    def _directed(self):
-        for i, j in self.edges:
-            yield i, j
-            yield j, i
+    def _around(self, j: int) -> int:
+        """Sum of the multiplicities of the neighbours of component j."""
+        return sum(self.components[b][1] for b in self._adjacent[j])
 
     def neighbors(self, i: int) -> list[int]:
-        return sorted(b for a, b in self._directed() if a == i)
+        return list(self._adjacent[i])
 
     def total_square(self) -> int:
         """(sum m_i C_i)^2 from the component data; zero on valid fibers."""
-        acc = 0
-        for j, (s, m) in enumerate(self.components):
-            acc += m * (s * m + sum(self.components[b][1] for b in self.neighbors(j)))
-        return acc
+        return sum(m * (s * m + self._around(j)) for j, (s, m) in enumerate(self.components))
 
 
 def irreducible_fiber() -> FiberTree:
@@ -365,16 +359,13 @@ def reachable_balanced_heights(
                     seen.add(key)
                     nxt.append(out)
         frontier = nxt
-    present = {h: set() for h, _ in seen}
-    for h, nb in seen:
-        present[h].add(nb)
     for h in range(start.height + 6, h_max + 1):
         want = (
             NormalBundleType(h // 2, h // 2)
             if h % 2 == 0
             else NormalBundleType((h - 1) // 2, (h + 1) // 2)
         )
-        if want not in present.get(h, set()):
+        if (h, want) not in seen:
             raise ToolkitError(
                 f"height {h} lacks the balanced type {want}; "
                 "stabilization claim falsified"

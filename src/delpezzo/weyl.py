@@ -32,7 +32,7 @@ import numpy as np
 
 from . import curves
 from .errors import CapExceeded, DomainError, NotFound, ToolkitError
-from .linalg import integer_kernel
+from .linalg import _product_bound, _refuse_past_int64, integer_kernel
 from .picard import PicardLattice, Vec, pair
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -52,12 +52,6 @@ def check_cap(count: int, cap: int) -> None:
 
 def mat_apply(M: Matrix, v) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
-
-
-def identity_matrix(rank: int) -> Matrix:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-    )
 
 
 def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
@@ -212,7 +206,11 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     seen = _row_keys(frontier.reshape(1, -1))
     while len(frontier):
         level = _products(frontier, G)
-        level = np.unique(_row_keys(level.reshape(-1, rank * rank)))
+        # dedupe in place: sort the level's row keys, keep each key that
+        # differs from its predecessor
+        level = _row_keys(level.reshape(-1, rank * rank))
+        level.sort()
+        level = level[np.concatenate(([True], level[1:] != level[:-1]))]
         pos, hit = _find(seen, level)
         new = ~hit
         fresh = level[new]
@@ -235,11 +233,6 @@ class OrbitPartition:
     @property
     def representatives(self) -> list[Vec]:
         return [o[0] for o in self.orbits]
-
-
-# images are computed in int64; the bound is estimated in float64, so keep a
-# factor-2 margin under 2**63 for its rounding
-_IMAGE_BOUND = 2.0**62
 
 
 def _permutation_action(mats, classes) -> np.ndarray:
@@ -267,10 +260,7 @@ def _permutation_action(mats, classes) -> np.ndarray:
     out = np.empty((len(mats), k), dtype=np.int32)
     if not len(mats):
         return out
-    reach = (np.abs(arr, dtype=np.float64).max()
-             * np.abs(mats, dtype=np.float64).sum(axis=2).max())
-    if reach >= _IMAGE_BOUND:
-        raise DomainError("class images could leave int64; refusing inexact action")
+    _refuse_past_int64(_product_bound(mats, arr), "class images")
     keys = _row_keys(arr)
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -336,7 +326,7 @@ def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
     """
     r = lat.rank
     if not group.generators:
-        return [tuple(row) for row in identity_matrix(r)]
+        return [tuple(int(i == j) for j in range(r)) for i in range(r)]
     rows = []
     for M in group.generators:
         for i in range(r):

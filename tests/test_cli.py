@@ -61,6 +61,12 @@ def test_curves_cubics_tagged(runner):
 def test_weyl_and_orbits(runner):
     res = invoke(runner, ["weyl", "--degree", "5"])
     assert json.loads(res.output)["order"] == 120
+    # no simple roots for n <= 1: the group is trivial
+    for degree in ("8", "9"):
+        res = invoke(runner, ["weyl", "--degree", degree])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert (data["generators"], data["order"]) == (0, 1)
     res = invoke(runner, ["orbits", "--degree", "4", "--classes", "lines"])
     data = json.loads(res.output)
     assert data["orbit_sizes"] == [16]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,13 +23,15 @@ from delpezzo import (
     make_lattice,
     nef_classes_of_height,
     nef_curve_cone,
+    orbits_under_generators,
     pair,
     weyl_generators,
 )
+from delpezzo.linalg import mat_rank
 
 LINE_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
 CONIC_COUNTS = [0, 1, 2, 3, 5, 10, 27, 126, 2160]
-NEF_RAY_COUNTS = [1, 2, 3, 5, 10, 26, 99, 702]
+NEF_RAY_COUNTS = [1, 2, 3, 5, 10, 26, 99, 702, 19440]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -103,13 +106,28 @@ def test_effective_cone_generators():
     assert sorted(gens3) == sorted(enumerate_neg_one_curves(make_lattice(3)))
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_nef_cone_ray_counts(n):
     lat = make_lattice(n)
-    cone = nef_curve_cone(lat)
-    assert len(cone.generators) == NEF_RAY_COUNTS[n]
-    for ray in cone.generators:
-        assert is_nef(lat, ray)
+    rays = nef_curve_cone(lat).generators
+    assert len(rays) == NEF_RAY_COUNTS[n]
+    assert all(is_nef(lat, ray) for ray in rays)
+    if n == 8:
+        # the 2160 conics and the W(E8)-orbit of H among the cubics
+        cubics = [c for c, _ in enumerate_cubic_classes(lat)]
+        part = orbits_under_generators(weyl_generators(lat), cubics)
+        orbit = next(o for o in part.orbits if (1,) + (0,) * 8 in o)
+        assert len(orbit) == 17280
+        assert list(rays) == sorted(enumerate_conic_classes(lat) + list(orbit))
+        return
+    # distinct, primitive, nef and tight on normals of rank dim - 1: extreme
+    # rays, so with the known count they are all of them
+    assert len(set(rays)) == len(rays)
+    gens = effective_cone_generators(lat).generators
+    for ray in rays:
+        assert math.gcd(*ray) == 1
+        tight = [g for g in gens if pair(lat, g, ray) == 0]
+        assert mat_rank(tight) == lat.rank - 1
 
 
 def test_is_nef():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from delpezzo.linalg import (
     _initial_simplicial_rays,
     cone_contains,
     convex_hull_2d,
+    dot,
     dual_cone_rays,
     integer_kernel,
     mat_rank,
@@ -113,6 +115,25 @@ def test_cone_contains():
     assert cone_contains(normals, (3, 5))
     assert cone_contains(normals, (0, 0))
     assert not cone_contains(normals, (-1, 2))
+    # the rows of a matrix at once, each as it is alone
+    points = [(3, 5), (0, 0), (-1, 2), (4, -1), (2**40, 2**40)]
+    assert cone_contains(normals, points).tolist() == [
+        cone_contains(normals, x) for x in points
+    ]
+
+
+def test_int64_guard():
+    # membership: max |x| times the largest row-abs-sum of the normals
+    assert cone_contains([(1, 1)], (2**60, 2**60))
+    for x in ((2**61, 0), (2**70, 0)):
+        with pytest.raises(DomainError, match="int64"):
+            cone_contains([(1, 1)], x)
+    # double description: 2 * sqrt(dim) * H**(2 * dim - 1), H the largest
+    # norm of a normal; in dim 2 it reaches 2**62 at H of about 2**20.2
+    assert dual_cone_rays([(1, 0), (2**20, 1)]) == [(0, 1), (1, -(2**20))]
+    for big in (2**21, 2**70):
+        with pytest.raises(DomainError, match="int64"):
+            dual_cone_rays([(1, 0), (big, 1)])
 
 
 def test_hull_square():
@@ -128,6 +149,31 @@ def test_hull_square():
     assert (Fraction(1), Fraction(1)) not in hull
 
 
+def _rays_by_brute_force(normals):
+    """Extreme rays of a pointed cone {x : n . x >= 0}: the primitive
+    feasible vectors on the kernel line of some dim - 1 normals of rank
+    dim - 1, in both orientations."""
+    dim = len(normals[0])
+    found = set()
+    for sub in itertools.combinations(normals, dim - 1):
+        if sub and mat_rank(sub) < dim - 1:
+            continue
+        line = integer_kernel(sub)[0] if sub else (1,)
+        for v in (line, tuple(-x for x in line)):
+            if all(dot(n, v) >= 0 for n in normals):
+                found.add(primitive(v))
+    return sorted(found)
+
+
+def _check_against_brute_force(normals):
+    if mat_rank(normals) < len(normals[0]):
+        with pytest.raises(DomainError):
+            dual_cone_rays(normals)
+        return False
+    assert dual_cone_rays(normals) == _rays_by_brute_force(normals)
+    return True
+
+
 @given(
     st.lists(
         st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6)),
@@ -136,12 +182,26 @@ def test_hull_square():
     )
 )
 def test_dual_cone_rays_are_admissible(normals):
-    normals = [tuple(n) for n in dict.fromkeys(normals)]
-    if mat_rank(normals) < 3:
-        return
-    try:
-        rays = dual_cone_rays(normals)
-    except DomainError:
-        return
-    for r in rays:
-        assert all(sum(a * b for a, b in zip(n, r)) >= 0 for n in normals)
+    _check_against_brute_force([tuple(n) for n in dict.fromkeys(normals)])
+
+
+def test_dual_cone_rays_match_brute_force():
+    # two rays of this cone share dim - 2 tight normals without being
+    # adjacent: the third-ray check of the adjacency test must reject them
+    degenerate = [(-1, 1, 1, -1), (1, -1, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1),
+                  (-1, 0, 1, 0), (-1, 1, -1, 0), (1, 1, -1, 1)]
+    assert _check_against_brute_force(degenerate)
+    assert dual_cone_rays(degenerate) == [(-1, 0, 1, 2), (0, 1, 1, 0), (1, 2, 1, 0), (1, 2, 1, 2)]
+    rng = random.Random(11)
+    spanning = 0
+    for k in range(600):
+        dim = 1 + k % 5
+        top = 1 + k // 5 % 3  # entries within 1 give the most degenerate cones
+        count = dim + rng.randint(0, 4)
+        normals = []
+        while len(normals) < count:
+            n = tuple(rng.randint(-top, top) for _ in range(dim))
+            if any(n):
+                normals.append(n)
+        spanning += _check_against_brute_force(normals)
+    assert spanning >= 500

@@ -206,6 +206,13 @@ def test_random_blow_up_invariants(choices):
     assert t.total_square() == 0
     assert len(t.edges) == len(t.components) - 1
     assert t.components[0][1] == 1  # the original component keeps mult 1
+    # the same tree from its edges reversed, in reverse order: equality, hash
+    # and repr see the fields only, and neighbours come sorted
+    twin = FiberTree(t.components, tuple(e[::-1] for e in reversed(t.edges)), t.marked)
+    assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+    for i in range(len(t.components)):
+        want = sorted(b for e in t.edges for a, b in (e, e[::-1]) if a == i)
+        assert t.neighbors(i) == twin.neighbors(i) == want
     steps, final = contract_keeping_section(with_marked(t, 0))
     assert final.components == ((0, 1),)
     assert len(steps) == len(t.components) - 1
