@@ -14,7 +14,6 @@ report surfaces the measured offset instead of folding it into either side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -22,7 +21,7 @@ from itertools import product
 from math import factorial
 from pathlib import Path
 
-from .errors import CapExceeded, DomainError, _json_field
+from .errors import CapExceeded, DomainError, _json_field, _json_int, _read_json
 from .linalg import cone_contains, convex_hull_2d, dot, dual_cone_rays, mat_rank
 from .picard import Vec
 from .thresholds import (
@@ -55,10 +54,6 @@ class AlphaResult:
     triangulation: tuple[tuple[tuple[tuple[Fraction, ...], ...], Fraction], ...]
 
 
-def _generators_of(cone) -> tuple[Vec, ...]:
-    return tuple(getattr(cone, "generators", cone))
-
-
 def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
     """rho times the volume of {x in cone : height(x) <= 1}, measured so the
     fundamental domain of the index-`index` sublattice has volume 1.
@@ -67,7 +62,7 @@ def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
     generators scaled to height 1; it is triangulated fan-wise and summed as
     rho * sum |det| / rho! / index.
     """
-    gens = _generators_of(cone)
+    gens = tuple(cone)
     if not gens:
         raise DomainError("alpha needs at least one generator")
     rho = len(height)
@@ -126,7 +121,7 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
     by exhaustive enumeration over the bounding box of the height slice; the
     slice's candidates are tested in one `cone_contains` call."""
-    gens = _generators_of(cone)
+    gens = tuple(cone)
     rho = len(height)
     if rho > 3:
         raise CapExceeded(
@@ -188,9 +183,9 @@ class CountingModel:
         for t in self.translates:
             if len(t) != self.profile.rho_eta:
                 raise DomainError(f"translate {t} does not match rho_eta")
-            if cone.height_of(t) < self.profile.neg:
+            if dot(cone.height, t) < self.profile.neg:
                 raise DomainError(
-                    f"translate {t} has height {cone.height_of(t)} below "
+                    f"translate {t} has height {dot(cone.height, t)} below "
                     f"neg = {self.profile.neg}"
                 )
 
@@ -214,7 +209,7 @@ def count_exact(m: CountingModel, d: int) -> Fraction:
     cone = m.profile.nef_cone_eta
     total = Fraction(0)
     for t in m.translates:
-        start = cone.height_of(t)
+        start = dot(cone.height, t)
         for i in range(start, d + 1):
             pts = lattice_points_at_height(cone.generators, cone.height, t, i)
             if pts:
@@ -256,7 +251,7 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     if d_max < 3:
         raise DomainError(f"convergence report needs d_max >= 3, got {d_max}")
     cone = m.profile.nef_cone_eta
-    starts = [(t, cone.height_of(t)) for t in m.translates]
+    starts = [(t, dot(cone.height, t)) for t in m.translates]
     theorem = theorem_constant(m)
     rho = m.profile.rho_eta
     rows = []
@@ -315,13 +310,9 @@ def model_from_json(data: dict) -> CountingModel:
         ),
         translates=get("translates", _int_rows),
         q=get("q", Fraction),
-        dim_rule=get("dim_rule", int, 2),
+        dim_rule=get("dim_rule", _json_int, 2),
     )
 
 
 def load_model(path) -> CountingModel:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as ex:
-        raise DomainError(f"cannot load counting model: {ex}") from None
-    return model_from_json(data)
+    return model_from_json(_read_json("counting model", Path(path)))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from . import linalg
 from .errors import DecompositionNotFound, DomainError
 from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
@@ -140,13 +142,13 @@ def effective_cone_generators(lat: PicardLattice) -> Cone:
 
 
 @lru_cache(maxsize=None)
-def _nef_normals(lat: PicardLattice) -> tuple[Vec, ...]:
-    """The effective-cone generators with the gram folded in, so that the
-    standard dot with row g is pair(., g): x is nef iff every dot is >= 0."""
-    return tuple(
-        (g[0],) + tuple(-x for x in g[1:])
-        for g in effective_cone_generators(lat).generators
-    )
+def _nef_normals(lat: PicardLattice) -> np.ndarray:
+    """The effective-cone generators with the gram folded in (a read-only int64
+    table): the dot with row g is pair(., g), so x is nef iff each is >= 0."""
+    N = np.array(effective_cone_generators(lat).generators, dtype=np.int64)
+    N[:, 1:] *= -1
+    N.flags.writeable = False
+    return N
 
 
 def is_nef(lat: PicardLattice, c) -> bool:
@@ -159,7 +161,7 @@ def nef_curve_cone(lat: PicardLattice) -> Cone:
     Generators are the extreme rays (primitive, sorted); facets echo the
     effective generators, each supporting a facet of the dual.
     """
-    rays = linalg.dual_cone_rays(_nef_normals(lat))
+    rays = linalg.dual_cone_rays(_nef_normals(lat).tolist())
     return Cone(generators=tuple(rays), facets=effective_cone_generators(lat).generators)
 
 

@@ -1,9 +1,12 @@
-"""Error taxonomy shared by every module, and the field reader of the JSON
-parsers (profile, counting model, fiber tree), whose errors name the field path.
+"""Error taxonomy shared by every module, and the readers of the JSON parsers
+(profile, counting model, fiber tree): files, fields named by their path, and
+exact integers and booleans.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are raised as click.UsageError and exit with code 2.
 """
+
+import json
 
 
 class ToolkitError(Exception):
@@ -44,6 +47,28 @@ def _json_field(doc: str, data, key: str, convert, default=_REQUIRED):
         raise FieldError(doc, f"{key}.{ex.path}", ex.reason) from None
     except (DomainError, TypeError, ValueError, ArithmeticError, AttributeError) as ex:
         raise FieldError(doc, key, str(ex)) from None
+
+
+def _read_json(doc: str, path):
+    """The JSON in the file `path`; a file that cannot be read (missing, a
+    directory, not UTF-8) or parsed raises one DomainError naming `doc`."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
+        raise DomainError(f"cannot load {doc} {path}: {ex}") from None
+
+
+def _json_int(x) -> int:
+    """A JSON integer as it is; a float, string or boolean raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise TypeError(f"expected true or false, got {x!r}")
+    return x
 
 
 class HeightBelowModel(DomainError):

@@ -3,8 +3,10 @@ classification dictionary.
 
 a(X, L) is the minimal t with K + tL pseudoeffective.  With a polyhedral
 effective cone this is exact facet arithmetic: writing the facet inequalities
-of the effective cone as pair(f, .) >= 0, the answer is the largest ratio
--pair(f, K) / pair(f, L).  Surfaces are caller-described (gram, canonical
+of the effective cone as f . G x >= 0 (G the gram), the answer is the largest
+ratio -(f . G K) / (f . G L).  The facets come from `linalg.dual_cone_rays`
+and are paired with G L and G K in one guarded int64 product
+(`linalg._int64_operands`).  Surfaces are caller-described (gram, canonical
 class, effective generators, polarization); builders for blown-up planes and
 Hirzebruch surfaces are provided.
 """
@@ -52,13 +54,6 @@ class PolarizedSurface:
             if len(v) != r:
                 raise DomainError(f"vector {v} does not match rank {r}")
 
-    def pair(self, a, b) -> int:
-        return sum(
-            a[i] * self.gram[i][j] * b[j]
-            for i in range(len(a))
-            for j in range(len(b))
-        )
-
 
 def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurface:
     """Blown-up plane with its effective cone; default polarization -K."""
@@ -88,23 +83,22 @@ def hirzebruch_polarized(e: int, polarization=None) -> PolarizedSurface:
 def a_invariant(s: PolarizedSurface):
     """Minimal t with K + t L effective; +inf when L is nef but not big.
 
-    Exact: evaluates -pair(f, K) / pair(f, L) over the facet inequalities f of
-    the effective cone and takes the maximum.
+    Exact: pairs every facet inequality f of the effective cone with L and K
+    in one int64 product and takes the largest -(f . K) / (f . L).
     """
     L = s.polarization
-    for g in s.eff_generators:
-        if s.pair(L, g) < 0:
-            raise DomainError(
-                f"polarization {L} is not nef: negative against {g}"
-            )
     # gram folded into the generators: the same normals as the nef cone's,
     # so both share one (memoized) double description run
-    facets = linalg.dual_cone_rays(
-        [tuple(linalg.dot(row, g) for row in s.gram) for g in s.eff_generators]
-    )
-    if any(s.pair(f, L) == 0 for f in facets):
+    normals = [tuple(linalg.dot(row, g) for row in s.gram) for g in s.eff_generators]
+    negative = [g for g, h in zip(s.eff_generators, normals) if linalg.dot(h, L) < 0]
+    if negative:
+        raise DomainError(f"polarization {L} is not nef: negative against {negative[0]}")
+    folded = [tuple(linalg.dot(row, v) for row in s.gram) for v in (L, s.canonical)]
+    F, X = linalg._int64_operands(linalg.dual_cone_rays(normals), folded, "a-invariant")
+    on_l, on_k = (X @ F.T).tolist()
+    if 0 in on_l:
         return INFINITE_A
-    return max(Fraction(-s.pair(f, s.canonical), s.pair(f, L)) for f in facets)
+    return max(Fraction(-k, m) for m, k in set(zip(on_l, on_k)))
 
 
 def classify_vertical_family(

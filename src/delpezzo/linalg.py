@@ -11,9 +11,10 @@ never exceeds the number of normals (below 2**24).  Each ray spans the kernel
 of dim - 1 tight normals, so by Hadamard's bound every product a run forms is
 at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest Euclidean norm
 of a normal (about 4e16 for the 240 lines of eight blow-ups).
-`cone_contains` is one int64 product, bounded by max |x| times the largest
-row-abs-sum of the normals.  One guard, `_refuse_past_int64`, refuses before
-any work an input whose bound reaches int64.
+Every other exact batch product (`cone_contains`, a-invariants, the isometry
+check, the Weyl action kernel) takes its operands from `_int64_operands`.  One
+guard, `_refuse_past_int64`, refuses before any work an input whose bound
+reaches int64.
 """
 
 from __future__ import annotations
@@ -39,11 +40,21 @@ def _refuse_past_int64(bound, what: str) -> None:
         raise DomainError(f"{what} could leave int64; refusing inexact arithmetic")
 
 
-def _product_bound(rows: np.ndarray, X: np.ndarray) -> float:
-    """max |x| times the largest row-abs-sum of `rows`, in float64: a bound
-    on every partial sum of the products of the rows with the vectors X."""
-    return (np.abs(X, dtype=np.float64).max(initial=0.0)
-            * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=0.0))
+def _int64_operands(rows, X, what: str):
+    """(rows, X) as integer arrays for the exact products X @ rows.T: signed
+    integer rows (such as a group's int8 table) are kept without a copy, the
+    rest becomes int64.  Raises DomainError for an entry that is not an integer
+    within int64, and before any product when max |x| times the largest row-abs
+    sum of the rows (a float64 bound on every partial sum) could leave int64."""
+    keep = isinstance(rows, np.ndarray) and rows.dtype.kind == "i"
+    rows, X = np.asarray(rows), np.asarray(X)
+    for a in (rows, X):
+        if a.size and (a.dtype.kind not in "biu" or a.dtype.kind == "u" and a.max() >= 2**63):
+            raise DomainError(f"{what} entry is not an integer within int64")
+    rows, X = rows if keep else rows.astype(np.int64), X.astype(np.int64, copy=False)
+    _refuse_past_int64(np.abs(X, dtype=np.float64).max(initial=0.0)
+                       * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=0.0), what)
+    return rows, X
 
 
 def dot(a, b) -> int:
@@ -215,13 +226,8 @@ def cone_contains(normals, x):
     One int64 product; refuses (DomainError) an input whose product could
     leave int64.
     """
-    try:
-        X = np.asarray(x, dtype=np.int64)
-        N = np.asarray(normals, dtype=np.int64).reshape(-1, X.shape[-1])
-    except OverflowError:
-        raise DomainError("cone membership entry outside int64") from None
-    _refuse_past_int64(_product_bound(N, X), "cone membership")
-    inside = (X @ N.T >= 0).all(axis=-1)
+    N, X = _int64_operands(normals, x, "cone membership")
+    inside = (X @ N.reshape(-1, X.shape[-1]).T >= 0).all(axis=-1)
     return bool(inside) if X.ndim == 1 else inside
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NotFound,
     ToolkitError,
     _json_field,
+    _json_int,
 )
 
 
@@ -167,9 +168,9 @@ def fibertree_to_json(t: FiberTree) -> dict:
 def fibertree_from_json(data: dict) -> FiberTree:
     get = partial(_json_field, "fiber tree", data)
     return FiberTree(
-        components=get("components", lambda cs: tuple((int(s), int(m)) for s, m in cs)),
-        edges=get("edges", lambda es: tuple((int(i), int(j)) for i, j in es)),
-        marked=get("marked", lambda m: None if m is None else int(m), None),
+        components=get("components", lambda c: tuple((_json_int(s), _json_int(m)) for s, m in c)),
+        edges=get("edges", lambda es: tuple((_json_int(i), _json_int(j)) for i, j in es)),
+        marked=get("marked", lambda m: None if m is None else _json_int(m), None),
     )
 
 

@@ -11,7 +11,6 @@ is a defined clamp; reports carry a note whenever it fires.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +19,8 @@ from importlib import resources
 from itertools import product
 from pathlib import Path
 
-from .errors import DomainError, _json_field
+from .errors import DomainError, _json_bool, _json_field, _json_int, _read_json
+from .linalg import dot
 from .picard import Vec
 
 
@@ -39,11 +39,8 @@ class NefConeEta:
         for g in self.generators:
             if len(g) != dim:
                 raise DomainError(f"generator {g} does not match dimension {dim}")
-            if sum(a * b for a, b in zip(self.height, g)) <= 0:
+            if dot(self.height, g) <= 0:
                 raise DomainError(f"generator {g} must have positive height")
-
-    def height_of(self, v) -> int:
-        return sum(a * b for a, b in zip(self.height, v))
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,14 @@ class FibrationProfile:
 
 
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(_json_int, row)) for row in rows)
 
 
 def _nef_from_dict(nef) -> NefConeEta:
     get = partial(_json_field, "nef cone", nef)
     return NefConeEta(
         generators=get("generators", _int_rows),
-        height=get("height", lambda h: tuple(int(x) for x in h)),
+        height=get("height", lambda h: tuple(map(_json_int, h))),
     )
 
 
@@ -100,17 +97,17 @@ def _profile_from_dict(data: dict) -> FibrationProfile:
     get = partial(_json_field, "profile", data)
     return FibrationProfile(
         name=get("name", str),
-        fiber_degree=get("fiber_degree", int),
-        rho_eta=get("rho_eta", int),
-        neg=get("neg", int),
+        fiber_degree=get("fiber_degree", _json_int),
+        rho_eta=get("rho_eta", _json_int),
+        neg=get("neg", _json_int),
         maxdef_table=get(
             "maxdef_table",
-            lambda t: tuple(sorted({int(k): int(v) for k, v in t.items()}.items())),
+            lambda t: tuple(sorted({int(k): _json_int(v) for k, v in t.items()}.items())),
         ),
-        brauer_order=get("brauer_order", int),
-        num_profiles=get("num_profiles", int),
-        lattice_index=get("lattice_index", int),
-        has_ff_conic=get("has_ff_conic", bool),
+        brauer_order=get("brauer_order", _json_int),
+        num_profiles=get("num_profiles", _json_int),
+        lattice_index=get("lattice_index", _json_int),
+        has_ff_conic=get("has_ff_conic", _json_bool),
         nef_cone_eta=get("nef_cone_eta", _nef_from_dict),
         provenance=get("provenance", str, ""),
         transcription_note=get("transcription_note", str, ""),
@@ -150,26 +147,15 @@ def list_shipped_profiles() -> list[str]:
 
 def load_profile(source) -> FibrationProfile:
     """Load a profile from a shipped name (no path separator) or a JSON path."""
-    text: str
     s = str(source)
+    path = Path(s)
     if "/" not in s and not s.endswith(".json"):
-        pkg = resources.files("delpezzo") / "profiles" / f"{s}.json"
-        try:
-            text = pkg.read_text()
-        except FileNotFoundError:
+        path = resources.files("delpezzo") / "profiles" / f"{s}.json"
+        if not path.is_file():
             raise DomainError(
                 f"unknown shipped profile {s!r}; have {list_shipped_profiles()}"
-            ) from None
-    else:
-        path = Path(s)
-        if not path.exists():
-            raise DomainError(f"profile file {s} not found")
-        text = path.read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"profile {s} is not valid JSON: {exc}") from None
-    return _profile_from_dict(data)
+            )
+    return _profile_from_dict(_read_json("profile", path))
 
 
 EMPTY_TABLE_NOTE = "maxdef clamped to 0: no negative-height section data"

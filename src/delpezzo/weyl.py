@@ -32,8 +32,8 @@ import numpy as np
 
 from . import curves
 from .errors import CapExceeded, DomainError, NotFound, ToolkitError
-from .linalg import _product_bound, _refuse_past_int64, integer_kernel
-from .picard import PicardLattice, Vec, pair
+from .linalg import _int64_operands, integer_kernel
+from .picard import PicardLattice, Vec
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -50,21 +50,20 @@ def check_cap(count: int, cap: int) -> None:
         raise CapExceeded(f"group closure passed the cap of {cap} elements")
 
 
-def mat_apply(M: Matrix, v) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
-
-
 def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
-    """Check M preserves the pairing and fixes the canonical class."""
+    """Check M preserves the pairing and fixes the canonical class: two
+    guarded int64 products, G folded into the columns of M and into K, then
+    M^T G M and M^T G K.  G is unimodular, so once M^T G M = G, M K = K holds
+    exactly when M^T G K = G K."""
     r = lat.rank
     if len(M) != r or any(len(row) != r for row in M):
         raise DomainError(f"matrix shape does not match rank {r}")
-    cols = list(zip(*M))
-    for i in range(r):
-        for j in range(r):
-            if pair(lat, cols[i], cols[j]) != lat.gram[i][j]:
-                raise DomainError("matrix does not preserve the pairing")
-    if mat_apply(M, lat.canonical) != lat.canonical:
+    G, C = _int64_operands(lat.gram, [*zip(*M), lat.canonical], "isometry check")
+    folded, C = _int64_operands(C @ G.T, C[:r], "isometry check")
+    P = C @ folded.T
+    if (P[:, :r] != G).any():
+        raise DomainError("matrix does not preserve the pairing")
+    if (P[:, r] != folded[r]).any():
         raise DomainError("matrix does not fix the canonical class")
 
 
@@ -247,12 +246,7 @@ def _permutation_action(mats, classes) -> np.ndarray:
     (such as a group's int8 table) is used as it is, without a copy.
     Raises DomainError for duplicate classes or an image outside the set.
     """
-    try:
-        arr = np.array(classes, dtype=np.int64)
-        if not (isinstance(mats, np.ndarray) and mats.dtype.kind == "i"):
-            mats = np.array(mats, dtype=np.int64)
-    except OverflowError:
-        raise DomainError("class or matrix entry outside int64") from None
+    mats, arr = _int64_operands(mats, classes, "class images")
     k, r = arr.shape
     mats = mats.reshape(-1, r, r) if mats.size == 0 else mats
     if mats.ndim != 3 or mats.shape[1:] != (r, r):
@@ -260,7 +254,6 @@ def _permutation_action(mats, classes) -> np.ndarray:
     out = np.empty((len(mats), k), dtype=np.int32)
     if not len(mats):
         return out
-    _refuse_past_int64(_product_bound(mats, arr), "class images")
     keys = _row_keys(arr)
     order = np.argsort(keys)
     sorted_keys = keys[order]

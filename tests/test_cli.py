@@ -239,6 +239,7 @@ def _bad_inputs(tmp_path):
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff" * 16)
     return {
         "q-not-rational": (["count", "--profile", "cubic-pencil", "--q", "abc"], 2),
         "example-q-not-rational": (
@@ -253,6 +254,13 @@ def _bad_inputs(tmp_path):
         "maxdef-list": (
             ["thresholds", "--profile", str(tmp_path / "maxdef-list.json")], 1
         ),
+        "profile-directory": (["thresholds", "--profile", str(tmp_path)], 1),
+        "count-profile-directory": (["count", "--profile", str(tmp_path)], 1),
+        "model-directory": (["count", "--model", str(tmp_path)], 1),
+        "profile-not-utf8": (
+            ["thresholds", "--profile", str(tmp_path / "not-utf8.json")], 1
+        ),
+        "model-not-utf8": (["count", "--model", str(tmp_path / "not-utf8.json")], 1),
     }
 
 
@@ -264,6 +272,11 @@ def _bad_inputs(tmp_path):
         "q-zero-denominator",
         "top-level-list",
         "maxdef-list",
+        "profile-directory",
+        "count-profile-directory",
+        "model-directory",
+        "profile-not-utf8",
+        "model-not-utf8",
     ],
 )
 def test_bad_input_exits_cleanly(runner, tmp_path, case):

@@ -24,6 +24,7 @@ from delpezzo import (
     tau,
     theorem_constant,
 )
+from delpezzo.errors import FieldError
 from delpezzo.linalg import mat_rank
 from delpezzo.thresholds import FibrationProfile, NefConeEta
 
@@ -333,7 +334,28 @@ def test_model_json_rejects_malformed_documents():
             dict(good, profile=dict(good["profile"], brauer_order=float("inf"))),
             "profile.brauer_order",
         ),
+        # integers and booleans are read exactly, never coerced
+        (dict(good, profile=dict(good["profile"], has_ff_conic="false")), "profile.has_ff_conic"),
+        (dict(good, profile=dict(good["profile"], has_ff_conic=0)), "profile.has_ff_conic"),
+        (dict(good, translates=[[-1.7]]), "translates"),
+        (dict(good, translates=[[True]]), "translates"),
+        (dict(good, dim_rule=2.9), "dim_rule"),
+        (dict(good, dim_rule="2"), "dim_rule"),
+        (dict(good, profile=dict(good["profile"], brauer_order=True)), "profile.brauer_order"),
+        (dict(good, profile=dict(good["profile"], maxdef_table={"-1": 1.0})),
+         "profile.maxdef_table"),
+        (
+            dict(good, profile=dict(good["profile"], nef_cone_eta={"generators": [[1.5]],
+                                                                   "height": [1]})),
+            "profile.nef_cone_eta.generators",
+        ),
+        (
+            dict(good, profile=dict(good["profile"], nef_cone_eta={"generators": [[1]],
+                                                                   "height": [True]})),
+            "profile.nef_cone_eta.height",
+        ),
     ):
         where = "must be an object" if path is None else f"field '{path}':"
-        with pytest.raises(DomainError, match=re.escape(f"counting model JSON {where}")):
+        with pytest.raises(DomainError, match=re.escape(f"counting model JSON {where}")) as ex:
             model_from_json(data)
+        assert path is None or isinstance(ex.value, FieldError) and ex.value.path == path

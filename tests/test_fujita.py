@@ -1,4 +1,7 @@
+import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from delpezzo import (
     nef_classes_of_height,
     polarized_del_pezzo,
 )
+from delpezzo.linalg import dual_cone_rays
 
 GT = AInvariantClass.GREATER_THAN_ONE
 EQ = AInvariantClass.EQUAL_ONE
@@ -154,3 +158,78 @@ def test_homogeneity_random(n, k, data):
     )
     assert ak == a1 / k
     assert a1 > 0
+
+
+
+def _gram_pair(gram, a, b):
+    """a . b through the gram, as a plain double loop over its entries."""
+    return sum(a[i] * gram[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+
+
+
+def _folded(gram, v):
+    """The functional x -> v . x through the gram, as a double loop."""
+    r = len(gram)
+    return tuple(sum(v[i] * gram[i][j] for i in range(r)) for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def _paired_facets(gram, generators):
+    """Each facet f of the effective cone as its functional x -> f . x,
+    shared by every polarization of a lattice."""
+    normals = [_folded(gram, g) for g in generators]  # the gram is symmetric
+    return [_folded(gram, f) for f in dual_cone_rays(normals)]
+
+def _a_invariant_oracle(s):
+    """The a-invariant from exact Python pairings: every generator against L,
+    then the largest -(f . K) / (f . L) over the facets f."""
+    L = s.polarization
+    for g in s.eff_generators:
+        if _gram_pair(s.gram, L, g) < 0:
+            raise DomainError(f"polarization {L} is not nef: negative against {g}")
+    ratios = []
+    for f in _paired_facets(s.gram, s.eff_generators):
+        on_l = sum(a * b for a, b in zip(f, L))
+        if on_l == 0:
+            return INFINITE_A
+        ratios.append(Fraction(-sum(a * b for a, b in zip(f, s.canonical)), on_l))
+    return max(ratios)
+
+
+def _same_as_oracle(s):
+    try:
+        want = _a_invariant_oracle(s)
+    except DomainError as ex:
+        with pytest.raises(DomainError, match=re.escape(str(ex))):
+            a_invariant(s)
+        return "refused"
+    got = a_invariant(s)
+    assert got == want and type(got) is type(want)
+    return "infinite" if got is INFINITE_A else "finite"
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_a_invariant_matches_gram_oracle(n):
+    # -K, seeded sums of nef classes (half of them made big by adding -K),
+    # nef classes that are not big, and a random class that is rarely nef
+    lat = make_lattice(n)
+    rng = random.Random(100 + n)
+    pool = nef_classes_of_height(lat, 3) + nef_classes_of_height(lat, 2)
+    polarizations = [lat.anticanonical] + pool[:2]
+    for k in range(6):
+        L = [0] * lat.rank
+        for c in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
+            L = [a + rng.randint(1, 3) * b for a, b in zip(L, c)]
+        if k % 2:
+            L = [a + b for a, b in zip(L, lat.anticanonical)]
+        polarizations.append(tuple(L))
+    polarizations.append(tuple(rng.randint(-2, 2) for _ in range(lat.rank)))
+    seen = {_same_as_oracle(polarized_del_pezzo(lat, L)) for L in polarizations}
+    assert "finite" in seen
+
+
+@pytest.mark.parametrize("e", range(7))
+def test_hirzebruch_a_invariant_matches_gram_oracle(e):
+    cases = [None, (0, 1), (1, e), (1, e + 1), (2, 2 * e + 3), (1, e - 1), (-1, 0)]
+    seen = [_same_as_oracle(hirzebruch_polarized(e, L)) for L in cases]
+    assert seen[1] == "infinite" and seen[-1] == "refused" and "finite" in seen

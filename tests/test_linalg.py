@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delpezzo.errors import DomainError
+from delpezzo.fujita import a_invariant, hirzebruch_polarized
 from delpezzo.linalg import (
     _initial_simplicial_rays,
     cone_contains,
@@ -17,6 +18,8 @@ from delpezzo.linalg import (
     mat_rank,
     primitive,
 )
+from delpezzo.picard import make_lattice
+from delpezzo.weyl import validate_isometry
 
 
 def test_primitive():
@@ -125,7 +128,7 @@ def test_cone_contains():
 def test_int64_guard():
     # membership: max |x| times the largest row-abs-sum of the normals
     assert cone_contains([(1, 1)], (2**60, 2**60))
-    for x in ((2**61, 0), (2**70, 0)):
+    for x in ((2**61, 0), (2**70, 0), (1.5, 0), (2**63, 1)):  # nothing truncated or wrapped
         with pytest.raises(DomainError, match="int64"):
             cone_contains([(1, 1)], x)
     # double description: 2 * sqrt(dim) * H**(2 * dim - 1), H the largest
@@ -134,6 +137,20 @@ def test_int64_guard():
     for big in (2**21, 2**70):
         with pytest.raises(DomainError, match="int64"):
             dual_cone_rays([(1, 0), (big, 1)])
+    # a-invariant: the facets (1, 0), (0, 1) of F0 paired with G L = L
+    assert a_invariant(hirzebruch_polarized(0, (2**61, 2**61))) == Fraction(1, 2**60)
+    for big in (2**62, 2**70):
+        with pytest.raises(DomainError, match="int64"):
+            a_invariant(hirzebruch_polarized(0, (big, big)))
+    # isometry check: diag(t, 1, 1) folds to entries t, then pairs to t**2;
+    # only the second product's guard sees t = 2**31
+    lat = make_lattice(2)
+    for t in (2**30, -(2**30)):
+        with pytest.raises(DomainError, match="does not preserve the pairing"):
+            validate_isometry(lat, ((t, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for t in (2**31, 2**62, 2**70):
+        with pytest.raises(DomainError, match="int64"):
+            validate_isometry(lat, ((t, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_hull_square():

@@ -131,6 +131,9 @@ def test_fibertree_json_round_trip():
         (dict(data, components=[[0]]), "field 'components':"),
         (dict(data, marked="x"), "field 'marked':"),
         (dict(data, marked=float("inf")), "field 'marked':"),
+        (dict(data, marked=0.0), "field 'marked':"),
+        (dict(data, components=[[-2, 1], [-2, True], [-1, 2]]), "field 'components':"),
+        (dict(data, edges=[[0, 2.5], [1, 2]]), "field 'edges':"),
     ):
         with pytest.raises(DomainError, match=f"fiber tree JSON {where}"):
             fibertree_from_json(bad)

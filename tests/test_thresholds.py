@@ -105,6 +105,12 @@ def test_load_profile_errors(tmp_path):
         load_profile(bad)
     with pytest.raises(DomainError):
         load_profile(tmp_path / "missing.json")
+    # a directory and a file that is not UTF-8 end in the same error
+    not_utf8 = tmp_path / "ff.json"
+    not_utf8.write_bytes(b"\xff" * 16)
+    for unreadable in (tmp_path, not_utf8):
+        with pytest.raises(DomainError, match="cannot load profile"):
+            load_profile(unreadable)
     incomplete = tmp_path / "partial.json"
     incomplete.write_text(json.dumps({"name": "x"}))
     with pytest.raises(DomainError):

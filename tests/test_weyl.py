@@ -29,7 +29,7 @@ from delpezzo import (
     weyl_generators,
 )
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
-from delpezzo.weyl import _signed_perm_matrix, mat_apply
+from delpezzo.weyl import _signed_perm_matrix
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
 
@@ -58,7 +58,8 @@ def _line_action_order(n):
     gens = weyl_generators(lat)
     lines = enumerate_neg_one_curves(lat)
     index = {c: k for k, c in enumerate(lines)}
-    perms = [Permutation([index[mat_apply(g, c)] for c in lines]) for g in gens]
+    images = [np.array(lines) @ np.array(g).T for g in gens]
+    perms = [Permutation([index[tuple(row)] for row in im.tolist()]) for im in images]
     return PermutationGroup(perms).order()
 
 
@@ -217,8 +218,12 @@ def test_validate_isometry():
     for g in gens:
         validate_isometry(lat, g)
     bad = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="does not preserve the pairing"):
         validate_isometry(lat, bad)
+    # E1 -> -E1 preserves the pairing but moves K; swapping E1 and E2 fixes it
+    with pytest.raises(DomainError, match="does not fix the canonical class"):
+        validate_isometry(lat, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    validate_isometry(lat, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
 
 
 def test_pairing_preserved_on_random_pairs(we6, lat6):
