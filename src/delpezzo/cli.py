@@ -1,14 +1,15 @@
 """Command-line surface: enumeration, orbits, thresholds, counting, examples.
 
-stdout carries data (JSON with sorted keys, or CSV where a table shape is
-fixed); stderr carries diagnostics.  Exit codes: 0 ok, 1 domain/cap error,
-2 usage error.  Every command is deterministic given its flags and seed.
+Each command returns its data and writes nothing; the `main` group writes it
+to stdout (a `(header, rows)` tuple as CSV, anything else as JSON with sorted
+keys) and turns a ToolkitError into one `error: ...` line on stderr.  Exit
+codes: 0 ok, 1 domain/cap error, 2 usage error.  Every command is
+deterministic given its flags and seed.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -16,10 +17,11 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import counting, curves, fujita, ruled, thresholds, weyl
 from .errors import ToolkitError
-from .picard import anticanonical_degree, make_lattice
+from .picard import make_lattice
 
 
 def _jsonable(obj):
@@ -39,29 +41,12 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_json(data) -> None:
-    click.echo(json.dumps(_jsonable(data), sort_keys=True, indent=2))
-
-
 def _emit_csv(header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     click.echo(buf.getvalue(), nl=False)
-
-
-def _toolkit_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except ToolkitError as ex:
-            click.echo(f"error: {ex}", err=True)
-            sys.exit(1)
-
-    return wrapper
 
 
 class _Rational(click.ParamType):
@@ -89,6 +74,7 @@ _Q = click.option(
     help="counting base, rational > 1",
 )
 _DMAX = click.option("--dmax", type=int, default=12, show_default=True)
+_DEGREE = click.option("--degree", type=int, required=True, help="fiber degree, 1..9")
 
 
 def _lattice_for_degree(degree: int):
@@ -104,32 +90,44 @@ _KINDS = {
 }
 
 
-@click.group()
+class _Toolkit(click.Group):
+    """The one output and error boundary of every command."""
+
+    def invoke(self, ctx):
+        try:
+            result = super().invoke(ctx)
+        except ToolkitError as ex:
+            click.echo(f"error: {ex}", err=True)
+            sys.exit(1)
+        if isinstance(result, tuple):
+            _emit_csv(*result)
+        else:
+            click.echo(json.dumps(_jsonable(result), sort_keys=True, indent=2))
+
+
+@click.group(cls=_Toolkit)
 def main():
     """Del Pezzo fibration toolkit: lattices, curve classes, monodromy
     orbits, Fujita invariants, thresholds, section counting."""
 
 
 @main.command()
-@click.option("--degree", type=int, required=True, help="fiber degree, 1..9")
-@_toolkit_errors
+@_DEGREE
 def lattice(degree):
     """Picard lattice of a del Pezzo surface of the given degree."""
     lat = _lattice_for_degree(degree)
-    _emit_json(
-        {
-            "degree": lat.degree,
-            "blowups": lat.n,
-            "rank": lat.rank,
-            "gram": lat.gram,
-            "canonical": lat.canonical,
-            "anticanonical": lat.anticanonical,
-        }
-    )
+    return {
+        "degree": lat.degree,
+        "blowups": lat.n,
+        "rank": lat.rank,
+        "gram": lat.gram,
+        "canonical": lat.canonical,
+        "anticanonical": lat.anticanonical,
+    }
 
 
 @main.command(name="curves")
-@click.option("--degree", type=int, required=True, help="fiber degree, 1..9")
+@_DEGREE
 @click.option(
     "--kind",
     type=click.Choice(sorted(_KINDS)),
@@ -137,37 +135,24 @@ def lattice(degree):
     show_default=True,
 )
 @_FORMAT
-@_toolkit_errors
 def curves_cmd(degree, kind, fmt):
     """Enumerate line, conic, or cubic classes on the fiber lattice."""
     lat = _lattice_for_degree(degree)
     classes = _KINDS[kind](lat)
     header = [f"c{k}" for k in range(lat.rank)]
+    # cubic classes carry a kind tag alongside the coordinates
+    if fmt == "csv":
+        if kind == "cubics":
+            return header + ["kind"], [list(c) + [k.value] for c, k in classes]
+        return header, classes
     if kind == "cubics":
-        # cubic classes carry a kind tag alongside the coordinates
-        if fmt == "csv":
-            _emit_csv(header + ["kind"], [list(c) + [k.value] for c, k in classes])
-            return
-        payload = [{"class": c, "kind": k.value} for c, k in classes]
-    else:
-        if fmt == "csv":
-            _emit_csv(header, classes)
-            return
-        payload = classes
-    _emit_json(
-        {
-            "degree": degree,
-            "kind": kind,
-            "count": len(classes),
-            "classes": payload,
-        }
-    )
+        classes = [{"class": c, "kind": k.value} for c, k in classes]
+    return {"degree": degree, "kind": kind, "count": len(classes), "classes": classes}
 
 
 @main.command(name="weyl")
-@click.option("--degree", type=int, required=True, help="fiber degree, 1..9")
+@_DEGREE
 @click.option("--cap", type=int, default=weyl.DEFAULT_CAP, show_default=True)
-@_toolkit_errors
 def weyl_cmd(degree, cap):
     """Order of the lattice Weyl group, by breadth-first closure; refused at
     once when the group's known order passes the cap."""
@@ -176,46 +161,35 @@ def weyl_cmd(degree, cap):
     gens = weyl.weyl_generators(lat)
     # no simple roots for n <= 1: the group is trivial
     group = weyl.generate_group(gens, cap=cap) if gens else weyl.trivial_group(lat.rank)
-    _emit_json(
-        {
-            "degree": degree,
-            "blowups": lat.n,
-            "generators": len(gens),
-            "order": group.order,
-        }
-    )
+    return {"degree": degree, "blowups": lat.n, "generators": len(gens), "order": group.order}
 
 
 @main.command()
-@click.option("--degree", type=int, required=True, help="fiber degree, 1..9")
+@_DEGREE
 @click.option(
     "--classes",
     type=click.Choice(sorted(_KINDS)),
     default="lines",
     show_default=True,
 )
-@_toolkit_errors
 def orbits(degree, classes):
     """Orbit sizes of curve classes under the full Weyl group."""
     lat = _lattice_for_degree(degree)
     vectors = _KINDS[classes](lat)
     gens = weyl.weyl_generators(lat)
     part = weyl.orbits_under_generators(gens, vectors)
-    _emit_json(
-        {
-            "degree": degree,
-            "classes": classes,
-            "count": len(vectors),
-            "orbit_sizes": part.sizes,
-            "orbit_representatives": part.representatives,
-        }
-    )
+    return {
+        "degree": degree,
+        "classes": classes,
+        "count": len(vectors),
+        "orbit_sizes": part.sizes,
+        "orbit_representatives": part.representatives,
+    }
 
 
 @main.command(name="fujita")
 @click.option("--degree", type=int, help="del Pezzo fiber degree, 1..9")
 @click.option("--hirzebruch", type=int, help="Hirzebruch parameter e >= 0")
-@_toolkit_errors
 def fujita_cmd(degree, hirzebruch):
     """Fujita invariant of the anticanonical polarization."""
     if (degree is None) == (hirzebruch is None):
@@ -224,47 +198,39 @@ def fujita_cmd(degree, hirzebruch):
         lat = _lattice_for_degree(degree)
         surf = fujita.polarized_del_pezzo(lat)
         locus = fujita.larger_a_locus(lat)
-        _emit_json(
-            {
-                "surface": f"del Pezzo degree {degree}",
-                "a_invariant": fujita.a_invariant(surf),
-                "larger_a_locus_size": len(locus),
-            }
-        )
-        return
-    surf = fujita.hirzebruch_polarized(hirzebruch)
-    _emit_json(
-        {
-            "surface": f"Hirzebruch {hirzebruch}",
+        return {
+            "surface": f"del Pezzo degree {degree}",
             "a_invariant": fujita.a_invariant(surf),
+            "larger_a_locus_size": len(locus),
         }
-    )
+    surf = fujita.hirzebruch_polarized(hirzebruch)
+    return {"surface": f"Hirzebruch {hirzebruch}", "a_invariant": fujita.a_invariant(surf)}
 
 
 @main.command(name="thresholds")
 @click.option("--profile", required=True, help="shipped profile name or JSON path")
-@_toolkit_errors
 def thresholds_cmd(profile):
     """All scalar thresholds of a fibration profile."""
-    p = thresholds.load_profile(profile)
-    _emit_json(thresholds.threshold_report(p))
+    return thresholds.threshold_report(thresholds.load_profile(profile))
 
 
 @main.command(name="ruled")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--depth", type=int, default=8, show_default=True)
-@_toolkit_errors
 def ruled_cmd(seed, trials, depth):
     """Randomized fiber-tree soundness harness (blow-ups, the second
     (-1)-component lemma, contraction back to the smooth model)."""
-    _emit_json(ruled.fuzz_blow_up_sequences(count=trials, depth=depth, seed=seed))
+    return ruled.fuzz_blow_up_sequences(count=trials, depth=depth, seed=seed)
 
 
-def _emit_convergence_csv(report) -> None:
-    _emit_csv(
-        ["d", "exact", "asymptotic", "ratio"],
-        ([r["d"], str(r["exact"]), str(r["asymptotic"]), str(r["ratio"])] for r in report["rows"]),
+def _report_or_table(fmt, report, convergence):
+    """The whole report as JSON, or the rows of its convergence table as CSV."""
+    if fmt == "json":
+        return report
+    return ["d", "exact", "asymptotic", "ratio"], (
+        [r["d"], str(r["exact"]), str(r["asymptotic"]), str(r["ratio"])]
+        for r in convergence["rows"]
     )
 
 
@@ -274,21 +240,19 @@ def _emit_convergence_csv(report) -> None:
 @_Q
 @_DMAX
 @_FORMAT
-@_toolkit_errors
 def count_cmd(profile, model_path, q, dmax, fmt):
     """Exact counting function vs the closed-form asymptotic."""
     if (profile is None) == (model_path is None):
         raise click.UsageError("pass exactly one of --profile / --model")
     if model_path is not None:
+        if click.get_current_context().get_parameter_source("q") is ParameterSource.COMMANDLINE:
+            raise click.UsageError("--q applies to --profile only; a model file carries its own q")
         model = counting.load_model(model_path)
     else:
         p = thresholds.load_profile(profile)
         model = counting.default_model(p, q)
     report = counting.convergence_report(model, dmax)
-    if fmt == "csv":
-        _emit_convergence_csv(report)
-        return
-    _emit_json(report)
+    return _report_or_table(fmt, report, report)
 
 
 def _monodromy_section(p) -> dict:
@@ -340,14 +304,10 @@ def run_example(name: str, q: Fraction, dmax: int) -> dict:
 @_Q
 @_DMAX
 @_FORMAT
-@_toolkit_errors
 def example_cmd(name, q, dmax, fmt):
     """Reproduce the shipped worked examples end to end."""
     report = run_example(name, q, dmax)
-    if fmt == "csv":
-        _emit_convergence_csv(report["convergence"])
-        return
-    _emit_json(report)
+    return _report_or_table(fmt, report, report["convergence"])
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Error taxonomy shared by every module, and the readers of the JSON parsers
 (profile, counting model, fiber tree): files, fields named by their path, and
-exact integers and booleans.
+exact integers, booleans and strings.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are raised as click.UsageError and exit with code 2.
@@ -68,6 +68,12 @@ def _json_int(x) -> int:
 def _json_bool(x) -> bool:
     if not isinstance(x, bool):
         raise TypeError(f"expected true or false, got {x!r}")
+    return x
+
+
+def _json_str(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string, got {x!r}")
     return x
 
 

@@ -152,8 +152,7 @@ def irreducible_fiber() -> FiberTree:
 
 
 def with_marked(t: FiberTree, index: int) -> FiberTree:
-    if not (0 <= index < len(t.components)):
-        raise DomainError(f"marked index {index} out of range")
+    # replace reruns __post_init__, which checks the index
     return replace(t, marked=index)
 
 

@@ -19,7 +19,7 @@ from importlib import resources
 from itertools import product
 from pathlib import Path
 
-from .errors import DomainError, _json_bool, _json_field, _json_int, _read_json
+from .errors import DomainError, _json_bool, _json_field, _json_int, _json_str, _read_json
 from .linalg import dot
 from .picard import Vec
 
@@ -93,24 +93,32 @@ def _nef_from_dict(nef) -> NefConeEta:
     )
 
 
+def _height_key(k: str) -> int:
+    """A maxdef_table key: an integer in canonical form, so that no two keys
+    name one height ("-01", " -1 " and "-1_0" are refused)."""
+    if str(int(k)) != k:
+        raise ValueError(f"key {k!r} is not a canonical integer")
+    return int(k)
+
+
 def _profile_from_dict(data: dict) -> FibrationProfile:
     get = partial(_json_field, "profile", data)
     return FibrationProfile(
-        name=get("name", str),
+        name=get("name", _json_str),
         fiber_degree=get("fiber_degree", _json_int),
         rho_eta=get("rho_eta", _json_int),
         neg=get("neg", _json_int),
         maxdef_table=get(
             "maxdef_table",
-            lambda t: tuple(sorted({int(k): _json_int(v) for k, v in t.items()}.items())),
+            lambda t: tuple(sorted((_height_key(k), _json_int(v)) for k, v in t.items())),
         ),
         brauer_order=get("brauer_order", _json_int),
         num_profiles=get("num_profiles", _json_int),
         lattice_index=get("lattice_index", _json_int),
         has_ff_conic=get("has_ff_conic", _json_bool),
         nef_cone_eta=get("nef_cone_eta", _nef_from_dict),
-        provenance=get("provenance", str, ""),
-        transcription_note=get("transcription_note", str, ""),
+        provenance=get("provenance", _json_str, ""),
+        transcription_note=get("transcription_note", _json_str, ""),
     )
 
 

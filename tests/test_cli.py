@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -154,6 +155,10 @@ def test_count_model_file(runner, tmp_path):
     assert res.exit_code == 2
     res = invoke(runner, ["count", "--dmax", "4"])
     assert res.exit_code == 2
+    # a model file carries its own q: an explicit --q is refused, not ignored
+    res = invoke(runner, ["count", "--model", str(path), "--q", "7"])
+    assert res.exit_code == 2
+    assert "--q applies to --profile only" in res.stderr
 
 
 def test_count_domain_errors(runner):
@@ -227,6 +232,36 @@ def test_byte_identical_reruns(runner, args):
     second = invoke(runner, args)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
+
+
+# sha256 of each criterion-10 stdout, the same pins as the benchmark's
+_CRITERION_10 = [
+    (["lattice", "--degree", "3"],
+     "b2c50c38ff42a8f6d204de67945cfce9af5704c601c35b7ee4b049264e305051"),
+    (["curves", "--degree", "6", "--kind", "cubics"],
+     "bd032506b7c979ebd4efed7a5af3128eb6d92c26a846fc27b28310d70b57d7a2"),
+    (["weyl", "--degree", "5"],
+     "147257dfa1ecdc2a9062fd11ffc500aced3f8de9e8de5bbb98c2788c18c5f3b9"),
+    (["orbits", "--degree", "4", "--classes", "lines"],
+     "d9e93efd38635db9413dfe95301604554baa7f6e498fbd3372c8743686bcf067"),
+    (["fujita", "--degree", "2"],
+     "f141da5bd7d8d5d41eb3f53d31acb5ecf99c9679f9f1de8307838690ad89b7a7"),
+    (["thresholds", "--profile", "hypersurface-23"],
+     "c9e1592f2af4e076bfb6d7f02cf8b16e381aa217762161e5f914c782ffa57199"),
+    (["ruled", "--seed", "7", "--trials", "200"],
+     "ce5ac37c5e0040798506f7c21e92e809b23ca6945a69c2110cf6ce51031dcbbd"),
+    (["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "6"],
+     "129508aa9ff18b9528d20936aa48d4fd6d49da3591b007b2427159c5e2f33dcd"),
+    (["example", "--name", "diagonal-cubic", "--q", "2", "--dmax", "4"],
+     "63367ad92840b2863ffd3631f549d970bc6be0279b0b2043039e0e487fe76d10"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _CRITERION_10, ids=[a[0] for a, _ in _CRITERION_10])
+def test_criterion_10_stdout_digests(runner, args, digest):
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 def _bad_inputs(tmp_path):

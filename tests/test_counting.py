@@ -344,6 +344,16 @@ def test_model_json_rejects_malformed_documents():
         (dict(good, profile=dict(good["profile"], brauer_order=True)), "profile.brauer_order"),
         (dict(good, profile=dict(good["profile"], maxdef_table={"-1": 1.0})),
          "profile.maxdef_table"),
+        # text fields are JSON strings, never coerced
+        (dict(good, profile=dict(good["profile"], name=[1, 2])), "profile.name"),
+        (dict(good, profile=dict(good["profile"], provenance={"a": 1})), "profile.provenance"),
+        (dict(good, profile=dict(good["profile"], transcription_note=None)),
+         "profile.transcription_note"),
+        # maxdef_table keys are canonical integers, so no two name one height
+        *(
+            (dict(good, profile=dict(good["profile"], maxdef_table=table)), "profile.maxdef_table")
+            for table in ({"-1_0": 1}, {" -1 ": 1}, {"-01": 1}, {"+1": 1}, {"-1": 1, " -1 ": 2})
+        ),
         (
             dict(good, profile=dict(good["profile"], nef_cone_eta={"generators": [[1.5]],
                                                                    "height": [1]})),

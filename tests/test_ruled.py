@@ -63,19 +63,34 @@ def test_break_section_reassembles(e, k):
 
 
 def test_fiber_tree_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="at least one component"):
         FiberTree(components=(), edges=())
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="edge count"):
         FiberTree(components=((0, 1), (0, 1)), edges=())  # disconnected
-    with pytest.raises(DomainError):
-        FiberTree(components=((0, 1), (-1, 1)), edges=((0, 1),))  # relation fails
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="fiber tree is not connected"):
+        # n - 1 edges, but a cycle leaves the last component apart
+        FiberTree(components=((-2, 1),) * 3 + ((0, 1),), edges=((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(DomainError, match="fiber class relation fails"):
+        FiberTree(components=((0, 1), (-1, 1)), edges=((0, 1),))
+    with pytest.raises(DomainError, match="bad edge"):
         FiberTree(components=((-1, 1), (-1, 1)), edges=((0, 0),))  # self loop
-    with pytest.raises(DomainError):
-        FiberTree(components=((0, 0),), edges=())  # multiplicity 0
+    with pytest.raises(DomainError, match=r"duplicate edge \(0, 1\)"):
+        FiberTree(components=((-1, 1),) * 3, edges=((0, 1), (1, 0)))
+    with pytest.raises(DomainError, match="multiplicity 0"):
+        FiberTree(components=((0, 0),), edges=())
     t = FiberTree(components=((-1, 1), (-1, 1)), edges=((1, 0),))
     assert t.edges == ((0, 1),)  # normalized
     assert t.total_square() == 0
+    for index in (-1, 2):
+        with pytest.raises(DomainError, match=f"marked index {index} out of range"):
+            FiberTree(components=t.components, edges=t.edges, marked=index)
+        with pytest.raises(DomainError, match=f"marked index {index} out of range"):
+            with_marked(t, index)
+    for target in ("x", (5,)):
+        with pytest.raises(DomainError, match="is neither index nor edge"):
+            blow_up_fiber(t, target)
+    with pytest.raises(DomainError, match="Hirzebruch parameter must be >= 0, got -1"):
+        HirzebruchModel(-1)
 
 
 def test_blow_up_point_and_edge():
