@@ -154,8 +154,8 @@ def curves_cmd(degree, kind, fmt):
 @_DEGREE
 @click.option("--cap", type=int, default=weyl.DEFAULT_CAP, show_default=True)
 def weyl_cmd(degree, cap):
-    """Order of the lattice Weyl group, by breadth-first closure; refused at
-    once when the group's known order passes the cap."""
+    """Order of the lattice Weyl group, by Dimino's coset closure; refused
+    at once when the group's known order passes the cap."""
     lat = _lattice_for_degree(degree)
     weyl.check_cap(weyl.WEYL_ORDERS[lat.n], cap)
     gens = weyl.weyl_generators(lat)
@@ -220,7 +220,8 @@ def thresholds_cmd(profile):
 @click.option("--depth", type=int, default=8, show_default=True)
 def ruled_cmd(seed, trials, depth):
     """Randomized fiber-tree soundness harness (blow-ups, the second
-    (-1)-component lemma, contraction back to the smooth model)."""
+    (-1)-component lemma, contraction back to the smooth model).  Refused
+    before any trial unless trials x depth <= 32768 and depth <= 64."""
     return ruled.fuzz_blow_up_sequences(count=trials, depth=depth, seed=seed)
 
 

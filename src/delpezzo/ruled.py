@@ -373,6 +373,28 @@ def reachable_balanced_heights(
     return frozenset(seen)
 
 
+# Work budget of the fuzz harness, checked before any trial: at most
+# FUZZ_BUDGET blow-ups (trials x depth) and FUZZ_MAX_DEPTH blow-ups per trial.
+# Every blow-up revalidates the whole tree, so a trial costs more than its
+# depth times a constant, and the depth bound keeps one trial short too; on a
+# 2-CPU Xeon host the slowest corner, 512 trials of depth 64, takes about 4 s.
+FUZZ_BUDGET = 2**15
+FUZZ_MAX_DEPTH = 64
+
+
+def check_fuzz_budget(count: int, depth: int) -> None:
+    """Raise DomainError unless count trials of depth blow-ups fit the
+    budget: count, depth >= 1, count * depth <= FUZZ_BUDGET and
+    depth <= FUZZ_MAX_DEPTH."""
+    if count < 1 or depth < 1:
+        raise DomainError("count and depth must be positive")
+    if count * depth > FUZZ_BUDGET or depth > FUZZ_MAX_DEPTH:
+        raise DomainError(
+            f"--trials {count} x --depth {depth} is past the fuzz budget: "
+            f"trials x depth at most {FUZZ_BUDGET}, depth at most {FUZZ_MAX_DEPTH}"
+        )
+
+
 def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> dict:
     """Randomized soundness harness for the fiber-tree calculus.
 
@@ -382,10 +404,10 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
     holds; at the end a random multiplicity-1 component is marked and the tree
     is contracted back, asserting termination at the irreducible fiber with
     the marked component kept.  Any falsification raises; the report holds
-    counters only.
+    counters only.  A budget past `check_fuzz_budget` raises DomainError
+    before the first trial.
     """
-    if count < 1 or depth < 1:
-        raise DomainError("count and depth must be positive")
+    check_fuzz_budget(count, depth)
     rng = random.Random(seed)
     second_checks = 0
     not_applicable = 0

@@ -4,22 +4,25 @@ Every search in this module goes through one closure routine, one action
 kernel and one row index.  The row index is a pair of helpers: `_row_keys`
 views each row of an integer array as one fixed-width byte key, and `_find`
 looks keys up in a sorted key array.  `generate_group` closes a set of int8
-matrices under products, breadth first, and keeps the group as one table, a
-read-only int8 array of its elements sorted by their row-major bytes; each
-level's new elements are inserted where `_find` placed them.  A level's
-products come from one float32 matrix product per chunk of the frontier,
-with every generator laid side by side: the factors are int8, so each
-partial sum is an integer of size at most rank * 128 * 128 < 2**24, which
-float32 holds exactly.  The closure is budgeted, so one that would pass the
-cap raises CapExceeded instead of thrashing memory, and the blow-up-count-8
-Weyl group (order 696729600, see `WEYL_ORDERS`) is refused by default.
-`_permutation_action` maps matrices to the permutations they induce on a
-finite class set, exactly in int64, with the classes keyed by the same
-helpers.  `orbits_under_generators` reads orbits off the generators'
-permutations, so orbits stay available for groups too large to materialize.
-The Weyl groups, the diagonal-cubic subgroup search and the signed
-permutation groups of the conic bundle analysis (as 4 x 4 matrices) all use
-these.
+matrices by Dimino's algorithm: a tower of subgroups, each a union of right
+cosets of the one before, found one level of the coset graph at a time with
+membership read off the smaller subgroup's sorted table, so every element is
+built once.  It keeps the group as one table, a read-only int8 array of its
+elements sorted by their row-major bytes.  Every product is one float32
+matrix product per chunk (`_product_chunks`), with the right factors laid
+side by side: the factors are int8, so each partial sum is an integer of size
+at most rank * 128 * 128 < 2**24, which float32 holds exactly.  The closure
+is budgeted, so one that would pass the cap raises CapExceeded instead of
+thrashing memory, and the blow-up-count-8 Weyl group (order 696729600, see
+`WEYL_ORDERS`) is refused by default.  `_permutation_action` maps matrices
+to the permutations they induce on a finite class set, exactly in int64,
+with the classes keyed by the same helpers, and `_orbit_labels` reads orbits
+off such permutations.  `orbits_under_generators` needs the generators'
+permutations only, so orbits stay available for groups too large to
+materialize; the conic bundle analysis reads its subgroups off one
+multiplication table of the signed permutation group on 4 letters (as 4 x 4
+matrices), as orbits of the identity.  The Weyl groups and the
+diagonal-cubic subgroup search use the same pieces.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ def _as_matrix(g) -> Matrix:
 
 
 _ACTION_ROWS = 1 << 15
+_PRODUCT_ENTRIES = 1 << 22
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -131,6 +135,12 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray):
     """(insertion positions, present mask) of keys in a sorted key array."""
     pos = np.searchsorted(sorted_keys, keys)
     return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
+def _sorted_table(mats: np.ndarray) -> np.ndarray:
+    """Sort a writable stack of matrices in place by the bytes of their rows."""
+    _row_keys(mats.reshape(len(mats), -1)).sort()
+    return mats
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,67 +166,131 @@ def trivial_group(rank: int) -> FiniteGroup:
     return FiniteGroup(np.eye(rank, dtype=np.int8)[None], ())
 
 
-def _products(frontier: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Every product frontier[f] @ mats[g] as an int8 array of shape
-    (len(frontier), k, rank, rank), for the k generators `mats` laid side by
-    side in G as `generate_group` builds it: one matrix product per chunk of
-    at most 2**15 stacked rows.  Raises ToolkitError for an entry outside
-    int8."""
-    rank = G.shape[0]
-    k = G.shape[1] // rank
-    level = np.empty((len(frontier), k, rank, rank), dtype=np.int8)
-    step = max(1, _ACTION_ROWS // rank)
-    for lo in range(0, len(frontier), step):
-        chunk = frontier[lo : lo + step]
-        P = chunk.reshape(-1, rank).astype(G.dtype) @ G
-        if P.min() < -128 or P.max() > 127:
+def _product_chunks(left: np.ndarray, right: np.ndarray):
+    """Yield (lo, P) with P[a, b] = left[lo + a] @ right[b] as int8, for int8
+    stacks of square matrices of one rank.  The right factors are laid side by
+    side, so each chunk is one float matrix product, exact: both factors are
+    int8, so every partial sum is an integer of size at most
+    rank * 128 * 128 < 2**24, which float32 holds (float64 from rank 1024 on).
+    A chunk holds at most 2**22 output entries, however many right factors
+    there are.  Raises ToolkitError for an entry outside int8."""
+    m, rank = len(right), right.shape[-1]
+    exact = np.float32 if rank * 128 * 128 < 2**24 else np.float64
+    # R[i, b * rank + j] = right[b][i][j]: block b of the columns of x @ R is
+    # x @ right[b]
+    R = right.transpose(1, 0, 2).reshape(rank, m * rank).astype(exact)
+    step = max(1, _PRODUCT_ENTRIES // max(1, m * rank * rank))
+    for lo in range(0, len(left), step):
+        chunk = left[lo : lo + step]
+        P = chunk.reshape(-1, rank).astype(exact) @ R
+        if P.size and (P.min() < -128 or P.max() > 127):
             raise ToolkitError("matrix entry outside int8 range; encoding invalid")
-        level[lo : lo + len(chunk)] = P.reshape(len(chunk), rank, k, rank).transpose(0, 2, 1, 3)
-    return level
+        yield lo, P.astype(np.int8).reshape(len(chunk), rank, m, rank).transpose(0, 2, 1, 3)
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every product left[a] @ right[b], as an int8 array of shape
+    (len(left), len(right), rank, rank) (see `_product_chunks`)."""
+    out = np.empty((len(left), len(right)) + right.shape[1:], dtype=np.int8)
+    for lo, P in _product_chunks(left, right):
+        out[lo : lo + len(P)] = P
+    return out
+
+
+def _in_table(sorted_keys: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Bool array: whether left[a] @ right[b] lies in the table whose sorted
+    row keys are given, one chunk of products at a time."""
+    out = np.empty((len(left), len(right)), dtype=bool)
+    for lo, P in _product_chunks(left, right):
+        out[lo : lo + len(P)] = _find(sorted_keys, _row_keys(P.reshape(*P.shape[:2], -1)))[1]
+    return out
+
+
+def _cyclic(g: np.ndarray, cap: int):
+    """(the powers g, g^2, ..., 1 of an int8 matrix, its inverse).  The
+    inverse is the last power before the identity.  Raises DomainError when a
+    power repeats before the identity appears (g is singular), CapExceeded
+    as soon as the powers pass `cap`."""
+    eye = np.eye(len(g), dtype=np.int8)
+    powers, seen = [g], {g.tobytes()}
+    while not np.array_equal(powers[-1], eye):
+        check_cap(len(powers) + 1, cap)
+        p = _products(powers[-1][None], g[None])[0, 0]
+        if p.tobytes() in seen:
+            raise DomainError("generator is not invertible")
+        seen.add(p.tobytes())
+        powers.append(p)
+    return np.stack(powers), powers[-2] if len(powers) > 1 else eye
 
 
 def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Close a generating set under products, breadth first.
+    """Close a generating set under products by Dimino's algorithm.
 
-    Generators must be square integer matrices of one rank with entries
-    within int8; anything else raises DomainError before any product.
-    Raises CapExceeded as soon as the element count would pass `cap`, and
+    Generators must be invertible square integer matrices of one rank with
+    entries within int8; anything else raises DomainError (a singular one
+    once its powers repeat without reaching the identity).  Raises
+    CapExceeded as soon as a lower bound on the order passes `cap`, and
     ToolkitError when a product has an entry outside int8, the type the
-    elements are stored in.  Each level multiplies its frontier by every
-    generator at once (`_products`), exactly in float32: both factors are
-    int8, so every partial sum is an integer of size at most
-    rank * 128 * 128 < 2**24 (float64 from rank 1024 on).  The elements live
-    in one sorted table of row keys: each level is deduplicated, looked up in
-    the table, and its new rows are inserted where the lookup found their
-    place, so the level sets never live as Python objects.
+    elements are stored in.
+
+    H_1 is the cyclic group of the powers of the first generator; H_i =
+    <H_{i-1}, g_i> is a union of right cosets H_{i-1} x, and g_i is skipped
+    when it already lies in H_{i-1}.  The coset representatives grow one level
+    of the coset graph at a time: the candidates a g for the last level's
+    representatives a and the generators g so far and their inverses are one
+    batched product, and a candidate y is new when y x_j^-1 lies outside
+    H_{i-1} for every representative x_j of the last two levels (the graph is
+    undirected, so no other level is one step away), looked up in H_{i-1}'s
+    sorted table; two new candidates in one coset are merged by the same
+    test, with (a g)^-1 = g^-1 a^-1.  Each new coset is one product
+    H_{i-1} y, so every element is built once; the finished table of each
+    step is sorted once by its row keys.  Both tests cost products quadratic
+    in the width of a level, which suits towers of small index such as the
+    parabolic subgroups of a Weyl group along its simple roots.
     """
     mats = list(dict.fromkeys(_as_matrix(g) for g in gens))
     if not mats:
         raise DomainError("generate_group needs at least one generator")
-    rank, k = len(mats[0]), len(mats)
+    rank = len(mats[0])
     if any(len(m) != rank for m in mats):
         raise DomainError("generators have different ranks")
-    # |partial sum| <= rank * 128 * 128; float32 is exact on integers to 2**24
-    exact = np.float32 if rank * 128 * 128 < 2**24 else np.float64
-    # G[m, g * rank + j] = mats[g][m][j]: block g of the columns of x @ G is
-    # x @ mats[g]
-    G = np.array(mats, dtype=exact).transpose(1, 0, 2).reshape(rank, k * rank)
-    frontier = np.eye(rank, dtype=np.int8)[None]
-    seen = _row_keys(frontier.reshape(1, -1))
-    while len(frontier):
-        level = _products(frontier, G)
-        # dedupe in place: sort the level's row keys, keep each key that
-        # differs from its predecessor
-        level = _row_keys(level.reshape(-1, rank * rank))
-        level.sort()
-        level = level[np.concatenate(([True], level[1:] != level[:-1]))]
-        pos, hit = _find(seen, level)
-        new = ~hit
-        fresh = level[new]
-        check_cap(len(seen) + len(fresh), cap)
-        seen = np.insert(seen, pos[new], fresh)
-        frontier = fresh.view(np.int8).reshape(-1, rank, rank)
-    return FiniteGroup(seen.view(np.int8).reshape(-1, rank, rank), tuple(mats))
+    arr = np.array(mats, dtype=np.int8)
+    cyclic = [_cyclic(g, cap) for g in arr]
+    table = _sorted_table(cyclic[0][0])
+    eye = np.eye(rank, dtype=np.int8)[None]
+    used = [0]
+    for i in range(1, len(arr)):
+        keys = _row_keys(table.reshape(len(table), -1))
+        if _find(keys, _row_keys(arr[i].reshape(1, -1)))[1][0]:
+            continue
+        used.append(i)
+        # the generators so far and their inverses: with both, the coset
+        # graph is undirected, so a coset reached from level L lies in level
+        # L - 1, L or L + 1, and only the last two levels are tested
+        both = {}
+        for j in used:
+            g, g_inv = arr[j], cyclic[j][1]
+            both.setdefault(g.tobytes(), (g, g_inv))
+            both.setdefault(g_inv.tobytes(), (g_inv, g))
+        S, S_inv = (np.stack(x) for x in zip(*both.values()))
+        cosets, count = [table], 1
+        frontier, frontier_inv, last_inv = eye, eye, eye[:0]
+        while True:
+            Y = _products(frontier, S).reshape(-1, rank, rank)
+            new = ~_in_table(keys, Y, np.concatenate((last_inv, frontier_inv))).any(axis=1)
+            # (a g)^-1 = g^-1 a^-1, in the order of Y's (a, g) pairs
+            Y_inv = _products(S_inv, frontier_inv).transpose(1, 0, 2, 3).reshape(-1, rank, rank)
+            Y, Y_inv = Y[new], Y_inv[new]
+            # keep the first new candidate of each coset
+            first = ~np.tril(_in_table(keys, Y, Y_inv), -1).any(axis=1)
+            last_inv, frontier, frontier_inv = frontier_inv, Y[first], Y_inv[first]
+            if not len(frontier):
+                break
+            count += len(frontier)
+            check_cap(len(table) * count, cap)
+            cosets.append(_products(table, frontier).reshape(-1, rank, rank))
+        table = _sorted_table(np.concatenate(cosets))
+    return FiniteGroup(table, tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -275,30 +349,36 @@ def _permutation_action(mats, classes) -> np.ndarray:
     return out
 
 
-def orbits_under_generators(gens, classes) -> OrbitPartition:
-    """Orbit partition of a class set closed under the generated action.
-
-    Only the generators' permutations are computed (`_permutation_action`), so
-    this works for groups too large to materialize.  Each orbit is a union of
-    cycles of every generator, so hooking the larger label of each moved pair
-    onto the smaller and shortcutting until no generator moves a label leaves
-    every class labelled by the least index in its orbit.  Raises DomainError
-    for duplicate classes or a generator image outside the set.
-    """
-    classes = [tuple(c) for c in classes]
-    if not classes:
-        return OrbitPartition(())
-    perms = _permutation_action(list(gens), classes)
-    label = np.arange(len(classes), dtype=perms.dtype)
+def _orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """Label every point by the least point of its orbit under a stack of
+    permutations (one row each).  Each orbit is a union of cycles of every
+    permutation, so hooking the larger label of each moved pair onto the
+    smaller and shortcutting until no permutation moves a label leaves every
+    point labelled by the least index in its orbit."""
+    label = np.arange(perms.shape[-1], dtype=perms.dtype)
     while True:
         ends = label[perms]
         hi, lo = np.maximum(label, ends), np.minimum(label, ends)
         moved = hi != lo
         if not moved.any():
-            break
+            return label
         np.minimum.at(label, hi[moved], lo[moved])
         while (label[label] != label).any():
             label = label[label]
+
+
+def orbits_under_generators(gens, classes) -> OrbitPartition:
+    """Orbit partition of a class set closed under the generated action.
+
+    Only the generators' permutations are computed (`_permutation_action`) and
+    the orbits are read off them (`_orbit_labels`), so this works for groups
+    too large to materialize.  Raises DomainError for duplicate classes or a
+    generator image outside the set.
+    """
+    classes = [tuple(c) for c in classes]
+    if not classes:
+        return OrbitPartition(())
+    label = _orbit_labels(_permutation_action(list(gens), classes))
     by_label: dict[int, list[Vec]] = {}
     for c, root in zip(classes, label.tolist()):
         by_label.setdefault(root, []).append(c)
@@ -422,7 +502,9 @@ def conic_bundle_extension_analysis() -> dict:
 
     Every such G is generated by sigma together with one lift of each of the
     transposition (0 1) and the 4-cycle (0 1 2 3); the scan over the 16 x 16
-    lifts is therefore exhaustive.
+    lifts is therefore exhaustive.  The ambient group is closed once, and each
+    candidate G and each candidate complement is read off its multiplication
+    table as the orbit of the identity under left multiplication.
     """
     t_perm = (1, 0, 2, 3)
     c_perm = (1, 2, 3, 0)
@@ -438,34 +520,49 @@ def conic_bundle_extension_analysis() -> dict:
         + basis_flips,
         cap=384,
     )
+    elems = b4.elements
     b4_mats = b4.element_matrices()
     sig = np.array(sigma, dtype=np.int64)
     sigma_central = bool((b4_mats @ sig == sig @ b4_mats).all())
 
+    # left[e, f] = index of elems[e] @ elems[f]: elems[e] acts on the
+    # row-major flattened elements as kron(elems[e], I_4)
+    flat = elems.reshape(len(elems), -1)
+    left = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
+    keys = _row_keys(flat)
+
+    def index(M: Matrix) -> int:
+        return int(_find(keys, _row_keys(np.array(M, dtype=np.int8).reshape(1, -1)))[0][0])
+
+    one, sigma_index = index(_signed_perm_matrix(ident_perm, plus)), index(sigma)
+
+    def subgroup(*gens: int) -> np.ndarray:
+        """Sorted indices of <gens>: the orbit of the identity under left
+        multiplication."""
+        label = _orbit_labels(left[list(gens)])
+        return np.flatnonzero(label == label[one])
+
+    # perms[e][j] = perm[j] of element e: the row of column j's entry
+    perms = [tuple(p) for p in np.abs(elems).argmax(axis=1).tolist()]
     sign_choices = list(product((-1, 1), repeat=4))
     found: dict[bytes, dict] = {}
     for st in sign_choices:
         a = _signed_perm_matrix(t_perm, st)
         for sc in sign_choices:
             b = _signed_perm_matrix(c_perm, sc)
-            group = generate_group([a, b, sigma], cap=384)
-            key = group.elements.tobytes()
-            if group.order != 48 or key in found:
+            members = subgroup(index(a), index(b), sigma_index)
+            key = members.tobytes()
+            if len(members) != 48 or key in found:
                 continue
-            mats = group.element_matrices()
-            # perms[e, j] = perm[j] of element e: the row of column j's entry
-            perms = [tuple(p) for p in np.abs(mats).argmax(axis=1).tolist()]
             # sigma is a generator, so two diagonal elements means {1, sigma}
-            if perms.count(ident_perm) != 2:
+            if [perms[e] for e in members].count(ident_perm) != 2:
                 continue
-            lifts_t = [m for m, p in zip(mats, perms) if p == t_perm]
-            lifts_c = [m for m, p in zip(mats, perms) if p == c_perm]
+            lifts_t = [e for e in members if perms[e] == t_perm]
+            lifts_c = [e for e in members if perms[e] == c_perm]
             split = any(
-                generate_group([at, bc], cap=384).order == 24
-                for at in lifts_t
-                for bc in lifts_c
+                len(subgroup(at, bc)) == 24 for at in lifts_t for bc in lifts_c
             )
-            sizes = orbits_under_generators(group.generators, sign_choices).sizes
+            sizes = orbits_under_generators([a, b, sigma], sign_choices).sizes
             if not split and sizes != [16]:
                 raise ToolkitError(
                     f"claim falsified: non-split subgroup with orbits {sizes}"

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from delpezzo.cli import main, run_example
+from delpezzo.ruled import FUZZ_BUDGET, FUZZ_MAX_DEPTH
 from delpezzo.thresholds import load_profile, profile_to_dict
 
 
@@ -112,6 +113,19 @@ def test_ruled_cmd(runner):
     data = json.loads(res.output)
     assert data["all_passed"] is True
     assert data["trials"] == 50
+
+
+@pytest.mark.parametrize(
+    "args", [["--trials", "1000000000"], ["--trials", "2", "--depth", "100000000"]]
+)
+def test_ruled_budget_refused(runner, args):
+    res = invoke(runner, ["ruled", *args])
+    assert res.exit_code == 1 and res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--trials" in lines[0] and "--depth" in lines[0]
+    help_text = " ".join(invoke(runner, ["ruled", "--help"]).output.split())
+    assert f"trials x depth <= {FUZZ_BUDGET} and depth <= {FUZZ_MAX_DEPTH}" in help_text
 
 
 def test_count_csv_header(runner):

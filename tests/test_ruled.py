@@ -27,6 +27,7 @@ from delpezzo import (
     verify_second_minus_one,
     with_marked,
 )
+from delpezzo.ruled import FUZZ_BUDGET, FUZZ_MAX_DEPTH, check_fuzz_budget
 
 
 def test_section_height():
@@ -212,6 +213,24 @@ def test_fuzz_harness():
     assert rep == fuzz_blow_up_sequences(count=300, depth=8, seed=0)
     with pytest.raises(DomainError):
         fuzz_blow_up_sequences(count=0)
+
+
+def test_fuzz_budget():
+    # the benchmark's and the acceptance suite's runs fit
+    for count, depth in ((400, 16), (1000, 8), (200, 8)):
+        check_fuzz_budget(count, depth)
+    # the largest accepted budgets, and one more blow-up past each
+    for count, depth in ((FUZZ_BUDGET // FUZZ_MAX_DEPTH, FUZZ_MAX_DEPTH), (FUZZ_BUDGET, 1)):
+        check_fuzz_budget(count, depth)
+        with pytest.raises(DomainError, match="past the fuzz budget"):
+            check_fuzz_budget(count + 1, depth)
+    with pytest.raises(DomainError, match="past the fuzz budget"):
+        check_fuzz_budget(1, FUZZ_MAX_DEPTH + 1)
+    assert fuzz_blow_up_sequences(count=1, depth=FUZZ_MAX_DEPTH)["all_passed"]
+    # refused before the first trial, however large the budget
+    for count, depth in ((10**9, 8), (2, 10**8), (10**100, 10**100)):
+        with pytest.raises(DomainError, match=f"--trials {count} x --depth {depth}"):
+            fuzz_blow_up_sequences(count=count, depth=depth)
 
 
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8))

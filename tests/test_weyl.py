@@ -148,6 +148,49 @@ def test_closure_matches_python_bfs(case):
     assert group.elements.tobytes() == _bfs_table(gens)
 
 
+def _mat_product(a, b):
+    r = len(a)
+    return tuple(
+        tuple(sum(a[i][m] * b[m][j] for m in range(r)) for j in range(r)) for i in range(r)
+    )
+
+
+def _dimino_cases():
+    """(label, generators, generating set of the same group for the oracle)."""
+    e8 = weyl_generators(make_lattice(8))
+    for i in range(8):
+        for j in range(i + 1, 8):
+            yield f"W(E8) s{i} s{j}", [e8[i], e8[j]], [e8[i], e8[j]]
+    e6 = weyl_generators(make_lattice(6))
+    # s2 s5 has order 3: the roots E3 - E4 and H - E1 - E2 - E3 are adjacent
+    sub6 = [e6[1], e6[3], _mat_product(e6[2], e6[5])]
+    yield "W(E6) subgroup of order 192", sub6, sub6
+    e5 = weyl_generators(make_lattice(5))
+    eye = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    # the oracle closes the simple reflections alone
+    yield "W(E5) redundant", e5[:2] + [_mat_product(e5[0], e5[1]), eye] + e5[2:], e5
+
+
+def test_dimino_matches_python_bfs():
+    orders = set()
+    for label, gens, oracle_gens in _dimino_cases():
+        table = _bfs_table(oracle_gens)
+        order = len(table) // len(gens[0]) ** 2
+        # a cap at the order also stops a closure that would repeat a coset
+        for order_of_gens in (gens, gens[::-1]):
+            group = generate_group(order_of_gens, cap=order)
+            assert group.elements.tobytes() == table, label
+        orders.add(order)
+    assert sorted(orders) == [4, 6, 192, 1920]
+    # the last tower step of signed-perm-4 adds several cosets per level
+    gens = _signed_perm_gens()
+    assert generate_group(gens, cap=384).order == 384
+    with pytest.raises(CapExceeded):
+        generate_group(gens, cap=383)
+    with pytest.raises(DomainError, match="not invertible"):
+        generate_group(gens + [((1, 0, 0, 0),) * 4])
+
+
 def test_closure_int8_edges():
     # as errors: a product past float16's range would overflow it with a warning
     with warnings.catch_warnings():
@@ -178,8 +221,13 @@ def test_closure_int8_edges():
         [[[]]],
         [[[1]], [[1, 0], [0, 1]]],
         [5],
+        [[[0]]],
+        [[[0, 1], [0, 0]]],
+        # the square is diag(0, 1): no power equals its predecessor
+        [[[0, 0], [0, -1]]],
     ],
-    ids=["none", "float", "float-array", "past-int64", "2x3", "empty-row", "mixed-ranks", "scalar"],
+    ids=["none", "float", "float-array", "past-int64", "2x3", "empty-row", "mixed-ranks", "scalar",
+         "singular", "nilpotent", "period-2-singular"],
 )
 def test_closure_refuses_bad_generators(gens):
     with pytest.raises(DomainError):
