@@ -176,6 +176,9 @@ def orbits(degree, classes):
     """Orbit sizes of curve classes under the full Weyl group."""
     lat = _lattice_for_degree(degree)
     vectors = _KINDS[classes](lat)
+    if classes == "cubics":
+        # orbits act on the classes, not on their kind tags
+        vectors = [c for c, _ in vectors]
     gens = weyl.weyl_generators(lat)
     part = weyl.orbits_under_generators(gens, vectors)
     return {
@@ -242,7 +245,12 @@ def _report_or_table(fmt, report, convergence):
 @_DMAX
 @_FORMAT
 def count_cmd(profile, model_path, q, dmax, fmt):
-    """Exact counting function vs the closed-form asymptotic."""
+    """Exact counting function vs the closed-form asymptotic.  Refused
+    before the first slice unless the height slices test at most 2097152
+    candidate points and every power of q (exponents dmax and height +
+    dim_rule) holds at most 4096 bits, counted as |exponent| x the bit length
+    of q's numerator or denominator, whichever is longer: so dmax + dim_rule
+    <= 2048 for q = 2."""
     if (profile is None) == (model_path is None):
         raise click.UsageError("pass exactly one of --profile / --model")
     if model_path is not None:
@@ -306,7 +314,10 @@ def run_example(name: str, q: Fraction, dmax: int) -> dict:
 @_DMAX
 @_FORMAT
 def example_cmd(name, q, dmax, fmt):
-    """Reproduce the shipped worked examples end to end."""
+    """Reproduce the shipped worked examples end to end.  The convergence
+    table is refused under the budget of `count`: at most 2097152 candidate
+    points, and every power of q at most 4096 bits (dmax + 2 <= 2048 for
+    q = 2)."""
     report = run_example(name, q, dmax)
     return _report_or_table(fmt, report, report["convergence"])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 from .errors import CapExceeded, DomainError, _json_field, _json_int, _read_json
@@ -117,6 +117,22 @@ def tau(p: FibrationProfile) -> int:
     return p.num_profiles * p.lattice_index
 
 
+def _slice_box(gens, heights, height: Vec, s: int):
+    """(pivot, free, box) for the points of cone(gens) at height s, where
+    heights[j] is the height of gens[j]: the height fixes the pivot, the
+    coordinate with the largest height entry, and every point has
+    |x_k| <= box[j] on the j-th free coordinate k.  The box grows with s."""
+    rho = len(height)
+    pivot = max(range(rho), key=lambda k: abs(height[k]))
+    free = [k for k in range(rho) if k != pivot]
+    # lam_j <= s / h_j bounds each coordinate of a cone point at height s
+    box = [
+        int(sum((Fraction(s, h) * abs(g[k]) for g, h in zip(gens, heights)), Fraction(0)))
+        for k in free
+    ]
+    return pivot, free, box
+
+
 def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
     by exhaustive enumeration over the bounding box of the height slice; the
@@ -139,17 +155,10 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     if s < 0:
         return 0
     facets = dual_cone_rays(gens)
-    # lam_j <= s / h_j bounds each coordinate of a cone point at height s
-    bound = [
-        sum((Fraction(s, h) * abs(g[k]) for g, h in zip(gens, heights)), Fraction(0))
-        for k in range(rho)
-    ]
-    box = [int(b) for b in bound]
-    pivot = max(range(rho), key=lambda k: abs(height[k]))
-    free = [k for k in range(rho) if k != pivot]
+    pivot, free, box = _slice_box(gens, heights, height, s)
 
     deltas = []
-    for coords in product(*(range(-box[k], box[k] + 1) for k in free)):
+    for coords in product(*(range(-b, b + 1) for b in box)):
         rest = s - sum(height[k] * a for k, a in zip(free, coords))
         q, r = divmod(rest, height[pivot])
         if r:
@@ -203,9 +212,57 @@ def default_model(p: FibrationProfile, q, dim_rule: int = 2) -> CountingModel:
     )
 
 
+# Work budget of the counting engine (`check_count_budget`).  The power bound
+# also keeps every exact value printable: Python refuses to convert an int of
+# more than 4300 digits to a string.  A candidate costs about 1 us: on a
+# 2-CPU Xeon host a rank-2 cone scanning 1.9M candidates takes about 2 s, and
+# a rank-1 report to d = 2046 at q = 2 (exponents up to 2048) about 0.25 s.
+COUNT_BUDGET = 2**21
+COUNT_POWER_BITS = 2**12
+
+
+def check_count_budget(m: CountingModel, d: int) -> None:
+    """Raise DomainError unless counting heights up to d fits the budget.
+
+    Powers: each slice at height i weighs q**(i + dim_rule), and each report
+    row d takes q**d; every |exponent| times the bit length of q's larger
+    term must be at most COUNT_POWER_BITS.  Scan: a translate at height
+    `start` has d - start + 1 slices, each testing at most the candidates of
+    its `_slice_box`, which grows with the height, so the top slice's box
+    times the slice count bounds the translate's scan; the sum over
+    translates must be at most COUNT_BUDGET.  Costs one box per translate,
+    whatever d is.
+    """
+    cone = m.profile.nef_cone_eta
+    heights = [dot(cone.height, g) for g in cone.generators]
+    starts = [dot(cone.height, t) for t in m.translates]
+    starts = [start for start in starts if start <= d]
+    exponents = [d] + [i + m.dim_rule for start in starts for i in (start, d)]
+    q_bits = max(m.q.numerator.bit_length(), m.q.denominator.bit_length())
+    max_exponent = COUNT_POWER_BITS // q_bits
+    if max(abs(e) for e in exponents) > max_exponent:
+        raise DomainError(
+            f"--dmax {d} with dim_rule {m.dim_rule} is past the counting budget: "
+            f"powers of q at most {COUNT_POWER_BITS} bits, so for a q of "
+            f"{q_bits} bits exponents at most {max_exponent} in size"
+        )
+    scan = sum(
+        (d - start + 1)
+        * prod(2 * b + 1 for b in _slice_box(cone.generators, heights, cone.height, d - start)[2])
+        for start in starts
+    )
+    if scan > COUNT_BUDGET:
+        raise DomainError(
+            f"--dmax {d} is past the counting budget: the height slices of this "
+            f"cone would test up to {scan} candidate points, at most {COUNT_BUDGET}"
+        )
+
+
 def count_exact(m: CountingModel, d: int) -> Fraction:
     """Sum of brauer_order * (points at height i) * q^(i + dim_rule) over
-    heights i <= d and all translates.  Exact rational."""
+    heights i <= d and all translates.  Exact rational.  A d past
+    `check_count_budget` raises DomainError before the first slice."""
+    check_count_budget(m, d)
     cone = m.profile.nef_cone_eta
     total = Fraction(0)
     for t in m.translates:
@@ -246,10 +303,12 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     The final extrapolated ratio is the measured offset between the exact
     count and the closed-form constant; both constants are reported and the
     offset is never folded into either one.  `stabilizes` holds when the last
-    raw ratio is within 5% of the extrapolated limit.
+    raw ratio is within 5% of the extrapolated limit.  A d_max past
+    `check_count_budget` raises DomainError before the first slice.
     """
     if d_max < 3:
         raise DomainError(f"convergence report needs d_max >= 3, got {d_max}")
+    check_count_budget(m, d_max)
     cone = m.profile.nef_cone_eta
     starts = [(t, dot(cone.height, t)) for t in m.translates]
     theorem = theorem_constant(m)

@@ -19,10 +19,13 @@ to the permutations they induce on a finite class set, exactly in int64,
 with the classes keyed by the same helpers, and `_orbit_labels` reads orbits
 off such permutations.  `orbits_under_generators` needs the generators'
 permutations only, so orbits stay available for groups too large to
-materialize; the conic bundle analysis reads its subgroups off one
-multiplication table of the signed permutation group on 4 letters (as 4 x 4
-matrices), as orbits of the identity.  The Weyl groups and the
-diagonal-cubic subgroup search use the same pieces.
+materialize.  The two subgroup searches compute their permutation tables
+once and read every group question off rows of them, orbit sizes through
+`_orbit_sizes`: the diagonal-cubic search off the actions of W(E6) on lines
+and of its order-3 elements on conics, the conic bundle analysis off left
+multiplication in the signed permutation group on 4 letters (as 4 x 4
+matrices), whose subgroups are orbits of the identity, and off its action
+on the 16 sign vectors.
 """
 
 from __future__ import annotations
@@ -367,6 +370,11 @@ def _orbit_labels(perms: np.ndarray) -> np.ndarray:
             label = label[label]
 
 
+def _orbit_sizes(perms: np.ndarray) -> list[int]:
+    """Sorted orbit sizes under a stack of permutations (one row each)."""
+    return sorted(np.unique(_orbit_labels(perms), return_counts=True)[1].tolist())
+
+
 def orbits_under_generators(gens, classes) -> OrbitPartition:
     """Orbit partition of a class set closed under the generated action.
 
@@ -424,13 +432,19 @@ def find_diagonal_cubic_subgroup(
     Deterministic: elements are scanned in canonical byte order, so repeated
     runs return the identical subgroup.  Raises NotFound when the scan
     exhausts (it does not for the genuine Weyl group).
+
+    Every group question is read off two permutation tables computed once:
+    the faithful action of every element on the lines, and the action of the
+    order-3 elements on the conics.  B and C come after A in the scan (so
+    neither is A), commute with A and lie outside <A>, and C commutes with B
+    and lies outside <A, B>: so <A, B> has order 9 and <A, B, C> order 27,
+    and its orbits are those of its generators' rows (`_orbit_sizes`).
     """
     if lat.n != 6:
         raise DomainError("the diagonal cubic search needs blow-up count 6")
     lines = curves.enumerate_neg_one_curves(lat)
     conics = curves.enumerate_conic_classes(lat)
-    mats = group.elements
-    P = _permutation_action(mats, lines)
+    P = _permutation_action(group.elements, lines)
     ident = np.arange(len(lines), dtype=P.dtype)
 
     P2 = np.take_along_axis(P, P, axis=1)
@@ -440,6 +454,7 @@ def find_diagonal_cubic_subgroup(
     cand = np.flatnonzero(order3)
     Pc = P[cand]
     Pc2 = P2[cand]
+    Qc = _permutation_action(group.elements[cand], conics)
 
     target = [9, 9, 9]
     for i1 in range(len(cand)):
@@ -447,11 +462,7 @@ def find_diagonal_cubic_subgroup(
         comm = (A[Pc] == Pc[:, A]).all(axis=1)
         comm_idx = np.flatnonzero(comm)
         comm_idx = comm_idx[comm_idx > i1]
-        pool = [
-            j
-            for j in comm_idx
-            if not (Pc[j] == A).all() and not (Pc[j] == A2).all()
-        ]
+        pool = [j for j in comm_idx if not (Pc[j] == A2).all()]
         for pi2, i2 in enumerate(pool):
             B = Pc[i2]
             sub9 = {
@@ -459,23 +470,18 @@ def find_diagonal_cubic_subgroup(
                 for pa in (ident, A, A2)
                 for pb in (ident, B, Pc2[i2])
             }
-            if len(sub9) != 9:
-                continue
             for i3 in pool[pi2 + 1 :]:
                 C = Pc[i3]
                 if not (B[C] == C[B]).all():
                     continue
                 if C.tobytes() in sub9:
                     continue
-                Ms = [mats[cand[i]] for i in (i1, i2, i3)]
-                if orbits_under_generators(Ms, lines).sizes != target:
+                idx = [i1, i2, i3]
+                if _orbit_sizes(Pc[idx]) != target:
                     continue
-                if orbits_under_generators(Ms, conics).sizes != target:
+                if _orbit_sizes(Qc[idx]) != target:
                     continue
-                sub = generate_group(Ms, cap=27)
-                if sub.order != 27:
-                    continue
-                return sub
+                return generate_group(group.elements[cand[idx]], cap=27)
     raise NotFound(
         "no order-27 exponent-3 subgroup with 9/9/9 line and conic orbits"
     )
@@ -502,15 +508,17 @@ def conic_bundle_extension_analysis() -> dict:
 
     Every such G is generated by sigma together with one lift of each of the
     transposition (0 1) and the 4-cycle (0 1 2 3); the scan over the 16 x 16
-    lifts is therefore exhaustive.  The ambient group is closed once, and each
-    candidate G and each candidate complement is read off its multiplication
-    table as the orbit of the identity under left multiplication.
+    lifts is therefore exhaustive.  The ambient group is closed once, and
+    every group question is read off two permutation tables of its elements,
+    computed once: left multiplication and the action on the 16 sign vectors.
+    Each candidate G and each candidate complement is the orbit of the
+    identity under left multiplication by its generators, and the orbits of
+    G on sign vectors are those of its generators' rows (`_orbit_sizes`).
     """
     t_perm = (1, 0, 2, 3)
     c_perm = (1, 2, 3, 0)
     ident_perm = (0, 1, 2, 3)
     plus = (1, 1, 1, 1)
-    sigma = _signed_perm_matrix(ident_perm, (-1, -1, -1, -1))
     basis_flips = [
         _signed_perm_matrix(ident_perm, tuple(-1 if j == i else 1 for j in range(4)))
         for i in range(4)
@@ -521,20 +529,18 @@ def conic_bundle_extension_analysis() -> dict:
         cap=384,
     )
     elems = b4.elements
-    b4_mats = b4.element_matrices()
-    sig = np.array(sigma, dtype=np.int64)
-    sigma_central = bool((b4_mats @ sig == sig @ b4_mats).all())
 
     # left[e, f] = index of elems[e] @ elems[f]: elems[e] acts on the
     # row-major flattened elements as kron(elems[e], I_4)
     flat = elems.reshape(len(elems), -1)
     left = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
-    keys = _row_keys(flat)
+    signs = _permutation_action(elems, list(product((-1, 1), repeat=4)))
 
-    def index(M: Matrix) -> int:
-        return int(_find(keys, _row_keys(np.array(M, dtype=np.int8).reshape(1, -1)))[0][0])
-
-    one, sigma_index = index(_signed_perm_matrix(ident_perm, plus)), index(sigma)
+    # a signed permutation matrix has trace 4 only as the identity and -4
+    # only as sigma = -1
+    trace = elems.trace(axis1=1, axis2=2)
+    one, sigma = int(np.flatnonzero(trace == 4)[0]), int(np.flatnonzero(trace == -4)[0])
+    sigma_central = bool((left[sigma] == left[:, sigma]).all())
 
     def subgroup(*gens: int) -> np.ndarray:
         """Sorted indices of <gens>: the orbit of the identity under left
@@ -542,27 +548,27 @@ def conic_bundle_extension_analysis() -> dict:
         label = _orbit_labels(left[list(gens)])
         return np.flatnonzero(label == label[one])
 
-    # perms[e][j] = perm[j] of element e: the row of column j's entry
-    perms = [tuple(p) for p in np.abs(elems).argmax(axis=1).tolist()]
-    sign_choices = list(product((-1, 1), repeat=4))
+    # perms[e, j] = perm[j] of element e: the row of column j's entry
+    perms = np.abs(elems).argmax(axis=1)
+    diagonal, lifts_t, lifts_c = (
+        np.flatnonzero((perms == p).all(axis=1)) for p in (ident_perm, t_perm, c_perm)
+    )
     found: dict[bytes, dict] = {}
-    for st in sign_choices:
-        a = _signed_perm_matrix(t_perm, st)
-        for sc in sign_choices:
-            b = _signed_perm_matrix(c_perm, sc)
-            members = subgroup(index(a), index(b), sigma_index)
+    for a in lifts_t:
+        for b in lifts_c:
+            members = subgroup(a, b, sigma)
             key = members.tobytes()
             if len(members) != 48 or key in found:
                 continue
             # sigma is a generator, so two diagonal elements means {1, sigma}
-            if [perms[e] for e in members].count(ident_perm) != 2:
+            if len(np.intersect1d(members, diagonal)) != 2:
                 continue
-            lifts_t = [e for e in members if perms[e] == t_perm]
-            lifts_c = [e for e in members if perms[e] == c_perm]
             split = any(
-                len(subgroup(at, bc)) == 24 for at in lifts_t for bc in lifts_c
+                len(subgroup(at, bc)) == 24
+                for at in np.intersect1d(members, lifts_t)
+                for bc in np.intersect1d(members, lifts_c)
             )
-            sizes = orbits_under_generators([a, b, sigma], sign_choices).sizes
+            sizes = _orbit_sizes(signs[[a, b, sigma]])
             if not split and sizes != [16]:
                 raise ToolkitError(
                     f"claim falsified: non-split subgroup with orbits {sizes}"

@@ -1,15 +1,22 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from delpezzo.cli import main, run_example
+from delpezzo.cli import _Rational, main, run_example
+from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS
 from delpezzo.ruled import FUZZ_BUDGET, FUZZ_MAX_DEPTH
+from delpezzo.weyl import DEFAULT_CAP, WEYL_ORDERS
 from delpezzo.thresholds import load_profile, profile_to_dict
 
 
@@ -74,6 +81,21 @@ def test_weyl_and_orbits(runner):
     assert data["orbit_sizes"] == [16]
 
 
+@pytest.mark.parametrize(
+    "degree, sizes",
+    [(1, [240, 17280]), (2, None), (3, [1, 72]), (4, None), (5, [5]), (6, None),
+     (7, None), (8, None), (9, [1])],
+)
+def test_orbits_of_cubics(runner, degree, sizes):
+    # the cubic classes' kind tags are not part of the classes acted on
+    res = invoke(runner, ["orbits", "--degree", str(degree), "--classes", "cubics"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert sum(data["orbit_sizes"]) == data["count"]
+    if sizes is not None:
+        assert data["orbit_sizes"] == sizes
+
+
 def test_weyl_refuses_known_order_past_cap(runner, monkeypatch):
     # refused from the closed-form order, before any closure runs
     def closure(*args, **kwargs):
@@ -126,6 +148,22 @@ def test_ruled_budget_refused(runner, args):
     assert "--trials" in lines[0] and "--depth" in lines[0]
     help_text = " ".join(invoke(runner, ["ruled", "--help"]).output.split())
     assert f"trials x depth <= {FUZZ_BUDGET} and depth <= {FUZZ_MAX_DEPTH}" in help_text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["count", "--profile", "cubic-pencil", "--dmax", "100000000"],
+     ["example", "--name", "x5-pencil", "--dmax", "100000000"]],
+    ids=["count", "example"],
+)
+def test_count_budget_refused(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 1 and res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --dmax 100000000 ")
+    help_text = " ".join(invoke(runner, [args[0], "--help"]).output.split())
+    assert f"at most {COUNT_BUDGET} candidate points" in help_text
+    assert f"at most {COUNT_POWER_BITS} bits" in help_text
 
 
 def test_count_csv_header(runner):
@@ -289,6 +327,14 @@ def _bad_inputs(tmp_path):
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     (tmp_path / "not-utf8.json").write_bytes(b"\xff" * 16)
+    wide = dict(x5, rho_eta=2, nef_cone_eta={"generators": [[1, -1000000], [1, 1000000]],
+                                             "height": [1, 0]})
+    budget_files = {
+        "model-dim-rule-past-budget": dict(model, dim_rule=10**14),
+        "model-cone-past-budget": {"profile": wide, "translates": [[0, 0]], "q": "2"},
+    }
+    for name, data in budget_files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     return {
         "q-not-rational": (["count", "--profile", "cubic-pencil", "--q", "abc"], 2),
         "example-q-not-rational": (
@@ -310,6 +356,10 @@ def _bad_inputs(tmp_path):
             ["thresholds", "--profile", str(tmp_path / "not-utf8.json")], 1
         ),
         "model-not-utf8": (["count", "--model", str(tmp_path / "not-utf8.json")], 1),
+        **{
+            name: (["count", "--model", str(tmp_path / f"{name}.json"), "--dmax", "5"], 1)
+            for name in budget_files
+        },
     }
 
 
@@ -326,6 +376,8 @@ def _bad_inputs(tmp_path):
         "model-directory",
         "profile-not-utf8",
         "model-not-utf8",
+        "model-dim-rule-past-budget",
+        "model-cone-past-budget",
     ],
 )
 def test_bad_input_exits_cleanly(runner, tmp_path, case):
@@ -354,3 +406,86 @@ def test_cli_import_leaves_sympy_out():
         env=env,
         check=True,
     )
+
+
+# option values by parameter type: valid ones next to huge, zero and negative
+# integers, malformed or huge rationals, unknown choices, and missing,
+# directory, non-UTF-8 and wrong-kind paths ({tmp} is a scratch directory)
+_INTS = st.one_of(
+    st.integers(1, 12), st.sampled_from([0, -1, -(2**63), 2**63, 10**8, 10**30])
+)
+_RATIONALS = st.sampled_from(
+    ["2", "5/2", "7/3", "1", "0", "-3", "1/0", "abc", "x/2", "2.5", "1e400", "1e5000", ""]
+)
+_PATHS = st.sampled_from(
+    ["cubic-pencil", "x5-pencil", "nope", "", "{tmp}", "{tmp}/missing.json",
+     "{tmp}/model.json", "{tmp}/not-utf8.json"]
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command and a value for each option it declares, each optional
+    one left out half the time."""
+    name = draw(st.sampled_from(sorted(main.commands)))
+    opts = {}
+    for param in main.commands[name].params:
+        if not param.required and not draw(st.booleans()):
+            continue
+        if isinstance(param.type, click.Choice):
+            values = st.sampled_from([*param.type.choices, "bogus"])
+        elif isinstance(param.type, _Rational):
+            values = _RATIONALS
+        elif param.type is click.INT:
+            values = _INTS
+        else:
+            assert param.type is click.STRING, f"no values drawn for {param.type}"
+            values = _PATHS
+        opts[param.opts[0]] = draw(values)
+    return name, opts
+
+
+def _slow(name, opts) -> bool:
+    """Valid draws that take seconds or much memory: the W(E7) and W(E8)
+    closures, the rank-9 cone dual, the 17520 cubic classes of degree 1, the
+    diagonal-cubic search and long fuzz runs; what they do is tested
+    elsewhere."""
+    degree = opts.get("--degree")
+    if name == "weyl" and degree in (1, 2):
+        return opts.get("--cap", DEFAULT_CAP) >= WEYL_ORDERS[9 - degree]
+    if name in ("curves", "orbits") and degree == 1:
+        return "cubics" in (opts.get("--kind"), opts.get("--classes"))
+    if name == "ruled":
+        trials, depth = opts.get("--trials", 1000), opts.get("--depth", 8)
+        return 0 < depth <= FUZZ_MAX_DEPTH and 256 < trials * depth <= FUZZ_BUDGET
+    return (name, degree) == ("fujita", 1) or opts.get("--name") == "diagonal-cubic"
+
+
+@pytest.fixture(scope="module")
+def argv_tmp(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "model.json").write_text(
+        json.dumps({"profile": "cubic-pencil", "translates": [[-1]], "q": "3"})
+    )
+    (tmp / "not-utf8.json").write_bytes(b"\xff" * 16)
+    return tmp
+
+
+@given(argv=_argv())
+@example(argv=("orbits", {"--degree": 3, "--classes": "cubics"}))
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_argv_exits_cleanly(argv_tmp, argv):
+    name, opts = argv
+    if _slow(name, opts):
+        return
+    args = [name]
+    for opt, value in opts.items():
+        args += [opt, str(value).replace("{tmp}", str(argv_tmp))]
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.stderr
+    if res.exit_code == 0 and opts.get("--format") == "csv":
+        rows = list(csv.reader(io.StringIO(res.stdout)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+    elif res.exit_code == 0:
+        json.loads(res.stdout)

@@ -24,6 +24,8 @@ from delpezzo import (
     tau,
     theorem_constant,
 )
+from delpezzo import counting
+from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS
 from delpezzo.errors import FieldError
 from delpezzo.linalg import mat_rank
 from delpezzo.thresholds import FibrationProfile, NefConeEta
@@ -316,6 +318,85 @@ def test_convergence_rows_match_counts_from_scratch():
                 assert r["asymptotic"] == asymptotic(m, r["d"])
                 assert r["ratio"] == r["exact"] / r["asymptotic"]
             assert rep["theorem_constant"] == theorem_constant(m)
+
+
+def _no_slices(*args):
+    raise AssertionError("a slice was counted")
+
+
+@pytest.mark.parametrize(
+    "model, d, words",
+    [
+        (default_model(load_profile("cubic-pencil"), 2), 10**8, "--dmax 100000000"),
+        (default_model(load_profile("x5-pencil"), Fraction(10**400)), 12, "q of 1329 bits"),
+        (
+            CountingModel(RANK1, ((1,),), Fraction(2), dim_rule=10**14),
+            5,
+            "dim_rule 100000000000000",
+        ),
+        (
+            CountingModel(
+                make_profile(2, -1, ((1, -(10**6)), (1, 10**6)), (1, 0)), ((0, 0),), Fraction(2)
+            ),
+            5,
+            f"120000006 candidate points, at most {COUNT_BUDGET}",
+        ),
+    ],
+    ids=["dmax", "huge-q", "dim-rule", "wide-cone"],
+)
+def test_count_budget_refuses_before_the_first_slice(monkeypatch, model, d, words):
+    monkeypatch.setattr(counting, "lattice_points_at_height", _no_slices)
+    for run in (convergence_report, count_exact):
+        with pytest.raises(DomainError, match="past the counting budget") as ex:
+            run(model, d)
+        assert words in str(ex.value) and "--dmax" in str(ex.value)
+
+
+def test_count_budget_edges(monkeypatch):
+    monkeypatch.setattr(counting, "lattice_points_at_height", lambda *args: 1)
+    # q = 2 has 2 bits, so exponents up to 2048: the top slice weighs q**(d + 2)
+    m = CountingModel(RANK1, ((1,),), Fraction(2))
+    last = COUNT_POWER_BITS // 2 - 2
+    count_exact(m, last)
+    convergence_report(m, last)
+    for run in (convergence_report, count_exact):
+        with pytest.raises(DomainError, match="exponents at most 2048"):
+            run(m, last + 1)
+    # a negative dim_rule is bounded in size too
+    low = CountingModel(RANK1, ((1,),), Fraction(2), dim_rule=-2050)
+    with pytest.raises(DomainError, match="past the counting budget"):
+        count_exact(low, 3)
+    # RANK2 at d = 4: 5 slices of at most 9 candidates each
+    m2 = CountingModel(RANK2, ((0, 0),), Fraction(2))
+    monkeypatch.setattr(counting, "COUNT_BUDGET", 45)
+    count_exact(m2, 4)
+    monkeypatch.setattr(counting, "COUNT_BUDGET", 44)
+    with pytest.raises(DomainError, match="45 candidate points, at most 44"):
+        count_exact(m2, 4)
+
+
+def test_count_budget_bounds_the_real_scan(monkeypatch):
+    # the prediction must cover every candidate the slices enumerate: with
+    # the budget set one below the real scan, the check refuses
+    rng = random.Random(77)
+    for rho, d in ((1, 9), (2, 7), (3, 5)):
+        for _ in range(4):
+            m = _random_model(rng, rho)
+            scanned = 0
+
+            def counted(*ranges):
+                nonlocal scanned
+                for coords in itertools.product(*ranges):
+                    scanned += 1
+                    yield coords
+
+            with monkeypatch.context() as mp:
+                mp.setattr(counting, "product", counted)
+                count_exact(m, d)
+            with monkeypatch.context() as mp:
+                mp.setattr(counting, "COUNT_BUDGET", scanned - 1)
+                with pytest.raises(DomainError, match="past the counting budget"):
+                    count_exact(m, d)
 
 
 def test_model_json_rejects_malformed_documents():
