@@ -368,7 +368,7 @@ def model_from_json(data: dict) -> CountingModel:
             lambda raw: load_profile(raw) if isinstance(raw, str) else _profile_from_dict(raw),
         ),
         translates=get("translates", _int_rows),
-        q=get("q", Fraction),
+        q=get("q", lambda x: Fraction(x if isinstance(x, str) else _json_int(x))),
         dim_rule=get("dim_rule", _json_int, 2),
     )
 

@@ -5,9 +5,9 @@ Cauchy-Schwarz prune; it is exhaustive within the derived coefficient bounds,
 so the outputs are complete lists, not samples.  Nefness is read from one
 table per lattice, the pairing normals of the effective-cone generators (the
 (-1)-curves from two blow-ups on): `is_nef`, `nef_classes_of_height`,
-`decompose_nef_integral` and `break_fiber_class` test against it through
-`linalg.cone_contains`, each search testing all its candidates in one call,
-and `nef_curve_cone` dualizes it with `linalg.dual_cone_rays`.
+`nef_curve_cone`, `decompose_nef_integral` and `break_fiber_class` test
+against it through `linalg.cone_contains`, each search testing all its
+candidates in one call.
 """
 
 from __future__ import annotations
@@ -33,18 +33,13 @@ class CurveClassKind(Enum):
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational polyhedral cone, by generators and/or facet inequalities.
-
-    Facets are vectors f acting through the lattice pairing: x is inside when
-    pair(f, x) >= 0 for every f.  Either tuple may be empty but not both.
-    """
+    """A rational polyhedral cone, by its generators (at least one)."""
 
     generators: tuple[Vec, ...]
-    facets: tuple[Vec, ...]
 
     def __post_init__(self):
-        if not self.generators and not self.facets:
-            raise DomainError("cone needs generators or facets")
+        if not self.generators:
+            raise DomainError("cone needs generators")
 
 
 def _class_search(lat: PicardLattice, self_int: int, degree: int) -> list[Vec]:
@@ -138,7 +133,7 @@ def effective_cone_generators(lat: PicardLattice) -> Cone:
         gens = ((0, 1), (1, -1))
     else:
         gens = tuple(enumerate_neg_one_curves(lat))
-    return Cone(generators=gens, facets=())
+    return Cone(generators=gens)
 
 
 @lru_cache(maxsize=None)
@@ -155,14 +150,14 @@ def is_nef(lat: PicardLattice, c) -> bool:
     return linalg.cone_contains(_nef_normals(lat), _check_vec(lat, c))
 
 
+@lru_cache(maxsize=None)
 def nef_curve_cone(lat: PicardLattice) -> Cone:
-    """Dual of the effective cone under the pairing, as generators + facets.
-
-    Generators are the extreme rays (primitive, sorted); facets echo the
-    effective generators, each supporting a facet of the dual.
-    """
-    rays = linalg.dual_cone_rays(_nef_normals(lat).tolist())
-    return Cone(generators=tuple(rays), facets=effective_cone_generators(lat).generators)
+    """Dual of the effective cone under the pairing, by its extreme rays
+    (primitive, sorted): the nef conics and square-1 cubics of the class
+    search (Batyrev & Popov 2004).  Only -K + 2l, l a line, n = 8, is not nef."""
+    found = _class_search(lat, 0, 2) + _class_search(lat, 1, 3)
+    nef = linalg.cone_contains(_nef_normals(lat), found)
+    return Cone(generators=tuple(sorted(c for c, ok in zip(found, nef) if ok)))
 
 
 def _feasible_squares(lat: PicardLattice, height: int) -> list[int]:

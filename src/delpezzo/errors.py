@@ -1,6 +1,6 @@
 """Error taxonomy shared by every module, and the readers of the JSON parsers
 (profile, counting model, fiber tree): files, fields named by their path, and
-exact integers, booleans and strings.
+exact integers (within int64, the range of the kernels), booleans and strings.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are raised as click.UsageError and exit with code 2.
@@ -51,17 +51,20 @@ def _json_field(doc: str, data, key: str, convert, default=_REQUIRED):
 
 def _read_json(doc: str, path):
     """The JSON in the file `path`; a file that cannot be read (missing, a
-    directory, not UTF-8) or parsed raises one DomainError naming `doc`."""
+    directory, not UTF-8) or parsed (also an integer past 4300 digits, or
+    nesting past the recursion limit) raises one DomainError naming `doc`."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
+    except (OSError, ValueError, RecursionError) as ex:
         raise DomainError(f"cannot load {doc} {path}: {ex}") from None
 
 
 def _json_int(x) -> int:
-    """A JSON integer as it is; a float, string or boolean raises TypeError."""
+    """A JSON integer within int64; a float, string or boolean raises TypeError."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected an integer, got {x!r}")
+    if not -(2**63) <= x < 2**63:
+        raise ValueError(f"an integer of {x.bit_length()} bits is outside int64")
     return x
 
 

@@ -4,11 +4,11 @@ classification dictionary.
 a(X, L) is the minimal t with K + tL pseudoeffective.  With a polyhedral
 effective cone this is exact facet arithmetic: writing the facet inequalities
 of the effective cone as f . G x >= 0 (G the gram), the answer is the largest
-ratio -(f . G K) / (f . G L).  The facets come from `linalg.dual_cone_rays`
-and are paired with G L and G K in one guarded int64 product
-(`linalg._int64_operands`).  Surfaces are caller-described (gram, canonical
-class, effective generators, polarization); builders for blown-up planes and
-Hirzebruch surfaces are provided.
+ratio -(f . G K) / (f . G L).  The facets f are the nef rays: a del Pezzo
+surface carries them from `curves.nef_curve_cone`, any other surface gets
+them from `linalg.dual_cone_rays`, and they are paired with G L and G K in
+one guarded int64 product (`linalg._int64_operands`).  Builders for blown-up
+planes and Hirzebruch surfaces are provided.
 """
 
 from __future__ import annotations
@@ -39,30 +39,33 @@ class PolarizedSurface:
     gram: symmetric integer matrix of the pairing in the chosen basis.
     canonical: the class K.  eff_generators: generators of the effective
     cone (must span the space).  polarization: the class L under study.
+    nef_rays: the extreme rays of the nef cone, or None to dualize.
     """
 
     gram: tuple[tuple[int, ...], ...]
     canonical: Vec
     eff_generators: tuple[Vec, ...]
     polarization: Vec
+    nef_rays: tuple[Vec, ...] | None = None
 
     def __post_init__(self):
         r = len(self.gram)
         if any(len(row) != r for row in self.gram):
             raise DomainError("gram matrix must be square")
-        for v in (self.canonical, self.polarization, *self.eff_generators):
+        for v in (self.canonical, self.polarization, *self.eff_generators, *(self.nef_rays or ())):
             if len(v) != r:
                 raise DomainError(f"vector {v} does not match rank {r}")
 
 
 def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurface:
-    """Blown-up plane with its effective cone; default polarization -K."""
+    """Blown-up plane with its effective and nef cones; default polarization -K."""
     L = tuple(polarization) if polarization is not None else lat.anticanonical
     return PolarizedSurface(
         gram=lat.gram,
         canonical=lat.canonical,
         eff_generators=_curves.effective_cone_generators(lat).generators,
         polarization=L,
+        nef_rays=_curves.nef_curve_cone(lat).generators,
     )
 
 
@@ -87,14 +90,13 @@ def a_invariant(s: PolarizedSurface):
     in one int64 product and takes the largest -(f . K) / (f . L).
     """
     L = s.polarization
-    # gram folded into the generators: the same normals as the nef cone's,
-    # so both share one (memoized) double description run
     normals = [tuple(linalg.dot(row, g) for row in s.gram) for g in s.eff_generators]
     negative = [g for g, h in zip(s.eff_generators, normals) if linalg.dot(h, L) < 0]
     if negative:
         raise DomainError(f"polarization {L} is not nef: negative against {negative[0]}")
+    rays = s.nef_rays if s.nef_rays is not None else linalg.dual_cone_rays(normals)
     folded = [tuple(linalg.dot(row, v) for row in s.gram) for v in (L, s.canonical)]
-    F, X = linalg._int64_operands(linalg.dual_cone_rays(normals), folded, "a-invariant")
+    F, X = linalg._int64_operands(rays, folded, "a-invariant")
     on_l, on_k = (X @ F.T).tolist()
     if 0 in on_l:
         return INFINITE_A

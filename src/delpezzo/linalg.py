@@ -162,9 +162,8 @@ def dual_cone_rays(normals) -> list[Vec]:
     combinatorial test on exact tight sets.  Requires the normals to span
     (pointed dual cone); refuses (DomainError) normals whose products could
     leave int64.  Returns primitive integer rays, lexicographically sorted,
-    as a fresh list.  Memoized on the normals, so every caller that dualizes
-    the same cone (the nef cone and the a-invariant facets of a lattice, a
-    counting cone slice after slice) shares one run.
+    as a fresh list.  Memoized on the normals, since counting dualizes one
+    cone slice after slice.
     """
     return list(_dual_cone_rays(tuple(tuple(h) for h in normals)))
 

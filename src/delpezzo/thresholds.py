@@ -95,10 +95,10 @@ def _nef_from_dict(nef) -> NefConeEta:
 
 def _height_key(k: str) -> int:
     """A maxdef_table key: an integer in canonical form, so that no two keys
-    name one height ("-01", " -1 " and "-1_0" are refused)."""
+    name one height ("-01", " -1 " and "-1_0" are refused), within int64."""
     if str(int(k)) != k:
         raise ValueError(f"key {k!r} is not a canonical integer")
-    return int(k)
+    return _json_int(int(k))
 
 
 def _profile_from_dict(data: dict) -> FibrationProfile:

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +16,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.cli import _Rational, main, run_example
-from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS
-from delpezzo.ruled import FUZZ_BUDGET, FUZZ_MAX_DEPTH
+from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS, default_model, load_model, model_to_json
+from delpezzo.errors import DomainError, FieldError, _read_json
+from delpezzo.ruled import (
+    FUZZ_BUDGET,
+    FUZZ_MAX_DEPTH,
+    blow_up_fiber,
+    fibertree_from_json,
+    fibertree_to_json,
+    irreducible_fiber,
+    with_marked,
+)
 from delpezzo.weyl import DEFAULT_CAP, WEYL_ORDERS
-from delpezzo.thresholds import load_profile, profile_to_dict
+from delpezzo.thresholds import list_shipped_profiles, load_profile, profile_to_dict
 
 
 @pytest.fixture()
@@ -316,6 +327,11 @@ def test_criterion_10_stdout_digests(runner, args, digest):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
+# an integer literal of 5001 digits, past Python's limit of 4300 digits on
+# int strings; json.dumps cannot write it, so it is spliced into the text
+_HUGE_LITERAL = "1" + "0" * 5000
+
+
 def _bad_inputs(tmp_path):
     x5 = profile_to_dict(load_profile("x5-pencil"))
     model = {"profile": x5, "translates": [[x5["neg"]]], "q": "2"}
@@ -335,6 +351,16 @@ def _bad_inputs(tmp_path):
     }
     for name, data in budget_files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    # brauer_order past int64, and as an integer literal past Python's limit
+    # of 4300 digits on int strings (json.loads raises a plain ValueError);
+    # arrays nested past the recursion limit (json.loads raises RecursionError)
+    huge = json.dumps(dict(model, profile=dict(x5, brauer_order=10**4000)))
+    (tmp_path / "model-brauer-past-int64.json").write_text(huge)
+    (tmp_path / "model-nested-too-deep.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp_path / "model-brauer-5001-digits.json").write_text(
+        json.dumps(dict(model, profile=dict(x5, brauer_order=-1)))
+        .replace('"brauer_order": -1', '"brauer_order": ' + _HUGE_LITERAL)
+    )
     return {
         "q-not-rational": (["count", "--profile", "cubic-pencil", "--q", "abc"], 2),
         "example-q-not-rational": (
@@ -360,6 +386,17 @@ def _bad_inputs(tmp_path):
             name: (["count", "--model", str(tmp_path / f"{name}.json"), "--dmax", "5"], 1)
             for name in budget_files
         },
+        "model-brauer-past-int64": (
+            ["count", "--model", str(tmp_path / "model-brauer-past-int64.json"),
+             "--dmax", "1100"], 1
+        ),
+        "model-brauer-5001-digits": (
+            ["count", "--model", str(tmp_path / "model-brauer-5001-digits.json"),
+             "--dmax", "5"], 1
+        ),
+        "model-nested-too-deep": (
+            ["count", "--model", str(tmp_path / "model-nested-too-deep.json")], 1
+        ),
     }
 
 
@@ -378,6 +415,9 @@ def _bad_inputs(tmp_path):
         "model-not-utf8",
         "model-dim-rule-past-budget",
         "model-cone-past-budget",
+        "model-brauer-past-int64",
+        "model-brauer-5001-digits",
+        "model-nested-too-deep",
     ],
 )
 def test_bad_input_exits_cleanly(runner, tmp_path, case):
@@ -390,6 +430,100 @@ def test_bad_input_exits_cleanly(runner, tmp_path, case):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert "Invalid value for '--q'" in res.stderr
+
+
+# leaf replacements of the JSON property test: wrong types, NaN, Infinity, a
+# nested list, integers past int64 and the 5001-digit literal (spliced into
+# the text for its placeholder), and a missing key
+_LITERAL_PLACEHOLDER = "<5001-digit literal>"
+_MISSING = object()
+_BAD_LEAVES = ["x", 2.5, True, None, {}, [[1]], float("nan"), float("inf"),
+               2**70, 10**4000, _LITERAL_PLACEHOLDER, _MISSING]
+
+
+def _json_documents():
+    """(document name, document) pairs: the four shipped profiles, a seeded
+    counting model on each (and one naming its profile) and seeded fiber
+    trees."""
+    rng = random.Random(5)
+    profiles = [profile_to_dict(load_profile(name)) for name in list_shipped_profiles()]
+    docs = [("profile", p) for p in profiles]
+    for p in profiles:
+        model = default_model(load_profile(p["name"]), rng.choice(["2", "5/2", "7"]))
+        docs.append(("counting model", dict(model_to_json(model), dim_rule=rng.randint(0, 3))))
+    docs.append(("counting model", {"profile": "cubic-pencil", "translates": [[-1]], "q": "3"}))
+    for _ in range(4):
+        t = irreducible_fiber()
+        for _ in range(rng.randint(1, 5)):
+            t = blow_up_fiber(t, rng.choice([*range(len(t.components)), *t.edges]))
+        ones = [i for i, (_, m) in enumerate(t.components) if m == 1]
+        docs.append(("fiber tree", fibertree_to_json(with_marked(t, rng.choice(ones)))))
+    return docs
+
+
+_DOCUMENTS = _json_documents()
+
+
+def _leaf_paths(node, path=()):
+    """The paths to the values of a JSON document that are not containers."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [leaf for key, value in items for leaf in _leaf_paths(value, path + (key,))]
+
+
+@st.composite
+def _mutated_document(draw):
+    """A document with one or two leaves replaced by a bad value, a key
+    removed only from an object; returns its name, JSON text and the paths."""
+    name, doc = draw(st.sampled_from(_DOCUMENTS))
+    doc = json.loads(json.dumps(doc))
+    paths = draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=2, unique=True))
+    for path in paths:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        bad = [v for v in _BAD_LEAVES if v is not _MISSING or isinstance(last, str)]
+        value = draw(st.sampled_from(bad))
+        if value is _MISSING:
+            del node[last]
+        else:
+            node[last] = value
+    text = json.dumps(doc).replace(json.dumps(_LITERAL_PLACEHOLDER), _HUGE_LITERAL)
+    return name, text, paths
+
+
+@given(case=_mutated_document())
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_json_documents_load_or_name_the_fault(argv_tmp, case):
+    # every mutated document loads, or raises one DomainError that names
+    # the document or a field on the path to a mutated leaf
+    name, text, paths = case
+    path = argv_tmp / "document.json"
+    path.write_text(text)
+    read = {
+        "profile": lambda: load_profile(str(path)),
+        "counting model": lambda: load_model(path),
+        "fiber tree": lambda: fibertree_from_json(_read_json("fiber tree", path)),
+    }[name]
+    try:
+        read()
+    except FieldError as ex:
+        assert str(ex).startswith(f"{name} JSON field '")
+        field = ex.path.split(".")
+        keys = [list(itertools.takewhile(lambda k: isinstance(k, str), p)) for p in paths]
+        assert any(field[: len(k)] == k[: len(field)] for k in keys), (ex, paths)
+    except DomainError as ex:
+        assert str(ex).startswith(f"cannot load {name} {path}: "), ex
+    if name == "counting model":
+        res = CliRunner().invoke(main, ["count", "--model", str(path), "--dmax", "5"],
+                                 catch_exceptions=False)
+        assert res.exit_code in (0, 1)
+        assert "Traceback" not in res.stderr
+        if res.exit_code == 1:
+            lines = res.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_cli_import_leaves_sympy_out():
@@ -447,9 +581,8 @@ def _argv(draw):
 
 def _slow(name, opts) -> bool:
     """Valid draws that take seconds or much memory: the W(E7) and W(E8)
-    closures, the rank-9 cone dual, the 17520 cubic classes of degree 1, the
-    diagonal-cubic search and long fuzz runs; what they do is tested
-    elsewhere."""
+    closures, the 17520 cubic classes of degree 1, the diagonal-cubic search
+    and long fuzz runs; what they do is tested elsewhere."""
     degree = opts.get("--degree")
     if name == "weyl" and degree in (1, 2):
         return opts.get("--cap", DEFAULT_CAP) >= WEYL_ORDERS[9 - degree]
@@ -458,7 +591,7 @@ def _slow(name, opts) -> bool:
     if name == "ruled":
         trials, depth = opts.get("--trials", 1000), opts.get("--depth", 8)
         return 0 < depth <= FUZZ_MAX_DEPTH and 256 < trials * depth <= FUZZ_BUDGET
-    return (name, degree) == ("fujita", 1) or opts.get("--name") == "diagonal-cubic"
+    return opts.get("--name") == "diagonal-cubic"
 
 
 @pytest.fixture(scope="module")

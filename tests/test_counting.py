@@ -422,6 +422,15 @@ def test_model_json_rejects_malformed_documents():
         (dict(good, translates=[[True]]), "translates"),
         (dict(good, dim_rule=2.9), "dim_rule"),
         (dict(good, dim_rule="2"), "dim_rule"),
+        # q is a string or an integer, never a float or a boolean
+        (dict(good, q=True), "q"),
+        (dict(good, q=2.5), "q"),
+        # integers stay within int64, map keys included
+        (dict(good, dim_rule=2**63), "dim_rule"),
+        (dict(good, translates=[[-(2**63) - 1]]), "translates"),
+        (dict(good, profile=dict(good["profile"], brauer_order=10**4000)), "profile.brauer_order"),
+        (dict(good, profile=dict(good["profile"], maxdef_table={str(-(2**63) - 1): 1})),
+         "profile.maxdef_table"),
         (dict(good, profile=dict(good["profile"], brauer_order=True)), "profile.brauer_order"),
         (dict(good, profile=dict(good["profile"], maxdef_table={"-1": 1.0})),
          "profile.maxdef_table"),
@@ -450,3 +459,7 @@ def test_model_json_rejects_malformed_documents():
         with pytest.raises(DomainError, match=re.escape(f"counting model JSON {where}")) as ex:
             model_from_json(data)
         assert path is None or isinstance(ex.value, FieldError) and ex.value.path == path
+    edge = dict(good, q=7, dim_rule=2**63 - 1, translates=[[2**63 - 1]])
+    m = model_from_json(dict(edge, profile=dict(good["profile"], brauer_order=2**63 - 1)))
+    assert (m.q, m.dim_rule, m.profile.brauer_order) == (7, 2**63 - 1, 2**63 - 1)
+    assert m.translates == ((2**63 - 1,),)

@@ -27,7 +27,7 @@ from delpezzo import (
     pair,
     weyl_generators,
 )
-from delpezzo.linalg import mat_rank
+from delpezzo.linalg import dual_cone_rays, mat_rank
 
 LINE_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
 CONIC_COUNTS = [0, 1, 2, 3, 5, 10, 27, 126, 2160]
@@ -128,6 +128,17 @@ def test_nef_cone_ray_counts(n):
         assert math.gcd(*ray) == 1
         tight = [g for g in gens if pair(lat, g, ray) == 0]
         assert mat_rank(tight) == lat.rank - 1
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_nef_cone_matches_double_description(n):
+    # the rays read off the class search against an independent route: the
+    # dual of the effective-cone generators, with the pairing folded into
+    # them, by double description
+    lat = make_lattice(n)
+    gens = effective_cone_generators(lat).generators
+    normals = [(g[0], *(-x for x in g[1:])) for g in gens]
+    assert list(nef_curve_cone(lat).generators) == dual_cone_rays(normals)
 
 
 def test_is_nef():

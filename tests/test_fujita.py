@@ -19,8 +19,10 @@ from delpezzo import (
     larger_a_locus,
     make_lattice,
     nef_classes_of_height,
+    nef_curve_cone,
     polarized_del_pezzo,
 )
+from delpezzo import linalg
 from delpezzo.linalg import dual_cone_rays
 
 GT = AInvariantClass.GREATER_THAN_ONE
@@ -39,6 +41,20 @@ def test_del_pezzo_anticanonical(degree):
     a = a_invariant(surf)
     assert a == Fraction(1)
     assert isinstance(a, Fraction)
+
+
+def test_del_pezzo_a_invariant_runs_no_double_description(monkeypatch):
+    # a del Pezzo surface carries its nef rays from the class search; the
+    # memo is cleared so that the cone is built with the patch in place
+    def refuse(normals):
+        raise AssertionError("double description on a del Pezzo surface")
+
+    monkeypatch.setattr(linalg, "dual_cone_rays", refuse)
+    nef_curve_cone.cache_clear()
+    lat = make_lattice(8)
+    assert a_invariant(polarized_del_pezzo(lat)) == 1
+    minus_2k = tuple(2 * x for x in lat.anticanonical)
+    assert a_invariant(polarized_del_pezzo(lat, minus_2k)) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("e", [0, 1, 2])

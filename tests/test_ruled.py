@@ -150,6 +150,8 @@ def test_fibertree_json_round_trip():
         (dict(data, marked=0.0), "field 'marked':"),
         (dict(data, components=[[-2, 1], [-2, True], [-1, 2]]), "field 'components':"),
         (dict(data, edges=[[0, 2.5], [1, 2]]), "field 'edges':"),
+        (dict(data, components=[[-2, 1], [-2, 1], [-1, 2**63]]), "field 'components':"),
+        (dict(data, marked=-(2**63) - 1), "field 'marked':"),
     ):
         with pytest.raises(DomainError, match=f"fiber tree JSON {where}"):
             fibertree_from_json(bad)
