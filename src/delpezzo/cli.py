@@ -20,7 +20,7 @@ import click
 from click.core import ParameterSource
 
 from . import counting, curves, fujita, ruled, thresholds, weyl
-from .errors import ToolkitError
+from .errors import ToolkitError, _json_rational
 from .picard import make_lattice
 
 
@@ -50,13 +50,14 @@ def _emit_csv(header, rows) -> None:
 
 
 class _Rational(click.ParamType):
-    """A rational number such as 2 or 5/2, parsed to an exact Fraction."""
+    """A rational number such as 2 or 5/2, parsed to an exact Fraction; a
+    decimal exponent past the counting budget is a DomainError (exit 1)."""
 
     name = "rational"
 
     def convert(self, value, param, ctx):
         try:
-            return Fraction(value)
+            return _json_rational(str(value), counting.COUNT_POWER_BITS)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not a rational number", param, ctx)
 
@@ -246,11 +247,12 @@ def _report_or_table(fmt, report, convergence):
 @_FORMAT
 def count_cmd(profile, model_path, q, dmax, fmt):
     """Exact counting function vs the closed-form asymptotic.  Refused
-    before the first slice unless the height slices test at most 2097152
-    candidate points and every power of q (exponents dmax and height +
-    dim_rule) holds at most 4096 bits, counted as |exponent| x the bit length
-    of q's numerator or denominator, whichever is longer: so dmax + dim_rule
-    <= 2048 for q = 2."""
+    before the first slice unless the height slices count at most 1048576
+    column-generator pairs (slices x columns of the top slice's box without
+    its last coordinate x cone generators) and every power of q (exponents
+    dmax and height + dim_rule) holds at most 4096 bits, counted as
+    |exponent| x the bit length of q's numerator or denominator, whichever
+    is longer: so dmax + dim_rule <= 2048 for q = 2."""
     if (profile is None) == (model_path is None):
         raise click.UsageError("pass exactly one of --profile / --model")
     if model_path is not None:
@@ -315,9 +317,9 @@ def run_example(name: str, q: Fraction, dmax: int) -> dict:
 @_FORMAT
 def example_cmd(name, q, dmax, fmt):
     """Reproduce the shipped worked examples end to end.  The convergence
-    table is refused under the budget of `count`: at most 2097152 candidate
-    points, and every power of q at most 4096 bits (dmax + 2 <= 2048 for
-    q = 2)."""
+    table is refused under the budget of `count`: at most 1048576
+    column-generator pairs, and every power of q at most 4096 bits (dmax + 2
+    <= 2048 for q = 2)."""
     report = run_example(name, q, dmax)
     return _report_or_table(fmt, report, report["convergence"])
 

@@ -2,9 +2,9 @@
 
 All arithmetic is exact (int / Fraction).  The alpha constant is rho times
 the volume of the cone truncated at height 1, computed from an explicit fan
-triangulation; lattice point counts per height slice are exhaustive over a
-proven bounding box.  Dimensions are capped at 3: this is a desk-scale
-enumerator, not a general Ehrhart package.
+triangulation; each height slice is counted exactly, by one interval of the
+last free coordinate per column of a proven bounding box.  Dimensions are
+capped at 3: this is a desk-scale enumerator, not a general Ehrhart package.
 
 The asymptotic constant and the exact count are reported side by side.  With
 the default dimension rule (family dimension = height + 2) the exact count
@@ -16,16 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
-from math import factorial, prod
+from math import factorial, gcd, prod
 from pathlib import Path
 
-from .errors import CapExceeded, DomainError, _json_field, _json_int, _read_json
-from .linalg import cone_contains, convex_hull_2d, dot, dual_cone_rays, mat_rank
+from .errors import CapExceeded, DomainError, _json_document, _json_int, _json_rational, _read_json
+from .linalg import convex_hull_2d, dot, dual_cone_rays, mat_rank
 from .picard import Vec
 from .thresholds import (
     FibrationProfile,
+    NefConeEta,
     _int_rows,
     _profile_from_dict,
     load_profile,
@@ -62,25 +62,17 @@ def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
     generators scaled to height 1; it is triangulated fan-wise and summed as
     rho * sum |det| / rho! / index.
     """
-    gens = tuple(cone)
-    if not gens:
-        raise DomainError("alpha needs at least one generator")
+    gens = NefConeEta(tuple(cone), tuple(height)).generators
     rho = len(height)
     if index < 1:
         raise DomainError(f"lattice index must be >= 1, got {index}")
     if rho > 3:
         raise CapExceeded(f"alpha implemented for dimension <= 3, got {rho}")
-    for g in gens:
-        if len(g) != rho:
-            raise DomainError(f"generator {g} does not match dimension {rho}")
     if mat_rank(gens) != rho:
         raise DomainError("cone is not full-dimensional")
     vertices = []
     for g in gens:
-        h = dot(height, g)
-        if h <= 0:
-            raise DomainError(f"generator {g} has height {h} <= 0")
-        v = tuple(Fraction(x, 1) / h for x in g)
+        v = tuple(Fraction(x, 1) / dot(height, g) for x in g)
         if v not in vertices:
             vertices.append(v)
 
@@ -117,55 +109,71 @@ def tau(p: FibrationProfile) -> int:
     return p.num_profiles * p.lattice_index
 
 
-def _slice_box(gens, heights, height: Vec, s: int):
-    """(pivot, free, box) for the points of cone(gens) at height s, where
-    heights[j] is the height of gens[j]: the height fixes the pivot, the
-    coordinate with the largest height entry, and every point has
-    |x_k| <= box[j] on the j-th free coordinate k.  The box grows with s."""
+def _slice_box(gens, height: Vec):
+    """(pivot, free, box) for the height slices of cone(gens): the height
+    fixes the pivot, the coordinate with the largest height entry, and every
+    point at height s >= 0 has |x_k| <= box(s)[j] on the j-th free
+    coordinate k.  The box grows with s."""
     rho = len(height)
     pivot = max(range(rho), key=lambda k: abs(height[k]))
     free = [k for k in range(rho) if k != pivot]
     # lam_j <= s / h_j bounds each coordinate of a cone point at height s
-    box = [
-        int(sum((Fraction(s, h) * abs(g[k]) for g, h in zip(gens, heights)), Fraction(0)))
-        for k in free
+    slopes = [sum(Fraction(abs(g[k]), dot(height, g)) for g in gens) for k in free]
+    return pivot, free, lambda s: [s * c.numerator // c.denominator for c in slopes]
+
+
+def _slice_counter(gens, height: Vec):
+    """count(s): the integral points of cone(gens) at height s, for
+    generators of positive height; the facets are dualized once.  The free
+    coordinates but the last run over `_slice_box`; with the pivot x_p solved
+    from the height, each facet f reads |h_p| f.x = a*y + c in the last one,
+    y, which cuts y to an interval, and x_p is integral on one residue class
+    of y.  Rank 1 has no free coordinate: one point iff h_p divides s."""
+    if len(height) > 3:
+        raise CapExceeded(f"slice counting implemented for dimension <= 3, got {len(height)}")
+    pivot, free, box = _slice_box(gens, height)
+    m, sign = abs(height[pivot]), (1 if height[pivot] > 0 else -1)
+    if not free:
+        return lambda s: int(s >= 0 and s % m == 0)
+    # |h_p| f.x = sum over free k of (|h_p| f_k - sign f_p h_k) x_k + sign f_p s
+    facets = [
+        ([m * f[k] - sign * f[pivot] * height[k] for k in free], sign * f[pivot])
+        for f in dual_cone_rays(gens)
     ]
-    return pivot, free, box
+    g = gcd(height[free[-1]], m)
+    step, inv = m // g, pow(height[free[-1]] // g, -1, m // g)
+
+    def count(s: int) -> int:
+        *outer, bound = box(s)
+        total = 0
+        for xs in product(*(range(-b, b + 1) for b in outer)):
+            rest = s - sum(height[k] * x for k, x in zip(free, xs))
+            if rest % g:
+                continue
+            y0 = rest // g * inv % step
+            lo, hi = -bound, bound
+            for coef, cs in facets:
+                a, c = coef[-1], cs * s + sum(b * x for b, x in zip(coef, xs))
+                if a > 0:
+                    lo = max(lo, -(c // a))
+                elif a < 0:
+                    hi = min(hi, c // -a)
+                elif c < 0:
+                    break
+            else:
+                total += max(0, (hi - y0) // step - (lo - 1 - y0) // step)
+        return total
+
+    return count
 
 
 def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
-    by exhaustive enumeration over the bounding box of the height slice; the
-    slice's candidates are tested in one `cone_contains` call."""
-    gens = tuple(cone)
-    rho = len(height)
-    if rho > 3:
-        raise CapExceeded(
-            f"slice enumeration implemented for dimension <= 3, got {rho}"
-        )
-    if not gens:
-        raise DomainError("cone needs at least one generator")
-    for v in gens + (translate,):
-        if len(v) != rho:
-            raise DomainError(f"vector {v} does not match dimension {rho}")
-    heights = [dot(height, g) for g in gens]
-    if any(h <= 0 for h in heights):
-        raise DomainError("every generator must have positive height")
-    s = i - dot(height, translate)
-    if s < 0:
-        return 0
-    facets = dual_cone_rays(gens)
-    pivot, free, box = _slice_box(gens, heights, height, s)
-
-    deltas = []
-    for coords in product(*(range(-b, b + 1) for b in box)):
-        rest = s - sum(height[k] * a for k, a in zip(free, coords))
-        q, r = divmod(rest, height[pivot])
-        if r:
-            continue
-        # coords fill the free coordinates in order; q goes in at the pivot
-        deltas.append(coords[:pivot] + (q,) + coords[pivot:])
-    return int(cone_contains(facets, deltas).sum()) if deltas else 0
+    counted by `_slice_counter`."""
+    cone = NefConeEta(tuple(cone), tuple(height))
+    if len(translate) != len(height):
+        raise DomainError(f"translate {translate} does not match dimension {len(height)}")
+    return _slice_counter(cone.generators, cone.height)(i - dot(height, translate))
 
 
 @dataclass(frozen=True)
@@ -214,10 +222,10 @@ def default_model(p: FibrationProfile, q, dim_rule: int = 2) -> CountingModel:
 
 # Work budget of the counting engine (`check_count_budget`).  The power bound
 # also keeps every exact value printable: Python refuses to convert an int of
-# more than 4300 digits to a string.  A candidate costs about 1 us: on a
-# 2-CPU Xeon host a rank-2 cone scanning 1.9M candidates takes about 2 s, and
-# a rank-1 report to d = 2046 at q = 2 (exponents up to 2048) about 0.25 s.
-COUNT_BUDGET = 2**21
+# more than 4300 digits to a string.  On a 2-CPU Xeon host the slowest admitted
+# corner found, three rank-3 generators at d = 763, takes about 1.4 s, and a
+# rank-1 report to d = 2046 at q = 2 (exponents up to 2048) about 0.25 s.
+COUNT_BUDGET = 2**20
 COUNT_POWER_BITS = 2**12
 
 
@@ -226,15 +234,15 @@ def check_count_budget(m: CountingModel, d: int) -> None:
 
     Powers: each slice at height i weighs q**(i + dim_rule), and each report
     row d takes q**d; every |exponent| times the bit length of q's larger
-    term must be at most COUNT_POWER_BITS.  Scan: a translate at height
-    `start` has d - start + 1 slices, each testing at most the candidates of
-    its `_slice_box`, which grows with the height, so the top slice's box
-    times the slice count bounds the translate's scan; the sum over
-    translates must be at most COUNT_BUDGET.  Costs one box per translate,
-    whatever d is.
+    term must be at most COUNT_POWER_BITS.  Columns: a translate at height
+    `start` has d - start + 1 slices, each counting the columns of its
+    `_slice_box` without the last coordinate (one in rank <= 2) against at
+    most one facet per generator (rank <= 3); the top slice's box is the
+    widest, so the sum over translates of slices x columns x generators must
+    be at most COUNT_BUDGET.  Costs one box per translate, whatever d is.
     """
     cone = m.profile.nef_cone_eta
-    heights = [dot(cone.height, g) for g in cone.generators]
+    box = _slice_box(cone.generators, cone.height)[2]
     starts = [dot(cone.height, t) for t in m.translates]
     starts = [start for start in starts if start <= d]
     exponents = [d] + [i + m.dim_rule for start in starts for i in (start, d)]
@@ -248,30 +256,39 @@ def check_count_budget(m: CountingModel, d: int) -> None:
         )
     scan = sum(
         (d - start + 1)
-        * prod(2 * b + 1 for b in _slice_box(cone.generators, heights, cone.height, d - start)[2])
+        * prod(2 * b + 1 for b in box(d - start)[:-1])
+        * len(cone.generators)
         for start in starts
     )
     if scan > COUNT_BUDGET:
         raise DomainError(
             f"--dmax {d} is past the counting budget: the height slices of this "
-            f"cone would test up to {scan} candidate points, at most {COUNT_BUDGET}"
+            f"cone would count up to {scan} column-generator pairs, at most {COUNT_BUDGET}"
         )
+
+
+def _slice_weights(m: CountingModel, d: int) -> dict[int, Fraction]:
+    """brauer_order * (points at height i) * q^(i + dim_rule) over the
+    translates, for each height i <= d with points: the one slice sweep of
+    count_exact and convergence_report, refused past `check_count_budget`."""
+    check_count_budget(m, d)
+    cone = m.profile.nef_cone_eta
+    count = _slice_counter(cone.generators, cone.height)
+    points: dict[int, int] = {}
+    for t in m.translates:
+        start = dot(cone.height, t)
+        for i in range(start, d + 1):
+            points[i] = points.get(i, 0) + count(i - start)
+    return {
+        i: m.profile.brauer_order * n * m.q ** (i + m.dim_rule) for i, n in points.items() if n
+    }
 
 
 def count_exact(m: CountingModel, d: int) -> Fraction:
     """Sum of brauer_order * (points at height i) * q^(i + dim_rule) over
     heights i <= d and all translates.  Exact rational.  A d past
     `check_count_budget` raises DomainError before the first slice."""
-    check_count_budget(m, d)
-    cone = m.profile.nef_cone_eta
-    total = Fraction(0)
-    for t in m.translates:
-        start = dot(cone.height, t)
-        for i in range(start, d + 1):
-            pts = lattice_points_at_height(cone.generators, cone.height, t, i)
-            if pts:
-                total += m.profile.brauer_order * pts * m.q ** (i + m.dim_rule)
-    return total
+    return sum(_slice_weights(m, d).values(), Fraction(0))
 
 
 def theorem_constant(m: CountingModel) -> Fraction:
@@ -308,21 +325,15 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     """
     if d_max < 3:
         raise DomainError(f"convergence report needs d_max >= 3, got {d_max}")
-    check_count_budget(m, d_max)
-    cone = m.profile.nef_cone_eta
-    starts = [(t, dot(cone.height, t)) for t in m.translates]
+    weights = _slice_weights(m, d_max)
     theorem = theorem_constant(m)
     rho = m.profile.rho_eta
     rows = []
     prev_ratio: Fraction | None = None
-    # running total: each slice is counted once, at the first row it enters
-    exact = count_exact(m, 0)
+    # running total: each slice enters at the first row that reaches it
+    exact = sum((w for i, w in weights.items() if i < 1), Fraction(0))
     for d in range(1, d_max + 1):
-        for t, start in starts:
-            if start <= d:
-                pts = lattice_points_at_height(cone.generators, cone.height, t, d)
-                if pts:
-                    exact += m.profile.brauer_order * pts * m.q ** (d + m.dim_rule)
+        exact += weights.get(d, 0)
         asym = theorem * m.q**d * d ** (rho - 1)
         ratio = exact / asym
         if prev_ratio is None:
@@ -361,16 +372,16 @@ def model_to_json(m: CountingModel) -> dict:
 
 
 def model_from_json(data: dict) -> CountingModel:
-    get = partial(_json_field, "counting model", data)
-    return CountingModel(
-        profile=get(
-            "profile",
-            lambda raw: load_profile(raw) if isinstance(raw, str) else _profile_from_dict(raw),
-        ),
-        translates=get("translates", _int_rows),
-        q=get("q", lambda x: Fraction(x if isinstance(x, str) else _json_int(x))),
-        dim_rule=get("dim_rule", _json_int, 2),
-    )
+    with _json_document("counting model", data) as get:
+        return CountingModel(
+            profile=get(
+                "profile",
+                lambda raw: load_profile(raw) if isinstance(raw, str) else _profile_from_dict(raw),
+            ),
+            translates=get("translates", _int_rows),
+            q=get("q", lambda x: _json_rational(x, COUNT_POWER_BITS)),
+            dim_rule=get("dim_rule", _json_int, 2),
+        )
 
 
 def load_model(path) -> CountingModel:

@@ -1,12 +1,17 @@
 """Error taxonomy shared by every module, and the readers of the JSON parsers
-(profile, counting model, fiber tree): files, fields named by their path, and
-exact integers (within int64, the range of the kernels), booleans and strings.
+(profile, counting model, fiber tree): files, documents, fields named by their
+path, and exact integers (within int64, the range of the kernels), rationals,
+booleans and strings.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are raised as click.UsageError and exit with code 2.
 """
 
 import json
+import re
+from contextlib import contextmanager
+from fractions import Fraction
+from functools import partial
 
 
 class ToolkitError(Exception):
@@ -49,6 +54,22 @@ def _json_field(doc: str, data, key: str, convert, default=_REQUIRED):
         raise FieldError(doc, key, str(ex)) from None
 
 
+@contextmanager
+def _json_document(doc: str, data):
+    """The field reader `_json_field` of the JSON object `data`, for a block
+    that builds the document `doc`: a DomainError raised in the block by a
+    constructor's checks across fields is re-raised naming `doc`; a FieldError
+    passes through unchanged."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{doc} JSON must be an object")
+    try:
+        yield partial(_json_field, doc, data)
+    except FieldError:
+        raise
+    except DomainError as ex:
+        raise DomainError(f"{doc} JSON: {ex}") from None
+
+
 def _read_json(doc: str, path):
     """The JSON in the file `path`; a file that cannot be read (missing, a
     directory, not UTF-8) or parsed (also an integer past 4300 digits, or
@@ -66,6 +87,26 @@ def _json_int(x) -> int:
     if not -(2**63) <= x < 2**63:
         raise ValueError(f"an integer of {x.bit_length()} bits is outside int64")
     return x
+
+
+# the decimal exponent of a rational string, in the syntax Fraction reads
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _json_rational(x, max_exponent: int) -> Fraction:
+    """A rational read exactly, such as the counting base q of a model file or
+    of `--q`: a JSON integer within int64, or a string such as "5/2", "2.5" or
+    "1e3".  A decimal exponent larger in size than `max_exponent` raises
+    DomainError before Fraction expands the number."""
+    if not isinstance(x, str):
+        return Fraction(_json_int(x))
+    exponent = _EXPONENT.search(x)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(max_exponent)) or int(digits or 0) > max_exponent:
+        raise DomainError(
+            f"a decimal exponent larger in size than {max_exponent} is past the counting budget"
+        )
+    return Fraction(x)
 
 
 def _json_bool(x) -> bool:

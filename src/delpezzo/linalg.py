@@ -19,7 +19,6 @@ reaches int64.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import DomainError
 
 Vec = tuple[int, ...]
 
-# float32 product blocks of the double description: _BLOCK x _BLOCK cells, 1 MB
+# product blocks of _BLOCK x _BLOCK cells: 1 MB in float32 (DD), 2 MB in int64
 _BLOCK = 512
 
 
@@ -161,15 +160,8 @@ def dual_cone_rays(normals) -> list[Vec]:
     combining adjacent rays across each new hyperplane.  Adjacency is the
     combinatorial test on exact tight sets.  Requires the normals to span
     (pointed dual cone); refuses (DomainError) normals whose products could
-    leave int64.  Returns primitive integer rays, lexicographically sorted,
-    as a fresh list.  Memoized on the normals, since counting dualizes one
-    cone slice after slice.
+    leave int64.  Returns primitive integer rays, lexicographically sorted.
     """
-    return list(_dual_cone_rays(tuple(tuple(h) for h in normals)))
-
-
-@lru_cache(maxsize=None)
-def _dual_cone_rays(normals: tuple[Vec, ...]) -> tuple[Vec, ...]:
     normals = list(dict.fromkeys(primitive(h) for h in normals))
     dim = len(normals[0])
     # the Hadamard bound of the module docstring, with H**2 = hsq
@@ -191,7 +183,7 @@ def _dual_cone_rays(normals: tuple[Vec, ...]) -> tuple[Vec, ...]:
         W //= np.gcd.reduce(W, axis=1)[:, None]
         R = np.concatenate([R[~neg], W])
         T = np.concatenate([T[~neg], W @ N.T == 0])
-    return tuple(sorted(map(tuple, R.tolist())))
+    return sorted(map(tuple, R.tolist()))
 
 
 def _adjacent_pairs(T, pos, neg, dim):
@@ -222,12 +214,16 @@ def cone_contains(normals, x):
     """Membership in {x : n . x >= 0 for every normal n}: a bool for one
     vector, a bool array for the rows of a matrix.
 
-    One int64 product; refuses (DomainError) an input whose product could
-    leave int64.
+    int64 products over blocks of rows of at most _BLOCK x _BLOCK cells;
+    refuses (DomainError) an input whose product could leave int64.
     """
     N, X = _int64_operands(normals, x, "cone membership")
-    inside = (X @ N.reshape(-1, X.shape[-1]).T >= 0).all(axis=-1)
-    return bool(inside) if X.ndim == 1 else inside
+    N, rows = N.reshape(-1, X.shape[-1]).T, np.atleast_2d(X)
+    step = max(1, _BLOCK * _BLOCK // max(1, N.shape[1]))
+    inside = np.empty(len(rows), dtype=bool)
+    for a in range(0, len(rows), step):
+        inside[a : a + step] = (rows[a : a + step] @ N >= 0).all(axis=1)
+    return bool(inside[0]) if X.ndim == 1 else inside
 
 
 def convex_hull_2d(points):

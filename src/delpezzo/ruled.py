@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .errors import (
     DomainError,
@@ -21,7 +20,7 @@ from .errors import (
     NotApplicable,
     NotFound,
     ToolkitError,
-    _json_field,
+    _json_document,
     _json_int,
 )
 
@@ -165,12 +164,14 @@ def fibertree_to_json(t: FiberTree) -> dict:
 
 
 def fibertree_from_json(data: dict) -> FiberTree:
-    get = partial(_json_field, "fiber tree", data)
-    return FiberTree(
-        components=get("components", lambda c: tuple((_json_int(s), _json_int(m)) for s, m in c)),
-        edges=get("edges", lambda es: tuple((_json_int(i), _json_int(j)) for i, j in es)),
-        marked=get("marked", lambda m: None if m is None else _json_int(m), None),
-    )
+    with _json_document("fiber tree", data) as get:
+        return FiberTree(
+            components=get(
+                "components", lambda c: tuple((_json_int(s), _json_int(m)) for s, m in c)
+            ),
+            edges=get("edges", lambda es: tuple((_json_int(i), _json_int(j)) for i, j in es)),
+            marked=get("marked", lambda m: None if m is None else _json_int(m), None),
+        )
 
 
 def blow_up_fiber(t: FiberTree, target) -> FiberTree:

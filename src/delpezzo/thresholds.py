@@ -19,7 +19,15 @@ from importlib import resources
 from itertools import product
 from pathlib import Path
 
-from .errors import DomainError, _json_bool, _json_field, _json_int, _json_str, _read_json
+from .errors import (
+    DomainError,
+    _json_bool,
+    _json_document,
+    _json_field,
+    _json_int,
+    _json_str,
+    _read_json,
+)
 from .linalg import dot
 from .picard import Vec
 
@@ -102,24 +110,24 @@ def _height_key(k: str) -> int:
 
 
 def _profile_from_dict(data: dict) -> FibrationProfile:
-    get = partial(_json_field, "profile", data)
-    return FibrationProfile(
-        name=get("name", _json_str),
-        fiber_degree=get("fiber_degree", _json_int),
-        rho_eta=get("rho_eta", _json_int),
-        neg=get("neg", _json_int),
-        maxdef_table=get(
-            "maxdef_table",
-            lambda t: tuple(sorted((_height_key(k), _json_int(v)) for k, v in t.items())),
-        ),
-        brauer_order=get("brauer_order", _json_int),
-        num_profiles=get("num_profiles", _json_int),
-        lattice_index=get("lattice_index", _json_int),
-        has_ff_conic=get("has_ff_conic", _json_bool),
-        nef_cone_eta=get("nef_cone_eta", _nef_from_dict),
-        provenance=get("provenance", _json_str, ""),
-        transcription_note=get("transcription_note", _json_str, ""),
-    )
+    with _json_document("profile", data) as get:
+        return FibrationProfile(
+            name=get("name", _json_str),
+            fiber_degree=get("fiber_degree", _json_int),
+            rho_eta=get("rho_eta", _json_int),
+            neg=get("neg", _json_int),
+            maxdef_table=get(
+                "maxdef_table",
+                lambda t: tuple(sorted((_height_key(k), _json_int(v)) for k, v in t.items())),
+            ),
+            brauer_order=get("brauer_order", _json_int),
+            num_profiles=get("num_profiles", _json_int),
+            lattice_index=get("lattice_index", _json_int),
+            has_ff_conic=get("has_ff_conic", _json_bool),
+            nef_cone_eta=get("nef_cone_eta", _nef_from_dict),
+            provenance=get("provenance", _json_str, ""),
+            transcription_note=get("transcription_note", _json_str, ""),
+        )
 
 
 def profile_to_dict(p: FibrationProfile) -> dict:

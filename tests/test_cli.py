@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -173,8 +174,49 @@ def test_count_budget_refused(runner, args):
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --dmax 100000000 ")
     help_text = " ".join(invoke(runner, [args[0], "--help"]).output.split())
-    assert f"at most {COUNT_BUDGET} candidate points" in help_text
+    assert f"at most {COUNT_BUDGET} column-generator pairs" in help_text
     assert f"at most {COUNT_POWER_BITS} bits" in help_text
+
+
+def test_huge_q_exponent_refused_at_once(runner, tmp_path):
+    # every q with a decimal exponent past 4096 in size is past the power
+    # bound; it is refused before Fraction builds the number
+    model = {"profile": "cubic-pencil", "translates": [[-1]], "q": "1e3000000"}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    for args, words in (
+        (["count", "--profile", "cubic-pencil", "--q", "1e3000000", "--dmax", "5"],
+         "error: a decimal exponent"),
+        (["count", "--model", str(tmp_path / "model.json"), "--dmax", "5"],
+         "error: counting model JSON field 'q': a decimal exponent"),
+    ):
+        start = time.perf_counter()
+        res = invoke(runner, args)
+        assert time.perf_counter() - start < 0.5
+        assert res.exit_code == 1 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(words)
+        assert "past the counting budget" in lines[0]
+
+
+def test_cross_field_errors_name_the_document(runner, tmp_path):
+    cubic = profile_to_dict(load_profile("cubic-pencil"))
+    (tmp_path / "profile.json").write_text(json.dumps(dict(cubic, fiber_degree=9)))
+    model = {"profile": cubic, "translates": [[]], "q": "2"}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    for args, line in (
+        (["thresholds", "--profile", str(tmp_path / "profile.json")],
+         "error: profile JSON: fiber degree 9 outside 1..8"),
+        (["count", "--model", str(tmp_path / "model.json")],
+         "error: counting model JSON: translate () does not match rho_eta"),
+    ):
+        res = invoke(runner, args)
+        assert res.exit_code == 1 and res.stderr.splitlines() == [line]
+    with pytest.raises(DomainError) as ex:
+        fibertree_from_json({"components": [[-1, 1], [-1, 1]], "edges": []})
+    assert str(ex.value) == "fiber tree JSON: edge count must be component count minus one"
+    # a field's own error keeps naming its path
+    with pytest.raises(FieldError, match=r"^fiber tree JSON field 'edges': "):
+        fibertree_from_json({"components": [[-1, 1], [-1, 1]], "edges": [[0]]})
 
 
 def test_count_csv_header(runner):
@@ -343,11 +385,11 @@ def _bad_inputs(tmp_path):
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     (tmp_path / "not-utf8.json").write_bytes(b"\xff" * 16)
-    wide = dict(x5, rho_eta=2, nef_cone_eta={"generators": [[1, -1000000], [1, 1000000]],
-                                             "height": [1, 0]})
+    wide = dict(x5, rho_eta=3, nef_cone_eta={
+        "generators": [[1, -1000000, 0], [1, 1000000, 0], [1, 0, 1]], "height": [1, 0, 0]})
     budget_files = {
         "model-dim-rule-past-budget": dict(model, dim_rule=10**14),
-        "model-cone-past-budget": {"profile": wide, "translates": [[0, 0]], "q": "2"},
+        "model-cone-past-budget": {"profile": wide, "translates": [[0, 0, 0]], "q": "2"},
     }
     for name, data in budget_files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

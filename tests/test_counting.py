@@ -1,9 +1,11 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from delpezzo import (
 from delpezzo import counting
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS
 from delpezzo.errors import FieldError
-from delpezzo.linalg import mat_rank
+from delpezzo.linalg import cone_contains, dual_cone_rays, mat_rank
 from delpezzo.thresholds import FibrationProfile, NefConeEta
 
 
@@ -48,6 +50,9 @@ def make_profile(rho, neg, gens, cov, br=1, npf=1, idx=1):
 
 RANK1 = make_profile(1, -1, ((1,),), (1,))
 RANK2 = make_profile(2, 0, ((1, 0), (0, 1)), (1, 1))
+RANK3 = make_profile(3, -1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1))
+# rank-3 cone whose height slices are 2 * 10**6 * s + 1 columns wide
+WIDE3 = ((1, -(10**6), 0), (1, 10**6, 0), (1, 0, 1))
 
 
 def test_alpha_fixtures():
@@ -148,6 +153,103 @@ def test_lattice_points_brute_force_3d():
             if x + y + z == i and x >= y >= z >= 0:
                 brute += 1
         assert mine == brute
+
+
+def _box_scan(gens, height, translate, i):
+    """Points of translate + cone(gens) at height i by testing every point of
+    a box around the slice against the facets: the independent route for
+    the interval counter.  A cone point at height s >= 0 combines the
+    generators (each of height >= 1) with coefficients at most s, so
+    |x_k| <= s * sum_j |g_jk|; the first coordinate with a nonzero height
+    entry is solved from the height."""
+    s = i - sum(a * b for a, b in zip(height, translate))
+    if s < 0:
+        return 0
+    rho = len(height)
+    bound = s * max(sum(abs(g[k]) for g in gens) for k in range(rho))
+    solved = next(k for k in range(rho) if height[k])
+    others = [k for k in range(rho) if k != solved]
+    axes = np.meshgrid(*[np.arange(-bound, bound + 1)] * len(others), indexing="ij")
+    pts = np.zeros((axes[0].size if others else 1, rho), dtype=np.int64)
+    for k, axis in zip(others, axes):
+        pts[:, k] = axis.ravel()
+    rest = s - pts @ np.array(height)
+    exact = rest % height[solved] == 0
+    pts = pts[exact]
+    pts[:, solved] = rest[exact] // height[solved]
+    return int(cone_contains(dual_cone_rays(gens), pts).sum()) if len(pts) else 0
+
+
+def _seeded_cone(rng, rho):
+    """Generators with entries -3..3 and a height covector with entries
+    -3..5, every generator of positive height, full rank."""
+    while True:
+        gens = tuple(
+            tuple(rng.randint(-3, 3) for _ in range(rho)) for _ in range(rho + rng.randint(0, 2))
+        )
+        height = tuple(rng.randint(-3, 5) for _ in range(rho))
+        if all(sum(a * b for a, b in zip(g, height)) > 0 for g in gens) and mat_rank(gens) == rho:
+            return gens, height
+
+
+def test_interval_counter_matches_box_scan():
+    # negative height entries, pivot entries that do not divide the last free
+    # one, translates of any height and slices below it (s < 0)
+    rng = random.Random(12)
+    seen = set()
+    for rho in (1, 2, 3):
+        for _ in range(100):
+            gens, height = _seeded_cone(rng, rho)
+            t = tuple(rng.randint(-2, 2) for _ in range(rho))
+            start = sum(a * b for a, b in zip(height, t))
+            # the counter's pivot and last free coordinate
+            pivot = max(range(rho), key=lambda k: abs(height[k]))
+            last = max((k for k in range(rho) if k != pivot), default=pivot)
+            seen.add(("negative pivot", height[pivot] < 0))
+            seen.add(("pivot divides last", height[last] % height[pivot] == 0))
+            for i in range(start - 2, start + 7):
+                mine = lattice_points_at_height(gens, height, t, i)
+                assert mine == _box_scan(gens, height, t, i), (gens, height, t, i)
+    assert seen == {(name, flag) for name in ("negative pivot", "pivot divides last")
+                    for flag in (True, False)}
+
+
+def test_interval_counter_fixtures():
+    # pivot entry -3, last free entry 2: the pivot coordinate is integral on
+    # every third y only
+    gens, height = ((-1, 0), (1, 2)), (-3, 2)
+    assert [lattice_points_at_height(gens, height, (0, 0), i) for i in range(-1, 7)] == [
+        _box_scan(gens, height, (0, 0), i) for i in range(-1, 7)
+    ]
+    # the wide rank-2 cone, past the old candidate budget: 2 * 10**6 * s + 1
+    # points in every slice, counted without scanning them
+    wide = ((1, -(10**6)), (1, 10**6))
+    for s in range(6):
+        assert lattice_points_at_height(wide, (1, 0), (0, 0), s) == 2 * 10**6 * s + 1
+    m = CountingModel(make_profile(2, -1, wide, (1, 0)), ((0, 0),), Fraction(2))
+    assert count_exact(m, 5) == sum((2 * 10**6 * s + 1) * 2 ** (s + 2) for s in range(6))
+    assert convergence_report(m, 5)["rows"][-1]["exact"] == count_exact(m, 5)
+
+
+def test_count_exact_matches_box_scan():
+    rng = random.Random(31)
+    for rho, d in ((1, 9), (2, 6), (3, 4)):
+        for _ in range(6):
+            gens, height = _seeded_cone(rng, rho)
+            translates = []
+            while len(translates) < 2:
+                t = tuple(rng.randint(-2, 2) for _ in range(rho))
+                if sum(a * b for a, b in zip(height, t)) >= -3:
+                    translates.append(t)
+            m = CountingModel(
+                make_profile(rho, -3, gens, height, br=2), tuple(translates), Fraction(5, 2)
+            )
+            want = sum(
+                (2 * _box_scan(gens, height, t, i) * Fraction(5, 2) ** (i + 2)
+                 for t in translates for i in range(-3, d + 1)),
+                Fraction(0),
+            )
+            assert count_exact(m, d) == want
 
 
 def test_count_exact_fixtures():
@@ -335,17 +437,16 @@ def _no_slices(*args):
             "dim_rule 100000000000000",
         ),
         (
-            CountingModel(
-                make_profile(2, -1, ((1, -(10**6)), (1, 10**6)), (1, 0)), ((0, 0),), Fraction(2)
-            ),
+            CountingModel(make_profile(3, -1, WIDE3, (1, 0, 0)), ((0, 0, 0),), Fraction(2)),
             5,
-            f"120000006 candidate points, at most {COUNT_BUDGET}",
+            f"360000018 column-generator pairs, at most {COUNT_BUDGET}",
         ),
     ],
     ids=["dmax", "huge-q", "dim-rule", "wide-cone"],
 )
 def test_count_budget_refuses_before_the_first_slice(monkeypatch, model, d, words):
-    monkeypatch.setattr(counting, "lattice_points_at_height", _no_slices)
+    # the sweep builds one counter per model and calls it once per slice
+    monkeypatch.setattr(counting, "_slice_counter", lambda *args: _no_slices)
     for run in (convergence_report, count_exact):
         with pytest.raises(DomainError, match="past the counting budget") as ex:
             run(model, d)
@@ -353,7 +454,7 @@ def test_count_budget_refuses_before_the_first_slice(monkeypatch, model, d, word
 
 
 def test_count_budget_edges(monkeypatch):
-    monkeypatch.setattr(counting, "lattice_points_at_height", lambda *args: 1)
+    monkeypatch.setattr(counting, "_slice_counter", lambda *args: lambda s: 1)
     # q = 2 has 2 bits, so exponents up to 2048: the top slice weighs q**(d + 2)
     m = CountingModel(RANK1, ((1,),), Fraction(2))
     last = COUNT_POWER_BITS // 2 - 2
@@ -366,13 +467,14 @@ def test_count_budget_edges(monkeypatch):
     low = CountingModel(RANK1, ((1,),), Fraction(2), dim_rule=-2050)
     with pytest.raises(DomainError, match="past the counting budget"):
         count_exact(low, 3)
-    # RANK2 at d = 4: 5 slices of at most 9 candidates each
-    m2 = CountingModel(RANK2, ((0, 0),), Fraction(2))
-    monkeypatch.setattr(counting, "COUNT_BUDGET", 45)
-    count_exact(m2, 4)
-    monkeypatch.setattr(counting, "COUNT_BUDGET", 44)
-    with pytest.raises(DomainError, match="45 candidate points, at most 44"):
-        count_exact(m2, 4)
+    # RANK3 at d = 4: 5 slices of at most 9 columns (|x_1| <= 4) against
+    # 3 generators
+    m3 = CountingModel(RANK3, ((0, 0, 0),), Fraction(2))
+    monkeypatch.setattr(counting, "COUNT_BUDGET", 135)
+    count_exact(m3, 4)
+    monkeypatch.setattr(counting, "COUNT_BUDGET", 134)
+    with pytest.raises(DomainError, match="135 column-generator pairs, at most 134"):
+        count_exact(m3, 4)
 
 
 def test_count_budget_bounds_the_real_scan(monkeypatch):
@@ -397,6 +499,22 @@ def test_count_budget_bounds_the_real_scan(monkeypatch):
                 mp.setattr(counting, "COUNT_BUDGET", scanned - 1)
                 with pytest.raises(DomainError, match="past the counting budget"):
                     count_exact(m, d)
+
+
+def test_huge_q_exponent_refused_before_expansion():
+    # Fraction("1e3000000") would build a 3-million-digit integer first
+    good = model_to_json(default_model(load_profile("cubic-pencil"), 2))
+    for q in ("1e3000000", "1E+3_000_000", "2.5e5000", "1.5e-4097 "):
+        start = time.perf_counter()
+        with pytest.raises(FieldError, match="past the counting budget") as ex:
+            model_from_json(dict(good, q=q))
+        assert time.perf_counter() - start < 0.1
+        assert ex.value.path == "q"
+    # an exponent within the bound is read, and refused later by the power bound
+    m = model_from_json(dict(good, q="1e4096"))
+    assert m.q == 10**4096
+    with pytest.raises(DomainError, match="past the counting budget"):
+        count_exact(m, 3)
 
 
 def test_model_json_rejects_malformed_documents():

@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delpezzo import linalg
 from delpezzo.errors import DomainError
 from delpezzo.fujita import a_invariant, hirzebruch_polarized
 from delpezzo.linalg import (
@@ -123,6 +125,19 @@ def test_cone_contains():
     assert cone_contains(normals, points).tolist() == [
         cone_contains(normals, x) for x in points
     ]
+
+
+def test_cone_contains_in_blocks():
+    # 240 normals leave 1092 rows to a block of _BLOCK**2 cells, so 5000
+    # rows take five blocks; each row is decided as in one whole product
+    rng = np.random.default_rng(8)
+    normals = rng.integers(0, 4, size=(240, 6))
+    points = rng.integers(-1, 6, size=(5000, 6))
+    assert len(points) * len(normals) > 4 * linalg._BLOCK**2
+    whole = (points @ normals.T >= 0).all(axis=1)
+    assert 0 < whole.sum() < len(points)
+    assert cone_contains(normals, points).tolist() == whole.tolist()
+    assert cone_contains(normals, points[:0]).shape == (0,)
 
 
 def test_int64_guard():
