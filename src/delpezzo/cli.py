@@ -4,7 +4,10 @@ Each command returns its data and writes nothing; the `main` group writes it
 to stdout (a `(header, rows)` tuple as CSV, anything else as JSON with sorted
 keys) and turns a ToolkitError into one `error: ...` line on stderr.  Exit
 codes: 0 ok, 1 domain/cap error, 2 usage error.  Every command is
-deterministic given its flags and seed.
+deterministic given its flags and seed.  Each command imports the kernel
+modules it runs, so a process loads only what its command needs: `lattice`
+needs no numpy, and `weyl` refuses a known order past `--cap` before it
+loads the closure.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from fractions import Fraction
 import click
 from click.core import ParameterSource
 
-from . import counting, curves, fujita, ruled, thresholds, weyl
 from .errors import ToolkitError, _json_rational
-from .picard import make_lattice
+from .picard import DEFAULT_CAP, WEYL_ORDERS, check_cap, make_lattice
 
 
 def _jsonable(obj):
@@ -56,8 +58,10 @@ class _Rational(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
+        from .counting import COUNT_POWER_BITS
+
         try:
-            return _json_rational(str(value), counting.COUNT_POWER_BITS)
+            return _json_rational(str(value), COUNT_POWER_BITS)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not a rational number", param, ctx)
 
@@ -84,10 +88,11 @@ def _lattice_for_degree(degree: int):
     return make_lattice(9 - degree)
 
 
+# class kind -> its enumerator in `curves`
 _KINDS = {
-    "lines": curves.enumerate_neg_one_curves,
-    "conics": curves.enumerate_conic_classes,
-    "cubics": curves.enumerate_cubic_classes,
+    "lines": "enumerate_neg_one_curves",
+    "conics": "enumerate_conic_classes",
+    "cubics": "enumerate_cubic_classes",
 }
 
 
@@ -138,8 +143,10 @@ def lattice(degree):
 @_FORMAT
 def curves_cmd(degree, kind, fmt):
     """Enumerate line, conic, or cubic classes on the fiber lattice."""
+    from . import curves
+
     lat = _lattice_for_degree(degree)
-    classes = _KINDS[kind](lat)
+    classes = getattr(curves, _KINDS[kind])(lat)
     header = [f"c{k}" for k in range(lat.rank)]
     # cubic classes carry a kind tag alongside the coordinates
     if fmt == "csv":
@@ -153,12 +160,14 @@ def curves_cmd(degree, kind, fmt):
 
 @main.command(name="weyl")
 @_DEGREE
-@click.option("--cap", type=int, default=weyl.DEFAULT_CAP, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
 def weyl_cmd(degree, cap):
     """Order of the lattice Weyl group, by Dimino's coset closure; refused
     at once when the group's known order passes the cap."""
     lat = _lattice_for_degree(degree)
-    weyl.check_cap(weyl.WEYL_ORDERS[lat.n], cap)
+    check_cap(WEYL_ORDERS[lat.n], cap)
+    from . import weyl
+
     gens = weyl.weyl_generators(lat)
     # no simple roots for n <= 1: the group is trivial
     group = weyl.generate_group(gens, cap=cap) if gens else weyl.trivial_group(lat.rank)
@@ -175,8 +184,10 @@ def weyl_cmd(degree, cap):
 )
 def orbits(degree, classes):
     """Orbit sizes of curve classes under the full Weyl group."""
+    from . import curves, weyl
+
     lat = _lattice_for_degree(degree)
-    vectors = _KINDS[classes](lat)
+    vectors = getattr(curves, _KINDS[classes])(lat)
     if classes == "cubics":
         # orbits act on the classes, not on their kind tags
         vectors = [c for c, _ in vectors]
@@ -198,6 +209,8 @@ def fujita_cmd(degree, hirzebruch):
     """Fujita invariant of the anticanonical polarization."""
     if (degree is None) == (hirzebruch is None):
         raise click.UsageError("pass exactly one of --degree / --hirzebruch")
+    from . import fujita
+
     if degree is not None:
         lat = _lattice_for_degree(degree)
         surf = fujita.polarized_del_pezzo(lat)
@@ -215,6 +228,8 @@ def fujita_cmd(degree, hirzebruch):
 @click.option("--profile", required=True, help="shipped profile name or JSON path")
 def thresholds_cmd(profile):
     """All scalar thresholds of a fibration profile."""
+    from . import thresholds
+
     return thresholds.threshold_report(thresholds.load_profile(profile))
 
 
@@ -226,6 +241,8 @@ def ruled_cmd(seed, trials, depth):
     """Randomized fiber-tree soundness harness (blow-ups, the second
     (-1)-component lemma, contraction back to the smooth model).  Refused
     before any trial unless trials x depth <= 32768 and depth <= 64."""
+    from . import ruled
+
     return ruled.fuzz_blow_up_sequences(count=trials, depth=depth, seed=seed)
 
 
@@ -255,6 +272,8 @@ def count_cmd(profile, model_path, q, dmax, fmt):
     is longer: so dmax + dim_rule <= 2048 for q = 2."""
     if (profile is None) == (model_path is None):
         raise click.UsageError("pass exactly one of --profile / --model")
+    from . import counting, thresholds
+
     if model_path is not None:
         if click.get_current_context().get_parameter_source("q") is ParameterSource.COMMANDLINE:
             raise click.UsageError("--q applies to --profile only; a model file carries its own q")
@@ -267,6 +286,8 @@ def count_cmd(profile, model_path, q, dmax, fmt):
 
 
 def _monodromy_section(p) -> dict:
+    from . import curves, weyl
+
     lat = make_lattice(9 - p.fiber_degree)
     gens = weyl.weyl_generators(lat)
     lines = curves.enumerate_neg_one_curves(lat)
@@ -294,6 +315,8 @@ def _monodromy_section(p) -> dict:
 def run_example(name: str, q: Fraction, dmax: int) -> dict:
     """Threshold report, monodromy verification, and convergence table for a
     shipped profile."""
+    from . import counting, thresholds
+
     p = thresholds.load_profile(name)
     model = counting.default_model(p, q)
     return {

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from . import linalg
 from .errors import DecompositionNotFound, DomainError
+from .linalg import np
 from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
 
 

@@ -15,15 +15,35 @@ Every other exact batch product (`cone_contains`, a-invariants, the isometry
 check, the Weyl action kernel) takes its operands from `_int64_operands`.  One
 guard, `_refuse_past_int64`, refuses before any work an input whose bound
 reaches int64.
+
+numpy is imported once, here, as `np` for the whole package, and executes on
+its first attribute access: a command that never computes with it never
+loads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from math import gcd, isqrt
 
-import numpy as np
-
 from .errors import DomainError
+
+
+def _lazy_import(name: str):
+    """The module `name`, executed on its first attribute access (the loaded
+    module itself once anything has imported it)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 Vec = tuple[int, ...]
 

@@ -3,7 +3,9 @@
 A lattice of blow-up count n has rank n+1, intersection form
 diag(1, -1, ..., -1) in the basis (H, E_1, ..., E_n), canonical class
 K = -3H + E_1 + ... + E_n, and degree K.K = 9 - n.  Vectors are plain integer
-tuples in that basis.  All arithmetic is exact.
+tuples in that basis.  All arithmetic is exact.  `WEYL_ORDERS` holds the
+known order of each lattice's Weyl group, so `check_cap` can refuse a closure
+past its budget (`DEFAULT_CAP` elements by default) before it starts.
 """
 
 from __future__ import annotations
@@ -11,9 +13,21 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import CapExceeded, DomainError
 
 Vec = tuple[int, ...]
+
+DEFAULT_CAP = 4_000_000
+
+# |W(E_n)| for n = 0..8 blow-ups, the Weyl group of the roots in K^perp:
+# trivial for n <= 1, then A1, A2 x A1, A4, D5, E6, E7, E8
+WEYL_ORDERS = (1, 1, 2, 12, 120, 1920, 51840, 2903040, 696729600)
+
+
+def check_cap(count: int, cap: int) -> None:
+    """Raise CapExceeded when a closure of `count` elements passes `cap`."""
+    if count > cap:
+        raise CapExceeded(f"group closure passed the cap of {cap} elements")
 
 
 def _check_vec(lat: "PicardLattice", v) -> Vec:

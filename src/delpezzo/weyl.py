@@ -34,26 +34,13 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from . import curves
-from .errors import CapExceeded, DomainError, NotFound, ToolkitError
-from .linalg import _int64_operands, integer_kernel
-from .picard import PicardLattice, Vec
+from .errors import DomainError, NotFound, ToolkitError
+from .linalg import _int64_operands, integer_kernel, np
+# WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
+from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, check_cap  # noqa: F401
 
 Matrix = tuple[tuple[int, ...], ...]
-
-DEFAULT_CAP = 4_000_000
-
-# |W(E_n)| for n = 0..8 blow-ups, the Weyl group of the roots in K^perp:
-# trivial for n <= 1, then A1, A2 x A1, A4, D5, E6, E7, E8
-WEYL_ORDERS = (1, 1, 2, 12, 120, 1920, 51840, 2903040, 696729600)
-
-
-def check_cap(count: int, cap: int) -> None:
-    """Raise CapExceeded when a closure of `count` elements passes `cap`."""
-    if count > cap:
-        raise CapExceeded(f"group closure passed the cap of {cap} elements")
 
 
 def validate_isometry(lat: PicardLattice, M: Matrix) -> None:

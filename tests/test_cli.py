@@ -475,11 +475,12 @@ def test_bad_input_exits_cleanly(runner, tmp_path, case):
 
 
 # leaf replacements of the JSON property test: wrong types, NaN, Infinity, a
-# nested list, integers past int64 and the 5001-digit literal (spliced into
-# the text for its placeholder), and a missing key
+# nested list, integers that other fields or a range contradict, integers
+# past int64 and the 5001-digit literal (spliced into the text for its
+# placeholder), and a removal
 _LITERAL_PLACEHOLDER = "<5001-digit literal>"
 _MISSING = object()
-_BAD_LEAVES = ["x", 2.5, True, None, {}, [[1]], float("nan"), float("inf"),
+_BAD_LEAVES = ["x", 2.5, True, None, {}, [[1]], float("nan"), float("inf"), 0, 2, 9,
                2**70, 10**4000, _LITERAL_PLACEHOLDER, _MISSING]
 
 
@@ -514,33 +515,59 @@ def _leaf_paths(node, path=()):
     return [leaf for key, value in items for leaf in _leaf_paths(value, path + (key,))]
 
 
-@st.composite
-def _mutated_document(draw):
-    """A document with one or two leaves replaced by a bad value, a key
-    removed only from an object; returns its name, JSON text and the paths."""
-    name, doc = draw(st.sampled_from(_DOCUMENTS))
+def _mutate(name, doc, edits):
+    """(name, JSON text, paths) of `doc` with each (path, value) edit made in
+    turn: the value replaces the one at the path, or _MISSING removes it; a
+    path that an earlier removal took away is skipped."""
     doc = json.loads(json.dumps(doc))
-    paths = draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=2, unique=True))
-    for path in paths:
+    paths = []
+    for path, value in edits:
         *parents, last = path
         node = doc
-        for key in parents:
-            node = node[key]
-        bad = [v for v in _BAD_LEAVES if v is not _MISSING or isinstance(last, str)]
-        value = draw(st.sampled_from(bad))
-        if value is _MISSING:
-            del node[last]
-        else:
-            node[last] = value
+        try:
+            for key in parents:
+                node = node[key]
+            if value is _MISSING:
+                del node[last]
+            else:
+                node[last] = value
+        except IndexError:
+            continue
+        paths.append(path)
     text = json.dumps(doc).replace(json.dumps(_LITERAL_PLACEHOLDER), _HUGE_LITERAL)
     return name, text, paths
 
 
+@st.composite
+def _mutated_document(draw):
+    """A document with one or two leaves replaced by a bad value or removed:
+    the leaf's key from its object, or one element of a list on its path,
+    such as a whole translate, generator or component."""
+    name, doc = draw(st.sampled_from(_DOCUMENTS))
+    paths = draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=2, unique=True))
+    edits = []
+    for path in paths:
+        value = draw(st.sampled_from(_BAD_LEAVES))
+        if value is _MISSING:
+            cut = draw(st.sampled_from(
+                [i for i, key in enumerate(path) if isinstance(key, int) or i == len(path) - 1]
+            ))
+            path = path[: cut + 1]
+        edits.append((path, value))
+    return _mutate(name, doc, edits)
+
+
+# the three explicit examples reach a constructor's check across fields,
+# one per document, and count toward the 200 examples
 @given(case=_mutated_document())
-@settings(derandomize=True, deadline=None, max_examples=200)
+@example(case=_mutate(*_DOCUMENTS[0], [(("rho_eta",), 2)]))
+@example(case=_mutate(*_DOCUMENTS[4], [(("translates", 0, 0), _MISSING)]))
+@example(case=_mutate(*_DOCUMENTS[10], [(("components", 3), _MISSING)]))
+@settings(derandomize=True, deadline=None, max_examples=197)
 def test_json_documents_load_or_name_the_fault(argv_tmp, case):
-    # every mutated document loads, or raises one DomainError that names
-    # the document or a field on the path to a mutated leaf
+    # every mutated document loads, or raises one DomainError that names a
+    # field on the path to a mutation, the file it could not read, or, for a
+    # check across fields, the document
     name, text, paths = case
     path = argv_tmp / "document.json"
     path.write_text(text)
@@ -557,7 +584,7 @@ def test_json_documents_load_or_name_the_fault(argv_tmp, case):
         keys = [list(itertools.takewhile(lambda k: isinstance(k, str), p)) for p in paths]
         assert any(field[: len(k)] == k[: len(field)] for k in keys), (ex, paths)
     except DomainError as ex:
-        assert str(ex).startswith(f"cannot load {name} {path}: "), ex
+        assert str(ex).startswith((f"cannot load {name} {path}: ", f"{name} JSON: ")), ex
     if name == "counting model":
         res = CliRunner().invoke(main, ["count", "--model", str(path), "--dmax", "5"],
                                  catch_exceptions=False)
@@ -568,20 +595,85 @@ def test_json_documents_load_or_name_the_fault(argv_tmp, case):
             assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy is a test-only dependency; the CLI must not pull it in
+# runs one command as `delpezzo ARGS`, then writes the names of the loaded
+# modules as the last stderr line
+_REPORT_MODULES = """
+import json, sys
+from delpezzo.cli import main
+try:
+    main.main(args=sys.argv[1:], prog_name="delpezzo")
+finally:
+    sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
+"""
+
+# commands that never compute with numpy, ids by what they run
+_NUMPY_FREE = {
+    "lattice": ["lattice", "--degree", "3"],
+    "thresholds": ["thresholds", "--profile", "hypersurface-23"],
+    "ruled": ["ruled", "--seed", "7", "--trials", "200"],
+    "count": ["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "6"],
+    "weyl-refused": ["weyl", "--degree", "2", "--cap", "100000"],
+    "count-bad-q": ["count", "--profile", "cubic-pencil", "--q", "abc"],
+}
+
+
+@pytest.mark.parametrize("args", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
+def test_cold_command_loads_only_what_it_runs(runner, args):
+    # a cold process loads neither numpy's core (numpy._core in numpy 2,
+    # numpy.core in 1.x) nor sympy, a test-only dependency, and prints what
+    # the command prints where every module is loaded
     env = dict(os.environ)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import delpezzo.cli, sys; assert 'sympy' not in sys.modules",
-        ],
-        env=env,
-        check=True,
+    cold = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *args], env=env, capture_output=True, text=True
     )
+    modules = set(json.loads(cold.stderr.splitlines()[-1]))
+    assert not modules & {"numpy._core", "numpy.core", "sympy"}
+    if args[0] == "lattice":
+        package = {m for m in modules if m.split(".")[0] == "delpezzo"}
+        assert package <= {"delpezzo", "delpezzo.cli", "delpezzo.picard", "delpezzo.errors"}
+    warm = runner.invoke(main, args)
+    assert (cold.returncode, cold.stdout) == (warm.exit_code, warm.stdout)
+
+
+# the top-level exports: every public name of the modules, and the modules
+_EXPORTS = """
+    AInvariantClass AlphaResult BreakResult CapExceeded Cone CountingModel CurveClassKind
+    DEFAULT_CAP DecompositionNotFound DomainError FiberTree FibrationProfile FieldError
+    FiniteGroup HeightBelowModel HirzebruchModel INFINITE_A MbbSource NefConeEta
+    NonIntegralCoefficient NormalBundleType NotApplicable NotFound OrbitPartition
+    PicardLattice PolarizedSurface SectionClass ThresholdReport ToolkitError Vec WEYL_ORDERS
+    a_invariant alpha anticanonical_degree asymptotic blow_up_fiber break_fiber_class
+    break_section check_cap classify_kind classify_vertical_family
+    conic_bundle_extension_analysis contract_keeping_section convergence_report count_exact
+    counting curves decompose_nef_integral default_model effective_cone_generators
+    enumerate_conic_classes enumerate_cubic_classes enumerate_neg_one_curves errors
+    fibertree_from_json fibertree_to_json find_diagonal_cubic_subgroup fujita
+    fuzz_blow_up_sequences generate_group glue_normal_bundle gw_thresholds
+    hirzebruch_polarized invariant_sublattice irreducible_fiber is_nef larger_a_locus
+    lattice_points_at_height linalg list_shipped_profiles load_model load_profile
+    make_lattice maxdef_height_bound maxdef_of_x mbb_bound minimal_moving_height
+    model_from_json model_to_json monotone_corners nef_classes_of_height nef_curve_cone
+    non_dominant_threshold orbits orbits_under_generators pair picard polarized_del_pezzo
+    profile_to_dict q_of_x reachable_balanced_heights ruled same_a_low_height_bound
+    section_height simple_roots tau theorem_constant threshold_report thresholds
+    trivial_group validate_isometry verify_second_minus_one weyl weyl_generators with_marked
+""".split()
+
+
+def test_package_exports():
+    import delpezzo
+    from delpezzo import picard, weyl
+
+    assert sorted(delpezzo.__all__) == _EXPORTS and len(_EXPORTS) == 105
+    namespace = {}
+    exec("from delpezzo import *", namespace)
+    assert set(_EXPORTS) <= set(namespace) and set(_EXPORTS) <= set(dir(delpezzo))
+    assert namespace["weyl"] is weyl and namespace["make_lattice"] is picard.make_lattice
+    assert (delpezzo.DEFAULT_CAP, delpezzo.WEYL_ORDERS) == (DEFAULT_CAP, WEYL_ORDERS)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        delpezzo.no_such_name
 
 
 # option values by parameter type: valid ones next to huge, zero and negative

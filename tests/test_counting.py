@@ -478,25 +478,41 @@ def test_count_budget_edges(monkeypatch):
 
 
 def test_count_budget_bounds_the_real_scan(monkeypatch):
-    # the prediction must cover every candidate the slices enumerate: with
-    # the budget set one below the real scan, the check refuses
+    # the prediction must cover the counter's real work in the budget's unit:
+    # each slice counted costs its columns times the cone's generators, a
+    # slice with no outer coordinate (rank 1) being one column; with the
+    # budget set one below that work, the check refuses
     rng = random.Random(77)
     for rho, d in ((1, 9), (2, 7), (3, 5)):
         for _ in range(4):
             m = _random_model(rng, rho)
-            scanned = 0
+            work = columns = 0
 
-            def counted(*ranges):
-                nonlocal scanned
+            def counted_product(*ranges):
+                nonlocal columns
                 for coords in itertools.product(*ranges):
-                    scanned += 1
+                    columns += 1
                     yield coords
 
+            def counted_counter(gens, height, real=counting._slice_counter):
+                count = real(gens, height)
+
+                def counted(s):
+                    nonlocal work, columns
+                    columns = 0
+                    points = count(s)
+                    work += max(columns, 1) * len(gens)
+                    return points
+
+                return counted
+
             with monkeypatch.context() as mp:
-                mp.setattr(counting, "product", counted)
+                mp.setattr(counting, "product", counted_product)
+                mp.setattr(counting, "_slice_counter", counted_counter)
                 count_exact(m, d)
+            assert work > 0
             with monkeypatch.context() as mp:
-                mp.setattr(counting, "COUNT_BUDGET", scanned - 1)
+                mp.setattr(counting, "COUNT_BUDGET", work - 1)
                 with pytest.raises(DomainError, match="past the counting budget"):
                     count_exact(m, d)
 
