@@ -21,11 +21,11 @@ off such permutations.  `orbits_under_generators` needs the generators'
 permutations only, so orbits stay available for groups too large to
 materialize.  The two subgroup searches compute their permutation tables
 once and read every group question off rows of them, orbit sizes through
-`_orbit_sizes`: the diagonal-cubic search off the actions of W(E6) on lines
-and of its order-3 elements on conics, the conic bundle analysis off left
-multiplication in the signed permutation group on 4 letters (as 4 x 4
-matrices), whose subgroups are orbits of the identity, and off its action
-on the 16 sign vectors.
+`_orbit_sizes`: the diagonal-cubic search off the actions on lines and on
+conics of the order-3 elements of W(E6), found by exact cubes; the conic
+bundle analysis off left multiplication in the signed permutation group on
+4 letters (4 x 4 matrices; each product looked up in its table), whose
+subgroups are orbits of the identity, and off its action on sign vectors.
 """
 
 from __future__ import annotations
@@ -409,6 +409,19 @@ def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
     return sorted(out)
 
 
+def _order3_indices(elems: np.ndarray) -> np.ndarray:
+    """Indices, in table order, of the int8 matrices M with M^3 = I != M,
+    by exact float64 cubes over blocks of 4096 matrices, so no float copy of
+    the whole table is held (see `find_diagonal_cubic_subgroup`)."""
+    eye = np.eye(elems.shape[-1])
+    found = []
+    for lo in range(0, len(elems), 4096):
+        M = elems[lo : lo + 4096].astype(np.float64)
+        hit = ((M @ M @ M) == eye).all(axis=(1, 2)) & ~(M == eye).all(axis=(1, 2))
+        found.append(lo + np.flatnonzero(hit))
+    return np.concatenate(found)
+
+
 def find_diagonal_cubic_subgroup(
     group: FiniteGroup, lat: PicardLattice
 ) -> FiniteGroup:
@@ -420,28 +433,23 @@ def find_diagonal_cubic_subgroup(
     runs return the identical subgroup.  Raises NotFound when the scan
     exhausts (it does not for the genuine Weyl group).
 
-    Every group question is read off two permutation tables computed once:
-    the faithful action of every element on the lines, and the action of the
-    order-3 elements on the conics.  B and C come after A in the scan (so
-    neither is A), commute with A and lie outside <A>, and C commutes with B
-    and lies outside <A, B>: so <A, B> has order 9 and <A, B, C> order 27,
-    and its orbits are those of its generators' rows (`_orbit_sizes`).
+    The candidates are the 800 elements M of order 3, picked out of the
+    table by M^3 = I != M in float64 (`_order3_indices`), which is exact: an
+    entry of M^3 is an integer of size at most rank**2 * 128**3 < 2**53.
+    Every group question is read off two permutation tables of the
+    candidates, computed once: their faithful action on the lines and their
+    action on the conics.  B and C come after A in the scan (so neither is
+    A), commute with A and lie outside <A>, and C commutes with B and lies
+    outside <A, B>: so <A, B> has order 9 and <A, B, C> order 27, and its
+    orbits are those of its generators' rows (`_orbit_sizes`).
     """
     if lat.n != 6:
         raise DomainError("the diagonal cubic search needs blow-up count 6")
-    lines = curves.enumerate_neg_one_curves(lat)
-    conics = curves.enumerate_conic_classes(lat)
-    P = _permutation_action(group.elements, lines)
-    ident = np.arange(len(lines), dtype=P.dtype)
-
-    P2 = np.take_along_axis(P, P, axis=1)
-    P3 = np.take_along_axis(P, P2, axis=1)
-    is_id = (P == ident).all(axis=1)
-    order3 = (P3 == ident).all(axis=1) & ~is_id
-    cand = np.flatnonzero(order3)
-    Pc = P[cand]
-    Pc2 = P2[cand]
-    Qc = _permutation_action(group.elements[cand], conics)
+    cand = _order3_indices(group.elements)
+    Pc = _permutation_action(group.elements[cand], curves.enumerate_neg_one_curves(lat))
+    Pc2 = np.take_along_axis(Pc, Pc, axis=1)
+    Qc = _permutation_action(group.elements[cand], curves.enumerate_conic_classes(lat))
+    ident = np.arange(Pc.shape[1], dtype=Pc.dtype)
 
     target = [9, 9, 9]
     for i1 in range(len(cand)):
@@ -474,6 +482,13 @@ def find_diagonal_cubic_subgroup(
     )
 
 
+def _left_table(table: np.ndarray) -> np.ndarray:
+    """left[e, f] = index of table[e] @ table[f] in a group's sorted table: each
+    exact product (`_products`) is looked up by its row key (`_find`)."""
+    keys = _row_keys(_products(table, table).reshape(len(table), len(table), -1))
+    return _find(_row_keys(table.reshape(len(table), -1)), keys)[0]
+
+
 def _signed_perm_matrix(perm, signs) -> Matrix:
     """4 x 4 matrix of a signed permutation acting on sign vectors by
     (g.v)_i = signs_i * v_{perm^-1(i)}, where perm maps position j to perm[j]."""
@@ -497,7 +512,8 @@ def conic_bundle_extension_analysis() -> dict:
     transposition (0 1) and the 4-cycle (0 1 2 3); the scan over the 16 x 16
     lifts is therefore exhaustive.  The ambient group is closed once, and
     every group question is read off two permutation tables of its elements,
-    computed once: left multiplication and the action on the 16 sign vectors.
+    computed once: left multiplication, each product looked up in the sorted
+    table (`_left_table`), and the action on the 16 sign vectors.
     Each candidate G and each candidate complement is the orbit of the
     identity under left multiplication by its generators, and the orbits of
     G on sign vectors are those of its generators' rows (`_orbit_sizes`).
@@ -517,10 +533,7 @@ def conic_bundle_extension_analysis() -> dict:
     )
     elems = b4.elements
 
-    # left[e, f] = index of elems[e] @ elems[f]: elems[e] acts on the
-    # row-major flattened elements as kron(elems[e], I_4)
-    flat = elems.reshape(len(elems), -1)
-    left = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
+    left = _left_table(elems)
     signs = _permutation_action(elems, list(product((-1, 1), repeat=4)))
 
     # a signed permutation matrix has trace 4 only as the identity and -4

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -30,7 +31,7 @@ from delpezzo import (
     weyl_generators,
 )
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
-from delpezzo.weyl import _signed_perm_matrix
+from delpezzo.weyl import _left_table, _order3_indices, _permutation_action, _signed_perm_matrix
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
 
@@ -170,6 +171,10 @@ def _dimino_cases():
     eye = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
     # the oracle closes the simple reflections alone
     yield "W(E5) redundant", e5[:2] + [_mat_product(e5[0], e5[1]), eye] + e5[2:], e5
+    # a Coxeter element c and one simple reflection, in both orders: one
+    # tower step of large index over the small cyclic group <c> or <s0>
+    c = functools.reduce(_mat_product, e5)
+    yield "W(E5) <c, s0>", [c, e5[0]], [c, e5[0]]
 
 
 def test_dimino_matches_python_bfs():
@@ -182,7 +187,7 @@ def test_dimino_matches_python_bfs():
             group = generate_group(order_of_gens, cap=order)
             assert group.elements.tobytes() == table, label
         orders.add(order)
-    assert sorted(orders) == [4, 6, 192, 1920]
+    assert sorted(orders) == [4, 6, 192, 384, 1920]
     # the last tower step of signed-perm-4 adds several cosets per level
     gens = _signed_perm_gens()
     assert generate_group(gens, cap=384).order == 384
@@ -253,6 +258,21 @@ def test_diagonal_subgroup_scan_order(diag_subgroup):
     assert digest == (
         "c0eb300afffe358e009deddae7f6f99a3697e2a6259c438434877544edc79130"
     )
+
+
+def test_order3_filter_matches_line_permutations(we6, lat6):
+    # the old route: line permutations P of the whole table, P^3 = id != P
+    P = _permutation_action(we6.elements, enumerate_neg_one_curves(lat6))
+    P3 = np.take_along_axis(P, np.take_along_axis(P, P, axis=1), axis=1)
+    ident = np.arange(P.shape[1])
+    oracle = np.flatnonzero((P3 == ident).all(axis=1) & (P != ident).any(axis=1))
+    cand = _order3_indices(we6.elements)
+    assert cand.tolist() == oracle.tolist()
+    # the three classes of order 3, told apart by their trace on Pic: 7
+    # minus 3 per A2 factor, so -2, 1 and 4 for A2^3, A2^2 and A2
+    traces = we6.elements[cand].trace(axis1=1, axis2=2).tolist()
+    assert {t: traces.count(t) for t in set(traces)} == {-2: 80, 1: 480, 4: 240}
+    assert len(cand) == 800
 
 
 def test_trivial_group():
@@ -480,6 +500,15 @@ def _conic_bundle_report_by_closures() -> dict:
         "subgroups": sorted(found.values(), key=lambda d: (d["split"], d["orbit_sizes"])),
         "claims_verified": True,
     }
+
+
+def test_left_table_matches_kron_action():
+    # the old route: elems[e] acts on the row-major flattened elements as
+    # kron(elems[e], I_4)
+    elems = generate_group(_signed_perm_gens(), cap=384).elements
+    flat = elems.reshape(len(elems), -1)
+    oracle = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
+    assert (_left_table(elems) == oracle).all()
 
 
 def test_conic_bundle_tables_match_closures():
