@@ -33,11 +33,8 @@ def _jsonable(obj):
         return "+inf"
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, frozenset, set)):
-        items = list(obj)
-        if isinstance(obj, (frozenset, set)):
-            items = sorted(items)
-        return [_jsonable(v) for v in items]
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")

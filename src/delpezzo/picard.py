@@ -83,6 +83,5 @@ def pair(lat: PicardLattice, a, b) -> int:
 
 
 def anticanonical_degree(lat: PicardLattice, c) -> int:
-    """Degree of c against -K, i.e. pair(-K, c)."""
-    c = _check_vec(lat, c)
+    """Degree of c against -K, i.e. pair(-K, c); `pair` checks c."""
     return pair(lat, lat.anticanonical, c)

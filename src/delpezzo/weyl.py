@@ -1,7 +1,8 @@
 """Lattice isometries: Weyl groups, orbits, and monodromy-style subgroups.
 
-Every search in this module goes through one closure routine, one action
-kernel and one row index.  The row index is a pair of helpers: `_row_keys`
+Every group in this module is one sorted table, searched through one row
+index and acted on by one action kernel; all but the signed permutation group
+are closed by one routine.  The row index is a pair of helpers: `_row_keys`
 views each row of an integer array as one fixed-width byte key, and `_find`
 looks keys up in a sorted key array.  `generate_group` closes a set of int8
 matrices by Dimino's algorithm: a tower of subgroups, each a union of right
@@ -24,15 +25,16 @@ once and read every group question off rows of them, orbit sizes through
 `_orbit_sizes`: the diagonal-cubic search off the actions on lines and on
 conics of the order-3 elements of W(E6), found by exact cubes; the conic
 bundle analysis off left multiplication in the signed permutation group on
-4 letters (4 x 4 matrices; each product looked up in its table), whose
-subgroups are orbits of the identity, and off its action on sign vectors.
+4 letters (4 x 4 matrices, built as every permutation with every sign; each
+product looked up in its table), whose subgroups are orbits of the identity,
+and off its action on sign vectors.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 from . import curves
 from .errors import DomainError, NotFound, ToolkitError
@@ -498,6 +500,17 @@ def _signed_perm_matrix(perm, signs) -> Matrix:
     return tuple(tuple(row) for row in M)
 
 
+def _signed_perm_table() -> tuple[np.ndarray, np.ndarray]:
+    """(the sorted int8 table of every permutation p of 4 letters with every
+    sign vector s, lifts): lifts[p, s] is the index of _signed_perm_matrix(p, s)
+    in it, for p and s in the order of permutations(range(4)) and
+    product((-1, 1), repeat=4)."""
+    signed = product(permutations(range(4)), product((-1, 1), repeat=4))
+    mats = np.array([_signed_perm_matrix(p, s) for p, s in signed], dtype=np.int8)
+    order = np.argsort(_row_keys(mats.reshape(len(mats), -1)))
+    return mats[order], np.argsort(order).reshape(24, 16)
+
+
 def conic_bundle_extension_analysis() -> dict:
     """Classify the order-48 subgroups G of the signed permutation group on 4
     letters that contain the global sign flip, meet the diagonal in exactly
@@ -510,36 +523,25 @@ def conic_bundle_extension_analysis() -> dict:
 
     Every such G is generated by sigma together with one lift of each of the
     transposition (0 1) and the 4-cycle (0 1 2 3); the scan over the 16 x 16
-    lifts is therefore exhaustive.  The ambient group is closed once, and
-    every group question is read off two permutation tables of its elements,
-    computed once: left multiplication, each product looked up in the sorted
-    table (`_left_table`), and the action on the 16 sign vectors.
+    lifts is therefore exhaustive.  The ambient group is every permutation
+    with every sign (`_signed_perm_table`), and every group question is read
+    off two permutation tables of its elements, computed once: left
+    multiplication, each product looked up in the sorted table
+    (`_left_table`), and the action on the 16 sign vectors.
     Each candidate G and each candidate complement is the orbit of the
     identity under left multiplication by its generators, and the orbits of
     G on sign vectors are those of its generators' rows (`_orbit_sizes`).
     """
-    t_perm = (1, 0, 2, 3)
-    c_perm = (1, 2, 3, 0)
-    ident_perm = (0, 1, 2, 3)
-    plus = (1, 1, 1, 1)
-    basis_flips = [
-        _signed_perm_matrix(ident_perm, tuple(-1 if j == i else 1 for j in range(4)))
-        for i in range(4)
-    ]
-    b4 = generate_group(
-        [_signed_perm_matrix(t_perm, plus), _signed_perm_matrix(c_perm, plus)]
-        + basis_flips,
-        cap=384,
+    elems, lifts = _signed_perm_table()
+    perms = list(permutations(range(4)))
+    # permutation 0 is the identity; the signs run from all -1 to all +1
+    one, sigma = int(lifts[0, -1]), int(lifts[0, 0])
+    diagonal, lifts_t, lifts_c = (
+        np.sort(lifts[perms.index(p)]) for p in ((0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0))
     )
-    elems = b4.elements
-
     left = _left_table(elems)
     signs = _permutation_action(elems, list(product((-1, 1), repeat=4)))
 
-    # a signed permutation matrix has trace 4 only as the identity and -4
-    # only as sigma = -1
-    trace = elems.trace(axis1=1, axis2=2)
-    one, sigma = int(np.flatnonzero(trace == 4)[0]), int(np.flatnonzero(trace == -4)[0])
     sigma_central = bool((left[sigma] == left[:, sigma]).all())
 
     def subgroup(*gens: int) -> np.ndarray:
@@ -548,11 +550,6 @@ def conic_bundle_extension_analysis() -> dict:
         label = _orbit_labels(left[list(gens)])
         return np.flatnonzero(label == label[one])
 
-    # perms[e, j] = perm[j] of element e: the row of column j's entry
-    perms = np.abs(elems).argmax(axis=1)
-    diagonal, lifts_t, lifts_c = (
-        np.flatnonzero((perms == p).all(axis=1)) for p in (ident_perm, t_perm, c_perm)
-    )
     found: dict[bytes, dict] = {}
     for a in lifts_t:
         for b in lifts_c:
@@ -577,17 +574,10 @@ def conic_bundle_extension_analysis() -> dict:
                 raise ToolkitError(
                     f"claim falsified: split subgroup with orbits {sizes}"
                 )
-            found[key] = {
-                "order": 48,
-                "split": split,
-                "orbit_sizes": sizes,
-            }
-    subgroups = sorted(
-        found.values(),
-        key=lambda d: (d["split"], d["orbit_sizes"]),
-    )
+            found[key] = {"order": 48, "split": split, "orbit_sizes": sizes}
+    subgroups = sorted(found.values(), key=lambda d: (d["split"], d["orbit_sizes"]))
     return {
-        "ambient_order": b4.order,
+        "ambient_order": len(elems),
         "sigma_central": sigma_central,
         "subgroup_count": len(subgroups),
         "subgroups": subgroups,

@@ -31,7 +31,13 @@ from delpezzo import (
     weyl_generators,
 )
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
-from delpezzo.weyl import _left_table, _order3_indices, _permutation_action, _signed_perm_matrix
+from delpezzo.weyl import (
+    _left_table,
+    _order3_indices,
+    _permutation_action,
+    _signed_perm_matrix,
+    _signed_perm_table,
+)
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
 
@@ -514,6 +520,44 @@ def test_left_table_matches_kron_action():
 def test_conic_bundle_tables_match_closures():
     # the table reads against the closures they replaced
     assert conic_bundle_extension_analysis() == _conic_bundle_report_by_closures()
+
+
+def test_signed_perm_table_matches_closure():
+    # the routes the construction replaced are the oracle: Dimino's closure of
+    # six generators, the identity and sigma by their traces, and each
+    # element's permutation by the row of the nonzero entry of each column
+    table, lifts = _signed_perm_table()
+    assert table.dtype == np.int8 and table.shape == (384, 4, 4)
+    assert table.tobytes() == generate_group(_signed_perm_gens(), cap=384).elements.tobytes()
+    perms = list(itertools.permutations(range(4)))
+    signs = list(itertools.product((-1, 1), repeat=4))
+    assert sorted(lifts.ravel().tolist()) == list(range(384))
+    trace = table.trace(axis1=1, axis2=2)
+    assert np.flatnonzero(trace == 4).tolist() == [lifts[0, signs.index((1, 1, 1, 1))]]
+    assert np.flatnonzero(trace == -4).tolist() == [lifts[0, signs.index((-1, -1, -1, -1))]]
+    decoded = np.abs(table).argmax(axis=1)
+    for p, row in zip(perms, lifts):
+        assert (decoded[row] == p).all()
+        for s, e in zip(signs, row):
+            assert table[e].tolist() == [list(r) for r in _signed_perm_matrix(p, s)]
+
+
+def test_conic_bundle_analysis_never_closes(monkeypatch):
+    # the ambient group is built, not closed: with the closure routine gone
+    # the analysis still returns the full report
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_group called")
+
+    monkeypatch.setattr("delpezzo.weyl.generate_group", refuse)
+    non_split = {"order": 48, "split": False, "orbit_sizes": [16]}
+    split = {"order": 48, "split": True, "orbit_sizes": [2, 6, 8]}
+    assert conic_bundle_extension_analysis() == {
+        "ambient_order": 384,
+        "sigma_central": True,
+        "subgroup_count": 16,
+        "subgroups": [non_split] * 8 + [split] * 8,
+        "claims_verified": True,
+    }
 
 
 @given(st.integers(2, 4), st.data())
