@@ -4,7 +4,7 @@ path, and exact integers (within int64, the range of the kernels), rationals,
 booleans and strings.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
-are raised as click.UsageError and exit with code 2.
+are argparse errors and exit with code 2.
 """
 
 import json
@@ -71,10 +71,14 @@ def _json_document(doc: str, data):
 
 
 def _read_json(doc: str, path):
-    """The JSON in the file `path`; a file that cannot be read (missing, a
-    directory, not UTF-8) or parsed (also an integer past 4300 digits, or
-    nesting past the recursion limit) raises one DomainError naming `doc`."""
+    """The JSON in the regular file `path`; a path that is not one (missing, a
+    directory, a device such as /dev/zero, which would be read without end), or
+    a file that cannot be read (not UTF-8) or parsed (also an integer past 4300
+    digits, or nesting past the recursion limit) raises one DomainError naming
+    `doc`."""
     try:
+        if not path.is_file():
+            raise OSError("missing, or not a regular file")
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as ex:
         raise DomainError(f"cannot load {doc} {path}: {ex}") from None

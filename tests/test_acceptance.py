@@ -1,7 +1,8 @@
 """Acceptance gate: one test per release criterion, each self-contained.
 
-Every test recomputes what it checks from scratch (no shared fixtures), so
-the runtime budgets asserted here measure the real cost of the computation.
+Every test recomputes what it checks from scratch (no fixture shares a
+result), so the runtime budgets asserted here measure the real cost of the
+computation.
 Run with -v for the one-line pass/fail verdict per criterion, add -s to see
 the measured times.
 """
@@ -15,7 +16,6 @@ from math import factorial
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from delpezzo import (
     AInvariantClass,
@@ -55,7 +55,6 @@ from delpezzo import (
     reachable_balanced_heights,
     weyl_generators,
 )
-from delpezzo.cli import main as cli_main
 from delpezzo.fujita import PolarizedSurface
 from delpezzo.thresholds import FibrationProfile, NefConeEta
 
@@ -347,11 +346,10 @@ CLI_INVOCATIONS = [
 ]
 
 
-def test_criterion_10_cli_determinism():
-    runner = CliRunner()
+def test_criterion_10_cli_determinism(cli):
     for args in CLI_INVOCATIONS:
-        first = runner.invoke(cli_main, args, catch_exceptions=False)
-        second = runner.invoke(cli_main, args, catch_exceptions=False)
+        first = cli(args)
+        second = cli(args)
         assert first.exit_code == 0, f"{args} exited {first.exit_code}"
         assert second.exit_code == 0
         assert first.output == second.output, f"non-deterministic output for {args}"

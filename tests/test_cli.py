@@ -10,13 +10,11 @@ import sys
 import time
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.cli import _Rational, main, run_example
+from delpezzo.cli import _COMMANDS, _rational, run_example
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS, default_model, load_model, model_to_json
 from delpezzo.errors import DomainError, FieldError, _read_json
 from delpezzo.ruled import (
@@ -32,38 +30,27 @@ from delpezzo.weyl import DEFAULT_CAP, WEYL_ORDERS
 from delpezzo.thresholds import list_shipped_profiles, load_profile, profile_to_dict
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
-
-
-def test_lattice(runner):
-    res = invoke(runner, ["lattice", "--degree", "3"])
+def test_lattice(cli):
+    res = cli(["lattice", "--degree", "3"])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["rank"] == 7
     assert data["anticanonical"] == [3, -1, -1, -1, -1, -1, -1]
 
 
-def test_curves_json_and_csv(runner):
-    res = invoke(runner, ["curves", "--degree", "5", "--kind", "lines"])
+def test_curves_json_and_csv(cli):
+    res = cli(["curves", "--degree", "5", "--kind", "lines"])
     assert res.exit_code == 0
     assert json.loads(res.output)["count"] == 10
-    res = invoke(
-        runner, ["curves", "--degree", "7", "--kind", "conics", "--format", "csv"]
-    )
+    res = cli(["curves", "--degree", "7", "--kind", "conics", "--format", "csv"])
     assert res.exit_code == 0
     lines = res.output.splitlines()
     assert lines[0] == "c0,c1,c2"
     assert len(lines) == 3
 
 
-def test_curves_cubics_tagged(runner):
-    res = invoke(runner, ["curves", "--degree", "3", "--kind", "cubics"])
+def test_curves_cubics_tagged(cli):
+    res = cli(["curves", "--degree", "3", "--kind", "cubics"])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["count"] == 73
@@ -71,24 +58,22 @@ def test_curves_cubics_tagged(runner):
     assert kinds.count("CubicLinePullback") == 72
     assert kinds.count("CubicAnticanonical") == 1
     assert all(len(row["class"]) == 7 for row in data["classes"])
-    res = invoke(
-        runner, ["curves", "--degree", "3", "--kind", "cubics", "--format", "csv"]
-    )
+    res = cli(["curves", "--degree", "3", "--kind", "cubics", "--format", "csv"])
     lines = res.output.splitlines()
     assert lines[0] == "c0,c1,c2,c3,c4,c5,c6,kind"
     assert len(lines) == 74
 
 
-def test_weyl_and_orbits(runner):
-    res = invoke(runner, ["weyl", "--degree", "5"])
+def test_weyl_and_orbits(cli):
+    res = cli(["weyl", "--degree", "5"])
     assert json.loads(res.output)["order"] == 120
     # no simple roots for n <= 1: the group is trivial
     for degree in ("8", "9"):
-        res = invoke(runner, ["weyl", "--degree", degree])
+        res = cli(["weyl", "--degree", degree])
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert (data["generators"], data["order"]) == (0, 1)
-    res = invoke(runner, ["orbits", "--degree", "4", "--classes", "lines"])
+    res = cli(["orbits", "--degree", "4", "--classes", "lines"])
     data = json.loads(res.output)
     assert data["orbit_sizes"] == [16]
 
@@ -98,9 +83,9 @@ def test_weyl_and_orbits(runner):
     [(1, [240, 17280]), (2, None), (3, [1, 72]), (4, None), (5, [5]), (6, None),
      (7, None), (8, None), (9, [1])],
 )
-def test_orbits_of_cubics(runner, degree, sizes):
+def test_orbits_of_cubics(cli, degree, sizes):
     # the cubic classes' kind tags are not part of the classes acted on
-    res = invoke(runner, ["orbits", "--degree", str(degree), "--classes", "cubics"])
+    res = cli(["orbits", "--degree", str(degree), "--classes", "cubics"])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert sum(data["orbit_sizes"]) == data["count"]
@@ -108,42 +93,42 @@ def test_orbits_of_cubics(runner, degree, sizes):
         assert data["orbit_sizes"] == sizes
 
 
-def test_weyl_refuses_known_order_past_cap(runner, monkeypatch):
+def test_weyl_refuses_known_order_past_cap(cli, monkeypatch):
     # refused from the closed-form order, before any closure runs
     def closure(*args, **kwargs):
         raise AssertionError("the closure ran")
 
     monkeypatch.setattr("delpezzo.weyl.generate_group", closure)
     for args, cap in ((["--degree", "1"], 4_000_000), (["--degree", "3", "--cap", "51839"], 51839)):
-        res = invoke(runner, ["weyl", *args])
+        res = cli(["weyl", *args])
         assert res.exit_code == 1
         assert res.stderr == f"error: group closure passed the cap of {cap} elements\n"
 
 
-def test_fujita_cmd(runner):
-    res = invoke(runner, ["fujita", "--degree", "9"])
+def test_fujita_cmd(cli):
+    res = cli(["fujita", "--degree", "9"])
     data = json.loads(res.output)
     assert data["a_invariant"] == "1"
     assert data["larger_a_locus_size"] == 0
-    res = invoke(runner, ["fujita", "--hirzebruch", "1"])
+    res = cli(["fujita", "--hirzebruch", "1"])
     assert json.loads(res.output)["a_invariant"] == "1"
-    res = invoke(runner, ["fujita", "--hirzebruch", "3"])
+    res = cli(["fujita", "--hirzebruch", "3"])
     assert res.exit_code == 1
-    res = invoke(runner, ["fujita", "--degree", "3", "--hirzebruch", "1"])
+    res = cli(["fujita", "--degree", "3", "--hirzebruch", "1"])
     assert res.exit_code == 2
 
 
-def test_thresholds_cmd(runner):
-    res = invoke(runner, ["thresholds", "--profile", "cubic-pencil"])
+def test_thresholds_cmd(cli):
+    res = cli(["thresholds", "--profile", "cubic-pencil"])
     data = json.loads(res.output)
     assert data["q"] == 6
     assert data["mbb_bound"] == 3
-    res = invoke(runner, ["thresholds", "--profile", "nope"])
+    res = cli(["thresholds", "--profile", "nope"])
     assert res.exit_code == 1
 
 
-def test_ruled_cmd(runner):
-    res = invoke(runner, ["ruled", "--seed", "5", "--trials", "50"])
+def test_ruled_cmd(cli):
+    res = cli(["ruled", "--seed", "5", "--trials", "50"])
     data = json.loads(res.output)
     assert data["all_passed"] is True
     assert data["trials"] == 50
@@ -152,13 +137,13 @@ def test_ruled_cmd(runner):
 @pytest.mark.parametrize(
     "args", [["--trials", "1000000000"], ["--trials", "2", "--depth", "100000000"]]
 )
-def test_ruled_budget_refused(runner, args):
-    res = invoke(runner, ["ruled", *args])
+def test_ruled_budget_refused(cli, args):
+    res = cli(["ruled", *args])
     assert res.exit_code == 1 and res.stdout == ""
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "--trials" in lines[0] and "--depth" in lines[0]
-    help_text = " ".join(invoke(runner, ["ruled", "--help"]).output.split())
+    help_text = " ".join(cli(["ruled", "--help"]).output.split())
     assert f"trials x depth <= {FUZZ_BUDGET} and depth <= {FUZZ_MAX_DEPTH}" in help_text
 
 
@@ -168,17 +153,17 @@ def test_ruled_budget_refused(runner, args):
      ["example", "--name", "x5-pencil", "--dmax", "100000000"]],
     ids=["count", "example"],
 )
-def test_count_budget_refused(runner, args):
-    res = invoke(runner, args)
+def test_count_budget_refused(cli, args):
+    res = cli(args)
     assert res.exit_code == 1 and res.stdout == ""
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --dmax 100000000 ")
-    help_text = " ".join(invoke(runner, [args[0], "--help"]).output.split())
+    help_text = " ".join(cli([args[0], "--help"]).output.split())
     assert f"at most {COUNT_BUDGET} column-generator pairs" in help_text
     assert f"at most {COUNT_POWER_BITS} bits" in help_text
 
 
-def test_huge_q_exponent_refused_at_once(runner, tmp_path):
+def test_huge_q_exponent_refused_at_once(cli, tmp_path):
     # every q with a decimal exponent past 4096 in size is past the power
     # bound; it is refused before Fraction builds the number
     model = {"profile": "cubic-pencil", "translates": [[-1]], "q": "1e3000000"}
@@ -190,7 +175,7 @@ def test_huge_q_exponent_refused_at_once(runner, tmp_path):
          "error: counting model JSON field 'q': a decimal exponent"),
     ):
         start = time.perf_counter()
-        res = invoke(runner, args)
+        res = cli(args)
         assert time.perf_counter() - start < 0.5
         assert res.exit_code == 1 and res.stdout == ""
         lines = res.stderr.splitlines()
@@ -198,7 +183,7 @@ def test_huge_q_exponent_refused_at_once(runner, tmp_path):
         assert "past the counting budget" in lines[0]
 
 
-def test_cross_field_errors_name_the_document(runner, tmp_path):
+def test_cross_field_errors_name_the_document(cli, tmp_path):
     cubic = profile_to_dict(load_profile("cubic-pencil"))
     (tmp_path / "profile.json").write_text(json.dumps(dict(cubic, fiber_degree=9)))
     model = {"profile": cubic, "translates": [[]], "q": "2"}
@@ -209,7 +194,7 @@ def test_cross_field_errors_name_the_document(runner, tmp_path):
         (["count", "--model", str(tmp_path / "model.json")],
          "error: counting model JSON: translate () does not match rho_eta"),
     ):
-        res = invoke(runner, args)
+        res = cli(args)
         assert res.exit_code == 1 and res.stderr.splitlines() == [line]
     with pytest.raises(DomainError) as ex:
         fibertree_from_json({"components": [[-1, 1], [-1, 1]], "edges": []})
@@ -219,11 +204,9 @@ def test_cross_field_errors_name_the_document(runner, tmp_path):
         fibertree_from_json({"components": [[-1, 1], [-1, 1]], "edges": [[0]]})
 
 
-def test_count_csv_header(runner):
-    res = invoke(
-        runner,
-        ["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "5",
-         "--format", "csv"],
+def test_count_csv_header(cli):
+    res = cli(
+        ["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "5", "--format", "csv"]
     )
     assert res.exit_code == 0
     lines = res.output.splitlines()
@@ -232,16 +215,14 @@ def test_count_csv_header(runner):
     assert lines[1].split(",")[1] == "14"
 
 
-def test_count_json(runner):
-    res = invoke(
-        runner, ["count", "--profile", "x5-pencil", "--q", "5/2", "--dmax", "4"]
-    )
+def test_count_json(cli):
+    res = cli(["count", "--profile", "x5-pencil", "--q", "5/2", "--dmax", "4"])
     data = json.loads(res.output)
     assert data["measured_offset"] == "25/4"
     assert data["stabilizes"] is True
 
 
-def test_count_model_file(runner, tmp_path):
+def test_count_model_file(cli, tmp_path):
     model = {
         "profile": "cubic-pencil",
         "translates": [[-1]],
@@ -250,26 +231,23 @@ def test_count_model_file(runner, tmp_path):
     }
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
-    res = invoke(runner, ["count", "--model", str(path), "--dmax", "4"])
+    res = cli(["count", "--model", str(path), "--dmax", "4"])
     assert res.exit_code == 0
     assert json.loads(res.output)["measured_offset"] == "9"
-    res = invoke(
-        runner,
-        ["count", "--model", str(path), "--profile", "cubic-pencil"],
-    )
+    res = cli(["count", "--model", str(path), "--profile", "cubic-pencil"])
     assert res.exit_code == 2
-    res = invoke(runner, ["count", "--dmax", "4"])
+    res = cli(["count", "--dmax", "4"])
     assert res.exit_code == 2
     # a model file carries its own q: an explicit --q is refused, not ignored
-    res = invoke(runner, ["count", "--model", str(path), "--q", "7"])
+    res = cli(["count", "--model", str(path), "--q", "7"])
     assert res.exit_code == 2
     assert "--q applies to --profile only" in res.stderr
 
 
-def test_count_domain_errors(runner):
-    res = invoke(runner, ["count", "--profile", "cubic-pencil", "--q", "1"])
+def test_count_domain_errors(cli):
+    res = cli(["count", "--profile", "cubic-pencil", "--q", "1"])
     assert res.exit_code == 1
-    res = invoke(runner, ["count", "--profile", "cubic-pencil", "--dmax", "2"])
+    res = cli(["count", "--profile", "cubic-pencil", "--dmax", "2"])
     assert res.exit_code == 1
 
 
@@ -282,34 +260,61 @@ def test_example_reports():
     assert rep23["thresholds"]["non_dominant_threshold"] == 3
 
 
-def test_example_cmd_and_unknown_name(runner):
-    res = invoke(runner, ["example", "--name", "x5-pencil", "--dmax", "4"])
+def test_example_cmd_and_unknown_name(cli):
+    res = cli(["example", "--name", "x5-pencil", "--dmax", "4"])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["monodromy"]["line_orbit_sizes"] == [10]
     assert data["convergence"]["measured_offset"] == "4"
-    res = invoke(runner, ["example", "--name", "bogus"])
+    res = cli(["example", "--name", "bogus"])
     assert res.exit_code == 2
 
 
-def test_example_csv(runner):
-    res = invoke(
-        runner,
-        ["example", "--name", "cubic-pencil", "--dmax", "4", "--format", "csv"],
-    )
+def test_example_csv(cli):
+    res = cli(["example", "--name", "cubic-pencil", "--dmax", "4", "--format", "csv"])
     lines = res.output.splitlines()
     assert lines[0] == "d,exact,asymptotic,ratio"
     assert len(lines) == 5
 
 
-def test_usage_errors(runner):
-    assert invoke(runner, ["lattice", "--degree", "12"]).exit_code == 2
-    assert invoke(runner, ["curves", "--degree", "3", "--kind", "quartics"]).exit_code == 2
+def test_usage_errors(cli):
+    assert cli(["lattice", "--degree", "12"]).exit_code == 2
+    # an option is never abbreviated
+    assert cli(["lattice", "--deg", "3"]).exit_code == 2
 
 
-def test_emitted_json_reparses_to_report():
-    runner = CliRunner()
-    res = invoke(runner, ["thresholds", "--profile", "diagonal-cubic"])
+# every flag of every command and its default (None: no default)
+_FLAGS = {
+    "lattice": {"--degree": None},
+    "curves": {"--degree": None, "--kind": "lines", "--format": "json"},
+    "weyl": {"--degree": None, "--cap": DEFAULT_CAP},
+    "orbits": {"--degree": None, "--classes": "lines"},
+    "fujita": {"--degree": None, "--hirzebruch": None},
+    "thresholds": {"--profile": None},
+    "ruled": {"--seed": 0, "--trials": 1000, "--depth": 8},
+    "count": {"--profile": None, "--model": None, "--q": 2, "--dmax": 12, "--format": "json"},
+    "example": {"--name": None, "--q": 2, "--dmax": 12, "--format": "json"},
+}
+
+
+@pytest.mark.parametrize("name", _FLAGS)
+def test_help_names_every_flag(cli, name):
+    res = cli([name, "--help"])
+    assert res.exit_code == 0
+    assert sorted(flag for flag, _ in _options(name)) == sorted(_FLAGS[name])
+    text = " ".join(res.stdout.split())
+    for flag, default in _FLAGS[name].items():
+        # the flag's entry in the list after the usage line: its metavar and
+        # help, up to the next flag
+        entry = text.rpartition(f"{flag} ")[2].partition(" --")[0]
+        assert entry, flag
+        assert ("[default: " in entry) == (default is not None), entry
+        assert default is None or f"[default: {default}]" in entry
+    assert cli(["curves", "--degree", "3", "--kind", "quartics"]).exit_code == 2
+
+
+def test_emitted_json_reparses_to_report(cli):
+    res = cli(["thresholds", "--profile", "diagonal-cubic"])
     parsed = json.loads(res.output)
     from delpezzo import load_profile, threshold_report
     from delpezzo.cli import _jsonable
@@ -332,9 +337,9 @@ def test_emitted_json_reparses_to_report():
         ["example", "--name", "x5-pencil", "--dmax", "4"],
     ],
 )
-def test_byte_identical_reruns(runner, args):
-    first = invoke(runner, args)
-    second = invoke(runner, args)
+def test_byte_identical_reruns(cli, args):
+    first = cli(args)
+    second = cli(args)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
 
@@ -363,8 +368,8 @@ _CRITERION_10 = [
 
 
 @pytest.mark.parametrize("args, digest", _CRITERION_10, ids=[a[0] for a, _ in _CRITERION_10])
-def test_criterion_10_stdout_digests(runner, args, digest):
-    res = invoke(runner, args)
+def test_criterion_10_stdout_digests(cli, args, digest):
+    res = cli(args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
@@ -462,16 +467,16 @@ def _bad_inputs(tmp_path):
         "model-nested-too-deep",
     ],
 )
-def test_bad_input_exits_cleanly(runner, tmp_path, case):
+def test_bad_input_exits_cleanly(cli, tmp_path, case):
     args, code = _bad_inputs(tmp_path)[case]
-    res = invoke(runner, args)
+    res = cli(args)
     assert res.exit_code == code
     assert "Traceback" not in res.stderr
     if code == 1:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
-        assert "Invalid value for '--q'" in res.stderr
+        assert "argument --q:" in res.stderr and "is not a rational number" in res.stderr
 
 
 # leaf replacements of the JSON property test: wrong types, NaN, Infinity, a
@@ -564,7 +569,7 @@ def _mutated_document(draw):
 @example(case=_mutate(*_DOCUMENTS[4], [(("translates", 0, 0), _MISSING)]))
 @example(case=_mutate(*_DOCUMENTS[10], [(("components", 3), _MISSING)]))
 @settings(derandomize=True, deadline=None, max_examples=197)
-def test_json_documents_load_or_name_the_fault(argv_tmp, case):
+def test_json_documents_load_or_name_the_fault(cli, argv_tmp, case):
     # every mutated document loads, or raises one DomainError that names a
     # field on the path to a mutation, the file it could not read, or, for a
     # check across fields, the document
@@ -586,8 +591,7 @@ def test_json_documents_load_or_name_the_fault(argv_tmp, case):
     except DomainError as ex:
         assert str(ex).startswith((f"cannot load {name} {path}: ", f"{name} JSON: ")), ex
     if name == "counting model":
-        res = CliRunner().invoke(main, ["count", "--model", str(path), "--dmax", "5"],
-                                 catch_exceptions=False)
+        res = cli(["count", "--model", str(path), "--dmax", "5"])
         assert res.exit_code in (0, 1)
         assert "Traceback" not in res.stderr
         if res.exit_code == 1:
@@ -601,7 +605,7 @@ _REPORT_MODULES = """
 import json, sys
 from delpezzo.cli import main
 try:
-    main.main(args=sys.argv[1:], prog_name="delpezzo")
+    main(sys.argv[1:])
 finally:
     sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
 """
@@ -617,24 +621,67 @@ _NUMPY_FREE = {
 }
 
 
-@pytest.mark.parametrize("args", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
-def test_cold_command_loads_only_what_it_runs(runner, args):
-    # a cold process loads neither numpy's core (numpy._core in numpy 2,
-    # numpy.core in 1.x) nor sympy, a test-only dependency, and prints what
-    # the command prints where every module is loaded
+def _child_env():
+    """The environment of a child `python` that imports the package from `src`."""
     env = dict(os.environ)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("args", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
+def test_cold_command_loads_only_what_it_runs(cli, args):
+    # a cold process loads neither numpy's core (numpy._core in numpy 2,
+    # numpy.core in 1.x), sympy, a test-only dependency, nor click, and prints
+    # what the command prints where every module is loaded
     cold = subprocess.run(
-        [sys.executable, "-c", _REPORT_MODULES, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _REPORT_MODULES, *args], env=_child_env(), capture_output=True,
+        text=True,
     )
     modules = set(json.loads(cold.stderr.splitlines()[-1]))
-    assert not modules & {"numpy._core", "numpy.core", "sympy"}
+    assert not modules & {"numpy._core", "numpy.core", "sympy", "click"}
     if args[0] == "lattice":
         package = {m for m in modules if m.split(".")[0] == "delpezzo"}
         assert package <= {"delpezzo", "delpezzo.cli", "delpezzo.picard", "delpezzo.errors"}
-    warm = runner.invoke(main, args)
+    warm = cli(args)
     assert (cold.returncode, cold.stdout) == (warm.exit_code, warm.stdout)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_quietly(fmt):
+    # a reader that stops after 10 bytes, as `| head -c 10` does: the command
+    # still exits 0, with nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "delpezzo.cli", "curves", "--degree", "1", "--kind", "cubics",
+         "--format", fmt],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize(
+    "args", [["thresholds", "--profile", "/dev/zero"], ["count", "--model", "/dev/zero"]],
+    ids=["profile", "model"],
+)
+def test_device_path_refused_before_reading(args):
+    # /dev/zero never ends: it is refused as a path that is not a regular
+    # file.  The child's address space is capped at 600 MB and it has a
+    # timeout, so a reader that reads on cannot hang or exhaust this process
+    resource = pytest.importorskip("resource")
+    cap = 600 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "delpezzo.cli", *args], env=_child_env(), capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot load "), proc.stderr[-300:]
 
 
 # the top-level exports: every public name of the modules, and the modules
@@ -691,25 +738,31 @@ _PATHS = st.sampled_from(
 )
 
 
+def _options(name):
+    """The (flag, argparse keywords) pairs of a command in the parser's table,
+    each member of a choice of exactly one among them."""
+    return [opt for o in _COMMANDS[name][1] for opt in (o if isinstance(o, list) else [o])]
+
+
 @st.composite
 def _argv(draw):
     """A command and a value for each option it declares, each optional
-    one left out half the time."""
-    name = draw(st.sampled_from(sorted(main.commands)))
+    one left out half the time (so a choice of one may get none or two)."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
     opts = {}
-    for param in main.commands[name].params:
-        if not param.required and not draw(st.booleans()):
+    for flag, kw in _options(name):
+        if not kw.get("required") and not draw(st.booleans()):
             continue
-        if isinstance(param.type, click.Choice):
-            values = st.sampled_from([*param.type.choices, "bogus"])
-        elif isinstance(param.type, _Rational):
+        if kw.get("type") is _rational:
             values = _RATIONALS
-        elif param.type is click.INT:
+        elif kw.get("type") is int:
             values = _INTS
+        elif "choices" in kw:
+            values = st.sampled_from([*kw["choices"], "bogus"])
         else:
-            assert param.type is click.STRING, f"no values drawn for {param.type}"
+            assert "type" not in kw, f"no values drawn for {kw['type']}"
             values = _PATHS
-        opts[param.opts[0]] = draw(values)
+        opts[flag] = draw(values)
     return name, opts
 
 
@@ -741,14 +794,14 @@ def argv_tmp(tmp_path_factory):
 @given(argv=_argv())
 @example(argv=("orbits", {"--degree": 3, "--classes": "cubics"}))
 @settings(derandomize=True, deadline=None, max_examples=200)
-def test_argv_exits_cleanly(argv_tmp, argv):
+def test_argv_exits_cleanly(cli, argv_tmp, argv):
     name, opts = argv
     if _slow(name, opts):
         return
     args = [name]
     for opt, value in opts.items():
         args += [opt, str(value).replace("{tmp}", str(argv_tmp))]
-    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    res = cli(args)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.stderr
     if res.exit_code == 0 and opts.get("--format") == "csv":
