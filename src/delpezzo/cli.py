@@ -1,13 +1,13 @@
 """Command-line surface: enumeration, orbits, thresholds, counting, examples.
 
 Each command returns its data and writes nothing; `main` parses the command
-line with one argparse parser, built from the command table `_COMMANDS`, and
-writes the result to stdout (a `(header, rows)` tuple as CSV, anything else
-as JSON with sorted keys) and turns a ToolkitError into one `error: ...` line
-on stderr.  Exit codes: 0 ok, 1 domain/cap error, 2 usage error.  Every
-command is deterministic given its flags and seed.  Each command imports the
-kernel modules it runs, so a process loads only what its command needs:
-`lattice` needs no numpy, and `weyl` refuses a known order past `--cap`
+line with one argparse parser, built once per process from the command table
+`_COMMANDS`, writes the result to stdout (a `(header, rows)` tuple as CSV,
+anything else as JSON with sorted keys) and turns a ToolkitError into one
+`error: ...` line on stderr.  Exit codes: 0 ok, 1 domain/cap error, 2 usage
+error.  Every command is deterministic given its flags and seed.  Each command
+imports the kernel modules it runs, so a process loads only what its command
+needs: `lattice` needs no numpy, and `weyl` refuses a known order past `--cap`
 before it loads the closure.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -285,10 +286,9 @@ _COMMANDS = {
 }
 
 
-def main(args=None, prog_name: str = "delpezzo") -> None:
-    """Run one command, as `delpezzo ARGS`: the one parser, output and error
-    boundary.  A ToolkitError, also one raised while an option is read, exits
-    1 with one `error: ...` line on stderr; a usage error exits 2."""
+@functools.cache
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process from `_COMMANDS`."""
     parser = argparse.ArgumentParser(prog=prog_name, allow_abbrev=False, description=(
         "Del Pezzo fibration toolkit: lattices, curve classes, monodromy orbits, Fujita "
         "invariants, thresholds, section counting."
@@ -306,8 +306,15 @@ def main(args=None, prog_name: str = "delpezzo") -> None:
                 group, members = sub.add_mutually_exclusive_group(required=True), option
             for flag, kw in members:
                 group.add_argument(flag, **kw)
+    return parser
+
+
+def main(args=None, prog_name: str = "delpezzo") -> None:
+    """Run one command, as `delpezzo ARGS`: the one parser, output and error
+    boundary.  A ToolkitError, also one raised while an option is read, exits
+    1 with one `error: ...` line on stderr; a usage error exits 2."""
     try:
-        opts = parser.parse_args(args)
+        opts = _parser(prog_name).parse_args(args)
         result = opts.run(opts)
     except ToolkitError as ex:
         print(f"error: {ex}", file=sys.stderr)

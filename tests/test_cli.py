@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.cli import _COMMANDS, _rational, run_example
+from delpezzo.cli import _COMMANDS, _parser, _rational, run_example
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS, default_model, load_model, model_to_json
 from delpezzo.errors import DomainError, FieldError, _read_json
 from delpezzo.ruled import (
@@ -275,6 +276,22 @@ def test_example_csv(cli):
     lines = res.output.splitlines()
     assert lines[0] == "d,exact,asymptotic,ratio"
     assert len(lines) == 5
+
+
+def test_main_builds_its_parser_once(cli, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _parser.cache_clear()
+    for _ in range(2):
+        assert cli(["lattice", "--degree", "3"]).exit_code == 0
+        # the top parser and one per command, all in the first call
+        assert built.count("delpezzo") == 1 and len(built) == 1 + len(_COMMANDS)
 
 
 def test_usage_errors(cli):

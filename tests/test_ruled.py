@@ -1,3 +1,7 @@
+import random
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +135,120 @@ def test_contract_keeping_section():
         contract_keeping_section(t3)  # unmarked
     with pytest.raises(DomainError):
         contract_keeping_section(with_marked(t3, 2))  # multiplicity 2
+
+
+def _contract_one_tree_a_step(t):
+    """The reference route: contract the same component as
+    `contract_keeping_section`, one step at a time, building and checking a
+    renumbered tree through the public constructor at every step."""
+    steps = []
+    while len(t.components) > 1:
+        candidates = [
+            i
+            for i, (s, _) in enumerate(t.components)
+            if s == -1 and i != t.marked and len(t.neighbors(i)) <= 2
+        ]
+        if not candidates:
+            raise ToolkitError(
+                "no contractible (-1)-component aside from the marked one; "
+                f"stuck at {fibertree_to_json(t)}"
+            )
+        i = candidates[0]
+        steps.append(i)
+        nbs = t.neighbors(i)
+        comps = [(s + 1, m) if b in nbs else (s, m) for b, (s, m) in enumerate(t.components)]
+        edges = [e for e in t.edges if i not in e] + ([tuple(nbs)] if len(nbs) == 2 else [])
+
+        def shift(x):
+            return x - 1 if x > i else x
+
+        del comps[i]
+        t = FiberTree(
+            tuple(comps), tuple((shift(a), shift(b)) for a, b in edges), shift(t.marked)
+        )
+    return tuple(steps), t
+
+
+def _outcome(contract, t):
+    try:
+        return contract(t)
+    except ToolkitError as ex:
+        return type(ex), str(ex)
+
+
+# a (-1) centre of multiplicity 3 with three (-3) leaves: no contractible
+# component; and the same star with one leaf blown up once more, which
+# contracts back to it unless the new component is the marked one
+_STAR = FiberTree(((-1, 3), (-3, 1), (-3, 1), (-3, 1)), ((0, 1), (0, 2), (0, 3)))
+
+
+def test_contraction_matches_a_tree_a_step():
+    rng = random.Random(17)
+    trees = [_STAR, blow_up_fiber(_STAR, 1)]
+    for _ in range(150):
+        t = irreducible_fiber()
+        for _ in range(rng.randint(1, 24)):
+            targets = list(range(len(t.components))) + list(t.edges)
+            t = blow_up_fiber(t, targets[rng.randrange(len(targets))])
+        trees.append(t)
+    stuck = 0
+    for t in trees:
+        for marked, (_, m) in enumerate(t.components):
+            if m != 1:
+                continue
+            kept = with_marked(t, marked)
+            want = _outcome(_contract_one_tree_a_step, kept)
+            assert _outcome(contract_keeping_section, kept) == want
+            stuck += want[0] is ToolkitError
+    # the star, a leaf marked, is stuck at once; the blown-up star is stuck
+    # at the star when a leaf is marked and at itself when its new one is
+    assert stuck == 3 + 4
+    star = fibertree_to_json(with_marked(_STAR, 2))
+    with pytest.raises(ToolkitError, match="stuck at " + re.escape(str(star)) + "$"):
+        contract_keeping_section(with_marked(blow_up_fiber(_STAR, 1), 2))
+
+
+def test_contraction_builds_one_tree(monkeypatch):
+    rng = random.Random(5)
+    t = irreducible_fiber()
+    for _ in range(40):
+        t = blow_up_fiber(t, rng.choice(list(range(len(t.components))) + list(t.edges)))
+    t = with_marked(t, 0)
+    built = []
+    check = FiberTree.__post_init__
+    monkeypatch.setattr(FiberTree, "__post_init__", lambda self: built.append(check(self)))
+    steps, final = contract_keeping_section(t)
+    assert len(steps) == 40 and final.components == ((0, 1),)
+    assert len(built) == 1
+
+
+def test_fiber_tree_entries_are_integers():
+    for comps, edges, marked in (
+        (((0, 1.5),), (), None),
+        (((0, 1),), (), 0.0),
+        (((-1, 1), (-1, 1)), ((0, 1.0),), None),
+        (((0,),), (), None),
+        (((0, 1, 2),), (), None),
+        ((0, 1), (), None),
+        (((-1, 1), (-1, 1)), ((0, 1, 1),), None),
+        (((-1, 1), (-1, 1)), (0, 1), None),
+        (None, (), None),
+        ((("0", "1"),), (), None),
+    ):
+        with pytest.raises(DomainError, match="fiber tree entries must be integers, in pairs"):
+            FiberTree(comps, edges, marked)
+    t = blow_up_fiber(blow_up_fiber(irreducible_fiber(), 0), (0, 1))
+    t = with_marked(t, 0)
+    twin = FiberTree(
+        tuple((np.int64(s), np.int8(m)) for s, m in t.components),
+        tuple((np.int32(i), np.uint16(j)) for i, j in t.edges),
+        np.int64(0),
+    )
+    assert twin == t and hash(twin) == hash(t)
+    assert fibertree_to_json(twin) == fibertree_to_json(t)
+    entries = [x for pair in twin.components + twin.edges for x in pair] + [twin.marked]
+    assert {type(x) for x in entries} == {int}
+    assert blow_up_fiber(twin, 1) == blow_up_fiber(t, 1)
 
 
 def test_fibertree_json_round_trip():
