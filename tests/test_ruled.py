@@ -91,9 +91,18 @@ def test_fiber_tree_validation():
             FiberTree(components=t.components, edges=t.edges, marked=index)
         with pytest.raises(DomainError, match=f"marked index {index} out of range"):
             with_marked(t, index)
-    for target in ("x", (5,)):
+    for target in ("x", (5,), (0, 1.0), 1.0, (0, 1, 1)):
         with pytest.raises(DomainError, match="is neither index nor edge"):
             blow_up_fiber(t, target)
+    # numpy integers read as Python ints, for a component as for an edge
+    assert blow_up_fiber(t, np.int64(0)) == blow_up_fiber(t, 0)
+    assert blow_up_fiber(t, (np.int64(0), np.int64(1))) == blow_up_fiber(t, (0, 1))
+    # a negative index names no component: it must not wrap round to the last
+    for edge, shown in (((-1, 0), "(-1, 0)"), ((0, -1), "(-1, 0)"), ((0, 2), "(0, 2)")):
+        with pytest.raises(DomainError, match=re.escape(f"edge {shown} not present")):
+            blow_up_fiber(t, edge)
+    with pytest.raises(DomainError, match="component index -1 out of range"):
+        blow_up_fiber(t, -1)
     with pytest.raises(DomainError, match="Hirzebruch parameter must be >= 0, got -1"):
         HirzebruchModel(-1)
 
@@ -109,6 +118,65 @@ def test_blow_up_point_and_edge():
         blow_up_fiber(t2, (0, 1))  # edge no longer present
     with pytest.raises(DomainError):
         blow_up_fiber(t2, 7)
+
+
+def _blow_up_one_tree_a_step(t, target):
+    """The reference route: the edge-list edit, building and checking the
+    whole tree through the public constructor."""
+    comps = list(t.components)
+    edges = list(t.edges)
+    new = len(comps)
+    if isinstance(target, int):
+        if not (0 <= target < new):
+            raise DomainError(f"component index {target} out of range")
+        s, m = comps[target]
+        comps[target] = (s - 1, m)
+        comps.append((-1, m))
+        edges.append((target, new))
+    else:
+        try:
+            i, j = target
+        except (TypeError, ValueError):
+            raise DomainError(f"target {target!r} is neither index nor edge") from None
+        e = (min(i, j), max(i, j))
+        if e not in t.edges:
+            raise DomainError(f"edge {e} not present")
+        edges.remove(e)
+        si, mi = comps[e[0]]
+        sj, mj = comps[e[1]]
+        comps[e[0]] = (si - 1, mi)
+        comps[e[1]] = (sj - 1, mj)
+        comps.append((-1, mi + mj))
+        edges.append((e[0], new))
+        edges.append((e[1], new))
+    return FiberTree(tuple(comps), tuple(edges), t.marked)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blow_up_matches_a_tree_a_step(seed):
+    rng = random.Random(seed)
+    for trial in range(12):
+        t = irreducible_fiber()
+        if trial % 3 == 0:
+            t = with_marked(t, 0)
+        for _ in range(rng.randint(1, 64)):
+            n = len(t.components)
+            bad = [n, n + 3, -1, (0, n), (-1, 0), (n - 1, n - 1), "x", (5,), (0, 1, 2)]
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+            bad += [p for p in pairs if tuple(sorted(p)) not in t.edges]
+            for target in bad:
+                with pytest.raises(DomainError) as got:
+                    blow_up_fiber(t, target)
+                with pytest.raises(DomainError) as want:
+                    _blow_up_one_tree_a_step(t, target)
+                assert str(got.value) == str(want.value)
+            targets = list(range(n)) + list(t.edges)
+            target = targets[rng.randrange(len(targets))]
+            if rng.random() < 0.5 and isinstance(target, tuple):
+                target = target[::-1]
+            want = _blow_up_one_tree_a_step(t, target)
+            t = blow_up_fiber(t, target)
+            assert t == want
 
 
 def test_second_minus_one():
@@ -333,6 +401,39 @@ def test_fuzz_harness():
     assert rep == fuzz_blow_up_sequences(count=300, depth=8, seed=0)
     with pytest.raises(DomainError):
         fuzz_blow_up_sequences(count=0)
+
+
+# (second_minus_one_checks, hypothesis_not_met, max_components) of 300
+# trials at seeds 0-9, as the edge-list blow-up with a whole-tree check at
+# every step reported them
+_FUZZ_REPORTS = {
+    8: [(969, 334, 9), (954, 395, 9), (949, 366, 9), (974, 412, 9), (1005, 351, 9),
+        (963, 391, 9), (1000, 332, 9), (970, 349, 9), (984, 357, 9), (979, 320, 9)],
+    16: [(1902, 673, 17), (1876, 667, 17), (1860, 656, 17), (1890, 676, 17), (1905, 675, 17),
+         (1871, 678, 17), (1872, 616, 17), (1953, 627, 17), (1766, 644, 17), (1878, 702, 17)],
+    64: [(7944, 1510, 65), (7889, 1682, 65), (8650, 1653, 65), (8479, 1461, 65),
+         (8331, 1477, 65), (8234, 1368, 65), (7911, 1581, 65), (8384, 1690, 65),
+         (8072, 1384, 65), (8037, 1687, 65)],
+}
+
+
+@pytest.mark.parametrize("depth", sorted(_FUZZ_REPORTS))
+def test_fuzz_reports_are_pinned(depth):
+    for seed, (checks, not_met, widest) in enumerate(_FUZZ_REPORTS[depth]):
+        assert fuzz_blow_up_sequences(count=300, depth=depth, seed=seed) == {
+            "trials": 300, "depth": depth, "seed": seed,
+            "second_minus_one_checks": checks, "hypothesis_not_met": not_met,
+            "contractions": 300, "max_components": widest, "all_passed": True,
+        }
+
+
+@pytest.mark.parametrize("count, depth", [(1, 1), (7, 64), (50, 8), (300, 16)])
+def test_fuzz_builds_two_trees_a_trial(monkeypatch, count, depth):
+    built = []
+    check = FiberTree.__post_init__
+    monkeypatch.setattr(FiberTree, "__post_init__", lambda self: built.append(check(self)))
+    fuzz_blow_up_sequences(count=count, depth=depth, seed=count)
+    assert len(built) == 2 * count
 
 
 def test_fuzz_budget():
