@@ -1,17 +1,20 @@
 """Curve classes on blown-up planes: enumeration, cones, nef decompositions.
 
-Enumeration is a depth-first search over the exceptional coordinates with a
-Cauchy-Schwarz prune; it is exhaustive within the derived coefficient bounds,
-so the outputs are complete lists, not samples.  Nefness is read from one
-table per lattice, the pairing normals of the effective-cone generators (the
-(-1)-curves from two blow-ups on): `is_nef`, `nef_classes_of_height`,
-`nef_curve_cone`, `decompose_nef_integral` and `break_fiber_class` test
-against it through `linalg.cone_contains`, each search testing all its
-candidates in one call.
+Enumeration is a depth-first search over the exceptional coordinates.  Each
+coordinate is scanned over the exact integer range that Cauchy-Schwarz leaves
+for the rest, so every visited prefix has a real completion, and the last two
+coordinates are solved in closed form.  The scans ascend, so the lists come
+out in lexicographic order with no sort; they are complete, not samples.
+Nefness is read from one table per lattice, the pairing normals of the
+effective-cone generators (the (-1)-curves from two blow-ups on): `is_nef`,
+`nef_classes_of_height`, `nef_curve_cone`, `decompose_nef_integral` and
+`break_fiber_class` test against it through `linalg.cone_contains`, each
+search testing all its candidates in one call.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,43 +45,49 @@ class Cone:
 
 
 def _class_search(lat: PicardLattice, self_int: int, degree: int) -> list[Vec]:
-    """All integral classes c with c.c = self_int and -K.c = degree.
+    """All integral classes c with c.c = self_int and -K.c = degree, sorted.
 
     Writing c = (a, b_1..b_n): -K.c = 3a + sum(b) and c.c = a^2 - sum(b^2), so
-    sum(b) = degree - 3a and sum(b^2) = a^2 - self_int.  Cauchy-Schwarz gives
-    (degree - 3a)^2 <= n (a^2 - self_int), a quadratic in a with positive
-    leading coefficient 9 - n, hence finitely many a.  For fixed a the b_i are
-    found by DFS with the same prune on every suffix.
+    the b_i have sum S = degree - 3a and square sum Q = a^2 - self_int.  k >= 2
+    reals of sum S and square sum Q exist iff S^2 <= k Q (Cauchy-Schwarz), so
+    a first coordinate b leaves a completion iff (S - b)^2 <= (k - 1)(Q - b^2).
+    For integral b that reads |k b - S| <= isqrt((k - 1)(k Q - S^2)): each
+    level scans exactly this range, so no visited prefix is dead over the
+    reals.  With k = n it bounds a:
+    |(9 - n) a - 3 degree| <= isqrt(n (degree^2 - (9 - n) self_int)).
+    The last pair is solved in closed form, (b' - b)^2 = 2Q - S^2 with
+    b + b' = S.  a and every b ascend, so the output is in lexicographic
+    order with no sort.
     """
-    n = lat.n
-    s, d = self_int, degree
+    n, s, d = lat.n, self_int, degree
     out: list[Vec] = []
-    # (9-n) a^2 - 6 d a + (d^2 + n s) <= 0
-    A, B, C = 9 - n, -6 * d, d * d + n * s
-    disc = B * B - 4 * A * C
+
+    def rec(prefix: Vec, k: int, S: int, Q: int):
+        if k == 2:
+            D = 2 * Q - S * S
+            t = math.isqrt(D)
+            if t * t == D:  # then t = S mod 2, as D = -S^2 mod 2
+                b = (S - t) // 2
+                out.append(prefix + (b, S - b))
+                if t:
+                    out.append(prefix + (S - b, b))
+            return
+        r = math.isqrt((k - 1) * (k * Q - S * S))
+        for b in range(-((r - S) // k), (S + r) // k + 1):
+            rec(prefix + (b,), k - 1, S - b, Q - b * b)
+
+    m = 9 - n
+    disc = n * (d * d - m * s)
     if disc < 0:
         return out
-    root = math.isqrt(disc)
-    # widen by 1 against isqrt flooring; rec() reapplies the exact inequality
-    lo = -(-(-B - root) // (2 * A)) - 1
-    hi = (-B + root) // (2 * A) + 1
-
-    def rec(prefix: list[int], k: int, target_sum: int, target_sq: int):
-        if k == 0:
-            if target_sum == 0 and target_sq == 0:
-                out.append((a, *prefix))
-            return
-        if target_sq < 0 or target_sum * target_sum > k * target_sq:
-            return
-        bound = math.isqrt(target_sq)
-        for b in range(-bound, bound + 1):
-            prefix.append(b)
-            rec(prefix, k - 1, target_sum - b, target_sq - b * b)
-            prefix.pop()
-
-    for a in range(lo, hi + 1):
-        rec([], n, d - 3 * a, a * a - s)
-    return sorted(out)
+    r = math.isqrt(disc)
+    for a in range(-((r - 3 * d) // m), (3 * d + r) // m + 1):
+        S, Q = d - 3 * a, a * a - s
+        if n >= 2:
+            rec((a,), n, S, Q)
+        elif Q == S * S:  # b_1 = S, or no b at all (then S = 0 by the range)
+            out.append((a, S) if n else (a,))
+    return out
 
 
 def enumerate_neg_one_curves(lat: PicardLattice) -> list[Vec]:
@@ -100,9 +109,10 @@ def enumerate_cubic_classes(
         (c, CurveClassKind.CUBIC_LINE_PULLBACK)
         for c in _class_search(lat, 1, 3)
     ]
-    if lat.degree == 3:
-        out.append((lat.anticanonical, CurveClassKind.CUBIC_ANTICANONICAL))
-    return sorted(out, key=lambda t: (t[0], t[1].value))
+    if lat.degree == 3:  # -K has square 3, so it is none of the pullbacks
+        anti = (lat.anticanonical, CurveClassKind.CUBIC_ANTICANONICAL)
+        bisect.insort(out, anti, key=lambda t: t[0])
+    return out
 
 
 def classify_kind(lat: PicardLattice, c) -> CurveClassKind | None:

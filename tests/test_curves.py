@@ -27,6 +27,7 @@ from delpezzo import (
     pair,
     weyl_generators,
 )
+from delpezzo.curves import _class_search
 from delpezzo.linalg import dual_cone_rays, mat_rank
 
 LINE_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
@@ -87,6 +88,87 @@ def test_brute_force_oracle_small():
             if pair(lat, c, c) == -1 and anticanonical_degree(lat, c) == 1:
                 found.add(c)
     assert found == set(enumerate_neg_one_curves(lat))
+
+
+def _reference_class_search(n, s, d):
+    # the earlier route: every coordinate over [-sqrt(Q), sqrt(Q)], pruned by
+    # Cauchy-Schwarz in the child, with a final sort
+    A, B, C = 9 - n, -6 * d, d * d + n * s
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    out = []
+
+    def rec(prefix, k, target_sum, target_sq):
+        if k == 0:
+            if target_sum == 0 and target_sq == 0:
+                out.append((a, *prefix))
+            return
+        if target_sq < 0 or target_sum * target_sum > k * target_sq:
+            return
+        bound = math.isqrt(target_sq)
+        for b in range(-bound, bound + 1):
+            rec(prefix + [b], k - 1, target_sum - b, target_sq - b * b)
+
+    for a in range(-(-(-B - root) // (2 * A)) - 1, (-B + root) // (2 * A) + 2):
+        rec([], n, d - 3 * a, a * a - s)
+    return sorted(out)
+
+
+GRID = [(s, d) for s in range(-2, 5) for d in range(-1, 5)]
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [(n, GRID) for n in range(8)] + [(8, [(-1, 1), (0, 2), (1, 3), (3, 3)])],
+)
+def test_class_search_matches_reference_route(n, pairs):
+    # same list, order included: the search ships unsorted
+    lat = make_lattice(n)
+    for s, d in pairs:
+        assert _class_search(lat, s, d) == _reference_class_search(n, s, d)
+
+
+def test_class_search_brute_force_box():
+    # every class of the box, grouped by (c.c, -K.c); the box holds all
+    # solutions of the grid, by the real bounds on a and on |b_i| <= sqrt(a^2 - s)
+    bound = 0.0
+    for n in range(5):
+        for s, d in GRID:
+            A, B, C = 9 - n, -6 * d, d * d + n * s
+            if B * B - 4 * A * C >= 0:
+                ends = [(-B + e * math.sqrt(B * B - 4 * A * C)) / (2 * A) for e in (-1, 1)]
+                top = max(a * a for a in ends)
+                bound = max(bound, *map(abs, ends), math.sqrt(max(top - s, 0)))
+    box = range(-int(bound + 1e-9), int(bound + 1e-9) + 1)
+    empty = 0
+    for n in range(5):
+        lat = make_lattice(n)
+        found = {}
+        for c in itertools.product(box, repeat=n + 1):
+            key = (pair(lat, c, c), anticanonical_degree(lat, c))
+            found.setdefault(key, []).append(c)
+        for s, d in GRID:
+            expected = sorted(found.get((s, d), []))
+            empty += not expected
+            assert _class_search(lat, s, d) == expected
+    assert 0 < empty < 5 * len(GRID)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumerations_are_strictly_increasing(n):
+    lat = make_lattice(n)
+    cubics = enumerate_cubic_classes(lat)
+    for classes in (
+        enumerate_neg_one_curves(lat),
+        enumerate_conic_classes(lat),
+        [c for c, _ in cubics],
+    ):
+        assert all(x < y for x, y in zip(classes, classes[1:]))
+    assert cubics == sorted(cubics, key=lambda t: (t[0], t[1].value))
+    anti = (lat.anticanonical, CurveClassKind.CUBIC_ANTICANONICAL)
+    assert (anti in cubics) == (n == 6)
 
 
 def test_classify_kind():
@@ -232,13 +314,13 @@ def test_anticanonical_breaks_as_two_nef_pieces():
     assert anticanonical_degree(lat, lat.anticanonical) == 3
 
 
-@given(st.integers(2, 5), st.data())
+@given(st.integers(2, 7), st.data())
 @settings(max_examples=30, deadline=None)
 def test_enumeration_permutation_invariance(n, data):
     lat = make_lattice(n)
     perm = data.draw(st.permutations(range(1, n + 1)))
-    for enum in (enumerate_neg_one_curves, enumerate_conic_classes):
-        classes = enum(lat)
+    cubics = [c for c, _ in enumerate_cubic_classes(lat)]
+    for classes in (enumerate_neg_one_curves(lat), enumerate_conic_classes(lat), cubics):
         permuted = {(c[0], *(c[p] for p in perm)) for c in classes}
         assert permuted == set(classes)
 
