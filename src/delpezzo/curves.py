@@ -202,7 +202,9 @@ def _decomposition_generators(lat: PicardLattice) -> tuple[Vec, ...]:
 
 def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
     """Write a nef integral class as a sum of height-2/height-3 nef classes
-    and copies of -K, via memoized search in descending height order.
+    and copies of -K, by a depth-first search in descending height order that
+    remembers the states it has exhausted, on an explicit stack so that no
+    plan length meets Python's recursion limit.
 
     Gated to lattice degree >= 2.  The returned list is the chosen multiset in
     search order (non-increasing).  An exhausted search raises
@@ -218,34 +220,49 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
         raise DomainError(f"class {c} is not nef")
     gens, normals = _decomposition_generators(lat), _nef_normals(lat)
 
-    @lru_cache(maxsize=None)
-    def search(residual: Vec, start: int):
-        if not any(residual):
-            return ()
+    def steps(residual: Vec, start: int):
+        """The (index, generator, next residual) moves from a search state,
+        in the order they are tried: generators from `start` on whose height
+        fits the residual's and that leave it nef."""
         h = anticanonical_degree(lat, residual)
         if h < 2:
-            return None
+            return ()
         rest = [tuple(a - b for a, b in zip(residual, g)) for g in gens[start:]]
         nef = linalg.cone_contains(normals, rest)
-        for i, (g, nxt, ok) in enumerate(zip(gens[start:], rest, nef), start):
-            if not ok or anticanonical_degree(lat, g) > h:
-                continue
-            tail = search(nxt, i)
-            if tail is not None:
-                return (g,) + tail
-        return None
-
-    plan = search(c, 0)
-    search.cache_clear()
-    if plan is None:
-        raise DecompositionNotFound(
-            f"no decomposition of {c} over the fixed generating set "
-            f"({len(gens)} classes on degree {lat.degree}); the set is not "
-            "extended silently"
+        return (
+            (i, g, nxt)
+            for i, (g, nxt, ok) in enumerate(zip(gens[start:], rest, nef), start)
+            if ok and anticanonical_degree(lat, g) <= h
         )
+
+    # depth-first on an explicit stack, one frame per chosen summand, so no
+    # plan length meets the recursion limit; a state that failed once fails
+    # again, so it is never re-entered
+    plan: list[Vec] = []
+    stack = [((c, 0), steps(c, 0))] if any(c) else []
+    failed = set()
+    while stack:
+        state, moves = stack[-1]
+        move = next(((i, g, nxt) for i, g, nxt in moves if (nxt, i) not in failed), None)
+        if move is None:
+            failed.add(state)
+            stack.pop()
+            if not stack:
+                raise DecompositionNotFound(
+                    f"no decomposition of {c} over the fixed generating set "
+                    f"({len(gens)} classes on degree {lat.degree}); the set is not "
+                    "extended silently"
+                )
+            plan.pop()
+            continue
+        i, g, nxt = move
+        plan.append(g)
+        if not any(nxt):
+            break
+        stack.append(((nxt, i), steps(nxt, i)))
     total = tuple(sum(col) for col in zip(*plan)) if plan else (0,) * lat.rank
     assert total == c
-    return list(plan)
+    return plan
 
 
 def break_fiber_class(lat: PicardLattice, c) -> tuple[Vec, Vec]:

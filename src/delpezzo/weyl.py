@@ -5,15 +5,17 @@ index and acted on by one action kernel; all but the signed permutation group
 are closed by one routine.  The row index is a pair of helpers: `_row_keys`
 views each row of an integer array as one fixed-width byte key, and `_find`
 looks keys up in a sorted key array.  `generate_group` closes a set of int8
-matrices by Dimino's algorithm: a tower of subgroups, each a union of right
-cosets of the one before, found one level of the coset graph at a time with
-membership read off the smaller subgroup's sorted table, so every element is
-built once.  It keeps the group as one table, a read-only int8 array of its
-elements sorted by their row-major bytes.  Every product is one float32
-matrix product per chunk (`_product_chunks`), with the right factors laid
-side by side: the factors are int8, so each partial sum is an integer of size
-at most rank * 128 * 128 < 2**24, which float32 holds exactly.  The closure
-is budgeted, so one that would pass the cap raises CapExceeded instead of
+matrices by Dimino's algorithm: a tower of subgroups from the identity, each
+a union of right cosets of the one before, found one level of the coset graph
+at a time with membership read off the smaller subgroup's sorted table.  A
+step's cosets are written once its representatives are complete, so every
+element is built once and a step the cap refuses writes none.  It keeps the
+group as one table, a read-only int8 array of its elements sorted by their
+row-major bytes.  Every product is one float32 matrix product per chunk
+(`_product_chunks`), with the right factors laid side by side: the factors
+are int8, so each partial sum is an integer of size at most
+rank * 128 * 128 < 2**24, which float32 holds exactly.  The closure is
+budgeted, so one that would pass the cap raises CapExceeded instead of
 thrashing memory, and the blow-up-count-8 Weyl group (order 696729600, see
 `WEYL_ORDERS`) is refused by default.  `_permutation_action` maps matrices
 to the permutations they induce on a finite class set, exactly in int64,
@@ -198,21 +200,19 @@ def _in_table(sorted_keys: np.ndarray, left: np.ndarray, right: np.ndarray) -> n
     return out
 
 
-def _cyclic(g: np.ndarray, cap: int):
-    """(the powers g, g^2, ..., 1 of an int8 matrix, its inverse).  The
-    inverse is the last power before the identity.  Raises DomainError when a
-    power repeats before the identity appears (g is singular), CapExceeded
-    as soon as the powers pass `cap`."""
+def _inverse(g: np.ndarray, cap: int) -> np.ndarray:
+    """The inverse of an int8 matrix: its last power before the identity.
+    Raises DomainError when a power repeats before the identity appears (g is
+    singular), CapExceeded as soon as the powers pass `cap`."""
     eye = np.eye(len(g), dtype=np.int8)
-    powers, seen = [g], {g.tobytes()}
-    while not np.array_equal(powers[-1], eye):
-        check_cap(len(powers) + 1, cap)
-        p = _products(powers[-1][None], g[None])[0, 0]
+    last, p, seen = eye, g, {g.tobytes()}
+    while not np.array_equal(p, eye):
+        check_cap(len(seen) + 1, cap)
+        last, p = p, _products(p[None], g[None])[0, 0]
         if p.tobytes() in seen:
             raise DomainError("generator is not invertible")
         seen.add(p.tobytes())
-        powers.append(p)
-    return np.stack(powers), powers[-2] if len(powers) > 1 else eye
+    return last
 
 
 def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -225,20 +225,22 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     ToolkitError when a product has an entry outside int8, the type the
     elements are stored in.
 
-    H_1 is the cyclic group of the powers of the first generator; H_i =
-    <H_{i-1}, g_i> is a union of right cosets H_{i-1} x, and g_i is skipped
-    when it already lies in H_{i-1}.  The coset representatives grow one level
-    of the coset graph at a time: the candidates a g for the last level's
-    representatives a and the generators g so far and their inverses are one
-    batched product, and a candidate y is new when y x_j^-1 lies outside
-    H_{i-1} for every representative x_j of the last two levels (the graph is
-    undirected, so no other level is one step away), looked up in H_{i-1}'s
-    sorted table; two new candidates in one coset are merged by the same
-    test, with (a g)^-1 = g^-1 a^-1.  Each new coset is one product
-    H_{i-1} y, so every element is built once; the finished table of each
-    step is sorted once by its row keys.  Both tests cost products quadratic
-    in the width of a level, which suits towers of small index such as the
-    parabolic subgroups of a Weyl group along its simple roots.
+    The tower starts at H_0 = {I}; H_i = <H_{i-1}, g_i> is a union of right
+    cosets H_{i-1} x, and g_i is skipped when it already lies in H_{i-1}.
+    The coset representatives grow one level of the coset graph at a time:
+    the candidates a g for the last level's representatives a and the
+    generators g so far and their inverses are one batched product, and a
+    candidate y is new when y x_j^-1 lies outside H_{i-1} for every
+    representative x_j of the last two levels (the graph is undirected, so
+    no other level is one step away), looked up in H_{i-1}'s sorted table;
+    two new candidates in one coset are merged by the same test, with
+    (a g)^-1 = g^-1 a^-1.  The cap is checked at H_0 and after each level;
+    only once a step's representatives are complete are its cosets written,
+    one product H_{i-1} y per level, so a refused step writes none of its
+    elements and every element is built once; the finished table of each
+    step is sorted once by its row keys.  Both tests cost products
+    quadratic in the width of a level, which suits towers of small index
+    such as the parabolic subgroups of a Weyl group along its simple roots.
     """
     mats = list(dict.fromkeys(_as_matrix(g) for g in gens))
     if not mats:
@@ -247,27 +249,23 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     if any(len(m) != rank for m in mats):
         raise DomainError("generators have different ranks")
     arr = np.array(mats, dtype=np.int8)
-    cyclic = [_cyclic(g, cap) for g in arr]
-    table = _sorted_table(cyclic[0][0])
-    eye = np.eye(rank, dtype=np.int8)[None]
-    used = [0]
-    for i in range(1, len(arr)):
+    inverses = [_inverse(g, cap) for g in arr]
+    table = eye = np.eye(rank, dtype=np.int8)[None]
+    check_cap(len(table), cap)
+    # the generators so far and their inverses: with both, the coset graph is
+    # undirected, so a coset reached from level L lies in level L - 1, L or
+    # L + 1, and only the last two levels are tested
+    both = {}
+    for g, g_inv in zip(arr, inverses):
         keys = _row_keys(table.reshape(len(table), -1))
-        if _find(keys, _row_keys(arr[i].reshape(1, -1)))[1][0]:
+        if _find(keys, _row_keys(g.reshape(1, -1)))[1][0]:
             continue
-        used.append(i)
-        # the generators so far and their inverses: with both, the coset
-        # graph is undirected, so a coset reached from level L lies in level
-        # L - 1, L or L + 1, and only the last two levels are tested
-        both = {}
-        for j in used:
-            g, g_inv = arr[j], cyclic[j][1]
-            both.setdefault(g.tobytes(), (g, g_inv))
-            both.setdefault(g_inv.tobytes(), (g_inv, g))
+        both.setdefault(g.tobytes(), (g, g_inv))
+        both.setdefault(g_inv.tobytes(), (g_inv, g))
         S, S_inv = (np.stack(x) for x in zip(*both.values()))
-        cosets, count = [table], 1
+        levels, count = [], 1
         frontier, frontier_inv, last_inv = eye, eye, eye[:0]
-        while True:
+        while len(frontier):
             Y = _products(frontier, S).reshape(-1, rank, rank)
             new = ~_in_table(keys, Y, np.concatenate((last_inv, frontier_inv))).any(axis=1)
             # (a g)^-1 = g^-1 a^-1, in the order of Y's (a, g) pairs
@@ -276,12 +274,11 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
             # keep the first new candidate of each coset
             first = ~np.tril(_in_table(keys, Y, Y_inv), -1).any(axis=1)
             last_inv, frontier, frontier_inv = frontier_inv, Y[first], Y_inv[first]
-            if not len(frontier):
-                break
             count += len(frontier)
             check_cap(len(table) * count, cap)
-            cosets.append(_products(table, frontier).reshape(-1, rank, rank))
-        table = _sorted_table(np.concatenate(cosets))
+            levels.append(frontier)
+        cosets = [_products(table, x).reshape(-1, rank, rank) for x in levels if len(x)]
+        table = _sorted_table(np.concatenate([table, *cosets]))
     return FiniteGroup(table, tuple(mats))
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from delpezzo import (
     pair,
     weyl_generators,
 )
-from delpezzo.curves import _class_search
-from delpezzo.linalg import dual_cone_rays, mat_rank
+from delpezzo.curves import _class_search, _decomposition_generators, _nef_normals
+from delpezzo.linalg import cone_contains, dual_cone_rays, mat_rank
 
 LINE_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
 CONIC_COUNTS = [0, 1, 2, 3, 5, 10, 27, 126, 2160]
@@ -281,6 +283,83 @@ def test_decompose_nef_integral():
 
     lat1 = make_lattice(1)
     assert decompose_nef_integral(lat1, (2, 0)) == [(1, 0), (1, 0)]
+
+
+def _reference_decomposition(lat, gens, c):
+    """The memoized recursive search over a generating set: the plan as a
+    tuple, or None when the search exhausts."""
+    normals = _nef_normals(lat)
+
+    @lru_cache(maxsize=None)
+    def search(residual, start):
+        if not any(residual):
+            return ()
+        h = anticanonical_degree(lat, residual)
+        if h < 2:
+            return None
+        rest = [tuple(a - b for a, b in zip(residual, g)) for g in gens[start:]]
+        nef = cone_contains(normals, rest)
+        for i, (g, nxt, ok) in enumerate(zip(gens[start:], rest, nef), start):
+            if not ok or anticanonical_degree(lat, g) > h:
+                continue
+            tail = search(nxt, i)
+            if tail is not None:
+                return (g,) + tail
+        return None
+
+    return search(tuple(c), 0)
+
+
+def _seeded_nef_classes(lat, rng):
+    """Nef classes of heights 2..12: samples of every nef class of heights
+    2..5, and seeded sums of those classes at each height."""
+    pools = {h: nef_classes_of_height(lat, h) for h in range(2, 6)}
+    out = []
+    for h in range(2, 13):
+        pool = pools.get(h, [])
+        out += rng.sample(pool, min(4, len(pool)))
+        for _ in range(4):
+            rest, parts = h, []
+            while rest:
+                height = rng.choice([x for x in pools if x <= rest and rest - x != 1])
+                parts.append(rng.choice(pools[height]))
+                rest -= height
+            out.append(tuple(map(sum, zip(*parts))))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_decomposition_matches_recursive_reference(n, monkeypatch):
+    # the full generating set never backtracks on these classes; a seeded
+    # half of it makes the search backtrack and exhaust
+    lat = make_lattice(n)
+    rng = random.Random(n)
+    classes = _seeded_nef_classes(lat, rng)
+    full = _decomposition_generators(lat)
+    half = tuple(g for g in full if rng.random() < 0.5)
+    exhausted = 0
+    for gens in (full, half):
+        monkeypatch.setattr("delpezzo.curves._decomposition_generators", lambda lat: gens)
+        for c in classes:
+            want = _reference_decomposition(lat, gens, c)
+            if want is None:
+                exhausted += 1
+                with pytest.raises(DecompositionNotFound):
+                    decompose_nef_integral(lat, c)
+            else:
+                assert decompose_nef_integral(lat, c) == list(want)
+    assert exhausted
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_decomposition_past_the_recursion_limit(n):
+    # the recursive search ran out of frames at 500 (n = 2) and 900 (n = 6)
+    # copies of -K: a plan of 2000 summands needs no recursion
+    lat = make_lattice(n)
+    c = tuple(2000 * x for x in lat.anticanonical)
+    plan = decompose_nef_integral(lat, c)
+    assert len(plan) == 2000
+    assert tuple(map(sum, zip(*plan))) == c
 
 
 def test_decompose_errors():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from delpezzo import (
     validate_isometry,
     weyl_generators,
 )
+from delpezzo.picard import DEFAULT_CAP
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
     _left_table,
@@ -40,6 +42,19 @@ from delpezzo.weyl import (
 )
 
 WEYL_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840}
+# sha256 of the sorted int8 table `elements.tobytes()` of each W(E_n)
+WEYL_TABLE_DIGESTS = {
+    2: "e700394b594690ee6875d3c305ac012096752914e71133c52950855af051d3aa",
+    3: "a0bbfb78e26f183cec1a4622c99b3fbf772d829b7ba3b264df1861f4efef551b",
+    4: "c50ba7e72faaa35e358fc5db3b9dca1d3048bede518c2a2647e0805db7af053d",
+    5: "ad5aa8c10f3bb43e75f13e12be82c10aa5ee23452433703da52f37e886b4e8a0",
+    6: "67a1cd231df0e616578114fbf8813a4edf9dae2c25e4cf486fd481a0a0fd4656",
+    7: "2f966a3528463fdbc27bf01f6f6200cbcf5eb019923c1f5482e62970064937ed",
+}
+
+
+def _table_digest(group):
+    return hashlib.sha256(group.elements.tobytes()).hexdigest()
 
 
 def test_simple_roots():
@@ -56,6 +71,7 @@ def test_weyl_orders(n):
     lat = make_lattice(n)
     group = generate_group(weyl_generators(lat))
     assert group.order == WEYL_ORDERS[n]
+    assert _table_digest(group) == WEYL_TABLE_DIGESTS[n]
 
 
 def _line_action_order(n):
@@ -89,6 +105,7 @@ def test_weyl_e7_order_by_closure():
     lat = make_lattice(7)
     group = generate_group(weyl_generators(lat))
     assert group.order == 2903040
+    assert _table_digest(group) == WEYL_TABLE_DIGESTS[7]
 
 
 def test_cap_refusal():
@@ -104,6 +121,31 @@ def test_cap_is_exact(n):
     assert generate_group(gens, cap=WEYL_ORDERS[n]).order == WEYL_ORDERS[n]
     with pytest.raises(CapExceeded):
         generate_group(gens, cap=WEYL_ORDERS[n] - 1)
+
+
+@pytest.mark.parametrize("gens", [[[[1]]], weyl_generators(make_lattice(3))])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_refuses(gens, cap):
+    # the identity alone already passes a cap below 1
+    with pytest.raises(CapExceeded):
+        generate_group(gens, cap=cap)
+
+
+@pytest.mark.parametrize("n, cap", [(8, DEFAULT_CAP), (7, 2_000_000)])
+def test_refused_step_writes_nothing(n, cap):
+    # the last tower step of W(E8) (or W(E7)) over S_8 (or S_7) passes the
+    # cap after about 100 (or 400) cosets: it is refused from its count of
+    # representatives, before any of its elements is written; numpy reports
+    # its buffers to tracemalloc, so the peak covers the table
+    gens = weyl_generators(make_lattice(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            generate_group(gens, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def _bfs_table(gens):
