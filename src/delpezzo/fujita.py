@@ -4,11 +4,10 @@ classification dictionary.
 a(X, L) is the minimal t with K + tL pseudoeffective.  With a polyhedral
 effective cone this is exact facet arithmetic: writing the facet inequalities
 of the effective cone as f . G x >= 0 (G the gram), the answer is the largest
-ratio -(f . G K) / (f . G L).  The facets f are the nef rays: a del Pezzo
-surface carries them from `curves.nef_curve_cone`, any other surface gets
-them from `linalg.dual_cone_rays`, and they are paired with G L and G K in
-one guarded int64 product (`linalg._int64_operands`).  Builders for blown-up
-planes and Hirzebruch surfaces are provided.
+ratio -(f . G K) / (f . G L).  The facets f are the nef rays (from
+`curves.nef_curve_cone` on a del Pezzo surface, `linalg.dual_cone_rays` on
+any other), paired with G L and G K in one product, exact by the rule of
+`linalg`.  Builders for blown-up planes and Hirzebruch surfaces are provided.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def a_invariant(s: PolarizedSurface):
     """Minimal t with K + t L effective; +inf when L is nef but not big.
 
     Exact: pairs every facet inequality f of the effective cone with L and K
-    in one int64 product and takes the largest -(f . K) / (f . L).
+    in one exact product and takes the largest -(f . K) / (f . L).
     """
     L = s.polarization
     normals = [tuple(linalg.dot(row, g) for row in s.gram) for g in s.eff_generators]
@@ -96,8 +95,8 @@ def a_invariant(s: PolarizedSurface):
         raise DomainError(f"polarization {L} is not nef: negative against {negative[0]}")
     rays = s.nef_rays if s.nef_rays is not None else linalg.dual_cone_rays(normals)
     folded = [tuple(linalg.dot(row, v) for row in s.gram) for v in (L, s.canonical)]
-    F, X = linalg._int64_operands(rays, folded, "a-invariant")
-    on_l, on_k = (X @ F.T).tolist()
+    F, X = linalg._exact_operands(rays, folded, "a-invariant")
+    on_l, on_k = (X @ F.T).astype(linalg.np.int64).tolist()
     if 0 in on_l:
         return INFINITE_A
     return max(Fraction(-k, m) for m, k in set(zip(on_l, on_k)))

@@ -5,16 +5,22 @@ source of cone duality for the package: the extreme rays of
 {x : h . x >= 0 for every normal h} (callers fold any bilinear form into the
 normals), by the double description method on matrices (Fukuda & Prodon,
 "Double description method revisited", 1996).  Rays are the rows of an int64
-matrix and their tight sets the rows of a bool matrix; the candidate pairs
-and the adjacency test are float32 products of bool rows, exact since a count
-never exceeds the number of normals (below 2**24).  Each ray spans the kernel
-of dim - 1 tight normals, so by Hadamard's bound every product a run forms is
-at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest Euclidean norm
-of a normal (about 4e16 for the 240 lines of eight blow-ups).
-Every other exact batch product (`cone_contains`, a-invariants, the isometry
-check, the Weyl action kernel) takes its operands from `_int64_operands`.  One
-guard, `_refuse_past_int64`, refuses before any work an input whose bound
-reaches int64.
+matrix and their tight sets the rows of a bool matrix; each ray spans the
+kernel of dim - 1 tight normals, so by Hadamard's bound every product a run
+forms is at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest
+Euclidean norm of a normal (about 4e16 for the 240 lines of eight blow-ups).
+
+One rule keeps every batch product of the package exact (the bounded-magnitude
+products of Dumas, Giorgi & Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008):
+given a bound on every value a product reads or forms, `_exact_dtype` runs it
+on BLAS in float32 below 2**24 and in float64 below 2**53, in int64 below
+2**62, and refuses it past that before any work.  `_exact_operands` bounds
+every pair of integer operands (membership, a-invariants, the isometry check,
+the Weyl action kernel); other bounds are structural: the number of normals
+for tight-set counts, rank * 128**2 and rank**2 * 128**3 for int8 group
+products and cubes, and the Hadamard bound above (the rays stay int64 for
+`np.gcd`).  A result used as a value (key, list, `Fraction`) or in another
+product is converted to int64 first: -0.0 and 0.0 differ in their bytes.
 
 numpy is imported once, here, as `np` for the whole package, and executes on
 its first attribute access: a command that never computes with it never
@@ -47,33 +53,32 @@ np = _lazy_import("numpy")
 
 Vec = tuple[int, ...]
 
-# product blocks of _BLOCK x _BLOCK cells: 1 MB in float32 (DD), 2 MB in int64
+# product blocks of _BLOCK x _BLOCK cells: 1 MB in float32, 2 MB in float64/int64
 _BLOCK = 512
 
 
-def _refuse_past_int64(bound, what: str) -> None:
-    """Raise DomainError when `bound`, a bound on every value an int64
-    computation forms (exact, or estimated in float64), reaches 2**62: the
-    factor-2 margin under 2**63 covers the rounding of an estimate."""
-    if bound >= 2**62:
-        raise DomainError(f"{what} could leave int64; refusing inexact arithmetic")
+def _exact_dtype(bound, what: str):
+    """The dtype of the rule (module docstring) for a product whose values are
+    at most `bound` in size; DomainError from 2**62 on, whose factor-2 margin
+    under 2**63 covers the rounding of a float64 bound."""
+    for limit, dtype in ((2**24, np.float32), (2**53, np.float64), (2**62, np.int64)):
+        if bound < limit:
+            return dtype
+    raise DomainError(f"{what} could leave int64; refusing inexact arithmetic")
 
 
-def _int64_operands(rows, X, what: str):
-    """(rows, X) as integer arrays for the exact products X @ rows.T: signed
-    integer rows (such as a group's int8 table) are kept without a copy, the
-    rest becomes int64.  Raises DomainError for an entry that is not an integer
-    within int64, and before any product when max |x| times the largest row-abs
-    sum of the rows (a float64 bound on every partial sum) could leave int64."""
-    keep = isinstance(rows, np.ndarray) and rows.dtype.kind == "i"
+def _exact_operands(rows, X, what: str):
+    """(rows, X) in the rule's dtype for the products X @ rows.T, bounded by
+    max |x| times the largest row-abs sum of the rows, each factor at least 1
+    so that it bounds every entry too (in float64, exact below 2**53).  Raises
+    DomainError for an entry that is not an integer within int64."""
     rows, X = np.asarray(rows), np.asarray(X)
     for a in (rows, X):
         if a.size and (a.dtype.kind not in "biu" or a.dtype.kind == "u" and a.max() >= 2**63):
             raise DomainError(f"{what} entry is not an integer within int64")
-    rows, X = rows if keep else rows.astype(np.int64), X.astype(np.int64, copy=False)
-    _refuse_past_int64(np.abs(X, dtype=np.float64).max(initial=0.0)
-                       * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=0.0), what)
-    return rows, X
+    top = max(1, int(X.max(initial=0)), -int(X.min(initial=0)))
+    exact = _exact_dtype(top * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=1.0), what)
+    return rows.astype(exact, copy=False), X.astype(exact, copy=False)
 
 
 def dot(a, b) -> int:
@@ -186,7 +191,7 @@ def dual_cone_rays(normals) -> list[Vec]:
     dim = len(normals[0])
     # the Hadamard bound of the module docstring, with H**2 = hsq
     hsq = max(dot(h, h) for h in normals)
-    _refuse_past_int64(isqrt(4 * dim * hsq ** (2 * dim - 1)) + 1, "double description")
+    _exact_dtype(isqrt(4 * dim * hsq ** (2 * dim - 1)) + 1, "double description")
     picked, rays = _initial_simplicial_rays(normals)
     # seed normals first, so the normals cut so far are a prefix of the columns
     order = picked + [i for i in range(len(normals)) if i not in picked]
@@ -210,22 +215,23 @@ def _adjacent_pairs(T, pos, neg, dim):
     """The adjacent pairs (i, j), i in `pos` and j in `neg`, among the rays
     whose tight sets are the rows of the bool matrix T: their common tight
     set has at least dim - 2 normals and exactly two rows of T (i and j)
-    contain it.  Both counts are float32 products in blocks of _BLOCK rows."""
+    contain it.  Both counts are exact products in blocks of _BLOCK rows."""
+    exact = _exact_dtype(T.shape[1], "adjacency test")
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for a in range(0, len(pos), _BLOCK):
-        P = T[pos[a : a + _BLOCK]].astype(np.float32)
+        P = T[pos[a : a + _BLOCK]].astype(exact)
         for b in range(0, len(neg), _BLOCK):
-            Q = T[neg[b : b + _BLOCK]].astype(np.float32)
+            Q = T[neg[b : b + _BLOCK]].astype(exact)
             i, j = np.nonzero(P @ Q.T >= dim - 2)
             pairs.append(np.stack([pos[a + i], neg[b + j]], axis=1))
     i, j = np.concatenate(pairs).T
     keep = np.empty(len(i), dtype=bool)
     for a in range(0, len(i), _BLOCK):
-        common = (T[i[a : a + _BLOCK]] & T[j[a : a + _BLOCK]]).astype(np.float32)
+        common = (T[i[a : a + _BLOCK]] & T[j[a : a + _BLOCK]]).astype(exact)
         size = common.sum(axis=1, keepdims=True)
         holders = np.zeros(len(common), dtype=np.intp)
         for r in range(0, len(T), _BLOCK):
-            holders += (common @ T[r : r + _BLOCK].T.astype(np.float32) == size).sum(axis=1)
+            holders += (common @ T[r : r + _BLOCK].T.astype(exact) == size).sum(axis=1)
         keep[a : a + _BLOCK] = holders == 2
     return i[keep], j[keep]
 
@@ -234,10 +240,10 @@ def cone_contains(normals, x):
     """Membership in {x : n . x >= 0 for every normal n}: a bool for one
     vector, a bool array for the rows of a matrix.
 
-    int64 products over blocks of rows of at most _BLOCK x _BLOCK cells;
-    refuses (DomainError) an input whose product could leave int64.
+    Exact products (`_exact_operands`) over blocks of at most _BLOCK x _BLOCK
+    cells; refuses (DomainError) an input whose product could leave int64.
     """
-    N, X = _int64_operands(normals, x, "cone membership")
+    N, X = _exact_operands(normals, x, "cone membership")
     N, rows = N.reshape(-1, X.shape[-1]).T, np.atleast_2d(X)
     step = max(1, _BLOCK * _BLOCK // max(1, N.shape[1]))
     inside = np.empty(len(rows), dtype=bool)

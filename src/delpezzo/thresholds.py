@@ -11,6 +11,7 @@ is a defined clamp; reports carry a note whenever it fires.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -281,6 +282,14 @@ def same_a_low_height_bound(p: FibrationProfile) -> int:
     return -p.neg - 1
 
 
+# The corner sweep scans the found corners for each later cell, so its cost
+# grows with cells times corners.  On a 2-CPU Xeon host, one CPU pinned, the
+# slowest admitted box found, {0, 1}^12 with the 924 corners of its middle
+# layer, takes 0.8-0.95 s; a (255, 255) box with its 256 anti-diagonal corners
+# took 17.7 s, and a (600, 600) box with none held 59 MB (tracemalloc peak).
+CORNER_BUDGET = 2**12
+
+
 def monotone_corners(oracle, c: int, box) -> list[Vec]:
     """Minimal lattice points v in prod [0..box_i] with oracle(v) >= c.
 
@@ -288,11 +297,15 @@ def monotone_corners(oracle, c: int, box) -> list[Vec]:
     is inside the up-set and is skipped without an oracle call, so the output
     is exactly the antichain of corners.  Monotonicity of the oracle is
     spot-checked on seeded random comparable pairs; a violation raises
-    DomainError.
+    DomainError, as does a box of more than CORNER_BUDGET cells, before any
+    oracle call.
     """
     box = tuple(int(b) for b in box)
     if any(b < 0 for b in box):
         raise DomainError(f"box bounds must be >= 0, got {box}")
+    cells = math.prod(b + 1 for b in box)
+    if cells > CORNER_BUDGET:
+        raise DomainError(f"a box of {cells} cells is past the corner budget of {CORNER_BUDGET}")
     rng = random.Random(0)
     for _ in range(64):
         v = tuple(rng.randint(0, b) for b in box)

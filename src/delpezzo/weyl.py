@@ -11,25 +11,22 @@ at a time with membership read off the smaller subgroup's sorted table.  A
 step's cosets are written once its representatives are complete, so every
 element is built once and a step the cap refuses writes none.  It keeps the
 group as one table, a read-only int8 array of its elements sorted by their
-row-major bytes.  Every product is one float32 matrix product per chunk
-(`_product_chunks`), with the right factors laid side by side: the factors
-are int8, so each partial sum is an integer of size at most
-rank * 128 * 128 < 2**24, which float32 holds exactly.  The closure is
-budgeted, so one that would pass the cap raises CapExceeded instead of
-thrashing memory, and the blow-up-count-8 Weyl group (order 696729600, see
-`WEYL_ORDERS`) is refused by default.  `_permutation_action` maps matrices
-to the permutations they induce on a finite class set, exactly in int64,
-with the classes keyed by the same helpers, and `_orbit_labels` reads orbits
-off such permutations.  `orbits_under_generators` needs the generators'
-permutations only, so orbits stay available for groups too large to
-materialize.  The two subgroup searches compute their permutation tables
-once and read every group question off rows of them, orbit sizes through
-`_orbit_sizes`: the diagonal-cubic search off the actions on lines and on
-conics of the order-3 elements of W(E6), found by exact cubes; the conic
-bundle analysis off left multiplication in the signed permutation group on
-4 letters (4 x 4 matrices, built as every permutation with every sign; each
-product looked up in its table), whose subgroups are orbits of the identity,
-and off its action on sign vectors.
+row-major bytes, and forms products a chunk at a time (`_product_chunks`).
+The closure is budgeted, so one that would pass the cap raises CapExceeded
+instead of thrashing memory, and the blow-up-count-8 Weyl group (order
+696729600, see `WEYL_ORDERS`) is refused by default.  `_permutation_action`
+maps matrices to the permutations they induce on a finite class set, keyed
+by the same helpers, and `_orbit_labels` reads orbits off such permutations,
+so `orbits_under_generators` works for groups too large to materialize.  The
+two subgroup searches compute their permutation tables once and read every
+group question off rows of them, orbit sizes through `_orbit_sizes`: the
+diagonal-cubic search off the actions on lines and on conics of the order-3
+elements of W(E6), found by cubes; the conic bundle analysis off left
+multiplication in the signed permutation group on 4 letters (4 x 4 matrices,
+built as every permutation with every sign; each product looked up in its
+table), whose subgroups are orbits of the identity, and off its action on
+sign vectors.  Every product, cube and image is exact by the one rule of
+`linalg`, which picks its dtype from a bound on its values.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from itertools import permutations, product
 
 from . import curves
 from .errors import DomainError, NotFound, ToolkitError
-from .linalg import _int64_operands, integer_kernel, np
+from .linalg import _exact_dtype, _exact_operands, integer_kernel, np
 # WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
 from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, check_cap  # noqa: F401
 
@@ -48,15 +45,16 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
-    """Check M preserves the pairing and fixes the canonical class: two
-    guarded int64 products, G folded into the columns of M and into K, then
-    M^T G M and M^T G K.  G is unimodular, so once M^T G M = G, M K = K holds
-    exactly when M^T G K = G K."""
+    """Check M preserves the pairing and fixes the canonical class: two exact
+    products (`linalg._exact_operands`), G folded into the columns of M and
+    into K, then M^T G M and M^T G K.  G is unimodular, so once M^T G M = G,
+    M K = K holds exactly when M^T G K = G K."""
     r = lat.rank
     if len(M) != r or any(len(row) != r for row in M):
         raise DomainError(f"matrix shape does not match rank {r}")
-    G, C = _int64_operands(lat.gram, [*zip(*M), lat.canonical], "isometry check")
-    folded, C = _int64_operands(C @ G.T, C[:r], "isometry check")
+    G, C = _exact_operands(lat.gram, [*zip(*M), lat.canonical], "isometry check")
+    folded, C = _exact_operands((C @ G.T).astype(np.int64), C[:r].astype(np.int64),
+                                "isometry check")
     P = C @ folded.T
     if (P[:, :r] != G).any():
         raise DomainError("matrix does not preserve the pairing")
@@ -163,13 +161,12 @@ def trivial_group(rank: int) -> FiniteGroup:
 def _product_chunks(left: np.ndarray, right: np.ndarray):
     """Yield (lo, P) with P[a, b] = left[lo + a] @ right[b] as int8, for int8
     stacks of square matrices of one rank.  The right factors are laid side by
-    side, so each chunk is one float matrix product, exact: both factors are
-    int8, so every partial sum is an integer of size at most
-    rank * 128 * 128 < 2**24, which float32 holds (float64 from rank 1024 on).
-    A chunk holds at most 2**22 output entries, however many right factors
-    there are.  Raises ToolkitError for an entry outside int8."""
+    side, so each chunk is one matrix product, exact by the rule of `linalg`
+    for the bound rank * 128 * 128 on its partial sums.  A chunk holds at most
+    2**22 output entries, however many right factors there are.  Raises
+    ToolkitError for an entry outside int8."""
     m, rank = len(right), right.shape[-1]
-    exact = np.float32 if rank * 128 * 128 < 2**24 else np.float64
+    exact = _exact_dtype(rank * 128 * 128, "group product")
     # R[i, b * rank + j] = right[b][i][j]: block b of the columns of x @ R is
     # x @ right[b]
     R = right.transpose(1, 0, 2).reshape(rank, m * rank).astype(exact)
@@ -300,16 +297,14 @@ class OrbitPartition:
 def _permutation_action(mats, classes) -> np.ndarray:
     """Permutations induced on a closed class set, one int32 row per matrix.
 
-    Row g maps class index k to the index of mats[g] @ classes[k].  Classes
-    are keyed by the bytes of their int64 rows (`_row_keys`, sorted, then
-    searched with `_find`), and each image row is found exactly, so any
-    integer classes work as long as every image provably stays inside int64;
-    an input that could leave it is refused before any product.  Images are
-    built at most 2**15 rows at a time, so a signed integer array of matrices
-    (such as a group's int8 table) is used as it is, without a copy.
-    Raises DomainError for duplicate classes or an image outside the set.
+    Row g maps class index k to the index of mats[g] @ classes[k].  Images
+    are exact products by the rule of `linalg`, at most 2**15 rows at a time;
+    classes and images are keyed by the bytes of their int64 rows (`_row_keys`,
+    sorted, then searched with `_find`).  Raises DomainError for an input that
+    could leave int64 (before any product), duplicate classes or an image
+    outside the set.
     """
-    mats, arr = _int64_operands(mats, classes, "class images")
+    mats, arr = _exact_operands(mats, classes, "class images")
     k, r = arr.shape
     mats = mats.reshape(-1, r, r) if mats.size == 0 else mats
     if mats.ndim != 3 or mats.shape[1:] != (r, r):
@@ -317,10 +312,10 @@ def _permutation_action(mats, classes) -> np.ndarray:
     out = np.empty((len(mats), k), dtype=np.int32)
     if not len(mats):
         return out
-    keys = _row_keys(arr)
+    keys = _row_keys(arr.astype(np.int64))
     order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+    keys = keys[order]  # sorted, and the unsorted copy of the classes is freed
+    if (keys[1:] == keys[:-1]).any():
         raise DomainError("class set contains duplicates")
     step = min(k, _ACTION_ROWS)
     per = max(1, _ACTION_ROWS // step)
@@ -328,7 +323,7 @@ def _permutation_action(mats, classes) -> np.ndarray:
     for lo in range(0, k, step):
         rows = arr[lo : lo + step]
         for g in range(0, len(mats), per):
-            pos, hit = _find(sorted_keys, _row_keys(rows @ mats_t[g : g + per]))
+            pos, hit = _find(keys, _row_keys((rows @ mats_t[g : g + per]).astype(np.int64)))
             if not hit.all():
                 c = tuple(int(x) for x in rows[np.argwhere(~hit)[0][1]])
                 raise DomainError(
@@ -409,13 +404,14 @@ def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
 
 
 def _order3_indices(elems: np.ndarray) -> np.ndarray:
-    """Indices, in table order, of the int8 matrices M with M^3 = I != M,
-    by exact float64 cubes over blocks of 4096 matrices, so no float copy of
-    the whole table is held (see `find_diagonal_cubic_subgroup`)."""
+    """Indices, in table order, of the int8 matrices M with M^3 = I != M, by
+    cubes over blocks of 4096 matrices, exact by the rule of `linalg` for
+    the bound rank**2 * 128**3 on their entries."""
+    exact = _exact_dtype(elems.shape[-1] ** 2 * 128**3, "order-3 test")
     eye = np.eye(elems.shape[-1])
     found = []
     for lo in range(0, len(elems), 4096):
-        M = elems[lo : lo + 4096].astype(np.float64)
+        M = elems[lo : lo + 4096].astype(exact)
         hit = ((M @ M @ M) == eye).all(axis=(1, 2)) & ~(M == eye).all(axis=(1, 2))
         found.append(lo + np.flatnonzero(hit))
     return np.concatenate(found)
@@ -433,8 +429,7 @@ def find_diagonal_cubic_subgroup(
     exhausts (it does not for the genuine Weyl group).
 
     The candidates are the 800 elements M of order 3, picked out of the
-    table by M^3 = I != M in float64 (`_order3_indices`), which is exact: an
-    entry of M^3 is an integer of size at most rank**2 * 128**3 < 2**53.
+    table by exact cubes, M^3 = I != M (`_order3_indices`).
     Every group question is read off two permutation tables of the
     candidates, computed once: their faithful action on the lines and their
     action on the conics.  B and C come after A in the scan (so neither is

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from delpezzo.linalg import (
     primitive,
 )
 from delpezzo.picard import make_lattice
-from delpezzo.weyl import validate_isometry
+from delpezzo.weyl import _permutation_action, validate_isometry
 
 
 def test_primitive():
@@ -166,6 +167,48 @@ def test_int64_guard():
     for t in (2**31, 2**62, 2**70):
         with pytest.raises(DomainError, match="int64"):
             validate_isometry(lat, ((t, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [(2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64), (2**53, np.int64),
+     (2**62 - 1, np.int64), (2**62, None)],
+)
+def test_exact_dtype_edges(bound, dtype):
+    if dtype is None:
+        with pytest.raises(DomainError, match="int64"):
+            linalg._exact_dtype(bound, "test product")
+    else:
+        assert linalg._exact_dtype(bound, "test product") is dtype
+
+
+@pytest.mark.parametrize("e", [24, 53])
+def test_exact_products_at_dtype_edges(e):
+    # each input holds 2**e + 1, which the dtype below the rule's (float32
+    # past 2**24, float64 past 2**53) rounds to 2**e; every result must equal
+    # the product in Python ints
+    big = 2**e + 1
+    normals = [(1, -1)]
+    X = [(big - 1, big), (big, big - 1)]
+    assert [cone_contains(normals, x) for x in X] == [dot(normals[0], x) >= 0 for x in X]
+    assert cone_contains(normals, X).tolist() == [False, True]
+    # F0 with L = (big, big): the facets (1, 0), (0, 1) pair with G L = L and
+    # G K = (-2, -2), so a = 2 / big
+    assert a_invariant(hirzebruch_polarized(0, (big, big))) == Fraction(2, big)
+    # diag(t, 1, 1) pairs H with itself to t**2, past the edge, not 1; no
+    # rounding can flip this check, as every isometry fixing K is small
+    t = isqrt(2**e) + 1
+    with pytest.raises(DomainError, match="does not preserve the pairing"):
+        validate_isometry(make_lattice(2), ((t, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # the swap of the first two coordinates exchanges the two classes, which
+    # would collide one dtype too narrow
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    classes = [(big, big - 1, 0), (big - 1, big, 0)]
+    assert _permutation_action([swap], classes).tolist() == [[1, 0]]
+    # a zero matrix makes every image 0, but the classes are still keys: the
+    # bound counts each factor as at least 1, so their dtype holds them
+    zero = [[0, 0, 0]] * 3
+    assert _permutation_action([zero], [(0, 0, 0), *classes]).tolist() == [[0, 0, 0]]
 
 
 def test_hull_square():

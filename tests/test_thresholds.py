@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,23 @@ def test_monotone_corners_examples():
 def test_monotone_corners_rejects_non_monotone():
     with pytest.raises(DomainError):
         monotone_corners(lambda w: -(w[0] + w[1]), 1, (6, 6))
+
+
+def test_monotone_corners_refuses_past_budget():
+    # refused from the cell count alone, before any oracle call and before
+    # anything of the size of the box is allocated
+    calls = []
+    for box in [(64, 63), (10**9, 10**9), (1,) * 13]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="corner budget"):
+                monotone_corners(lambda w: calls.append(w) or 0, 1, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 64 * 2**10
+    # 64 * 64 cells is exactly the budget
+    assert monotone_corners(lambda w: w[0] + w[1], 63, (63, 63))[0] == (0, 63)
 
 
 def test_monotone_corners_three_dims():

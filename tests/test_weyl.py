@@ -402,6 +402,40 @@ def test_orbits_match_group_elements(n):
             assert part.orbits == _orbits_by_elements(mats, classes)
 
 
+def _orbits_by_python_ints(gens, classes):
+    """Orbits by breadth-first search, every image a sum of Python int
+    products over the nonzero entries of each generator row."""
+    sparse = [[[(j, a) for j, a in enumerate(row) if a] for row in g] for g in gens]
+    found, covered = [], set()
+    for c in classes:
+        if c in covered:
+            continue
+        orbit, frontier = {c}, [c]
+        while frontier:
+            v = frontier.pop()
+            for g in sparse:
+                w = tuple(sum(a * v[j] for j, a in row) for row in g)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        found.append(tuple(sorted(orbit)))
+        covered |= orbit
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("n, kind", [(8, "cubics"), (6, "conics")])
+def test_orbits_match_python_ints(n, kind):
+    # both class sets have zero coordinates and the generators -1 entries, so
+    # a float product can write -0.0, whose bytes differ from those of 0.0
+    lat = make_lattice(n)
+    if kind == "cubics":
+        classes = [c for c, _ in enumerate_cubic_classes(lat)]
+    else:
+        classes = enumerate_conic_classes(lat)
+    gens = weyl_generators(lat)
+    assert orbits_under_generators(gens, classes).orbits == _orbits_by_python_ints(gens, classes)
+
+
 def test_orbits_past_small_entries(lat6):
     # 25 (H - E1) and its images have entries well past 20
     conics = [tuple(25 * x for x in c) for c in enumerate_conic_classes(lat6)]
