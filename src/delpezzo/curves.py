@@ -4,7 +4,8 @@ Enumeration is a depth-first search over the exceptional coordinates.  Each
 coordinate is scanned over the exact integer range that Cauchy-Schwarz leaves
 for the rest, so every visited prefix has a real completion, and the last two
 coordinates are solved in closed form.  The scans ascend, so the lists come
-out in lexicographic order with no sort; they are complete, not samples.
+out in lexicographic order with no sort; they are complete, not samples,
+and a search that would pass its work budget is refused instead.
 Nefness is read from one table per lattice, the pairing normals of the
 effective-cone generators (the (-1)-curves from two blow-ups on): `is_nef`,
 `nef_classes_of_height`, `nef_curve_cone`, `decompose_nef_integral` and
@@ -21,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import linalg
-from .errors import DecompositionNotFound, DomainError
+from .errors import CapExceeded, DecompositionNotFound, DomainError
 from .linalg import np
 from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
 
@@ -44,8 +45,23 @@ class Cone:
             raise DomainError("cone needs generators")
 
 
-def _class_search(lat: PicardLattice, self_int: int, degree: int) -> list[Vec]:
-    """All integral classes c with c.c = self_int and -K.c = degree, sorted.
+# Work budget of the class search: the prefixes it visits, one for each
+# self-intersection, one for each value of a, and one for each value of each
+# b but the last pair, which is solved in closed form.  Every class is a
+# visited last pair or its swap, so the search returns at most twice as many
+# classes as it visits prefixes.  On a 2-CPU Xeon host, one CPU pinned, the
+# slowest admitted search found (the largest admitted height for each n from
+# 0 to 8), the nef classes of height 4 on 8 blow-ups (457,254 prefixes,
+# 340,321 classes), takes 0.6-0.9 s; height 5 there would visit 2,285,202,
+# and height 6 took 31 s without a budget.  On one blow-up the scan of a is
+# wide and finds few classes: height 400 visits 676,702 prefixes for 101.
+SEARCH_BUDGET = 2**19
+
+
+def _class_search(lat: PicardLattice, self_int, degree: int) -> list[Vec]:
+    """All integral classes c with c.c = self_int and -K.c = degree, sorted;
+    for a range of self-intersections, those with c.c in it, each square's
+    classes sorted and in the range's order, under one budget.
 
     Writing c = (a, b_1..b_n): -K.c = 3a + sum(b) and c.c = a^2 - sum(b^2), so
     the b_i have sum S = degree - 3a and square sum Q = a^2 - self_int.  k >= 2
@@ -58,9 +74,25 @@ def _class_search(lat: PicardLattice, self_int: int, degree: int) -> list[Vec]:
     The last pair is solved in closed form, (b' - b)^2 = 2Q - S^2 with
     b + b' = S.  a and every b ascend, so the output is in lexicographic
     order with no sort.
+
+    Each level adds the width of its range to the count of visited prefixes
+    before it scans it, and the search raises CapExceeded once the count
+    passes SEARCH_BUDGET: a refused search visits no prefix past the budget,
+    and its list holds at most twice the budget.
     """
-    n, s, d = lat.n, self_int, degree
+    n, d = lat.n, degree
+    squares = range(self_int, self_int + 1) if isinstance(self_int, int) else self_int
     out: list[Vec] = []
+    visited = 0
+
+    def visit(width: int):
+        nonlocal visited
+        visited += width
+        if visited > SEARCH_BUDGET:
+            raise CapExceeded(
+                f"the class search for height {d} on {n} blow-ups would visit more "
+                f"than {SEARCH_BUDGET} prefixes"
+            )
 
     def rec(prefix: Vec, k: int, S: int, Q: int):
         if k == 2:
@@ -73,20 +105,26 @@ def _class_search(lat: PicardLattice, self_int: int, degree: int) -> list[Vec]:
                     out.append(prefix + (S - b, b))
             return
         r = math.isqrt((k - 1) * (k * Q - S * S))
-        for b in range(-((r - S) // k), (S + r) // k + 1):
+        lo, hi = -((r - S) // k), (S + r) // k
+        visit(hi - lo + 1)
+        for b in range(lo, hi + 1):
             rec(prefix + (b,), k - 1, S - b, Q - b * b)
 
     m = 9 - n
-    disc = n * (d * d - m * s)
-    if disc < 0:
-        return out
-    r = math.isqrt(disc)
-    for a in range(-((r - 3 * d) // m), (3 * d + r) // m + 1):
-        S, Q = d - 3 * a, a * a - s
-        if n >= 2:
-            rec((a,), n, S, Q)
-        elif Q == S * S:  # b_1 = S, or no b at all (then S = 0 by the range)
-            out.append((a, S) if n else (a,))
+    for s in squares:
+        visit(1)
+        disc = n * (d * d - m * s)
+        if disc < 0:
+            continue
+        r = math.isqrt(disc)
+        lo, hi = -((r - 3 * d) // m), (3 * d + r) // m
+        visit(hi - lo + 1)
+        for a in range(lo, hi + 1):
+            S, Q = d - 3 * a, a * a - s
+            if n >= 2:
+                rec((a,), n, S, Q)
+            elif Q == S * S:  # b_1 = S, or no b at all (then S = 0 by the range)
+                out.append((a, S) if n else (a,))
     return out
 
 
@@ -169,24 +207,24 @@ def nef_curve_cone(lat: PicardLattice) -> Cone:
     return Cone(generators=tuple(sorted(c for c, ok in zip(found, nef) if ok)))
 
 
-def _feasible_squares(lat: PicardLattice, height: int) -> list[int]:
+def _feasible_squares(lat: PicardLattice, height: int) -> range:
     """Possible self-intersections of a nef class of given height.
 
     Parity: c.(c+K) is even, so c.c = height mod 2.  Hodge index on a lattice
     of signature (1, n): c nef nonzero forces 0 <= c.c and c.c * K.K <= height^2.
     """
-    top = height * height // lat.degree
-    start = height % 2
-    return list(range(start, top + 1, 2))
+    return range(height % 2, height * height // lat.degree + 1, 2)
 
 
 def nef_classes_of_height(lat: PicardLattice, height: int) -> list[Vec]:
-    """All nef integral classes with -K.c = height (complete, sorted)."""
+    """All nef integral classes with -K.c = height (complete, sorted): one
+    class search over the feasible squares, which raises CapExceeded past
+    SEARCH_BUDGET visited prefixes."""
     if height < 0:
         return []
     if height == 0:
         return [(0,) * lat.rank]
-    found = [c for s in _feasible_squares(lat, height) for c in _class_search(lat, s, height)]
+    found = _class_search(lat, _feasible_squares(lat, height), height)
     nef = linalg.cone_contains(_nef_normals(lat), found) if found else []
     return sorted(c for c, ok in zip(found, nef) if ok)
 
@@ -270,7 +308,9 @@ def break_fiber_class(lat: PicardLattice, c) -> tuple[Vec, Vec]:
     height >= 2, choosing the lexicographically smallest c0.
 
     Deterministic: candidates are scanned in increasing height and lex order,
-    and the first valid c0 under the plain tuple order wins.
+    and the first valid c0 under the plain tuple order wins.  Raises
+    CapExceeded when a height's class search passes its budget
+    (`nef_classes_of_height`).
     """
     if lat.degree < 2:
         raise DomainError(

@@ -1,17 +1,21 @@
 """Lattice isometries: Weyl groups, orbits, and monodromy-style subgroups.
 
-Every group in this module is one sorted table, searched through one row
-index and acted on by one action kernel; all but the signed permutation group
-are closed by one routine.  The row index is a pair of helpers: `_row_keys`
+Every group in this module is a sorted table, or the cosets of one that are
+written as a table on first access, searched through one row index and acted
+on by one action kernel; all but the signed permutation group are closed by
+one routine.  The row index is a pair of helpers: `_row_keys`
 views each row of an integer array as one fixed-width byte key, and `_find`
 looks keys up in a sorted key array.  `generate_group` closes a set of int8
 matrices by Dimino's algorithm: a tower of subgroups from the identity, each
 a union of right cosets of the one before, found one level of the coset graph
 at a time with membership read off the smaller subgroup's sorted table.  A
-step's cosets are written once its representatives are complete, so every
-element is built once and a step the cap refuses writes none.  It keeps the
-group as one table, a read-only int8 array of its elements sorted by their
-row-major bytes, and forms products a chunk at a time (`_product_chunks`).
+step's cosets are written once its representatives are complete, and only
+when the next generator's membership test reads them, so a step the cap
+refuses writes none.  The closure keeps its last step: the subgroup's table
+and the coset representatives, whose count gives the order.  The group's own
+table, a read-only int8 array of its elements sorted by their row-major
+bytes, is written on first access to `FiniteGroup.elements`, each element
+once.  Products are formed a chunk at a time (`_product_chunks`).
 The closure is budgeted, so one that would pass the cap raises CapExceeded
 instead of thrashing memory, and the blow-up-count-8 Weyl group (order
 696729600, see `WEYL_ORDERS`) is refused by default.  `_permutation_action`
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 from . import curves
@@ -129,26 +134,35 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray):
     return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
-def _sorted_table(mats: np.ndarray) -> np.ndarray:
-    """Sort a writable stack of matrices in place by the bytes of their rows."""
-    _row_keys(mats.reshape(len(mats), -1)).sort()
-    return mats
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite matrix group as one table: `elements` is a read-only int8
-    array of shape (order, rank, rank), sorted by the bytes of its rows."""
+    """A finite matrix group, as the right cosets H x of one subgroup H: the
+    group is the disjoint union of H and of H x for every coset representative
+    x in `levels` (a tuple of stacks), so its order is |H| (1 + their count).
+    `subgroup` is H's table, a read-only int8 array of shape (|H|, rank, rank)
+    sorted by the bytes of its rows; with no levels it is the group's own, and
+    `FiniteGroup(elements, generators)` is a group given by its table.
 
-    elements: np.ndarray
+    `elements` is the group's table in the same form, written on first access
+    (`_coset_table`) and cached, so a caller that reads only `order` never
+    forms the cosets."""
+
+    subgroup: np.ndarray
     generators: tuple[Matrix, ...]
+    levels: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        self.elements.flags.writeable = False
+        self.subgroup.flags.writeable = False
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.subgroup) * (1 + sum(len(x) for x in self.levels))
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        table = _coset_table(self.subgroup, self.levels)
+        table.flags.writeable = False
+        return table
 
     def element_matrices(self) -> np.ndarray:
         return self.elements.astype(np.int64)
@@ -179,10 +193,12 @@ def _product_chunks(left: np.ndarray, right: np.ndarray):
         yield lo, P.astype(np.int8).reshape(len(chunk), rank, m, rank).transpose(0, 2, 1, 3)
 
 
-def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _products(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every product left[a] @ right[b], as an int8 array of shape
-    (len(left), len(right), rank, rank) (see `_product_chunks`)."""
-    out = np.empty((len(left), len(right)) + right.shape[1:], dtype=np.int8)
+    (len(left), len(right), rank, rank) (see `_product_chunks`), written into
+    `out` when it is given."""
+    if out is None:
+        out = np.empty((len(left), len(right)) + right.shape[1:], dtype=np.int8)
     for lo, P in _product_chunks(left, right):
         out[lo : lo + len(P)] = P
     return out
@@ -195,6 +211,25 @@ def _in_table(sorted_keys: np.ndarray, left: np.ndarray, right: np.ndarray) -> n
     for lo, P in _product_chunks(left, right):
         out[lo : lo + len(P)] = _find(sorted_keys, _row_keys(P.reshape(*P.shape[:2], -1)))[1]
     return out
+
+
+def _coset_table(subgroup: np.ndarray, levels) -> np.ndarray:
+    """The sorted table of the union of H and its right cosets H x, for H a
+    sorted int8 table and x the representatives in `levels`, which lie in
+    distinct cosets other than H: one int8 array of the known order, each
+    level's products H x written into its own slice, then sorted in place by
+    the bytes of its rows.  With no levels, H itself."""
+    if not levels:
+        return subgroup
+    h, shape = len(subgroup), subgroup.shape[1:]
+    table = np.empty((h * (1 + sum(len(x) for x in levels)),) + shape, dtype=np.int8)
+    table[:h] = subgroup
+    lo = h
+    for x in levels:
+        _products(subgroup, x, out=table[lo : lo + h * len(x)].reshape(h, len(x), *shape))
+        lo += h * len(x)
+    _row_keys(table.reshape(len(table), -1)).sort()
+    return table
 
 
 def _inverse(g: np.ndarray, cap: int) -> np.ndarray:
@@ -223,7 +258,8 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     elements are stored in.
 
     The tower starts at H_0 = {I}; H_i = <H_{i-1}, g_i> is a union of right
-    cosets H_{i-1} x, and g_i is skipped when it already lies in H_{i-1}.
+    cosets H_{i-1} x, and g_i is skipped when it already lies in H_{i-1},
+    read off H_{i-1}'s sorted table.
     The coset representatives grow one level of the coset graph at a time:
     the candidates a g for the last level's representatives a and the
     generators g so far and their inverses are one batched product, and a
@@ -231,13 +267,19 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     representative x_j of the last two levels (the graph is undirected, so
     no other level is one step away), looked up in H_{i-1}'s sorted table;
     two new candidates in one coset are merged by the same test, with
-    (a g)^-1 = g^-1 a^-1.  The cap is checked at H_0 and after each level;
-    only once a step's representatives are complete are its cosets written,
-    one product H_{i-1} y per level, so a refused step writes none of its
-    elements and every element is built once; the finished table of each
-    step is sorted once by its row keys.  Both tests cost products
-    quadratic in the width of a level, which suits towers of small index
-    such as the parabolic subgroups of a Weyl group along its simple roots.
+    (a g)^-1 = g^-1 a^-1.  The cap is checked at H_0 and after each level,
+    so a refused step writes none of its elements.  A complete step's cosets
+    are written (`_coset_table`) only when the next generator's membership
+    test needs H_i's table; the last step's never are.  The group returned
+    holds the last subgroup's table and that step's representatives, level
+    by level: its order is their product, and its table is written on first
+    access to `elements`.  Both tests cost products quadratic in the width
+    of a level, which suits towers of small index such as the parabolic
+    subgroups of a Weyl group along its simple roots: W(E7)'s order is 576
+    cosets of S_7, counted from a table of 5,040 elements.
+
+    The products the closure forms are checked to stay within int8; the
+    last step's cosets are formed, and checked, when `elements` is read.
     """
     mats = list(dict.fromkeys(_as_matrix(g) for g in gens))
     if not mats:
@@ -252,15 +294,17 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     # the generators so far and their inverses: with both, the coset graph is
     # undirected, so a coset reached from level L lies in level L - 1, L or
     # L + 1, and only the last two levels are tested
-    both = {}
+    both, levels = {}, []
     for g, g_inv in zip(arr, inverses):
+        # the next generator's membership test reads the last step's table
+        table, levels = _coset_table(table, levels), []
         keys = _row_keys(table.reshape(len(table), -1))
         if _find(keys, _row_keys(g.reshape(1, -1)))[1][0]:
             continue
         both.setdefault(g.tobytes(), (g, g_inv))
         both.setdefault(g_inv.tobytes(), (g_inv, g))
         S, S_inv = (np.stack(x) for x in zip(*both.values()))
-        levels, count = [], 1
+        count = 1
         frontier, frontier_inv, last_inv = eye, eye, eye[:0]
         while len(frontier):
             Y = _products(frontier, S).reshape(-1, rank, rank)
@@ -273,10 +317,9 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
             last_inv, frontier, frontier_inv = frontier_inv, Y[first], Y_inv[first]
             count += len(frontier)
             check_cap(len(table) * count, cap)
-            levels.append(frontier)
-        cosets = [_products(table, x).reshape(-1, rank, rank) for x in levels if len(x)]
-        table = _sorted_table(np.concatenate([table, *cosets]))
-    return FiniteGroup(table, tuple(mats))
+            if len(frontier):
+                levels.append(frontier)
+    return FiniteGroup(table, tuple(mats), tuple(levels))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo import (
+    CapExceeded,
     CurveClassKind,
     DecompositionNotFound,
     DomainError,
@@ -29,7 +31,7 @@ from delpezzo import (
     pair,
     weyl_generators,
 )
-from delpezzo.curves import _class_search, _decomposition_generators, _nef_normals
+from delpezzo.curves import SEARCH_BUDGET, _class_search, _decomposition_generators, _nef_normals
 from delpezzo.linalg import cone_contains, dual_cone_rays, mat_rank
 
 LINE_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
@@ -268,6 +270,49 @@ def test_nef_classes_of_height_brute_force():
                 if anticanonical_degree(lat, c) == h and is_nef(lat, c):
                     brute.add(c)
         assert mine == brute
+
+
+def test_class_search_budget_is_exact(monkeypatch):
+    # height 3 on 8 blow-ups, the decomposition generators' largest search,
+    # visits 34,850 prefixes: 5 squares, then the values of a and of each b
+    # but the last pair
+    lat = make_lattice(8)
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 34_850)
+    assert len(nef_classes_of_height(lat, 3)) == 26_401
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 34_849)
+    with pytest.raises(CapExceeded, match="more than 34849 prefixes"):
+        nef_classes_of_height(lat, 3)
+
+
+def test_class_search_budget_admits_its_callers():
+    # the decomposition generators (heights 2 and 3), the benchmark's
+    # searches and the slowest admitted corner, height 4 on 8 blow-ups
+    for n in range(9):
+        _decomposition_generators(make_lattice(n))
+    counts = {(8, 2): 2_401, (7, 3): 632, (8, 4): 188_641}
+    for (n, h), count in counts.items():
+        assert len(nef_classes_of_height(make_lattice(n), h)) == count
+    with pytest.raises(CapExceeded, match=f"more than {SEARCH_BUDGET} prefixes"):
+        nef_classes_of_height(make_lattice(8), 5)
+
+
+@pytest.mark.parametrize("n, h", [(8, 6), (1, 10_000), (0, 10**9)])
+def test_refused_class_search_stops_at_its_budget(monkeypatch, n, h):
+    # height 6 on 8 blow-ups has 7,659,601 classes; on one blow-up the scan
+    # of a is wide and finds few classes; on none, the 5.6e16 feasible
+    # squares are never listed.  Each refusal comes within 2**14 visited
+    # prefixes, so at most 2**15 classes; numpy reports its buffers to
+    # tracemalloc, so the peak covers the arrays as well
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 2**14)
+    lat = make_lattice(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            nef_classes_of_height(lat, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_decompose_nef_integral():

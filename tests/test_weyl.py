@@ -34,9 +34,11 @@ from delpezzo import (
 from delpezzo.picard import DEFAULT_CAP
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
+    _coset_table,
     _left_table,
     _order3_indices,
     _permutation_action,
+    _row_keys,
     _signed_perm_matrix,
     _signed_perm_table,
 )
@@ -106,6 +108,54 @@ def test_weyl_e7_order_by_closure():
     group = generate_group(weyl_generators(lat))
     assert group.order == 2903040
     assert _table_digest(group) == WEYL_TABLE_DIGESTS[7]
+
+
+def _record_tables_written(monkeypatch):
+    """Patch `_coset_table`; the list returned grows by the order of each
+    table it writes."""
+    written = []
+
+    def record(subgroup, levels):
+        table = _coset_table(subgroup, levels)
+        written.append(len(table))
+        return table
+
+    monkeypatch.setattr("delpezzo.weyl._coset_table", record)
+    return written
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_order_needs_no_table(monkeypatch, n):
+    # every tower step but the last writes its table, which the next
+    # generator's membership test reads; the order is the last subgroup's
+    # order times its count of cosets, and no table of it is written
+    written = _record_tables_written(monkeypatch)
+    group = generate_group(weyl_generators(make_lattice(n)))
+    assert group.order == CLOSED_FORM_ORDERS[n]
+    assert max(written) < group.order
+
+
+def test_elements_are_written_once(monkeypatch):
+    written = _record_tables_written(monkeypatch)
+    group = generate_group(weyl_generators(make_lattice(5)))
+    before = len(written)
+    elements = group.elements
+    assert group.elements is elements and not elements.flags.writeable
+    assert written[before:] == [1920]
+
+
+def test_e7_order_peak():
+    # the last step of W(E7) along its simple roots is 576 cosets of S_7:
+    # counted from a table of 5,040 elements, where the whole table of
+    # 2,903,040 takes 186 MB; numpy reports its buffers to tracemalloc
+    gens = weyl_generators(make_lattice(7))
+    tracemalloc.start()
+    try:
+        assert generate_group(gens).order == 2903040
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_cap_refusal():
@@ -434,6 +484,25 @@ def test_orbits_match_python_ints(n, kind):
         classes = enumerate_conic_classes(lat)
     gens = weyl_generators(lat)
     assert orbits_under_generators(gens, classes).orbits == _orbits_by_python_ints(gens, classes)
+
+
+def test_permutation_action_keys_integer_rows(monkeypatch, lat6):
+    # small entries make the images float32 products, and a BLAS that starts
+    # a sum from its first product can write -0.0, whose bytes differ from
+    # those of 0.0: every class and image the action keys must be an integer
+    # row
+    keyed = []
+
+    def integer_keys(rows):
+        assert rows.dtype.kind in "iu", rows.dtype
+        keyed.append(len(rows))
+        return _row_keys(rows)
+
+    monkeypatch.setattr("delpezzo.weyl._row_keys", integer_keys)
+    gens = weyl_generators(lat6)
+    assert orbits_under_generators(gens, enumerate_conic_classes(lat6)).sizes == [27]
+    assert _permutation_action(gens, enumerate_neg_one_curves(lat6)).shape == (6, 27)
+    assert keyed
 
 
 def test_orbits_past_small_entries(lat6):
