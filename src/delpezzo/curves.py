@@ -7,10 +7,11 @@ coordinates are solved in closed form.  The scans ascend, so the lists come
 out in lexicographic order with no sort; they are complete, not samples,
 and a search that would pass its work budget is refused instead.
 Nefness is read from one table per lattice, the pairing normals of the
-effective-cone generators (the (-1)-curves from two blow-ups on): `is_nef`,
-`nef_classes_of_height`, `nef_curve_cone`, `decompose_nef_integral` and
-`break_fiber_class` test against it through `linalg.cone_contains`, each
-search testing all its candidates in one call.
+effective-cone generators (the (-1)-curves from two blow-ups on), through
+`linalg.cone_contains`, each search testing its candidates in one call.
+`break_fiber_class` runs no class search: it scans, one box per value of the
+first coordinate, the classes that the pairings with E_i and H - E_i leave for
+a part, under the same work budget.
 """
 
 from __future__ import annotations
@@ -238,6 +239,17 @@ def _decomposition_generators(lat: PicardLattice) -> tuple[Vec, ...]:
     return tuple(sorted(gens, key=lambda g: (-anticanonical_degree(lat, g), g)))
 
 
+def _nef_input(lat: PicardLattice, c, task: str) -> Vec:
+    """c as a tuple of Python ints, refused (DomainError) unless c is nef on a
+    lattice of degree >= 2, where `task` is defined."""
+    if lat.degree < 2:
+        raise DomainError(f"{task} is defined for lattice degree >= 2, got {lat.degree}")
+    c = _check_vec(lat, c)
+    if not is_nef(lat, c):
+        raise DomainError(f"class {c} is not nef")
+    return c
+
+
 def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
     """Write a nef integral class as a sum of height-2/height-3 nef classes
     and copies of -K, by a depth-first search in descending height order that
@@ -249,13 +261,7 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
     DecompositionNotFound carrying the residual and the generating set size;
     the generating set is fixed, never extended silently.
     """
-    if lat.degree < 2:
-        raise DomainError(
-            f"decomposition is defined for lattice degree >= 2, got {lat.degree}"
-        )
-    c = tuple(c)
-    if not is_nef(lat, c):
-        raise DomainError(f"class {c} is not nef")
+    c = _nef_input(lat, c, "decomposition")
     gens, normals = _decomposition_generators(lat), _nef_normals(lat)
 
     def steps(residual: Vec, start: int):
@@ -305,27 +311,31 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
 
 def break_fiber_class(lat: PicardLattice, c) -> tuple[Vec, Vec]:
     """Split a nef class of height >= 4 as c0 + c1 with both parts nef of
-    height >= 2, choosing the lexicographically smallest c0.
+    height >= 2, choosing the smallest c0 in plain tuple order.
 
-    Deterministic: candidates are scanned in increasing height and lex order,
-    and the first valid c0 under the plain tuple order wins.  Raises
-    CapExceeded when a height's class search passes its budget
-    (`nef_classes_of_height`).
+    Write c0 = (a, b_1..b_n).  Pairing c0 with E_i and H - E_i, and c - c0
+    with E_i (all effective), gives max(-a, c_i) <= b_i <= 0; so a nef class
+    with a = 0 is zero, 1 <= a < c_0, and both parts, nonzero and nef, have
+    height >= 2 (parity and Hodge index).  For each a in turn, the box of those
+    b is built in lexicographic order; its first cell with both parts nef is
+    the answer.  Each box's cells are counted before it is built, and past
+    SEARCH_BUDGET the scan raises CapExceeded.
     """
-    if lat.degree < 2:
-        raise DomainError(
-            f"fiber breaking is defined for lattice degree >= 2, got {lat.degree}"
-        )
-    c = tuple(c)
-    if not is_nef(lat, c):
-        raise DomainError(f"class {c} is not nef")
+    c = _nef_input(lat, c, "fiber breaking")
     h = anticanonical_degree(lat, c)
     if h < 4:
         raise DomainError(f"height {h} < 4; nothing to break")
-    pieces = sorted(c0 for t in range(2, h - 1) for c0 in nef_classes_of_height(lat, t))
-    rest = [tuple(a - b for a, b in zip(c, c0)) for c0 in pieces]
-    nef = linalg.cone_contains(_nef_normals(lat), rest) if rest else []
-    for c0, c1, ok in zip(pieces, rest, nef):
-        if ok:
-            return c0, c1
+    cells, normals = 0, _nef_normals(lat)
+    for a in range(1, c[0]):
+        lo = [max(-a, x) for x in c[1:]]
+        shape = [1 - x for x in lo]
+        cells += (size := math.prod(shape))
+        if cells > SEARCH_BUDGET:
+            raise CapExceeded(f"breaking {c} would scan more than {SEARCH_BUDGET} classes")
+        c0 = np.full((size, lat.rank), a, dtype=np.int64)
+        c0[:, 1:] = np.indices(shape, dtype=np.int64).reshape(lat.n, size).T + lo
+        c1 = np.array(c, dtype=np.int64) - c0
+        hit = np.flatnonzero(linalg.cone_contains(normals, c0) & linalg.cone_contains(normals, c1))
+        if hit.size:
+            return tuple(c0[hit[0]].tolist()), tuple(c1[hit[0]].tolist())
     raise DecompositionNotFound(f"no nef splitting of {c} with both heights >= 2")

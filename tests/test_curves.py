@@ -438,6 +438,138 @@ def test_anticanonical_breaks_as_two_nef_pieces():
     assert anticanonical_degree(lat, lat.anticanonical) == 3
 
 
+def _reference_break(lat, c):
+    """The earlier route: every nef class of heights 2..h-2 from the class
+    search, sorted, and the first whose complement is nef."""
+    c = tuple(c)
+    h = anticanonical_degree(lat, c)
+    pieces = sorted(c0 for t in range(2, h - 1) for c0 in nef_classes_of_height(lat, t))
+    rest = [tuple(a - b for a, b in zip(c, c0)) for c0 in pieces]
+    nef = cone_contains(_nef_normals(lat), rest) if rest else []
+    for c0, c1, ok in zip(pieces, rest, nef):
+        if ok:
+            return c0, c1
+    raise DecompositionNotFound(f"no nef splitting of {c}")
+
+
+def _outcome(f, lat, c):
+    """f's split of c, or the type of the exception it raises."""
+    try:
+        return f(lat, c)
+    except (CapExceeded, DecompositionNotFound) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_break_matches_reference_route(n):
+    # seeded nef classes of heights 4..7: samples of every nef class of
+    # heights 4 and 5, and seeded sums of smaller ones
+    lat = make_lattice(n)
+    if n == 0:
+        classes = [(2,)]  # heights on P^2 are multiples of 3
+    else:
+        seeded = _seeded_nef_classes(lat, random.Random(100 + n))
+        classes = [c for c in dict.fromkeys(seeded) if 4 <= anticanonical_degree(lat, c) <= 7]
+    assert classes
+    for c in classes:
+        assert _outcome(break_fiber_class, lat, c) == _outcome(_reference_break, lat, c)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_break_brute_force_box(n):
+    # every nef class of heights 4..12 against the first split of the full
+    # box [0, c_0] x prod [c_i, 0] in tuple order, without the cut a + b_i >= 0
+    lat = make_lattice(n)
+    normals = _nef_normals(lat)
+    for h in range(4, 13):
+        for c in nef_classes_of_height(lat, h):
+            box = [c0 for c0 in itertools.product(range(c[0] + 1), *(range(x, 1) for x in c[1:]))
+                   if 2 <= anticanonical_degree(lat, c0) <= h - 2]
+            rest = [tuple(a - b for a, b in zip(c, c0)) for c0 in box]
+            ok = cone_contains(normals, box) & cone_contains(normals, rest) if box else []
+            want = next(((c0, c1) for c0, c1, y in zip(box, rest, ok) if y), DecompositionNotFound)
+            assert _outcome(break_fiber_class, lat, c) == want
+
+
+def _conic_split(lat, c):
+    """H - E1 and the rest: the split of every k(-K), k >= 2, for n >= 1."""
+    c0 = (1, -1) + (0,) * (lat.n - 1)
+    return c0, tuple(a - b for a, b in zip(c, c0))
+
+
+def test_break_needs_no_class_search(monkeypatch):
+    # the scan reads only the cached nef normals: no class search runs
+    lat = make_lattice(6)
+    c = tuple(5 * x for x in lat.anticanonical)
+    is_nef(lat, c)
+
+    def refuse(*args):
+        raise AssertionError("class search called")
+
+    monkeypatch.setattr("delpezzo.curves._class_search", refuse)
+    monkeypatch.setattr("delpezzo.curves.nef_classes_of_height", refuse)
+    assert break_fiber_class(lat, c) == _conic_split(lat, c)
+
+
+@pytest.mark.parametrize("n, k", [(3, 16), (6, 8), (7, 6)] + [(n, 2000) for n in (2, 3, 6, 7)])
+def test_break_multiples_of_anticanonical(n, k):
+    # the per-height route refused the first three past the class search's
+    # budget, after 4.1, 0.95 and 1.2 s
+    lat = make_lattice(n)
+    c = tuple(k * x for x in lat.anticanonical)
+    c0, c1 = break_fiber_class(lat, c)
+    assert (c0, c1) == _conic_split(lat, c)
+    assert is_nef(lat, c0) and is_nef(lat, c1)
+    assert tuple(a + b for a, b in zip(c0, c1)) == c
+
+
+def test_break_refuses_before_its_box(monkeypatch):
+    # 200(-K) on 7 blow-ups: the first box, at a = 1, has 2**7 cells, past a
+    # budget of 2**4.  The refusal builds nothing: np.indices is taken away,
+    # and the peak is the nef test of c (about 8.5 KB), where building the
+    # box peaks at about 32 KB
+    lat = make_lattice(7)
+    c = tuple(200 * x for x in lat.anticanonical)
+    is_nef(lat, c)
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 2**4)
+    monkeypatch.setattr(np, "indices", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="more than 16 classes"):
+            break_fiber_class(lat, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+
+
+def test_break_budget_is_exact(monkeypatch):
+    # the answer lies in the second box: 2**4 cells at a = 1, then 3**3 * 2
+    # at a = 2; the budget counts the cells of every box scanned
+    lat = make_lattice(4)
+    c = (4, -2, -2, -2, -1)
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 70)
+    assert break_fiber_class(lat, c) == ((2, -1, -1, -1, -1), (2, -1, -1, -1, 0))
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 69)
+    with pytest.raises(CapExceeded, match="more than 69 classes"):
+        break_fiber_class(lat, c)
+
+
+def test_numpy_input_gives_python_ints(monkeypatch):
+    lat = make_lattice(6)
+    c = np.array([2 * x for x in lat.anticanonical], dtype=np.int64)
+    parts = break_fiber_class(lat, c)
+    assert parts == ((1, -1, 0, 0, 0, 0, 0), (5, -1, -2, -2, -2, -2, -2))
+    assert all(type(x) is int for part in parts for x in part)
+    plan = decompose_nef_integral(lat, c)
+    assert all(type(x) is int for part in plan for x in part)
+    with pytest.raises(DomainError, match=r"class \(1, 1, 0, 0, 0, 0, 0\) is not nef"):
+        decompose_nef_integral(lat, np.array([1, 1, 0, 0, 0, 0, 0]))
+    monkeypatch.setattr("delpezzo.curves._decomposition_generators", lambda lat: ((1,) + (0,) * 6,))
+    with pytest.raises(DecompositionNotFound, match=r"of \(6, -2, -2, -2, -2, -2, -2\) over"):
+        decompose_nef_integral(lat, c)
+
+
 @given(st.integers(2, 7), st.data())
 @settings(max_examples=30, deadline=None)
 def test_enumeration_permutation_invariance(n, data):
