@@ -226,7 +226,7 @@ def nef_classes_of_height(lat: PicardLattice, height: int) -> list[Vec]:
     if height == 0:
         return [(0,) * lat.rank]
     found = _class_search(lat, _feasible_squares(lat, height), height)
-    nef = linalg.cone_contains(_nef_normals(lat), found) if found else []
+    nef = linalg.cone_contains(_nef_normals(lat), found)
     return sorted(c for c, ok in zip(found, nef) if ok)
 
 

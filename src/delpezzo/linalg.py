@@ -238,12 +238,15 @@ def _adjacent_pairs(T, pos, neg, dim):
 
 def cone_contains(normals, x):
     """Membership in {x : n . x >= 0 for every normal n}: a bool for one
-    vector, a bool array for the rows of a matrix.
+    vector, a bool array for the rows of a matrix or the vectors of a list
+    (empty for an empty list).
 
     Exact products (`_exact_operands`) over blocks of at most _BLOCK x _BLOCK
     cells; refuses (DomainError) an input whose product could leave int64.
     """
     N, X = _exact_operands(normals, x, "cone membership")
+    if X.shape == (0,):  # an empty list of vectors
+        return np.empty(0, dtype=bool)
     N, rows = N.reshape(-1, X.shape[-1]).T, np.atleast_2d(X)
     step = max(1, _BLOCK * _BLOCK // max(1, N.shape[1]))
     inside = np.empty(len(rows), dtype=bool)

@@ -26,11 +26,12 @@ two subgroup searches compute their permutation tables once and read every
 group question off rows of them, orbit sizes through `_orbit_sizes`: the
 diagonal-cubic search off the actions on lines and on conics of the order-3
 elements of W(E6), found by cubes; the conic bundle analysis off left
-multiplication in the signed permutation group on 4 letters (4 x 4 matrices,
-built as every permutation with every sign; each product looked up in its
-table), whose subgroups are orbits of the identity, and off its action on
-sign vectors.  Every product, cube and image is exact by the one rule of
-`linalg`, which picks its dtype from a bound on its values.
+multiplication by the 33 elements it reads of the signed permutation group
+on 4 letters (4 x 4 matrices, every permutation with every sign; products
+looked up in its table), whose subgroups are orbits of the identity, 256
+labelled at once, and off its action on sign vectors.  Every product, cube
+and image is exact by the one rule of `linalg`, which picks its dtype from
+a bound on its values.
 """
 
 from __future__ import annotations
@@ -385,11 +386,11 @@ def _orbit_labels(perms: np.ndarray) -> np.ndarray:
     label = np.arange(perms.shape[-1], dtype=perms.dtype)
     while True:
         ends = label[perms]
-        hi, lo = np.maximum(label, ends), np.minimum(label, ends)
-        moved = hi != lo
+        moved = ends != label
         if not moved.any():
             return label
-        np.minimum.at(label, hi[moved], lo[moved])
+        ends, starts = ends[moved], np.broadcast_to(label, perms.shape)[moved]
+        np.minimum.at(label, np.maximum(starts, ends), np.minimum(starts, ends))
         while (label[label] != label).any():
             label = label[label]
 
@@ -421,14 +422,22 @@ def orbits(group: FiniteGroup, classes) -> OrbitPartition:
     return orbits_under_generators(group.generators, classes)
 
 
+def _check_rank(group: FiniteGroup, lat: PicardLattice) -> None:
+    rank = group.subgroup.shape[-1]
+    if rank != lat.rank:
+        raise DomainError(f"a group of rank {rank} does not act on a lattice of rank {lat.rank}")
+
+
 def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
     """Z-basis of the sublattice fixed by every group element.
 
     The fixed space of the group equals the joint kernel of (M - I) over the
     generators.  Kernels of integer matrices are saturated, so the basis spans
     the full invariant sublattice, not a finite-index piece.  Basis rows are
-    sign-normalized (first nonzero entry positive).
+    sign-normalized (first nonzero entry positive).  Raises DomainError when
+    the group's rank is not the lattice's.
     """
+    _check_rank(group, lat)
     r = lat.rank
     if not group.generators:
         return [tuple(int(i == j) for j in range(r)) for i in range(r)]
@@ -468,8 +477,9 @@ def find_diagonal_cubic_subgroup(
     {9, 9, 9}.
 
     Deterministic: elements are scanned in canonical byte order, so repeated
-    runs return the identical subgroup.  Raises NotFound when the scan
-    exhausts (it does not for the genuine Weyl group).
+    runs return the identical subgroup.  Raises DomainError unless the
+    lattice has blow-up count 6 and the group its rank, and NotFound when
+    the scan exhausts (it does not for the genuine Weyl group).
 
     The candidates are the 800 elements M of order 3, picked out of the
     table by exact cubes, M^3 = I != M (`_order3_indices`).
@@ -482,6 +492,7 @@ def find_diagonal_cubic_subgroup(
     """
     if lat.n != 6:
         raise DomainError("the diagonal cubic search needs blow-up count 6")
+    _check_rank(group, lat)
     cand = _order3_indices(group.elements)
     Pc = _permutation_action(group.elements[cand], curves.enumerate_neg_one_curves(lat))
     Pc2 = np.take_along_axis(Pc, Pc, axis=1)
@@ -519,10 +530,12 @@ def find_diagonal_cubic_subgroup(
     )
 
 
-def _left_table(table: np.ndarray) -> np.ndarray:
-    """left[e, f] = index of table[e] @ table[f] in a group's sorted table: each
-    exact product (`_products`) is looked up by its row key (`_find`)."""
-    keys = _row_keys(_products(table, table).reshape(len(table), len(table), -1))
+def _left_table(table: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """left[i, f] = index of table[rows][i] @ table[f] in a group's sorted
+    table, only the given rows (all by default) multiplied: each exact
+    product (`_products`) is looked up by its row key (`_find`)."""
+    left = table[rows]
+    keys = _row_keys(_products(left, table).reshape(len(left), len(table), -1))
     return _find(_row_keys(table.reshape(len(table), -1)), keys)[0]
 
 
@@ -559,13 +572,15 @@ def conic_bundle_extension_analysis() -> dict:
     Every such G is generated by sigma together with one lift of each of the
     transposition (0 1) and the 4-cycle (0 1 2 3); the scan over the 16 x 16
     lifts is therefore exhaustive.  The ambient group is every permutation
-    with every sign (`_signed_perm_table`), and every group question is read
-    off two permutation tables of its elements, computed once: left
-    multiplication, each product looked up in the sorted table
-    (`_left_table`), and the action on the 16 sign vectors.
-    Each candidate G and each candidate complement is the orbit of the
-    identity under left multiplication by its generators, and the orbits of
-    G on sign vectors are those of its generators' rows (`_orbit_sizes`).
+    with every sign (`_signed_perm_table`).  Left multiplication by the 33
+    elements the scan reads, the lifts and sigma, and the action on the 16
+    sign vectors are computed once, as permutation tables (`_left_table`,
+    `_permutation_action`).  Each candidate G and complement is the orbit of
+    the identity under left multiplication by its generators: one
+    `_orbit_labels` call labels all 256 candidates G, each on its own copy of
+    the elements, and one the complements of each G found.  The orbits of G
+    on sign vectors are those of its generators' rows (`_orbit_sizes`);
+    sigma is central when its row of left matches the 384 products e sigma.
     """
     elems, lifts = _signed_perm_table()
     perms = list(permutations(range(4)))
@@ -574,42 +589,37 @@ def conic_bundle_extension_analysis() -> dict:
     diagonal, lifts_t, lifts_c = (
         np.sort(lifts[perms.index(p)]) for p in ((0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0))
     )
-    left = _left_table(elems)
+    # row i of left is lifts_t[i], row 16 + j is lifts_c[j], and row 32 sigma
+    left = _left_table(elems, np.concatenate((lifts_t, lifts_c, [sigma])))
     signs = _permutation_action(elems, list(product((-1, 1), repeat=4)))
+    sigma_central = bool((elems[left[32]] == _products(elems, elems[[sigma]])[:, 0]).all())
 
-    sigma_central = bool((left[sigma] == left[:, sigma]).all())
-
-    def subgroup(*gens: int) -> np.ndarray:
-        """Sorted indices of <gens>: the orbit of the identity under left
-        multiplication."""
-        label = _orbit_labels(left[list(gens)])
-        return np.flatnonzero(label == label[one])
+    def generated(*axes) -> np.ndarray:
+        """Bool rows: for each choice of one row of left per axis, in the
+        order of `product`, the members of the group they generate, the orbit
+        of the identity, labelled on copy k of the elements for choice k."""
+        gens = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+        copies = len(elems) * np.arange(gens.shape[1])[:, None]
+        label = _orbit_labels((left[gens] + copies).reshape(len(axes), -1)).reshape(-1, len(elems))
+        return label == label[:, [one]]
 
     found: dict[bytes, dict] = {}
-    for a in lifts_t:
-        for b in lifts_c:
-            members = subgroup(a, b, sigma)
-            key = members.tobytes()
-            if len(members) != 48 or key in found:
-                continue
-            # sigma is a generator, so two diagonal elements means {1, sigma}
-            if len(np.intersect1d(members, diagonal)) != 2:
-                continue
-            split = any(
-                len(subgroup(at, bc)) == 24
-                for at in np.intersect1d(members, lifts_t)
-                for bc in np.intersect1d(members, lifts_c)
-            )
-            sizes = _orbit_sizes(signs[[a, b, sigma]])
-            if not split and sizes != [16]:
-                raise ToolkitError(
-                    f"claim falsified: non-split subgroup with orbits {sizes}"
-                )
-            if split and not any(s in (2, 4, 8) for s in sizes):
-                raise ToolkitError(
-                    f"claim falsified: split subgroup with orbits {sizes}"
-                )
-            found[key] = {"order": 48, "split": split, "orbit_sizes": sizes}
+    candidates = generated(range(16), range(16, 32), [32])
+    for (a, b), members in zip(product(lifts_t, lifts_c), candidates):
+        key = members.tobytes()
+        if members.sum() != 48 or key in found:
+            continue
+        # sigma is a generator, so two diagonal elements means {1, sigma}
+        if members[diagonal].sum() != 2:
+            continue
+        t, c = np.flatnonzero(members[lifts_t]), 16 + np.flatnonzero(members[lifts_c])
+        split = bool((generated(t, c).sum(axis=1) == 24).any())
+        sizes = _orbit_sizes(signs[[a, b, sigma]])
+        if not split and sizes != [16]:
+            raise ToolkitError(f"claim falsified: non-split subgroup with orbits {sizes}")
+        if split and not any(s in (2, 4, 8) for s in sizes):
+            raise ToolkitError(f"claim falsified: split subgroup with orbits {sizes}")
+        found[key] = {"order": 48, "split": split, "orbit_sizes": sizes}
     subgroups = sorted(found.values(), key=lambda d: (d["split"], d["orbit_sizes"]))
     return {
         "ambient_order": len(elems),

@@ -603,3 +603,14 @@ def test_decomposition_reassembles(n, data):
     assert tuple(sum(xs) for xs in zip(*parts)) == total
     for p in parts:
         assert is_nef(lat, p)
+
+
+def test_cone_contains_empty_list_of_classes():
+    # the nef test of an empty candidate list, as `nef_classes_of_height`
+    # makes it when the class search finds nothing, matches an empty array
+    lat = make_lattice(6)
+    as_list = cone_contains(_nef_normals(lat), [])
+    as_array = cone_contains(_nef_normals(lat), np.empty((0, 7), dtype=np.int64))
+    assert as_list.dtype == as_array.dtype == bool
+    assert as_list.tolist() == as_array.tolist() == []
+    assert nef_classes_of_height(lat, 1) == []

@@ -20,6 +20,7 @@ from delpezzo import (
     enumerate_conic_classes,
     enumerate_cubic_classes,
     enumerate_neg_one_curves,
+    find_diagonal_cubic_subgroup,
     generate_group,
     invariant_sublattice,
     make_lattice,
@@ -36,8 +37,10 @@ from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
     _coset_table,
     _left_table,
+    _orbit_labels,
     _order3_indices,
     _permutation_action,
+    _products,
     _row_keys,
     _signed_perm_matrix,
     _signed_perm_table,
@@ -564,6 +567,20 @@ def test_diagonal_cubic_search_needs_n6():
         find_diagonal_cubic_subgroup(group, lat)
 
 
+def test_rank_mismatch_is_a_domain_error(we6, lat6, monkeypatch):
+    # the generators' rank must be the lattice's, in both directions; the
+    # check comes before any element table is read
+    e2 = generate_group(weyl_generators(make_lattice(2)))
+    wide = generate_group(weyl_generators(make_lattice(7))[:3])
+    for group, lat in ((we6, make_lattice(2)), (e2, lat6), (trivial_group(3), lat6)):
+        with pytest.raises(DomainError, match="rank"):
+            invariant_sublattice(group, lat)
+    monkeypatch.setattr("delpezzo.weyl._coset_table", None)
+    for group in (e2, wide, trivial_group(3)):
+        with pytest.raises(DomainError, match="rank"):
+            find_diagonal_cubic_subgroup(group, lat6)
+
+
 def test_signed_perm_matrix():
     # (g.v)_i = signs_i * v[perm^-1(i)], written out without matrices
     def act(perm, signs, v):
@@ -660,6 +677,84 @@ def test_left_table_matches_kron_action():
     flat = elems.reshape(len(elems), -1)
     oracle = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
     assert (_left_table(elems) == oracle).all()
+
+
+def _conic_bundle_scan_rows():
+    """The 33 elements the conic-bundle scan reads, in its order: the 16
+    lifts of (0 1), the 16 lifts of (0 1 2 3), then sigma."""
+    _, lifts = _signed_perm_table()
+    perms = list(itertools.permutations(range(4)))
+    t, c = (np.sort(lifts[perms.index(p)]) for p in ((1, 0, 2, 3), (1, 2, 3, 0)))
+    return np.concatenate((t, c, [lifts[0, 0]]))
+
+
+def test_left_table_rows_match_kron_action():
+    # each row asked for is the matching row of the full table's oracle, for
+    # the scan's 33 rows, seeded subsets (with repeats) and every row reversed
+    elems = generate_group(_signed_perm_gens(), cap=384).elements
+    flat = elems.reshape(len(elems), -1)
+    oracle = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
+    rng = np.random.default_rng(24)
+    cases = [_conic_bundle_scan_rows(), [7, 7, 0, 7], np.arange(384)[::-1]]
+    cases += [rng.integers(0, 384, size=k) for k in (1, 5, 33, 200, 500)]
+    for rows in cases:
+        rows = np.asarray(rows)
+        left = _left_table(elems, rows)
+        assert left.shape == (len(rows), 384)
+        assert (left == oracle[rows]).all()
+
+
+def test_union_labelling_matches_separate_calls(monkeypatch):
+    # copies of B4 side by side, each generator row of copy k offset by
+    # k * 384: one labelling of the union is, copy by copy, the labelling of
+    # each generator set alone; first on seeded sets, then on the union the
+    # analysis labels
+    elems = generate_group(_signed_perm_gens(), cap=384).elements
+    left, n = _left_table(elems), len(elems)
+    rng = np.random.default_rng(2024)
+    for copies, gens in ((1, 1), (5, 2), (40, 3), (64, 1)):
+        rows = rng.integers(0, n, size=(gens, copies))
+        union = (left[rows] + n * np.arange(copies)[:, None]).reshape(gens, -1)
+        label = _orbit_labels(union).reshape(copies, n) - n * np.arange(copies)[:, None]
+        for k in range(copies):
+            assert (label[k] == _orbit_labels(left[rows[:, k]])).all()
+    calls = []
+
+    def record(perms):
+        calls.append(perms)
+        return _orbit_labels(perms)
+
+    monkeypatch.setattr("delpezzo.weyl._orbit_labels", record)
+    conic_bundle_extension_analysis()
+    union = calls[0].reshape(3, 256, n) - n * np.arange(256)[:, None]
+    label = _orbit_labels(calls[0]).reshape(256, n) - n * np.arange(256)[:, None]
+    scan = _conic_bundle_scan_rows()
+    for k, (a, b) in enumerate(itertools.product(scan[:16], scan[16:32])):
+        assert (union[:, k] == left[[a, b, scan[32]]]).all()
+        assert (label[k] == _orbit_labels(left[[a, b, scan[32]]])).all()
+
+
+def test_conic_bundle_reads_only_its_rows(monkeypatch):
+    # the analysis multiplies by the table only the 33 rows it reads, and
+    # sigma's centrality costs the 384 products e sigma more; one
+    # labelling closes the 256 candidates, and each of the 16 subgroups found
+    # takes one for its complements and one for its orbits on sign vectors
+    products, labellings = [], []
+
+    def record_products(left, right, out=None):
+        products.append((len(left), len(right)))
+        return _products(left, right, out)
+
+    def record_labels(perms):
+        labellings.append(perms.shape)
+        return _orbit_labels(perms)
+
+    monkeypatch.setattr("delpezzo.weyl._products", record_products)
+    monkeypatch.setattr("delpezzo.weyl._orbit_labels", record_labels)
+    assert conic_bundle_extension_analysis()["subgroup_count"] == 16
+    assert sorted(products) == [(33, 384), (384, 1)]
+    assert len(labellings) == 1 + 2 * 16
+    assert labellings[0] == (3, 256 * 384)
 
 
 def test_conic_bundle_tables_match_closures():
