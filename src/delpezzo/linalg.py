@@ -17,10 +17,11 @@ on BLAS in float32 below 2**24 and in float64 below 2**53, in int64 below
 2**62, and refuses it past that before any work.  `_exact_operands` bounds
 every pair of integer operands (membership, a-invariants, the isometry check,
 the Weyl action kernel); other bounds are structural: the number of normals
-for tight-set counts, rank * 128**2 and rank**2 * 128**3 for int8 group
-products and cubes, and the Hadamard bound above (the rays stay int64 for
-`np.gcd`).  A result used as a value (key, list, `Fraction`) or in another
-product is converted to int64 first: -0.0 and 0.0 differ in their bytes.
+for tight-set counts, rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3
+for int8 group products, traces and cubes, and the Hadamard bound above
+(the rays stay int64 for `np.gcd`).  A result used as a value (key, list,
+`Fraction`) or in another product is converted to int64 first: -0.0 and 0.0
+differ in their bytes.
 
 numpy is imported once, here, as `np` for the whole package, and executes on
 its first attribute access: a command that never computes with it never
@@ -33,7 +34,7 @@ import importlib.util
 import sys
 from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, ToolkitError
 
 
 def _lazy_import(name: str):
@@ -242,7 +243,8 @@ def cone_contains(normals, x):
     (empty for an empty list).
 
     Exact products (`_exact_operands`) over blocks of at most _BLOCK x _BLOCK
-    cells; refuses (DomainError) an input whose product could leave int64.
+    cells; refuses (DomainError) an input whose product could leave int64, and
+    raises ToolkitError for a NaN in a block, which no comparison may read.
     """
     N, X = _exact_operands(normals, x, "cone membership")
     if X.shape == (0,):  # an empty list of vectors
@@ -251,7 +253,10 @@ def cone_contains(normals, x):
     step = max(1, _BLOCK * _BLOCK // max(1, N.shape[1]))
     inside = np.empty(len(rows), dtype=bool)
     for a in range(0, len(rows), step):
-        inside[a : a + step] = (rows[a : a + step] @ N >= 0).all(axis=1)
+        P = rows[a : a + step] @ N
+        if np.isnan(P).any():
+            raise ToolkitError("cone membership product is not a number")
+        inside[a : a + step] = (P >= 0).all(axis=1)
     return bool(inside[0]) if X.ndim == 1 else inside
 
 

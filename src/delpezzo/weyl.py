@@ -25,7 +25,8 @@ so `orbits_under_generators` works for groups too large to materialize.  The
 two subgroup searches compute their permutation tables once and read every
 group question off rows of them, orbit sizes through `_orbit_sizes`: the
 diagonal-cubic search off the actions on lines and on conics of the order-3
-elements of W(E6), found by cubes; the conic bundle analysis off left
+elements of W(E6), found by cubes of the coset products h x whose trace
+admits order 3, with no table written; the conic bundle analysis off left
 multiplication by the 33 elements it reads of the signed permutation group
 on 4 letters (4 x 4 matrices, every permutation with every sign; products
 looked up in its table), whose subgroups are orbits of the identity, 256
@@ -145,8 +146,8 @@ class FiniteGroup:
     `FiniteGroup(elements, generators)` is a group given by its table.
 
     `elements` is the group's table in the same form, written on first access
-    (`_coset_table`) and cached, so a caller that reads only `order` never
-    forms the cosets."""
+    (`_coset_table`) and cached; only `element_matrices` reads it, so `order`
+    and the diagonal-cubic search never form the whole table."""
 
     subgroup: np.ndarray
     generators: tuple[Matrix, ...]
@@ -469,6 +470,25 @@ def _order3_indices(elems: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
+def _order3_elements(group: FiniteGroup) -> np.ndarray:
+    """The int8 M in a group with M^3 = I != M, in table order: cubes, a coset
+    at a time, of the h x (h in H, x = I or in a level) whose trace, from one
+    product, is r - 3k for k >= 1 eigenvalue pairs w, w-bar (Carter, 1972)."""
+    H, r = group.subgroup, group.subgroup.shape[-1]
+    X = np.concatenate((np.eye(r, dtype=np.int8)[None], *group.levels))
+    exact = _exact_dtype(r * r * 128**2, "trace")
+    Xt = X.transpose(0, 2, 1).reshape(len(X), -1).astype(exact)
+    T = H.reshape(len(H), -1).astype(exact) @ Xt.T  # tr(h x) = sum h_ij x_ji
+    keep = (T < r) & ((r - T) % 3 == 0)
+    found = [H[:0]]
+    for j in np.flatnonzero(keep.any(axis=0)):
+        block = _products(H[keep[:, j]], X[j : j + 1])[:, 0]
+        found.append(block[_order3_indices(block)])
+    found = np.concatenate(found)
+    _row_keys(found.reshape(len(found), r * r)).sort()
+    return found
+
+
 def find_diagonal_cubic_subgroup(
     group: FiniteGroup, lat: PicardLattice
 ) -> FiniteGroup:
@@ -481,8 +501,8 @@ def find_diagonal_cubic_subgroup(
     lattice has blow-up count 6 and the group its rank, and NotFound when
     the scan exhausts (it does not for the genuine Weyl group).
 
-    The candidates are the 800 elements M of order 3, picked out of the
-    table by exact cubes, M^3 = I != M (`_order3_indices`).
+    The candidates are the 800 elements M of order 3, M^3 = I != M, read off
+    the group's cosets in table order (`_order3_elements`), no table written.
     Every group question is read off two permutation tables of the
     candidates, computed once: their faithful action on the lines and their
     action on the conics.  B and C come after A in the scan (so neither is
@@ -493,10 +513,10 @@ def find_diagonal_cubic_subgroup(
     if lat.n != 6:
         raise DomainError("the diagonal cubic search needs blow-up count 6")
     _check_rank(group, lat)
-    cand = _order3_indices(group.elements)
-    Pc = _permutation_action(group.elements[cand], curves.enumerate_neg_one_curves(lat))
+    cand = _order3_elements(group)
+    Pc = _permutation_action(cand, curves.enumerate_neg_one_curves(lat))
     Pc2 = np.take_along_axis(Pc, Pc, axis=1)
-    Qc = _permutation_action(group.elements[cand], curves.enumerate_conic_classes(lat))
+    Qc = _permutation_action(cand, curves.enumerate_conic_classes(lat))
     ident = np.arange(Pc.shape[1], dtype=Pc.dtype)
 
     target = [9, 9, 9]
@@ -524,7 +544,7 @@ def find_diagonal_cubic_subgroup(
                     continue
                 if _orbit_sizes(Qc[idx]) != target:
                     continue
-                return generate_group(group.elements[cand[idx]], cap=27)
+                return generate_group(cand[idx], cap=27)
     raise NotFound(
         "no order-27 exponent-3 subgroup with 9/9/9 line and conic orbits"
     )
@@ -535,7 +555,7 @@ def _left_table(table: np.ndarray, rows=slice(None)) -> np.ndarray:
     table, only the given rows (all by default) multiplied: each exact
     product (`_products`) is looked up by its row key (`_find`)."""
     left = table[rows]
-    keys = _row_keys(_products(left, table).reshape(len(left), len(table), -1))
+    keys = _row_keys(_products(left, table).reshape(len(left), len(table), table[0].size))
     return _find(_row_keys(table.reshape(len(table), -1)), keys)[0]
 
 

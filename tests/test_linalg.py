@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delpezzo import linalg
-from delpezzo.errors import DomainError
+from delpezzo.errors import DomainError, ToolkitError
 from delpezzo.fujita import a_invariant, hirzebruch_polarized
 from delpezzo.linalg import (
     _initial_simplicial_rays,
@@ -139,6 +139,27 @@ def test_cone_contains_in_blocks():
     assert 0 < whole.sum() < len(points)
     assert cone_contains(normals, points).tolist() == whole.tolist()
     assert cone_contains(normals, points[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("where", ["first row", "last block", "normal"])
+def test_cone_contains_refuses_nan(monkeypatch, where):
+    # a NaN in a product block compares as outside; the block's values are
+    # checked, in every block: 240 normals and 5000 rows make five blocks
+    rng = np.random.default_rng(8)
+    normals = rng.integers(0, 4, size=(240, 6))
+    points = rng.integers(-1, 6, size=(5000, 6))
+    exact_operands = linalg._exact_operands
+
+    def inject(rows, X, what):
+        rows, X = (a.astype(np.float32) for a in exact_operands(rows, X, what))
+        {"first row": X[0], "last block": X[-1], "normal": rows[7]}[where][2] = np.nan
+        return rows, X
+
+    monkeypatch.setattr(linalg, "_exact_operands", inject)
+    with pytest.raises(ToolkitError, match="not a number"):
+        cone_contains(normals, points)
+    monkeypatch.undo()
+    assert cone_contains(normals, points).sum() > 0
 
 
 def test_int64_guard():

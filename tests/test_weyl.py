@@ -35,9 +35,11 @@ from delpezzo import (
 from delpezzo.picard import DEFAULT_CAP
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
+    FiniteGroup,
     _coset_table,
     _left_table,
     _orbit_labels,
+    _order3_elements,
     _order3_indices,
     _permutation_action,
     _products,
@@ -376,6 +378,52 @@ def test_order3_filter_matches_line_permutations(we6, lat6):
     assert len(cand) == 800
 
 
+def _order3_by_table(group):
+    """The old route: every element of the table, cubed."""
+    return group.elements[_order3_indices(group.elements)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_order3_elements_match_table_route(n):
+    # the coset route against cubes of the whole table, for W(E_n) on its own
+    # lattice and given by its table; for W(E6) also along the simple roots
+    # reversed and rotated (towers of 720 x 72, 1920 x 27 and 240 x 216)
+    gens = weyl_generators(make_lattice(n))
+    towers = (gens, gens[::-1], gens[2:] + gens[:2]) if n == 6 else (gens,)
+    groups = [generate_group(g) for g in towers]
+    groups.append(FiniteGroup(groups[0].elements, groups[0].generators))
+    for group in groups:
+        found, expected = _order3_elements(group), _order3_by_table(group)
+        assert found.dtype == np.int8 and found.shape == expected.shape
+        assert len(found) and found.tobytes() == expected.tobytes()
+
+
+def test_diagonal_search_without_order3_elements(lat6):
+    # a group of rank 7 with no element of order 3 has no candidate: an
+    # empty stack, and the search ends in NotFound
+    reflection = generate_group(weyl_generators(lat6)[:1])
+    for group in (trivial_group(7), reflection):
+        assert _order3_elements(group).shape == (0, 7, 7)
+        with pytest.raises(NotFound):
+            find_diagonal_cubic_subgroup(group, lat6)
+
+
+def test_diagonal_search_writes_no_table(diag_subgroup, lat6):
+    # on a fresh W(E6) the search reads its order-3 elements off the cosets:
+    # it never writes the 51,840-element table (2.5 MB of int8 alone) and
+    # returns the same subgroup as the session's search
+    group = generate_group(weyl_generators(lat6))
+    tracemalloc.start()
+    try:
+        found = find_diagonal_cubic_subgroup(group, lat6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "elements" not in group.__dict__
+    assert peak < 4 * 2**20
+    assert found.elements.tobytes() == diag_subgroup.elements.tobytes()
+
+
 def test_trivial_group():
     group = trivial_group(4)
     assert group.order == 1 and group.generators == ()
@@ -702,6 +750,12 @@ def test_left_table_rows_match_kron_action():
         left = _left_table(elems, rows)
         assert left.shape == (len(rows), 384)
         assert (left == oracle[rows]).all()
+
+
+def test_left_table_empty_rows():
+    elems = generate_group(_signed_perm_gens(), cap=384).elements
+    left = _left_table(elems, np.array([], dtype=int))
+    assert left.shape == (0, 384)
 
 
 def test_union_labelling_matches_separate_calls(monkeypatch):
