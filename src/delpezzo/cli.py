@@ -166,7 +166,7 @@ def thresholds_cmd(opts):
 def ruled_cmd(opts):
     """Randomized fiber-tree soundness harness: blow-ups, the second
     (-1)-component lemma, contraction back to the smooth model.  Refused
-    before any trial unless trials x depth <= 32768 and depth <= 64."""
+    before any trial unless trials x depth <= 32768."""
     from . import ruled
 
     return ruled.fuzz_blow_up_sequences(count=opts.trials, depth=opts.depth, seed=opts.seed)

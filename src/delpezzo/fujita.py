@@ -94,6 +94,8 @@ def a_invariant(s: PolarizedSurface):
     if negative:
         raise DomainError(f"polarization {L} is not nef: negative against {negative[0]}")
     rays = s.nef_rays if s.nef_rays is not None else linalg.dual_cone_rays(normals)
+    if not rays:
+        raise DomainError("the nef cone has no rays; give nef_rays=None to dualize")
     folded = [tuple(linalg.dot(row, v) for row in s.gram) for v in (L, s.canonical)]
     F, X = linalg._exact_operands(rays, folded, "a-invariant")
     on_l, on_k = (X @ F.T).astype(linalg.np.int64).tolist()

@@ -189,6 +189,8 @@ def dual_cone_rays(normals) -> list[Vec]:
     leave int64.  Returns primitive integer rays, lexicographically sorted.
     """
     normals = list(dict.fromkeys(primitive(h) for h in normals))
+    if not normals:
+        raise DomainError("no inequality normals: the dual cone is the whole space, not pointed")
     dim = len(normals[0])
     # the Hadamard bound of the module docstring, with H**2 = hsq
     hsq = max(dot(h, h) for h in normals)
@@ -249,6 +251,9 @@ def cone_contains(normals, x):
     N, X = _exact_operands(normals, x, "cone membership")
     if X.shape == (0,):  # an empty list of vectors
         return np.empty(0, dtype=bool)
+    if N.size and N.shape[-1] != X.shape[-1]:
+        raise DomainError(f"normals of length {N.shape[-1]} and vectors of length "
+                          f"{X.shape[-1]} differ")
     N, rows = N.reshape(-1, X.shape[-1]).T, np.atleast_2d(X)
     step = max(1, _BLOCK * _BLOCK // max(1, N.shape[1]))
     inside = np.empty(len(rows), dtype=bool)

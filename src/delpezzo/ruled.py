@@ -4,15 +4,17 @@ Fiber trees carry only self-intersections, multiplicities, and adjacency.
 Blow-ups insert (-1)-components at points or nodes; contractions remove
 (-1)-components while avoiding a marked one.  The fiber class relations pin
 the multiplicities: s_j m_j + sum of neighbor mults = 0 at every component,
-forcing the weighted total class to have square zero.  Every constructed tree
-is checked against all of them.  Blow-ups and contractions edit one list and
-check the relations only where they change, building only the result's tree.
+forcing the weighted total class to have square zero.  One whole-tree check
+runs on every constructed tree; blow-ups and contractions edit lists in place
+and check the relations only where they change.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -103,41 +105,25 @@ class FiberTree:
             raise DomainError("fiber tree entries must be integers, in pairs") from None
         object.__setattr__(self, "components", comps)
         n = len(comps)
-        if n == 0:
-            raise DomainError("fiber tree needs at least one component")
-        for s, m in comps:
-            if m < 1:
-                raise DomainError(f"multiplicity {m} must be >= 1")
+        # faults of the edge list that its neighbour sets cannot show
         seen = set()
-        adjacent: list[list[int]] = [[] for _ in range(n)]
+        adjacent: list[set[int]] = [set() for _ in range(n)]
         for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            if not (0 <= i < n and 0 <= j < n):
                 raise DomainError(f"bad edge ({i}, {j})")
             e = (min(i, j), max(i, j))
             if e in seen:
                 raise DomainError(f"duplicate edge {e}")
             seen.add(e)
-            adjacent[i].append(j)
-            adjacent[j].append(i)
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+        if self.marked is not None and not (0 <= self.marked < n):
+            raise DomainError(f"marked index {self.marked} out of range")
+        _check_tree(comps, adjacent)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        if len(self.edges) != n - 1:
-            raise DomainError("edge count must be component count minus one")
         # sorted neighbour tuples, kept outside the fields so that equality
         # and hashing still read components, edges and marked only
         object.__setattr__(self, "_adjacent", tuple(tuple(sorted(a)) for a in adjacent))
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            for b in self._adjacent[frontier.pop()]:
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        if len(reached) != n:
-            raise DomainError("fiber tree is not connected")
-        if self.marked is not None and not (0 <= self.marked < n):
-            raise DomainError(f"marked index {self.marked} out of range")
-        for j in range(n):
-            _check_relation(comps, self._adjacent, j)
 
     def neighbors(self, i: int) -> list[int]:
         return list(self._adjacent[i])
@@ -148,10 +134,42 @@ class FiberTree:
         return sum(s * m * m for s, m in c) + 2 * sum(c[i][1] * c[j][1] for i, j in self.edges)
 
 
+def _check_tree(comps, adjacent) -> None:
+    """Raise DomainError unless (self_int, mult) pairs and neighbour sets
+    form a fiber tree: multiplicities >= 1, neighbours in range and not the
+    component itself, listed at both ends, n - 1 edges, connected, and the
+    fiber class relation at every component."""
+    n = len(comps)
+    if n == 0:
+        raise DomainError("fiber tree needs at least one component")
+    for s, m in comps:
+        if m < 1:
+            raise DomainError(f"multiplicity {m} must be >= 1")
+    for i, nbs in enumerate(adjacent):
+        for j in nbs:
+            if not (0 <= j < n) or i == j:
+                raise DomainError(f"bad edge ({i}, {j})")
+            if i not in adjacent[j]:
+                raise DomainError(f"edge ({i}, {j}) is missing at component {j}")
+    if sum(map(len, adjacent)) != 2 * (n - 1):
+        raise DomainError("edge count must be component count minus one")
+    reached, frontier = {0}, [0]
+    while frontier:
+        found = adjacent[frontier.pop()] - reached
+        reached |= found
+        frontier.extend(found)
+    if len(reached) != n:
+        raise DomainError("fiber tree is not connected")
+    for j in range(n):
+        _check_relation(comps, adjacent, j)
+
+
 def _check_relation(comps, adjacent, j: int) -> None:
     """Raise DomainError unless s_j m_j + the neighbours' multiplicities is 0."""
     s, m = comps[j]
-    around = sum(comps[b][1] for b in adjacent[j])
+    around = 0
+    for b in adjacent[j]:  # a loop: sum() of a generator takes three times as long
+        around += comps[b][1]
     if s * m + around != 0:
         raise DomainError(
             f"fiber class relation fails at component {j}: {s}*{m} + {around} != 0"
@@ -193,10 +211,10 @@ def _tree(comps, adjacent, live, marked) -> FiberTree:
     return FiberTree(tuple(comps[i] for i in live), edges, pos.get(marked))
 
 
-def _blow_up(comps: list, adjacent: list, target) -> None:
-    """Blow up a valid tree in place; see `blow_up_fiber`.  The fiber class
-    relation changes only at the touched components and the new one, so only
-    they are checked: given a valid tree, that is the whole-tree check."""
+def _blow_up(comps: list, adjacent: list, target) -> tuple[int, ...]:
+    """Blow up a valid tree in place, returning the touched components; see
+    `blow_up_fiber`.  Only they and the new one are checked: given a valid
+    tree, that is the whole-tree check."""
     new = len(comps)
     try:
         touched = (operator.index(target),)
@@ -204,20 +222,24 @@ def _blow_up(comps: list, adjacent: list, target) -> None:
             raise DomainError(f"component index {target} out of range")
     except TypeError:
         try:
-            i, j = (operator.index(x) for x in target)
+            i, j = map(operator.index, target)
         except (TypeError, ValueError):
             raise DomainError(f"target {target!r} is neither index nor edge") from None
         touched = (min(i, j), max(i, j))
         if not (0 <= touched[0] < new and touched[1] in adjacent[touched[0]]):
             raise DomainError(f"edge {touched} not present")
+    mult = 0
     for b in touched:
         s, m = comps[b]
         comps[b] = (s - 1, m)
-        adjacent[b] = (adjacent[b] - set(touched)) | {new}
-    comps.append((-1, sum(comps[b][1] for b in touched)))
+        mult += m
+        adjacent[b].difference_update(touched)
+        adjacent[b].add(new)
+    comps.append((-1, mult))
     adjacent.append(set(touched))
     for b in (*touched, new):
         _check_relation(comps, adjacent, b)
+    return touched
 
 
 def blow_up_fiber(t: FiberTree, target) -> FiberTree:
@@ -273,19 +295,29 @@ def contract_keeping_section(t: FiberTree) -> tuple[tuple[int, ...], FiberTree]:
             f"marked component has multiplicity {t.components[t.marked][1]}; "
             "the kept section needs multiplicity 1"
         )
-    comps = list(t.components)
-    adjacent = [set(a) for a in t._adjacent]
+    comps, adjacent = list(t.components), [set(a) for a in t._adjacent]
+    steps = _contract(comps, adjacent, t.marked)
+    return steps, _tree(comps, adjacent, [t.marked], t.marked)
+
+
+def _contract(comps: list, adjacent: list, marked: int) -> tuple[int, ...]:
+    """Contract a valid tree in place to its marked component, returning the
+    steps; see `contract_keeping_section`.  A component turns contractible at
+    most once, at the start or rising to -1 at valence <= 2 (valences never
+    rise), and is pushed on a heap then, to be dropped if it rises past -1."""
     live = list(range(len(comps)))
+    heap = [i for i in live if comps[i][0] == -1 and i != marked and len(adjacent[i]) <= 2]
     steps: list[int] = []
     while len(live) > 1:
-        for step, i in enumerate(live):
-            if comps[i][0] == -1 and i != t.marked and len(adjacent[i]) <= 2:
-                break
-        else:
+        while heap and comps[heap[0]][0] != -1:
+            heapq.heappop(heap)
+        if not heap:
             raise ToolkitError(
                 "no contractible (-1)-component aside from the marked one; "
-                f"stuck at {fibertree_to_json(_tree(comps, adjacent, live, t.marked))}"
+                f"stuck at {fibertree_to_json(_tree(comps, adjacent, live, marked))}"
             )
+        i = heapq.heappop(heap)
+        step = bisect_left(live, i)
         steps.append(step)
         live.pop(step)
         nbs = adjacent[i]
@@ -293,10 +325,12 @@ def contract_keeping_section(t: FiberTree) -> tuple[tuple[int, ...], FiberTree]:
         for b in nbs:
             s, m = comps[b]
             comps[b] = (s + 1, m)
-            adjacent[b] = (adjacent[b] - {i}) | (nbs - {b})
+            adjacent[b] |= nbs
+            adjacent[b] -= {b, i}
             _check_relation(comps, adjacent, b)
-    # the marked component is left, of multiplicity 1: the relation makes it (0, 1)
-    return tuple(steps), _tree(comps, adjacent, live, t.marked)
+            if s == -2 and b != marked and len(adjacent[b]) <= 2:
+                heapq.heappush(heap, b)
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -381,24 +415,24 @@ def reachable_balanced_heights(
 
 
 # Work budget of the fuzz harness, checked before any trial: at most
-# FUZZ_BUDGET blow-ups (trials x depth) and FUZZ_MAX_DEPTH blow-ups per trial.
-# Each blow-up still sorts the edges and scans for (-1)-components, so a trial
-# costs more than linear in its depth; the depth bound keeps one trial short.
-# Cold on one CPU of a 2-CPU Xeon host, 512 trials of depth 64 take 0.33 s.
+# FUZZ_BUDGET blow-ups, trials x depth, however split, since a trial costs
+# O(depth log depth).  Cold on one CPU of a 2-CPU Xeon host, one trial of
+# depth 32768 takes 0.5-0.8 s and 33 MB, and 32768 trials of depth 1 0.4-0.7 s.
 FUZZ_BUDGET = 2**15
-FUZZ_MAX_DEPTH = 64
 
 
 def check_fuzz_budget(count: int, depth: int) -> None:
-    """Raise DomainError unless count trials of depth blow-ups fit the
-    budget: count, depth >= 1, count * depth <= FUZZ_BUDGET and
-    depth <= FUZZ_MAX_DEPTH."""
+    """Raise DomainError unless integers count, depth >= 1 fit FUZZ_BUDGET."""
+    try:
+        count, depth = operator.index(count), operator.index(depth)
+    except TypeError:
+        raise DomainError(f"count {count!r} and depth {depth!r} must be integers") from None
     if count < 1 or depth < 1:
         raise DomainError("count and depth must be positive")
-    if count * depth > FUZZ_BUDGET or depth > FUZZ_MAX_DEPTH:
+    if count * depth > FUZZ_BUDGET:
         raise DomainError(
             f"--trials {count} x --depth {depth} is past the fuzz budget: "
-            f"trials x depth at most {FUZZ_BUDGET}, depth at most {FUZZ_MAX_DEPTH}"
+            f"trials x depth at most {FUZZ_BUDGET}"
         )
 
 
@@ -408,44 +442,50 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
     Runs `count` random blow-up sequences of length <= depth from the
     irreducible fiber on one component list.  Every blow-up checks the
     relations it changes, and the second-(-1)-component lemma is checked
-    whenever its hypothesis holds; at the end a random multiplicity-1
-    component is marked and the tree is contracted back to the irreducible
-    fiber, keeping the marked component.  A trial builds two trees.  Any
-    falsification raises; the report holds counters only.  A budget past
-    `check_fuzz_budget` raises DomainError before the first trial.
+    whenever its hypothesis holds, on running sets of (-1)-components.  At
+    the end the whole tree is checked, a random multiplicity-1 component is
+    marked, and the lists are contracted back to the irreducible fiber,
+    keeping it and checking the result.  Any falsification raises; the
+    report holds counters only.  A budget past `check_fuzz_budget` raises
+    DomainError before the first trial.
     """
     check_fuzz_budget(count, depth)
     rng = random.Random(seed)
-    second_checks = 0
-    not_applicable = 0
-    contractions = 0
+    second_checks = not_applicable = 0
     max_components = 1
     for _ in range(count):
-        comps, adjacent = [(0, 1)], [set()]
+        comps, adjacent, edges = [(0, 1)], [set()], []
+        minus_one, unit_minus_one = set(), set()  # and those of multiplicity 1
         for _ in range(rng.randint(1, depth)):
             if len(comps) > 1 and rng.random() < 0.5:
-                edges = sorted((a, b) for a, nbs in enumerate(adjacent) for b in nbs if a < b)
-                target = edges[rng.randrange(len(edges))]
+                target = edges.pop(rng.randrange(len(edges)))
             else:
                 target = rng.randrange(len(comps))
-            _blow_up(comps, adjacent, target)
-            try:
-                _second_minus_one(comps, adjacent, None)
-                second_checks += 1
-            except NotApplicable:
-                not_applicable += 1
+            touched = _blow_up(comps, adjacent, target)
+            new = len(comps) - 1
+            for b in touched:
+                insort(edges, (b, new))
+            for b in (*touched, new):
+                s, m = comps[b]
+                (minus_one.add if s == -1 else minus_one.discard)(b)
+                (unit_minus_one.add if (s, m) == (-1, 1) else unit_minus_one.discard)(b)
+            if unit_minus_one and len(minus_one) < 2:
+                _second_minus_one(comps, adjacent, None)  # raises NotFound
+            second_checks += bool(unit_minus_one)
+            not_applicable += not unit_minus_one
         max_components = max(max_components, len(comps))
         mult_one = [i for i, (_, m) in enumerate(comps) if m == 1]
         marked = mult_one[rng.randrange(len(mult_one))]
-        contract_keeping_section(_tree(comps, adjacent, range(len(comps)), marked))
-        contractions += 1
+        _check_tree(comps, adjacent)
+        _contract(comps, adjacent, marked)
+        _check_tree([comps[marked]], [adjacent[marked]])  # the one component left
     return {
         "trials": count,
         "depth": depth,
         "seed": seed,
         "second_minus_one_checks": second_checks,
         "hypothesis_not_met": not_applicable,
-        "contractions": contractions,
+        "contractions": count,
         "max_components": max_components,
         "all_passed": True,
     }

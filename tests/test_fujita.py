@@ -160,6 +160,16 @@ def test_polarized_surface_validation():
         )
 
 
+def test_empty_cones_are_domain_errors():
+    surface = dict(gram=((-1, 1), (1, 0)), canonical=(-2, -3), polarization=(2, 3))
+    with pytest.raises(DomainError, match="no inequality normals"):
+        a_invariant(PolarizedSurface(eff_generators=(), **surface))
+    with pytest.raises(DomainError, match="the nef cone has no rays"):
+        a_invariant(PolarizedSurface(eff_generators=((1, 0), (0, 1)), nef_rays=(), **surface))
+    # the same surface with its cones given answers
+    assert a_invariant(PolarizedSurface(eff_generators=((1, 0), (0, 1)), **surface)) == 1
+
+
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=30, deadline=None)
 def test_homogeneity_random(n, k, data):

@@ -128,6 +128,18 @@ def test_cone_contains():
     ]
 
 
+def test_degenerate_cones_are_domain_errors():
+    # no normals: the dual cone is the whole space, which has no extreme rays
+    with pytest.raises(DomainError, match="no inequality normals"):
+        dual_cone_rays([])
+    # normals and vectors of different lengths, one vector or a list of them
+    for x in ((1, 2, 3), [(1, 2, 3)], [(1,)]):
+        with pytest.raises(DomainError, match="normals of length 2 and vectors of length"):
+            cone_contains([(1, 0)], x)
+    # no normals cut nothing, and no vectors ask nothing
+    assert cone_contains([], (1, 2, 3)) and cone_contains([(1, 0)], []).shape == (0,)
+
+
 def test_cone_contains_in_blocks():
     # 240 normals leave 1092 rows to a block of _BLOCK**2 cells, so 5000
     # rows take five blocks; each row is decided as in one whole product

@@ -31,7 +31,8 @@ from delpezzo import (
     verify_second_minus_one,
     with_marked,
 )
-from delpezzo.ruled import FUZZ_BUDGET, FUZZ_MAX_DEPTH, check_fuzz_budget
+from delpezzo import ruled
+from delpezzo.ruled import FUZZ_BUDGET, check_fuzz_budget
 
 
 def test_section_height():
@@ -276,6 +277,117 @@ def test_contraction_matches_a_tree_a_step():
         contract_keeping_section(with_marked(blow_up_fiber(_STAR, 1), 2))
 
 
+def _contract_by_scan(t):
+    """The reference route for the candidate heap: the same edits, with the
+    first contractible component found by scanning the live list from its
+    start at every step."""
+    comps = list(t.components)
+    adjacent = [set(a) for a in t._adjacent]
+    live = list(range(len(comps)))
+    steps = []
+    while len(live) > 1:
+        for step, i in enumerate(live):
+            if comps[i][0] == -1 and i != t.marked and len(adjacent[i]) <= 2:
+                break
+        else:
+            raise ToolkitError(
+                "no contractible (-1)-component aside from the marked one; "
+                f"stuck at {fibertree_to_json(ruled._tree(comps, adjacent, live, t.marked))}"
+            )
+        steps.append(step)
+        live.pop(step)
+        nbs = adjacent[i]
+        for b in nbs:
+            s, m = comps[b]
+            comps[b] = (s + 1, m)
+            adjacent[b] = (adjacent[b] - {i}) | (nbs - {b})
+    return tuple(steps), ruled._tree(comps, adjacent, live, t.marked)
+
+
+def _blown_up_lists(rng, depth):
+    """Component and neighbour lists of a random blow-up sequence, as the
+    fuzz harness holds them."""
+    comps, adjacent = [(0, 1)], [set()]
+    for _ in range(depth):
+        edges = [(a, b) for a, nbs in enumerate(adjacent) for b in nbs if a < b]
+        targets = list(range(len(comps))) + edges
+        ruled._blow_up(comps, adjacent, targets[rng.randrange(len(targets))])
+    return comps, adjacent
+
+
+def test_contraction_matches_the_scan():
+    rng = random.Random(29)
+    trees = [_STAR, blow_up_fiber(_STAR, 1)]
+    for _ in range(60):
+        comps, adjacent = _blown_up_lists(rng, rng.randint(1, 299))  # up to 300 components
+        trees.append(ruled._tree(comps, adjacent, range(len(comps)), None))
+    widest = stuck = 0
+    for k, t in enumerate(trees):
+        mult_one = [i for i, (_, m) in enumerate(t.components) if m == 1]
+        widest = max(widest, len(t.components))
+        # every mark on the two stars, and three on each seeded tree
+        for marked in mult_one if k < 2 else {mult_one[0], mult_one[-1], rng.choice(mult_one)}:
+            kept = with_marked(t, marked)
+            want = _outcome(_contract_by_scan, kept)
+            assert _outcome(contract_keeping_section, kept) == want
+            stuck += want[0] is ToolkitError
+    # only the stars are stuck, as in test_contraction_matches_a_tree_a_step
+    assert widest > 250 and stuck == 3 + 4
+
+
+def _corrupt(fault, comps, adjacent):
+    """Break one invariant of a valid tree; return the message it must raise."""
+    n = len(comps)
+    leaf = next(i for i in range(n) if len(adjacent[i]) == 1)
+    # two components, neither the leaf, that are not joined
+    a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                if leaf not in (a, b) and b not in adjacent[a])
+    k = n // 2
+    s, m = comps[k]
+    if fault == "multiplicity":
+        comps[k] = (s, 0)
+        return "multiplicity 0 must be >= 1"
+    if fault == "self-loop":
+        adjacent[k].add(k)
+        return re.escape(f"bad edge ({k}, {k})")
+    if fault == "out of range":
+        adjacent[k].add(n)
+        return re.escape(f"bad edge ({k}, {n})")
+    if fault == "one end":
+        adjacent[a].add(b)
+        return re.escape(f"edge ({a}, {b}) is missing at component {b}")
+    if fault == "edge count":
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+        return "edge count must be component count minus one"
+    if fault == "connected":  # the leaf cut off, a cycle closed instead
+        (p,) = adjacent[leaf]
+        adjacent[leaf].clear()
+        adjacent[p].discard(leaf)
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+        return "fiber tree is not connected"
+    comps[k] = (s - 1, m)
+    return f"fiber class relation fails at component {k}:"
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "fault",
+    ["multiplicity", "self-loop", "out of range", "one end", "edge count", "connected",
+     "relation"],
+)
+def test_check_tree_catches_each_fault(fault, seed):
+    comps, adjacent = _blown_up_lists(random.Random(seed), 24)
+    ruled._check_tree(comps, adjacent)
+    message = _corrupt(fault, comps, adjacent)
+    with pytest.raises(DomainError, match=message):
+        ruled._check_tree(comps, adjacent)
+    edges = sorted({(min(a, b), max(a, b)) for a, nbs in enumerate(adjacent) for b in nbs})
+    with pytest.raises(DomainError):
+        FiberTree(tuple(comps), tuple(edges))
+
+
 def test_contraction_builds_one_tree(monkeypatch):
     rng = random.Random(5)
     t = irreducible_fiber()
@@ -430,8 +542,8 @@ def test_fuzz_reports_are_pinned(depth):
 @pytest.mark.parametrize("count, depth", [(1, 1), (7, 64), (50, 8), (300, 16)])
 def test_fuzz_builds_two_trees_a_trial(monkeypatch, count, depth):
     built = []
-    check = FiberTree.__post_init__
-    monkeypatch.setattr(FiberTree, "__post_init__", lambda self: built.append(check(self)))
+    check = ruled._check_tree
+    monkeypatch.setattr(ruled, "_check_tree", lambda *lists: built.append(check(*lists)))
     fuzz_blow_up_sequences(count=count, depth=depth, seed=count)
     assert len(built) == 2 * count
 
@@ -441,17 +553,24 @@ def test_fuzz_budget():
     for count, depth in ((400, 16), (1000, 8), (200, 8)):
         check_fuzz_budget(count, depth)
     # the largest accepted budgets, and one more blow-up past each
-    for count, depth in ((FUZZ_BUDGET // FUZZ_MAX_DEPTH, FUZZ_MAX_DEPTH), (FUZZ_BUDGET, 1)):
+    for count, depth in ((1, FUZZ_BUDGET), (FUZZ_BUDGET // 64, 64), (FUZZ_BUDGET, 1)):
         check_fuzz_budget(count, depth)
         with pytest.raises(DomainError, match="past the fuzz budget"):
             check_fuzz_budget(count + 1, depth)
-    with pytest.raises(DomainError, match="past the fuzz budget"):
-        check_fuzz_budget(1, FUZZ_MAX_DEPTH + 1)
-    assert fuzz_blow_up_sequences(count=1, depth=FUZZ_MAX_DEPTH)["all_passed"]
+        with pytest.raises(DomainError, match="past the fuzz budget"):
+            check_fuzz_budget(count, depth + 1)
+    assert fuzz_blow_up_sequences(count=1, depth=FUZZ_BUDGET)["all_passed"]
     # refused before the first trial, however large the budget
     for count, depth in ((10**9, 8), (2, 10**8), (10**100, 10**100)):
         with pytest.raises(DomainError, match=f"--trials {count} x --depth {depth}"):
             fuzz_blow_up_sequences(count=count, depth=depth)
+
+
+def test_fuzz_budget_reads_integers():
+    for count, depth in ((2, 1.5), (2.5, 4), ("2", 4), (2, None)):
+        with pytest.raises(DomainError, match="must be integers"):
+            fuzz_blow_up_sequences(count, depth)
+    assert fuzz_blow_up_sequences(np.int64(3), np.int8(4)) == fuzz_blow_up_sequences(3, 4)
 
 
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
