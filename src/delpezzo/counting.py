@@ -3,8 +3,8 @@
 All arithmetic is exact (int / Fraction).  The alpha constant is rho times
 the volume of the cone truncated at height 1, computed from an explicit fan
 triangulation; each height slice is counted exactly, by one interval of the
-last free coordinate per column of a proven bounding box.  Dimensions are
-capped at 3: this is a desk-scale enumerator, not a general Ehrhart package.
+last free coordinate per column of a proven bounding box, between facets read
+off the height-1 slice.  Dimensions are capped at 3: a desk-scale enumerator.
 
 The asymptotic constant and the exact count are reported side by side.  With
 the default dimension rule (family dimension = height + 2) the exact count
@@ -21,7 +21,7 @@ from math import factorial, gcd, prod
 from pathlib import Path
 
 from .errors import CapExceeded, DomainError, _json_document, _json_int, _json_rational, _read_json
-from .linalg import convex_hull_2d, dot, dual_cone_rays, mat_rank
+from .linalg import convex_hull_2d, dot, integer_kernel, mat_rank
 from .picard import Vec
 from .thresholds import (
     FibrationProfile,
@@ -122,9 +122,26 @@ def _slice_box(gens, height: Vec):
     return pivot, free, lambda s: [s * c.numerator // c.denominator for c in slopes]
 
 
+def _slice_facets(gens, height: Vec) -> list[Vec]:
+    """The facets of cone(gens), rank 2 or 3, as `linalg.dual_cone_rays(gens)`
+    gives them, read off the height-1 slice in the projection of `alpha`: the
+    kernels of its two ends in rank 2, of neighbours on its hull in rank 3."""
+    drop = next(k for k in range(len(height)) if height[k])
+    flat = {tuple(Fraction(x, dot(height, g)) for x in g[:drop] + g[drop + 1:]): g for g in gens}
+    if len(height) == 2:
+        edges = [(flat[min(flat)],), (flat[max(flat)],)]
+    else:
+        hull = [flat[p] for p in convex_hull_2d(list(flat))]
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+    normals = {integer_kernel(edge)[0] for edge in edges}  # primitive
+    if len(normals) < len(height):  # one end, or a hull of at most two points
+        raise DomainError("cone is not full-dimensional")
+    return sorted(n if sum(dot(n, g) for g in gens) > 0 else tuple(-x for x in n) for n in normals)
+
+
 def _slice_counter(gens, height: Vec):
     """count(s): the integral points of cone(gens) at height s, for
-    generators of positive height; the facets are dualized once.  The free
+    generators of positive height; the facets are read once.  The free
     coordinates but the last run over `_slice_box`; with the pivot x_p solved
     from the height, each facet f reads |h_p| f.x = a*y + c in the last one,
     y, which cuts y to an interval, and x_p is integral on one residue class
@@ -138,7 +155,7 @@ def _slice_counter(gens, height: Vec):
     # |h_p| f.x = sum over free k of (|h_p| f_k - sign f_p h_k) x_k + sign f_p s
     facets = [
         ([m * f[k] - sign * f[pivot] * height[k] for k in free], sign * f[pivot])
-        for f in dual_cone_rays(gens)
+        for f in _slice_facets(gens, height)
     ]
     g = gcd(height[free[-1]], m)
     step, inv = m // g, pow(height[free[-1]] // g, -1, m // g)

@@ -23,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import linalg
-from .errors import CapExceeded, DecompositionNotFound, DomainError
+from .errors import CapExceeded, DecompositionNotFound, DomainError, _index
 from .linalg import np
 from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
 
@@ -220,7 +220,8 @@ def _feasible_squares(lat: PicardLattice, height: int) -> range:
 def nef_classes_of_height(lat: PicardLattice, height: int) -> list[Vec]:
     """All nef integral classes with -K.c = height (complete, sorted): one
     class search over the feasible squares, which raises CapExceeded past
-    SEARCH_BUDGET visited prefixes."""
+    SEARCH_BUDGET visited prefixes, and DomainError for a non-integer height."""
+    height = _index(height, "height")
     if height < 0:
         return []
     if height == 0:

@@ -8,6 +8,7 @@ are argparse errors and exit with code 2.
 """
 
 import json
+import operator
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -28,6 +29,14 @@ class FieldError(DomainError):
     def __init__(self, doc: str, path: str, reason: str):
         super().__init__(f"{doc} JSON field '{path}': {reason}")
         self.path, self.reason = path, reason
+
+
+def _index(x, what: str) -> int:
+    """x as a Python int (numpy integers too); anything else raises DomainError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {x!r}") from None
 
 
 _REQUIRED = object()

@@ -4,10 +4,10 @@ classification dictionary.
 a(X, L) is the minimal t with K + tL pseudoeffective.  With a polyhedral
 effective cone this is exact facet arithmetic: writing the facet inequalities
 of the effective cone as f . G x >= 0 (G the gram), the answer is the largest
-ratio -(f . G K) / (f . G L).  The facets f are the nef rays (from
-`curves.nef_curve_cone` on a del Pezzo surface, `linalg.dual_cone_rays` on
-any other), paired with G L and G K in one product, exact by the rule of
-`linalg`.  Builders for blown-up planes and Hirzebruch surfaces are provided.
+ratio -(f . G K) / (f . G L).  The facets f are the nef rays (a del Pezzo
+surface carries them from `curves.nef_curve_cone`, a Hirzebruch surface F and
+C0 + eF, any other dualizes with `linalg.dual_cone_rays`), paired with G L and
+G K in Python ints.  Builders for blown-up planes and Hirzebruch surfaces.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import index, mul
 
 from . import curves as _curves
 from . import linalg
@@ -33,7 +34,7 @@ class AInvariantClass(Enum):
 
 @dataclass(frozen=True)
 class PolarizedSurface:
-    """A surface given by its intersection form and cone data.
+    """A surface given by its intersection form and cone data, in integers.
 
     gram: symmetric integer matrix of the pairing in the chosen basis.
     canonical: the class K.  eff_generators: generators of the effective
@@ -49,11 +50,17 @@ class PolarizedSurface:
 
     def __post_init__(self):
         r = len(self.gram)
-        if any(len(row) != r for row in self.gram):
-            raise DomainError("gram matrix must be square")
-        for v in (self.canonical, self.polarization, *self.eff_generators, *(self.nef_rays or ())):
-            if len(v) != r:
-                raise DomainError(f"vector {v} does not match rank {r}")
+        for name in ("gram", "canonical", "eff_generators", "polarization", "nef_rays"):
+            one, rows = name in ("canonical", "polarization"), getattr(self, name)
+            if rows is None:
+                continue
+            try:
+                rows = tuple(tuple(map(index, v)) for v in ((rows,) if one else rows))
+            except TypeError:
+                raise DomainError(f"polarized surface {name} has a non-integer entry") from None
+            if any(len(v) != r for v in rows):
+                raise DomainError(f"polarized surface {name} does not match rank {r}")
+            object.__setattr__(self, name, rows[0] if one else rows)
 
 
 def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurface:
@@ -70,7 +77,7 @@ def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurfa
 
 def hirzebruch_polarized(e: int, polarization=None) -> PolarizedSurface:
     """Hirzebruch surface in the basis (C0, F): C0^2 = -e, C0.F = 1, F^2 = 0,
-    K = -2 C0 - (e+2) F, effective cone spanned by C0 and F."""
+    K = -2 C0 - (e+2) F, effective cone spanned by C0 and F, nef by F, C0 + eF."""
     if e < 0:
         raise DomainError(f"Hirzebruch parameter must be >= 0, got {e}")
     L = tuple(polarization) if polarization is not None else (2, e + 2)
@@ -79,6 +86,7 @@ def hirzebruch_polarized(e: int, polarization=None) -> PolarizedSurface:
         canonical=(-2, -(e + 2)),
         eff_generators=((1, 0), (0, 1)),
         polarization=L,
+        nef_rays=((0, 1), (1, e)),
     )
 
 
@@ -86,19 +94,19 @@ def a_invariant(s: PolarizedSurface):
     """Minimal t with K + t L effective; +inf when L is nef but not big.
 
     Exact: pairs every facet inequality f of the effective cone with L and K
-    in one exact product and takes the largest -(f . K) / (f . L).
+    in Python ints and takes the largest -(f . K) / (f . L).
     """
     L = s.polarization
-    normals = [tuple(linalg.dot(row, g) for row in s.gram) for g in s.eff_generators]
-    negative = [g for g, h in zip(s.eff_generators, normals) if linalg.dot(h, L) < 0]
+    folded = [[sum(map(mul, row, v)) for row in s.gram] for v in (L, s.canonical)]
+    # the gram is symmetric: (G g) . L = g . G L
+    negative = [g for g in s.eff_generators if sum(map(mul, g, folded[0])) < 0]
     if negative:
         raise DomainError(f"polarization {L} is not nef: negative against {negative[0]}")
-    rays = s.nef_rays if s.nef_rays is not None else linalg.dual_cone_rays(normals)
+    rays = s.nef_rays if s.nef_rays is not None else linalg.dual_cone_rays(
+        [[sum(map(mul, row, g)) for row in s.gram] for g in s.eff_generators])
     if not rays:
         raise DomainError("the nef cone has no rays; give nef_rays=None to dualize")
-    folded = [tuple(linalg.dot(row, v) for row in s.gram) for v in (L, s.canonical)]
-    F, X = linalg._exact_operands(rays, folded, "a-invariant")
-    on_l, on_k = (X @ F.T).astype(linalg.np.int64).tolist()
+    on_l, on_k = ([sum(map(mul, f, r)) for r in rays] for f in folded)
     if 0 in on_l:
         return INFINITE_A
     return max(Fraction(-k, m) for m, k in set(zip(on_l, on_k)))

@@ -1,13 +1,14 @@
 """Exact integer linear algebra and the cone layer.
 
-Ranks and kernels are exact over Z in Python.  `dual_cone_rays` is the single
-source of cone duality for the package: the extreme rays of
-{x : h . x >= 0 for every normal h} (callers fold any bilinear form into the
-normals), by the double description method on matrices (Fukuda & Prodon,
-"Double description method revisited", 1996).  Rays are the rows of an int64
-matrix and their tight sets the rows of a bool matrix; each ray spans the
-kernel of dim - 1 tight normals, so by Hadamard's bound every product a run
-forms is at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest
+Ranks and kernels are exact over Z in Python.  `dual_cone_rays`, the general
+route of cone duality, gives the extreme rays of {x : h . x >= 0 for every
+normal h} (callers fold any bilinear form into the normals) by the double
+description method on matrices (Fukuda & Prodon, "Double description method
+revisited", 1996); del Pezzo and Hirzebruch nef cones and counting cones read
+their rays otherwise, checked against it by the tests.  Rays are the rows of
+an int64 matrix and their tight sets the rows of a bool matrix; each ray spans
+the kernel of dim - 1 tight normals, so by Hadamard's bound every product a
+run forms is at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest
 Euclidean norm of a normal (about 4e16 for the 240 lines of eight blow-ups).
 
 One rule keeps every batch product of the package exact (the bounded-magnitude
@@ -15,11 +16,11 @@ products of Dumas, Giorgi & Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008):
 given a bound on every value a product reads or forms, `_exact_dtype` runs it
 on BLAS in float32 below 2**24 and in float64 below 2**53, in int64 below
 2**62, and refuses it past that before any work.  `_exact_operands` bounds
-every pair of integer operands (membership, a-invariants, the isometry check,
-the Weyl action kernel); other bounds are structural: the number of normals
-for tight-set counts, rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3
-for int8 group products, traces and cubes, and the Hadamard bound above
-(the rays stay int64 for `np.gcd`).  A result used as a value (key, list,
+every pair of integer operands (membership, the isometry check, the Weyl
+action kernel); other bounds are structural: the number of normals for
+tight-set counts, rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3 for
+int8 group products, traces and cubes, and the Hadamard bound above (the
+rays stay int64 for `np.gcd`).  A result used as a value (key, list,
 `Fraction`) or in another product is converted to int64 first: -0.0 and 0.0
 differ in their bytes.
 

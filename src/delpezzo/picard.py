@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, _index
 
 Vec = tuple[int, ...]
 
@@ -53,6 +53,7 @@ class PicardLattice:
     degree: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "blow-up count"))
         if not (0 <= self.n <= 8):
             raise DomainError(f"blow-up count n={self.n} outside 0..8")
         r = self.n + 1

@@ -24,6 +24,7 @@ from .errors import (
     NotApplicable,
     NotFound,
     ToolkitError,
+    _index,
     _json_document,
     _json_int,
 )
@@ -421,8 +422,8 @@ def reachable_balanced_heights(
 FUZZ_BUDGET = 2**15
 
 
-def check_fuzz_budget(count: int, depth: int) -> None:
-    """Raise DomainError unless integers count, depth >= 1 fit FUZZ_BUDGET."""
+def check_fuzz_budget(count: int, depth: int) -> tuple[int, int]:
+    """(count, depth) as ints; DomainError unless integers >= 1 fit FUZZ_BUDGET."""
     try:
         count, depth = operator.index(count), operator.index(depth)
     except TypeError:
@@ -434,6 +435,7 @@ def check_fuzz_budget(count: int, depth: int) -> None:
             f"--trials {count} x --depth {depth} is past the fuzz budget: "
             f"trials x depth at most {FUZZ_BUDGET}"
         )
+    return count, depth
 
 
 def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> dict:
@@ -449,7 +451,8 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
     report holds counters only.  A budget past `check_fuzz_budget` raises
     DomainError before the first trial.
     """
-    check_fuzz_budget(count, depth)
+    count, depth = check_fuzz_budget(count, depth)
+    seed = _index(seed, "fuzz seed")
     rng = random.Random(seed)
     second_checks = not_applicable = 0
     max_components = 1

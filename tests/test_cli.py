@@ -663,6 +663,35 @@ def test_cold_command_loads_only_what_it_runs(cli, args):
     assert (cold.returncode, cold.stdout) == (warm.exit_code, warm.stdout)
 
 
+# the slice counter of a rank-2 or rank-3 cone reads its facets off the height-1
+# slice, and a Hirzebruch surface carries its nef rays: neither runs numpy
+_RANK3_MODEL = {
+    "profile": dict(profile_to_dict(load_profile("cubic-pencil")), rho_eta=3, nef_cone_eta={
+        "generators": [[1, 0, 0], [0, 1, 1], [1, 1, 3], [2, 1, 1]], "height": [1, -1, 2]}),
+    "translates": [[0, 0, 0]],
+    "q": "3/2",
+}
+_NUMPY_FREE_COUNTS = {
+    "count-rank3-model": ["count", "--model", "MODEL", "--dmax", "6"],
+    "count-x5-pencil": ["count", "--profile", "x5-pencil", "--q", "5/2", "--dmax", "12"],
+    **{f"fujita-hirzebruch-{e}": ["fujita", "--hirzebruch", str(e)] for e in range(3)},
+}
+
+
+@pytest.mark.parametrize("args", _NUMPY_FREE_COUNTS.values(), ids=_NUMPY_FREE_COUNTS)
+def test_cold_count_and_hirzebruch_load_no_numpy(cli, tmp_path, args):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_RANK3_MODEL))
+    args = [str(model) if a == "MODEL" else a for a in args]
+    cold = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *args], env=_child_env(), capture_output=True,
+        text=True,
+    )
+    assert not set(json.loads(cold.stderr.splitlines()[-1])) & {"numpy._core", "numpy.core"}
+    warm = cli(args)
+    assert (cold.returncode, cold.stdout) == (0, warm.stdout)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_closed_stdout_exits_quietly(fmt):
     # a reader that stops after 10 bytes, as `| head -c 10` does: the command

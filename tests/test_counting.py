@@ -597,3 +597,51 @@ def test_model_json_rejects_malformed_documents():
     m = model_from_json(dict(edge, profile=dict(good["profile"], brauer_order=2**63 - 1)))
     assert (m.q, m.dim_rule, m.profile.brauer_order) == (7, 2**63 - 1, 2**63 - 1)
     assert m.translates == ((2**63 - 1,),)
+
+
+def _seeded_cones(seed, count):
+    """Seeded rank-2 and rank-3 cones of generators of positive height, with
+    negative height entries and repeated, parallel and interior generators."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        rank = rng.choice((2, 3))
+        height = tuple(rng.randint(-2, 2) for _ in range(rank))
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            g = tuple(rng.randint(-3, 3) for _ in range(rank))
+            if sum(a * b for a, b in zip(height, g)) > 0:
+                gens += [g] * rng.choice((1, 1, 2)) + [tuple(2 * x for x in g)] * rng.randint(0, 1)
+        if gens:
+            cones.append((tuple(gens), height))
+    return cones
+
+
+def test_slice_facets_match_double_description():
+    fixtures = [
+        (p.nef_cone_eta.generators, p.nef_cone_eta.height) for p in (RANK2, RANK3)
+    ] + [(((2, 1), (1, 2), (1, 1)), (1, 1)),
+         (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (1, 1, 1))]
+    full = 0
+    for gens, height in fixtures + _seeded_cones(29, 800):
+        try:
+            want = dual_cone_rays(gens)
+        except DomainError:
+            with pytest.raises(DomainError, match="not full-dimensional"):
+                counting._slice_facets(gens, height)
+            continue
+        assert counting._slice_facets(gens, height) == want
+        full += 1
+    assert full > 300
+    # exact past the int64 bound the double description refuses
+    m = 10**6
+    assert counting._slice_facets(WIDE3, (1, 0, 0)) == [(0, 0, 1), (m, -1, -m), (m, 1, -m)]
+
+
+def test_flat_cone_is_refused():
+    flat = ((((1, 0), (2, 0)), (1, 1)), (((1, 0, 0), (0, 1, 0), (1, 1, 0)), (1, 1, 1)))
+    for gens, height in flat:
+        m = CountingModel(make_profile(len(height), 0, gens, height), ((0,) * len(height),), 2)
+        for run in (count_exact, convergence_report):
+            with pytest.raises(DomainError, match="not full-dimensional"):
+                run(m, 3)

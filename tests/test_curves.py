@@ -614,3 +614,16 @@ def test_cone_contains_empty_list_of_classes():
     assert as_list.dtype == as_array.dtype == bool
     assert as_list.tolist() == as_array.tolist() == []
     assert nef_classes_of_height(lat, 1) == []
+
+
+def test_nef_classes_of_height_refuses_a_float():
+    with pytest.raises(DomainError, match="height must be an integer"):
+        nef_classes_of_height(make_lattice(3), 2.5)
+
+
+def test_nef_classes_of_height_reads_numpy_integers_as_ints():
+    lat = make_lattice(4)
+    for h in (np.int64(2), np.int8(3)):
+        classes = nef_classes_of_height(lat, h)
+        assert classes == nef_classes_of_height(lat, int(h))
+        assert all(type(x) is int for c in classes for x in c)

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,19 @@ def test_del_pezzo_a_invariant_runs_no_double_description(monkeypatch):
     assert a_invariant(polarized_del_pezzo(lat)) == 1
     minus_2k = tuple(2 * x for x in lat.anticanonical)
     assert a_invariant(polarized_del_pezzo(lat, minus_2k)) == Fraction(1, 2)
+
+
+def test_hirzebruch_a_invariant_runs_no_double_description(monkeypatch):
+    # a Hirzebruch surface carries its nef rays F and C0 + eF
+    def refuse(normals):
+        raise AssertionError("double description on a Hirzebruch surface")
+
+    monkeypatch.setattr(linalg, "dual_cone_rays", refuse)
+    for e in range(5):
+        assert hirzebruch_polarized(e).nef_rays == ((0, 1), (1, e))
+        assert a_invariant(hirzebruch_polarized(e, (1, e + 1))) == 2
+        assert a_invariant(hirzebruch_polarized(e, (0, 1))) is INFINITE_A
+    assert [a_invariant(hirzebruch_polarized(e)) for e in range(3)] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("e", [0, 1, 2])
@@ -158,6 +172,21 @@ def test_polarized_surface_validation():
             eff_generators=((0, 1),),
             polarization=(1, 0),
         )
+
+
+def test_polarized_surface_entries_are_integers():
+    good = dict(gram=((-1, 1), (1, 0)), canonical=(-2, -3), eff_generators=((1, 0), (0, 1)),
+                polarization=(2, 3), nef_rays=((0, 1), (1, 1)))
+    for name, bad in (("gram", ((-1, 1.0), (1, 0))), ("canonical", (-2.0, -3)),
+                      ("eff_generators", ((1, 0), (0, 1.5))), ("polarization", (2, 3.0)),
+                      ("nef_rays", ((0, 1), (1.0, 1))), ("polarization", 2)):
+        with pytest.raises(DomainError, match=f"polarized surface {name} has a non-integer"):
+            PolarizedSurface(**dict(good, **{name: bad}))
+    # numpy integers are read as Python ints, so the pairings stay exact
+    s = PolarizedSurface(**{k: np.array(v, dtype=np.int64) for k, v in good.items()})
+    assert s == PolarizedSurface(**good)
+    assert all(type(x) is int for v in (s.canonical, *s.gram, *s.nef_rays) for x in v)
+    assert a_invariant(s) == 1
 
 
 def test_empty_cones_are_domain_errors():

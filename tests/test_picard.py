@@ -98,3 +98,14 @@ def test_canonical_self_intersection(n):
     lat = make_lattice(n)
     assert pair(lat, lat.canonical, lat.canonical) == 9 - n
     assert anticanonical_degree(lat, lat.anticanonical) == 9 - n
+
+
+def test_make_lattice_refuses_a_float():
+    with pytest.raises(DomainError, match="blow-up count must be an integer"):
+        make_lattice(2.0)
+
+
+def test_make_lattice_reads_numpy_integers_as_ints():
+    lat = make_lattice(np.int64(3))
+    assert type(lat.n) is int and type(lat.rank) is int and type(lat.degree) is int
+    assert lat == make_lattice(3)

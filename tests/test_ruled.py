@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -571,6 +572,15 @@ def test_fuzz_budget_reads_integers():
         with pytest.raises(DomainError, match="must be integers"):
             fuzz_blow_up_sequences(count, depth)
     assert fuzz_blow_up_sequences(np.int64(3), np.int8(4)) == fuzz_blow_up_sequences(3, 4)
+
+
+def test_fuzz_report_holds_python_ints():
+    rep = fuzz_blow_up_sequences(np.int64(3), np.int8(4), seed=np.int64(5))
+    assert json.loads(json.dumps(rep)) == rep == fuzz_blow_up_sequences(3, 4, seed=5)
+    assert all(type(rep[k]) is int for k in ("trials", "depth", "seed"))
+    assert check_fuzz_budget(np.int16(2), np.int64(9)) == (2, 9)
+    with pytest.raises(DomainError, match="fuzz seed must be an integer"):
+        fuzz_blow_up_sequences(2, 4, seed=1.5)
 
 
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
