@@ -1,10 +1,13 @@
 """Exact counting engine: alpha constants, slice point counts, asymptotics.
 
-All arithmetic is exact (int / Fraction).  The alpha constant is rho times
-the volume of the cone truncated at height 1, computed from an explicit fan
-triangulation; each height slice is counted exactly, by one interval of the
-last free coordinate per column of a proven bounding box, between facets read
-off the height-1 slice.  Dimensions are capped at 3: a desk-scale enumerator.
+All arithmetic is exact (int / Fraction).  One helper, `_slice`, reads the
+cone's height-1 slice off its generators: its vertices, in order.  The alpha
+constant is rho times the volume of the cone truncated at height 1, the fan of
+those vertices from the first one; each height slice is counted exactly, by
+one interval of the last free coordinate per column of a proven bounding box,
+between the facets through the slice's ends or hull edges.  The helper holds
+the one check of full dimension, and the one cap at dimension 3: a desk-scale
+enumerator.
 
 The asymptotic constant and the exact count are reported side by side.  With
 the default dimension rule (family dimension = height + 2) the exact count
@@ -20,8 +23,16 @@ from itertools import product
 from math import factorial, gcd, prod
 from pathlib import Path
 
-from .errors import CapExceeded, DomainError, _json_document, _json_int, _json_rational, _read_json
-from .linalg import convex_hull_2d, dot, integer_kernel, mat_rank
+from .errors import (
+    CapExceeded,
+    DomainError,
+    _index,
+    _json_document,
+    _json_int,
+    _json_rational,
+    _read_json,
+)
+from .linalg import convex_hull_2d, dot, integer_kernel
 from .picard import Vec
 from .thresholds import (
     FibrationProfile,
@@ -33,16 +44,32 @@ from .thresholds import (
 )
 
 
-def _det2(a, b) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _det3(a, b, c) -> Fraction:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+def _det(rows) -> Fraction:
+    """Determinant of a square matrix, by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, a in enumerate(rows[0])
     )
+
+
+def _slice(gens, height: Vec) -> list[Vec]:
+    """The generators on the vertices of the height-1 slice of cone(gens), in
+    order, read in the projection that drops the first coordinate of nonzero
+    height: the one vertex in rank 1, the two ends in increasing projected
+    coordinate in rank 2, and the counterclockwise `convex_hull_2d` in rank 3.
+    Fewer vertices than the rank (a flat cone) raise DomainError."""
+    rho = len(height)
+    if rho > 3:
+        raise CapExceeded(f"counting implemented for dimension <= 3, got {rho}")
+    drop = next(k for k in range(rho) if height[k])
+    flat = {tuple(Fraction(x, dot(height, g)) for x in g[:drop] + g[drop + 1:]): g for g in gens}
+    # below rank 3, the ends: one in rank 1, or on a flat cone
+    points = convex_hull_2d(list(flat)) if rho == 3 else dict.fromkeys((min(flat), max(flat)))
+    vertices = [flat[p] for p in points]
+    if len(vertices) < rho:
+        raise DomainError("cone is not full-dimensional")
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -58,50 +85,23 @@ def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
     """rho times the volume of {x in cone : height(x) <= 1}, measured so the
     fundamental domain of the index-`index` sublattice has volume 1.
 
-    The truncation polytope is the convex hull of the origin and the
-    generators scaled to height 1; it is triangulated fan-wise and summed as
-    rho * sum |det| / rho! / index.
+    The truncation polytope is the convex hull of the origin and the vertices
+    of the height-1 slice (`_slice`); it is triangulated as the fan of those
+    vertices from the first one and summed as rho * sum |det| / rho! / index.
+    So the triangulation is one simplex in ranks 1 and 2, and does not depend
+    on the order in which the generators are listed.
     """
-    gens = NefConeEta(tuple(cone), tuple(height)).generators
-    rho = len(height)
+    cone = NefConeEta(cone, height)
+    gens, height, rho = cone.generators, cone.height, len(cone.height)
+    index = _index(index, "lattice index")
     if index < 1:
         raise DomainError(f"lattice index must be >= 1, got {index}")
-    if rho > 3:
-        raise CapExceeded(f"alpha implemented for dimension <= 3, got {rho}")
-    if mat_rank(gens) != rho:
-        raise DomainError("cone is not full-dimensional")
-    vertices = []
-    for g in gens:
-        v = tuple(Fraction(x, 1) / dot(height, g) for x in g)
-        if v not in vertices:
-            vertices.append(v)
-
-    simplices: list[tuple[tuple, Fraction]] = []
-    if rho == 1:
-        simplices.append(((vertices[0],), abs(vertices[0][0])))
-    elif rho == 2:
-        base = vertices[0]
-        direction = next(
-            tuple(a - b for a, b in zip(v, base)) for v in vertices if v != base
-        )
-        vertices.sort(key=lambda v: dot(direction, v))
-        for u, w in zip(vertices, vertices[1:]):
-            d = abs(_det2(u, w))
-            if d:
-                simplices.append(((u, w), d))
-    else:
-        drop = next(k for k in range(3) if height[k] != 0)
-        keep = [k for k in range(3) if k != drop]
-        flat = {(v[keep[0]], v[keep[1]]): v for v in vertices}
-        hull2 = convex_hull_2d(list(flat))
-        hull = [flat[p] for p in hull2]
-        for a, b in zip(hull[1:], hull[2:]):
-            d = abs(_det3(hull[0], a, b))
-            if d:
-                simplices.append(((hull[0], a, b), d))
-    total = sum(d for _, d in simplices)
-    value = Fraction(rho) * total / factorial(rho) / index
-    return AlphaResult(value=value, triangulation=tuple(simplices))
+    v = [tuple(Fraction(x, dot(height, g)) for x in g) for g in _slice(gens, height)]
+    # the fan from v[0]: (v0,) in rank 1, (v0, v1) in rank 2, each (v0, vk, vk+1) in rank 3
+    simplices = [(v[0], *v[k:k + rho - 1]) for k in range(1, len(v) - rho + 2)]
+    triangulation = tuple((s, abs(_det(s))) for s in simplices)
+    value = Fraction(rho) * sum(d for _, d in triangulation) / factorial(rho) / index
+    return AlphaResult(value=value, triangulation=triangulation)
 
 
 def tau(p: FibrationProfile) -> int:
@@ -124,18 +124,12 @@ def _slice_box(gens, height: Vec):
 
 def _slice_facets(gens, height: Vec) -> list[Vec]:
     """The facets of cone(gens), rank 2 or 3, as `linalg.dual_cone_rays(gens)`
-    gives them, read off the height-1 slice in the projection of `alpha`: the
-    kernels of its two ends in rank 2, of neighbours on its hull in rank 3."""
-    drop = next(k for k in range(len(height)) if height[k])
-    flat = {tuple(Fraction(x, dot(height, g)) for x in g[:drop] + g[drop + 1:]): g for g in gens}
-    if len(height) == 2:
-        edges = [(flat[min(flat)],), (flat[max(flat)],)]
-    else:
-        hull = [flat[p] for p in convex_hull_2d(list(flat))]
-        edges = list(zip(hull, hull[1:] + hull[:1]))
-    normals = {integer_kernel(edge)[0] for edge in edges}  # primitive
-    if len(normals) < len(height):  # one end, or a hull of at most two points
-        raise DomainError("cone is not full-dimensional")
+    gives them: the primitive kernels of the ends of the height-1 slice
+    (`_slice`) in rank 2, of the edges of its hull in rank 3, each oriented
+    positive on the generators."""
+    v = _slice(gens, height)
+    edges = [(g,) for g in v] if len(height) == 2 else list(zip(v, v[1:] + v[:1]))
+    normals = [integer_kernel(edge)[0] for edge in edges]
     return sorted(n if sum(dot(n, g) for g in gens) > 0 else tuple(-x for x in n) for n in normals)
 
 
@@ -146,8 +140,6 @@ def _slice_counter(gens, height: Vec):
     from the height, each facet f reads |h_p| f.x = a*y + c in the last one,
     y, which cuts y to an interval, and x_p is integral on one residue class
     of y.  Rank 1 has no free coordinate: one point iff h_p divides s."""
-    if len(height) > 3:
-        raise CapExceeded(f"slice counting implemented for dimension <= 3, got {len(height)}")
     pivot, free, box = _slice_box(gens, height)
     m, sign = abs(height[pivot]), (1 if height[pivot] > 0 else -1)
     if not free:
@@ -187,10 +179,12 @@ def _slice_counter(gens, height: Vec):
 def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
     counted by `_slice_counter`."""
-    cone = NefConeEta(tuple(cone), tuple(height))
-    if len(translate) != len(height):
-        raise DomainError(f"translate {translate} does not match dimension {len(height)}")
-    return _slice_counter(cone.generators, cone.height)(i - dot(height, translate))
+    cone = NefConeEta(cone, height)
+    translate = tuple(_index(x, "translate entry") for x in translate)
+    if len(translate) != len(cone.height):
+        raise DomainError(f"translate {translate} does not match dimension {len(cone.height)}")
+    i = _index(i, "height i")
+    return _slice_counter(cone.generators, cone.height)(i - dot(cone.height, translate))
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,10 @@ class CountingModel:
     dim_rule: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        try:
+            object.__setattr__(self, "q", Fraction(self.q))
+        except (TypeError, ValueError, OverflowError):  # also NaN and infinity
+            raise DomainError(f"counting base q must be rational, got {self.q!r}") from None
         object.__setattr__(
             self, "translates", tuple(tuple(t) for t in self.translates)
         )
@@ -229,12 +226,8 @@ def default_model(p: FibrationProfile, q, dim_rule: int = 2) -> CountingModel:
     Only defined when the height covector is the identity on a rank-1 cone;
     otherwise the translate data must be supplied explicitly."""
     if p.rho_eta != 1 or p.nef_cone_eta.height != (1,):
-        raise DomainError(
-            f"no default translate for profile {p.name}; pass translates"
-        )
-    return CountingModel(
-        profile=p, translates=((p.neg,),), q=Fraction(q), dim_rule=dim_rule
-    )
+        raise DomainError(f"no default translate for profile {p.name}; pass translates")
+    return CountingModel(profile=p, translates=((p.neg,),), q=q, dim_rule=dim_rule)
 
 
 # Work budget of the counting engine (`check_count_budget`).  The power bound
@@ -305,7 +298,7 @@ def count_exact(m: CountingModel, d: int) -> Fraction:
     """Sum of brauer_order * (points at height i) * q^(i + dim_rule) over
     heights i <= d and all translates.  Exact rational.  A d past
     `check_count_budget` raises DomainError before the first slice."""
-    return sum(_slice_weights(m, d).values(), Fraction(0))
+    return sum(_slice_weights(m, _index(d, "d")).values(), Fraction(0))
 
 
 def theorem_constant(m: CountingModel) -> Fraction:
@@ -324,6 +317,7 @@ def theorem_constant(m: CountingModel) -> Fraction:
 
 def asymptotic(m: CountingModel, d: int) -> Fraction:
     """The closed form (tau * alpha * Br * q/(q-1)) * q^d * d^(rho-1)."""
+    d = _index(d, "d")
     if d < 1:
         raise DomainError(f"asymptotic needs d >= 1, got {d}")
     rho = m.profile.rho_eta
@@ -340,6 +334,7 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     raw ratio is within 5% of the extrapolated limit.  A d_max past
     `check_count_budget` raises DomainError before the first slice.
     """
+    d_max = _index(d_max, "d_max")
     if d_max < 3:
         raise DomainError(f"convergence report needs d_max >= 3, got {d_max}")
     weights = _slice_weights(m, d_max)
@@ -353,19 +348,8 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
         exact += weights.get(d, 0)
         asym = theorem * m.q**d * d ** (rho - 1)
         ratio = exact / asym
-        if prev_ratio is None:
-            stabilized = None
-        else:
-            stabilized = ratio + (ratio - prev_ratio) / (m.q - 1)
-        rows.append(
-            {
-                "d": d,
-                "exact": exact,
-                "asymptotic": asym,
-                "ratio": ratio,
-                "stabilized": stabilized,
-            }
-        )
+        stabilized = None if prev_ratio is None else ratio + (ratio - prev_ratio) / (m.q - 1)
+        rows.append(dict(d=d, exact=exact, asymptotic=asym, ratio=ratio, stabilized=stabilized))
         prev_ratio = ratio
     limit = rows[-1]["stabilized"]
     last_ratio = rows[-1]["ratio"]

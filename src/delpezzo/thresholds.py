@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .errors import (
     DomainError,
+    _index,
     _json_bool,
     _json_document,
     _json_field,
@@ -36,12 +37,16 @@ from .picard import Vec
 @dataclass(frozen=True)
 class NefConeEta:
     """Nef cone of curves of the generic fiber, in the integral coordinates
-    of the ambient total-space curve lattice, with its height covector."""
+    of the ambient total-space curve lattice, with its height covector; every
+    entry is read as a Python int, and a float raises DomainError."""
 
     generators: tuple[Vec, ...]
     height: Vec
 
     def __post_init__(self):
+        object.__setattr__(self, "height", tuple(_index(x, "height entry") for x in self.height))
+        rows = tuple(tuple(_index(x, "generator entry") for x in g) for g in self.generators)
+        object.__setattr__(self, "generators", rows)
         dim = len(self.height)
         if not self.generators:
             raise DomainError("nef cone needs at least one generator")
@@ -297,10 +302,10 @@ def monotone_corners(oracle, c: int, box) -> list[Vec]:
     is inside the up-set and is skipped without an oracle call, so the output
     is exactly the antichain of corners.  Monotonicity of the oracle is
     spot-checked on seeded random comparable pairs; a violation raises
-    DomainError, as does a box of more than CORNER_BUDGET cells, before any
-    oracle call.
+    DomainError, as do a bound that is not an integer and a box of more than
+    CORNER_BUDGET cells, before any oracle call.
     """
-    box = tuple(int(b) for b in box)
+    box = tuple(_index(b, "box bound") for b in box)
     if any(b < 0 for b in box):
         raise DomainError(f"box bounds must be >= 0, got {box}")
     cells = math.prod(b + 1 for b in box)

@@ -412,7 +412,20 @@ def _bad_inputs(tmp_path):
         "model-dim-rule-past-budget": dict(model, dim_rule=10**14),
         "model-cone-past-budget": {"profile": wide, "translates": [[0, 0, 0]], "q": "2"},
     }
-    for name, data in budget_files.items():
+
+    def model_on(gens):
+        rank = len(gens[0])
+        cone = {"generators": gens, "height": [1] * rank}
+        return {"profile": dict(x5, rho_eta=rank, nef_cone_eta=cone),
+                "translates": [[0] * rank], "q": "2"}
+
+    # two flat cones (not full-dimensional), and a cone past rank 3
+    cone_files = {
+        "model-flat-rank-2": model_on([[1, 0], [2, 0]]),
+        "model-flat-rank-3": model_on([[1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+        "model-rank-4": model_on([[int(i == j) for j in range(4)] for i in range(4)]),
+    }
+    for name, data in {**budget_files, **cone_files}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     # brauer_order past int64, and as an integer literal past Python's limit
     # of 4300 digits on int strings (json.loads raises a plain ValueError);
@@ -447,7 +460,7 @@ def _bad_inputs(tmp_path):
         "model-not-utf8": (["count", "--model", str(tmp_path / "not-utf8.json")], 1),
         **{
             name: (["count", "--model", str(tmp_path / f"{name}.json"), "--dmax", "5"], 1)
-            for name in budget_files
+            for name in [*budget_files, *cone_files]
         },
         "model-brauer-past-int64": (
             ["count", "--model", str(tmp_path / "model-brauer-past-int64.json"),
@@ -478,6 +491,9 @@ def _bad_inputs(tmp_path):
         "model-not-utf8",
         "model-dim-rule-past-budget",
         "model-cone-past-budget",
+        "model-flat-rank-2",
+        "model-flat-rank-3",
+        "model-rank-4",
         "model-brauer-past-int64",
         "model-brauer-5001-digits",
         "model-nested-too-deep",

@@ -645,3 +645,56 @@ def test_flat_cone_is_refused():
         for run in (count_exact, convergence_report):
             with pytest.raises(DomainError, match="not full-dimensional"):
                 run(m, 3)
+
+
+def test_alpha_does_not_depend_on_generator_order():
+    rng = random.Random(31)
+    for gens, height in _seeded_cones(29, 800):
+        try:
+            want = alpha(gens, height)
+        except DomainError:
+            continue
+        shuffled = tuple(rng.sample(gens, len(gens)))
+        repeated = gens + (rng.choice(gens),)
+        for other in (gens[::-1], shuffled, repeated):
+            assert alpha(other, height) == want
+
+
+_MODEL2 = CountingModel(RANK2, ((0, 0),), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: NefConeEta(((1.5, 0), (0, 1)), (1, 1)), id="nef-generator"),
+        pytest.param(lambda: NefConeEta(((1, 0), (0, 1)), (1, 0.5)), id="nef-height"),
+        pytest.param(lambda: alpha(((1, 0), (0, 1)), (1, 1), index=1.5), id="alpha-index"),
+        pytest.param(lambda: asymptotic(_MODEL2, 1.5), id="asymptotic-d"),
+        pytest.param(lambda: count_exact(_MODEL2, 1.5), id="count-exact-d"),
+        pytest.param(lambda: convergence_report(_MODEL2, 3.5), id="convergence-d-max"),
+        pytest.param(
+            lambda: lattice_points_at_height(((1, 0), (0, 1)), (1, 1), (0, 0), 2.0),
+            id="lattice-points-i",
+        ),
+        pytest.param(
+            lambda: lattice_points_at_height(((1, 0), (0, 1)), (1, 1), (0.5, 0), 2),
+            id="lattice-points-translate",
+        ),
+        pytest.param(lambda: CountingModel(RANK1, ((0,),), float("nan")), id="model-q-nan"),
+        pytest.param(lambda: CountingModel(RANK1, ((0,),), float("inf")), id="model-q-inf"),
+        pytest.param(lambda: default_model(RANK1, float("nan")), id="default-model-q-nan"),
+        pytest.param(lambda: default_model(RANK1, float("inf")), id="default-model-q-inf"),
+    ],
+)
+def test_inexact_numbers_are_refused(call):
+    with pytest.raises(DomainError, match="must be an integer|must be rational"):
+        call()
+
+
+def test_numpy_integers_read_as_python_ints():
+    cone = NefConeEta(np.array([[1, 0], [0, 1]]), np.array([1, 1]))
+    assert cone == NefConeEta(((1, 0), (0, 1)), (1, 1))
+    assert all(type(x) is int for g in cone.generators for x in g + cone.height)
+    assert alpha(((1, 0), (0, 1)), (1, 1), index=np.int64(2)).value == Fraction(1, 2)
+    assert lattice_points_at_height(((1, 0), (0, 1)), (1, 1), np.array([0, 0]), np.int64(2)) == 3
+    assert count_exact(_MODEL2, np.int64(3)) == count_exact(_MODEL2, 3)

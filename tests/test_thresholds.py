@@ -223,6 +223,13 @@ def test_monotone_corners_refuses_past_budget():
     assert monotone_corners(lambda w: w[0] + w[1], 63, (63, 63))[0] == (0, 63)
 
 
+def test_monotone_corners_reads_integer_bounds():
+    # a float bound is not truncated, and a string is not parsed
+    for box in [(2.7, 1), ("3", 1)]:
+        with pytest.raises(DomainError, match="box bound must be an integer"):
+            monotone_corners(lambda w: w[0] + w[1], 1, box)
+
+
 def test_monotone_corners_three_dims():
     corners = monotone_corners(lambda w: min(w), 1, (3, 3, 3))
     assert corners == [(1, 1, 1)]
