@@ -64,7 +64,7 @@ def _slice(gens, height: Vec) -> list[Vec]:
         raise CapExceeded(f"counting implemented for dimension <= 3, got {rho}")
     drop = next(k for k in range(rho) if height[k])
     flat = {tuple(Fraction(x, dot(height, g)) for x in g[:drop] + g[drop + 1:]): g for g in gens}
-    # below rank 3, the ends: one in rank 1, or on a flat cone
+    # below rank 3, the least and greatest point: one, in rank 1 or on a flat cone
     points = convex_hull_2d(list(flat)) if rho == 3 else dict.fromkeys((min(flat), max(flat)))
     vertices = [flat[p] for p in points]
     if len(vertices) < rho:
