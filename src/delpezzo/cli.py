@@ -42,7 +42,7 @@ def _jsonable(obj):
 
 def _rational(value: str) -> Fraction:
     """A rational number such as 2 or 5/2, parsed to an exact Fraction; a
-    decimal exponent past the counting budget is a DomainError (exit 1)."""
+    decimal exponent past the counting budget is a CapExceeded (exit 1)."""
     from .counting import COUNT_POWER_BITS
 
     try:

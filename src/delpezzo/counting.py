@@ -26,6 +26,7 @@ from pathlib import Path
 from .errors import (
     CapExceeded,
     DomainError,
+    _check_budget,
     _index,
     _json_document,
     _json_int,
@@ -203,9 +204,9 @@ class CountingModel:
             object.__setattr__(self, "q", Fraction(self.q))
         except (TypeError, ValueError, OverflowError):  # also NaN and infinity
             raise DomainError(f"counting base q must be rational, got {self.q!r}") from None
-        object.__setattr__(
-            self, "translates", tuple(tuple(t) for t in self.translates)
-        )
+        translates = tuple(tuple(_index(x, "translate entry") for x in t) for t in self.translates)
+        object.__setattr__(self, "translates", translates)
+        object.__setattr__(self, "dim_rule", _index(self.dim_rule, "dim_rule"))
         if self.q <= 1:
             raise DomainError(f"counting base q must be > 1, got {self.q}")
         if not self.translates:
@@ -240,7 +241,7 @@ COUNT_POWER_BITS = 2**12
 
 
 def check_count_budget(m: CountingModel, d: int) -> None:
-    """Raise DomainError unless counting heights up to d fits the budget.
+    """Raise CapExceeded unless counting heights up to d fits the budget.
 
     Powers: each slice at height i weighs q**(i + dim_rule), and each report
     row d takes q**d; every |exponent| times the bit length of q's larger
@@ -251,30 +252,26 @@ def check_count_budget(m: CountingModel, d: int) -> None:
     widest, so the sum over translates of slices x columns x generators must
     be at most COUNT_BUDGET.  Costs one box per translate, whatever d is.
     """
-    cone = m.profile.nef_cone_eta
+    d, cone = _index(d, "d"), m.profile.nef_cone_eta
     box = _slice_box(cone.generators, cone.height)[2]
     starts = [dot(cone.height, t) for t in m.translates]
     starts = [start for start in starts if start <= d]
     exponents = [d] + [i + m.dim_rule for start in starts for i in (start, d)]
     q_bits = max(m.q.numerator.bit_length(), m.q.denominator.bit_length())
     max_exponent = COUNT_POWER_BITS // q_bits
-    if max(abs(e) for e in exponents) > max_exponent:
-        raise DomainError(
-            f"--dmax {d} with dim_rule {m.dim_rule} is past the counting budget: "
-            f"powers of q at most {COUNT_POWER_BITS} bits, so for a q of "
-            f"{q_bits} bits exponents at most {max_exponent} in size"
-        )
+    _check_budget(max(map(abs, exponents)), max_exponent,
+                  f"--dmax {d} with dim_rule {m.dim_rule} is past the counting budget: "
+                  f"powers of q at most {COUNT_POWER_BITS} bits, so for a q of "
+                  f"{q_bits} bits exponents at most {max_exponent} in size")
     scan = sum(
         (d - start + 1)
         * prod(2 * b + 1 for b in box(d - start)[:-1])
         * len(cone.generators)
         for start in starts
     )
-    if scan > COUNT_BUDGET:
-        raise DomainError(
-            f"--dmax {d} is past the counting budget: the height slices of this "
-            f"cone would count up to {scan} column-generator pairs, at most {COUNT_BUDGET}"
-        )
+    _check_budget(scan, COUNT_BUDGET, f"--dmax {d} is past the counting budget: the height "
+                  f"slices of this cone would count up to {scan} column-generator pairs, "
+                  f"at most {COUNT_BUDGET}")
 
 
 def _slice_weights(m: CountingModel, d: int) -> dict[int, Fraction]:
@@ -297,7 +294,7 @@ def _slice_weights(m: CountingModel, d: int) -> dict[int, Fraction]:
 def count_exact(m: CountingModel, d: int) -> Fraction:
     """Sum of brauer_order * (points at height i) * q^(i + dim_rule) over
     heights i <= d and all translates.  Exact rational.  A d past
-    `check_count_budget` raises DomainError before the first slice."""
+    `check_count_budget` raises CapExceeded before the first slice."""
     return sum(_slice_weights(m, _index(d, "d")).values(), Fraction(0))
 
 
@@ -332,7 +329,7 @@ def convergence_report(m: CountingModel, d_max: int) -> dict:
     count and the closed-form constant; both constants are reported and the
     offset is never folded into either one.  `stabilizes` holds when the last
     raw ratio is within 5% of the extrapolated limit.  A d_max past
-    `check_count_budget` raises DomainError before the first slice.
+    `check_count_budget` raises CapExceeded before the first slice.
     """
     d_max = _index(d_max, "d_max")
     if d_max < 3:

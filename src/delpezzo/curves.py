@@ -23,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import linalg
-from .errors import CapExceeded, DecompositionNotFound, DomainError, _index
+from .errors import DecompositionNotFound, DomainError, _check_budget, _index
 from .linalg import np
 from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
 
@@ -85,15 +85,13 @@ def _class_search(lat: PicardLattice, self_int, degree: int) -> list[Vec]:
     squares = range(self_int, self_int + 1) if isinstance(self_int, int) else self_int
     out: list[Vec] = []
     visited = 0
+    refusal = (f"the class search for height {d} on {n} blow-ups would visit more "
+               f"than {SEARCH_BUDGET} prefixes")
 
     def visit(width: int):
         nonlocal visited
         visited += width
-        if visited > SEARCH_BUDGET:
-            raise CapExceeded(
-                f"the class search for height {d} on {n} blow-ups would visit more "
-                f"than {SEARCH_BUDGET} prefixes"
-            )
+        _check_budget(visited, SEARCH_BUDGET, refusal)
 
     def rec(prefix: Vec, k: int, S: int, Q: int):
         if k == 2:
@@ -327,12 +325,12 @@ def break_fiber_class(lat: PicardLattice, c) -> tuple[Vec, Vec]:
     if h < 4:
         raise DomainError(f"height {h} < 4; nothing to break")
     cells, normals = 0, _nef_normals(lat)
+    refusal = f"breaking {c} would scan more than {SEARCH_BUDGET} classes"
     for a in range(1, c[0]):
         lo = [max(-a, x) for x in c[1:]]
         shape = [1 - x for x in lo]
         cells += (size := math.prod(shape))
-        if cells > SEARCH_BUDGET:
-            raise CapExceeded(f"breaking {c} would scan more than {SEARCH_BUDGET} classes")
+        _check_budget(cells, SEARCH_BUDGET, refusal)
         c0 = np.full((size, lat.rank), a, dtype=np.int64)
         c0[:, 1:] = np.indices(shape, dtype=np.int64).reshape(lat.n, size).T + lo
         c1 = np.array(c, dtype=np.int64) - c0

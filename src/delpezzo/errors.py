@@ -1,7 +1,7 @@
-"""Error taxonomy shared by every module, and the readers of the JSON parsers
-(profile, counting model, fiber tree): files, documents, fields named by their
-path, and exact integers (within int64, the range of the kernels), rationals,
-booleans and strings.
+"""Error taxonomy shared by every module, the one check of every work budget,
+and the readers of the JSON parsers (profile, counting model, fiber tree):
+files, documents, fields named by their path, and exact integers (within
+int64, the range of the kernels), rationals, booleans and strings.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are argparse errors and exit with code 2.
@@ -37,6 +37,12 @@ def _index(x, what: str) -> int:
         return operator.index(x)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _check_budget(amount, budget, message: str) -> None:
+    """Raise CapExceeded(message) when `amount` passes `budget`, both read by `_index`."""
+    if _index(amount, "work amount") > _index(budget, "work budget"):
+        raise CapExceeded(message)
 
 
 _REQUIRED = object()
@@ -110,15 +116,14 @@ def _json_rational(x, max_exponent: int) -> Fraction:
     """A rational read exactly, such as the counting base q of a model file or
     of `--q`: a JSON integer within int64, or a string such as "5/2", "2.5" or
     "1e3".  A decimal exponent larger in size than `max_exponent` raises
-    DomainError before Fraction expands the number."""
+    CapExceeded, read from one digit more than it has, before Fraction expands it."""
     if not isinstance(x, str):
         return Fraction(_json_int(x))
     exponent = _EXPONENT.search(x)
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > len(str(max_exponent)) or int(digits or 0) > max_exponent:
-        raise DomainError(
-            f"a decimal exponent larger in size than {max_exponent} is past the counting budget"
-        )
+    _check_budget(int(digits[: len(str(max_exponent)) + 1] or 0), max_exponent,
+                  f"a decimal exponent larger in size than {max_exponent} is past the "
+                  "counting budget")
     return Fraction(x)
 
 
@@ -142,8 +147,8 @@ class NonIntegralCoefficient(DomainError):
     """A breaking decomposition would need a fractional fiber coefficient."""
 
 
-class CapExceeded(ToolkitError):
-    """A bounded search or closure passed its element budget."""
+class CapExceeded(DomainError):
+    """A work budget refused by `_check_budget`, or a rank counting lacks."""
 
 
 class DecompositionNotFound(ToolkitError):

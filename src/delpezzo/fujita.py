@@ -61,6 +61,8 @@ class PolarizedSurface:
             if any(len(v) != r for v in rows):
                 raise DomainError(f"polarized surface {name} does not match rank {r}")
             object.__setattr__(self, name, rows[0] if one else rows)
+        if any(row[j] != self.gram[j][i] for i, row in enumerate(self.gram) for j in range(i)):
+            raise DomainError("polarized surface gram is not symmetric")
 
 
 def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurface:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, DomainError, _index
+from .errors import DomainError, _check_budget, _index
 
 Vec = tuple[int, ...]
 
@@ -26,8 +26,7 @@ WEYL_ORDERS = (1, 1, 2, 12, 120, 1920, 51840, 2903040, 696729600)
 
 def check_cap(count: int, cap: int) -> None:
     """Raise CapExceeded when a closure of `count` elements passes `cap`."""
-    if count > cap:
-        raise CapExceeded(f"group closure passed the cap of {cap} elements")
+    _check_budget(count, cap, f"group closure passed the cap of {cap} elements")
 
 
 def _check_vec(lat: "PicardLattice", v) -> Vec:

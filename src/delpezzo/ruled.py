@@ -24,6 +24,7 @@ from .errors import (
     NotApplicable,
     NotFound,
     ToolkitError,
+    _check_budget,
     _index,
     _json_document,
     _json_int,
@@ -37,6 +38,7 @@ class HirzebruchModel:
     e: int
 
     def __post_init__(self):
+        object.__setattr__(self, "e", _index(self.e, "Hirzebruch parameter"))
         if self.e < 0:
             raise DomainError(f"Hirzebruch parameter must be >= 0, got {self.e}")
 
@@ -72,6 +74,7 @@ class BreakResult:
 
 
 def break_section(q: int, e: int) -> BreakResult:
+    q, e = _index(q, "section height"), _index(e, "Hirzebruch parameter")
     if e < 0:
         raise DomainError(f"Hirzebruch parameter must be >= 0, got {e}")
     if q < e:
@@ -423,18 +426,15 @@ FUZZ_BUDGET = 2**15
 
 
 def check_fuzz_budget(count: int, depth: int) -> tuple[int, int]:
-    """(count, depth) as ints; DomainError unless integers >= 1 fit FUZZ_BUDGET."""
+    """(count, depth) as ints >= 1, else DomainError; CapExceeded past FUZZ_BUDGET."""
     try:
         count, depth = operator.index(count), operator.index(depth)
     except TypeError:
         raise DomainError(f"count {count!r} and depth {depth!r} must be integers") from None
     if count < 1 or depth < 1:
         raise DomainError("count and depth must be positive")
-    if count * depth > FUZZ_BUDGET:
-        raise DomainError(
-            f"--trials {count} x --depth {depth} is past the fuzz budget: "
-            f"trials x depth at most {FUZZ_BUDGET}"
-        )
+    _check_budget(count * depth, FUZZ_BUDGET, f"--trials {count} x --depth {depth} is past "
+                  f"the fuzz budget: trials x depth at most {FUZZ_BUDGET}")
     return count, depth
 
 
@@ -449,7 +449,7 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
     marked, and the lists are contracted back to the irreducible fiber,
     keeping it and checking the result.  Any falsification raises; the
     report holds counters only.  A budget past `check_fuzz_budget` raises
-    DomainError before the first trial.
+    CapExceeded before the first trial.
     """
     count, depth = check_fuzz_budget(count, depth)
     seed = _index(seed, "fuzz seed")

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .errors import (
     DomainError,
+    _check_budget,
     _index,
     _json_bool,
     _json_document,
@@ -302,15 +303,15 @@ def monotone_corners(oracle, c: int, box) -> list[Vec]:
     is inside the up-set and is skipped without an oracle call, so the output
     is exactly the antichain of corners.  Monotonicity of the oracle is
     spot-checked on seeded random comparable pairs; a violation raises
-    DomainError, as do a bound that is not an integer and a box of more than
-    CORNER_BUDGET cells, before any oracle call.
+    DomainError, as does a bound that is not an integer, and a box of more
+    than CORNER_BUDGET cells raises CapExceeded, before any oracle call.
     """
     box = tuple(_index(b, "box bound") for b in box)
     if any(b < 0 for b in box):
         raise DomainError(f"box bounds must be >= 0, got {box}")
     cells = math.prod(b + 1 for b in box)
-    if cells > CORNER_BUDGET:
-        raise DomainError(f"a box of {cells} cells is past the corner budget of {CORNER_BUDGET}")
+    _check_budget(cells, CORNER_BUDGET,
+                  f"a box of {cells} cells is past the corner budget of {CORNER_BUDGET}")
     rng = random.Random(0)
     for _ in range(64):
         v = tuple(rng.randint(0, b) for b in box)

@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import permutations, product
 
 from . import curves
-from .errors import DomainError, NotFound, ToolkitError
+from .errors import DomainError, NotFound, ToolkitError, _index
 from .linalg import _exact_dtype, _exact_operands, integer_kernel, np
 # WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
 from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, check_cap  # noqa: F401
@@ -171,6 +171,8 @@ class FiniteGroup:
 
 
 def trivial_group(rank: int) -> FiniteGroup:
+    if (rank := _index(rank, "rank")) < 1:
+        raise DomainError(f"trivial group needs rank >= 1, got {rank}")
     return FiniteGroup(np.eye(rank, dtype=np.int8)[None], ())
 
 

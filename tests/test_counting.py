@@ -684,6 +684,9 @@ _MODEL2 = CountingModel(RANK2, ((0, 0),), 2)
         pytest.param(lambda: CountingModel(RANK1, ((0,),), float("inf")), id="model-q-inf"),
         pytest.param(lambda: default_model(RANK1, float("nan")), id="default-model-q-nan"),
         pytest.param(lambda: default_model(RANK1, float("inf")), id="default-model-q-inf"),
+        pytest.param(lambda: CountingModel(RANK1, ((RANK1.neg + 0.5,),), 2), id="model-translate"),
+        pytest.param(lambda: CountingModel(RANK1, ((0,),), 2, dim_rule=1.5), id="model-dim-rule"),
+        pytest.param(lambda: counting.check_count_budget(_MODEL2, 2.5), id="count-budget-d"),
     ],
 )
 def test_inexact_numbers_are_refused(call):
