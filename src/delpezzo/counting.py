@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     _check_budget,
     _index,
+    _ints,
     _json_document,
     _json_int,
     _json_rational,
@@ -181,7 +182,7 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     """Number of integral points of translate + cone at height exactly i,
     counted by `_slice_counter`."""
     cone = NefConeEta(cone, height)
-    translate = tuple(_index(x, "translate entry") for x in translate)
+    translate = _ints(translate, "translate entry must be an integer")
     if len(translate) != len(cone.height):
         raise DomainError(f"translate {translate} does not match dimension {len(cone.height)}")
     i = _index(i, "height i")
@@ -204,7 +205,7 @@ class CountingModel:
             object.__setattr__(self, "q", Fraction(self.q))
         except (TypeError, ValueError, OverflowError):  # also NaN and infinity
             raise DomainError(f"counting base q must be rational, got {self.q!r}") from None
-        translates = tuple(tuple(_index(x, "translate entry") for x in t) for t in self.translates)
+        translates = _ints(self.translates, "translate entry must be an integer", 2)
         object.__setattr__(self, "translates", translates)
         object.__setattr__(self, "dim_rule", _index(self.dim_rule, "dim_rule"))
         if self.q <= 1:

@@ -1,7 +1,13 @@
 """Error taxonomy shared by every module, the one check of every work budget,
-and the readers of the JSON parsers (profile, counting model, fiber tree):
-files, documents, fields named by their path, and exact integers (within
-int64, the range of the kernels), rationals, booleans and strings.
+the one integer rule, and the readers of the JSON parsers (profile, counting
+model, fiber tree): files, documents, fields named by their path, and exact
+integers (within int64, the range of the kernels), rationals, booleans and
+strings.
+
+The integer rule: every exact integer input of the package is read by
+`_index`, and every vector or matrix of them by `_ints`, entry by entry as
+`_index` reads one.  Numpy integers are read as Python ints, and a bool, a
+float, a string or None is refused with DomainError.
 
 The CLI maps ToolkitError subclasses to exit code 1; argument/usage problems
 are argparse errors and exit with code 2.
@@ -32,11 +38,31 @@ class FieldError(DomainError):
 
 
 def _index(x, what: str) -> int:
-    """x as a Python int (numpy integers too); anything else raises DomainError."""
+    """x as a Python int (numpy integers too); a bool or anything else that is
+    not an integer raises DomainError("{what} must be an integer, got {x!r}")."""
     try:
-        return operator.index(x)
+        if type(x) is not bool:
+            return operator.index(x)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {x!r}") from None
+        pass
+    raise DomainError(f"{what} must be an integer, got {x!r}")
+
+
+def _ints(v, what: str, depth: int = 1) -> tuple:
+    """v as a tuple of Python ints, each entry read as `_index` reads one, or
+    at depth d > 1 as a tuple of its rows read at depth d - 1; any other entry,
+    or a v that is not iterable, raises DomainError("{what}: {v!r}"), v the
+    innermost one that fails.  Nothing is formatted on success: `picard.pair`
+    reads here."""
+    try:
+        if depth > 1:
+            return tuple(_ints(row, what, depth - 1) for row in v)
+        entries = tuple(v)
+        if bool not in map(type, entries):
+            return tuple(map(operator.index, entries))
+    except TypeError:
+        pass
+    raise DomainError(f"{what}: {v!r}")
 
 
 def _check_budget(amount, budget, message: str) -> None:
@@ -100,9 +126,9 @@ def _read_json(doc: str, path):
 
 
 def _json_int(x) -> int:
-    """A JSON integer within int64; a float, string or boolean raises TypeError."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"expected an integer, got {x!r}")
+    """A JSON integer within int64, read by `_index`; a float, string or
+    boolean raises DomainError, and an integer past int64 ValueError."""
+    x = _index(x, "value")
     if not -(2**63) <= x < 2**63:
         raise ValueError(f"an integer of {x.bit_length()} bits is outside int64")
     return x

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import index, mul
+from operator import mul
 
 from . import curves as _curves
 from . import linalg
-from .errors import DomainError
+from .errors import DomainError, _index, _ints
 from .picard import PicardLattice, Vec
 
 INFINITE_A = math.inf
@@ -34,7 +34,9 @@ class AInvariantClass(Enum):
 
 @dataclass(frozen=True)
 class PolarizedSurface:
-    """A surface given by its intersection form and cone data, in integers.
+    """A surface given by its intersection form and cone data, in integers:
+    every entry is read by `errors._ints`, so a bool or a float raises
+    DomainError, and numpy integers become Python ints.
 
     gram: symmetric integer matrix of the pairing in the chosen basis.
     canonical: the class K.  eff_generators: generators of the effective
@@ -54,10 +56,8 @@ class PolarizedSurface:
             one, rows = name in ("canonical", "polarization"), getattr(self, name)
             if rows is None:
                 continue
-            try:
-                rows = tuple(tuple(map(index, v)) for v in ((rows,) if one else rows))
-            except TypeError:
-                raise DomainError(f"polarized surface {name} has a non-integer entry") from None
+            what = f"polarized surface {name} has a non-integer entry"
+            rows = (_ints(rows, what),) if one else _ints(rows, what, 2)
             if any(len(v) != r for v in rows):
                 raise DomainError(f"polarized surface {name} does not match rank {r}")
             object.__setattr__(self, name, rows[0] if one else rows)
@@ -80,6 +80,7 @@ def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurfa
 def hirzebruch_polarized(e: int, polarization=None) -> PolarizedSurface:
     """Hirzebruch surface in the basis (C0, F): C0^2 = -e, C0.F = 1, F^2 = 0,
     K = -2 C0 - (e+2) F, effective cone spanned by C0 and F, nef by F, C0 + eF."""
+    e = _index(e, "Hirzebruch parameter")
     if e < 0:
         raise DomainError(f"Hirzebruch parameter must be >= 0, got {e}")
     L = tuple(polarization) if polarization is not None else (2, e + 2)
@@ -127,6 +128,7 @@ def classify_vertical_family(
     anticanonical series from a birational model; it is only meaningful on
     degree-1 fibers, where that family has a-invariant exactly one.
     """
+    fiber_degree = _index(fiber_degree, "fiber degree")
     if not (1 <= fiber_degree <= 8):
         raise DomainError(f"fiber degree {fiber_degree} outside 1..8")
     lat = PicardLattice(9 - fiber_degree)

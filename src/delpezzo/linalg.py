@@ -279,17 +279,15 @@ def convex_hull_2d(points):
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    # the lower chain, then the upper one, each without its last point
+    hull = []
+    for run in (pts, pts[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
     if len(hull) < 2:
         return pts[:1] + pts[-1:]
     return hull

@@ -10,10 +10,9 @@ past its budget (`DEFAULT_CAP` elements by default) before it starts.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
-from .errors import DomainError, _check_budget, _index
+from .errors import DomainError, _check_budget, _index, _ints
 
 Vec = tuple[int, ...]
 
@@ -30,17 +29,13 @@ def check_cap(count: int, cap: int) -> None:
 
 
 def _check_vec(lat: "PicardLattice", v) -> Vec:
-    """The vector as a tuple of Python ints; integer types such as numpy's
-    are converted exactly, anything else raises DomainError."""
-    v = tuple(v)
+    """The vector as a tuple of Python ints, read by `errors._ints`: a bool,
+    a float or a v that is not a vector raises DomainError, as does a length
+    other than the rank."""
+    v = _ints(v, "vector has non-integer coordinates")
     if len(v) != lat.rank:
-        raise DomainError(
-            f"vector length {len(v)} does not match lattice rank {lat.rank}"
-        )
-    try:
-        return tuple(operator.index(x) for x in v)
-    except TypeError:
-        raise DomainError(f"vector {v!r} has non-integer coordinates") from None
+        raise DomainError(f"vector length {len(v)} does not match lattice rank {lat.rank}")
+    return v
 
 
 @dataclass(frozen=True)

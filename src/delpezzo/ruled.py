@@ -12,7 +12,6 @@ and check the relations only where they change.
 from __future__ import annotations
 
 import heapq
-import operator
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
@@ -26,6 +25,7 @@ from .errors import (
     ToolkitError,
     _check_budget,
     _index,
+    _ints,
     _json_document,
     _json_int,
 )
@@ -49,6 +49,9 @@ class SectionClass:
     ones k >= e; the height formula itself is total in k."""
 
     k: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", _index(self.k, "section coefficient k"))
 
 
 def section_height(m: HirzebruchModel, s: SectionClass) -> int:
@@ -74,9 +77,7 @@ class BreakResult:
 
 
 def break_section(q: int, e: int) -> BreakResult:
-    q, e = _index(q, "section height"), _index(e, "Hirzebruch parameter")
-    if e < 0:
-        raise DomainError(f"Hirzebruch parameter must be >= 0, got {e}")
+    q, e = _index(q, "section height"), HirzebruchModel(e).e
     if q < e:
         raise HeightBelowModel(
             f"height {q} lies below the minimal moving height {e}"
@@ -92,21 +93,21 @@ def break_section(q: int, e: int) -> BreakResult:
 @dataclass(frozen=True)
 class FiberTree:
     """A singular fiber: components (self_int, mult), tree adjacency, and an
-    optional marked component met by a chosen section."""
+    optional marked component met by a chosen section.  Every entry is read
+    by `errors._ints`, numpy's integers as Python ints; a bool, a float or a
+    component or edge that is not a pair raises DomainError."""
 
     components: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int], ...]
     marked: int | None = None
 
     def __post_init__(self):
-        # entries are stored as Python ints; numpy's integers convert exactly
-        try:
-            comps = tuple((operator.index(s), operator.index(m)) for s, m in self.components)
-            edges = [(operator.index(i), operator.index(j)) for i, j in self.edges]
-            if self.marked is not None:
-                object.__setattr__(self, "marked", operator.index(self.marked))
-        except (TypeError, ValueError):
-            raise DomainError("fiber tree entries must be integers, in pairs") from None
+        what = "fiber tree entries must be integers, in pairs"
+        comps, edges = _ints(self.components, what, 2), _ints(self.edges, what, 2)
+        if any(len(pair) != 2 for pair in comps + edges):
+            raise DomainError(what)
+        if self.marked is not None:
+            object.__setattr__(self, "marked", _ints((self.marked,), what)[0])
         object.__setattr__(self, "components", comps)
         n = len(comps)
         # faults of the edge list that its neighbour sets cannot show
@@ -216,22 +217,29 @@ def _tree(comps, adjacent, live, marked) -> FiberTree:
 
 
 def _blow_up(comps: list, adjacent: list, target) -> tuple[int, ...]:
-    """Blow up a valid tree in place, returning the touched components; see
-    `blow_up_fiber`.  Only they and the new one are checked: given a valid
-    tree, that is the whole-tree check."""
-    new = len(comps)
+    """Blow up a valid tree in place at `target`, read as `blow_up_fiber`
+    reads it, returning the touched components (`_blow_up_at`)."""
     try:
-        touched = (operator.index(target),)
-        if not (0 <= touched[0] < new):
-            raise DomainError(f"component index {target} out of range")
-    except TypeError:
+        touched = (_index(target, "component index"),)
+    except DomainError:  # an edge, or neither
         try:
-            i, j = map(operator.index, target)
-        except (TypeError, ValueError):
+            i, j = _ints(target, "edge")
+        except (DomainError, ValueError):
             raise DomainError(f"target {target!r} is neither index nor edge") from None
         touched = (min(i, j), max(i, j))
-        if not (0 <= touched[0] < new and touched[1] in adjacent[touched[0]]):
+        if not (0 <= touched[0] < len(comps) and touched[1] in adjacent[touched[0]]):
             raise DomainError(f"edge {touched} not present")
+    if not (0 <= touched[0] < len(comps)):  # always true of an edge present
+        raise DomainError(f"component index {target} out of range")
+    return _blow_up_at(comps, adjacent, touched)
+
+
+def _blow_up_at(comps: list, adjacent: list, touched: tuple[int, ...]) -> tuple[int, ...]:
+    """Blow up a valid tree in place at one component (touched: its index)
+    or at an edge (touched: its two ends), returning touched.  Only
+    they and the new component are checked: given a valid tree, that is the
+    whole-tree check."""
+    new = len(comps)
     mult = 0
     for b in touched:
         s, m = comps[b]
@@ -346,6 +354,8 @@ class NormalBundleType:
     b: int
 
     def __post_init__(self):
+        object.__setattr__(self, "a", _index(self.a, "normal bundle degree a"))
+        object.__setattr__(self, "b", _index(self.b, "normal bundle degree b"))
         if self.a > self.b:
             raise DomainError(f"normal bundle type needs a <= b, got ({self.a}, {self.b})")
 
@@ -358,6 +368,7 @@ def glue_normal_bundle(nb: NormalBundleType, vertical_degree: int) -> NormalBund
     """Splitting type after smoothing the union with a vertical cubic or
     quartic through the section.  Quartics are assumed generic (restricted
     tangent bundle O(2) + O(2)); the table is undefined past near-balanced."""
+    vertical_degree = _index(vertical_degree, "vertical degree")
     if vertical_degree not in (3, 4):
         raise DomainError(f"vertical degree must be 3 or 4, got {vertical_degree}")
     gap = nb.b - nb.a
@@ -386,6 +397,7 @@ def reachable_balanced_heights(
     parity-appropriate balanced or near-balanced type; a gap would contradict
     the stabilization claim and raises ToolkitError.
     """
+    h_max = _index(h_max, "h_max")
     if start.b - start.a > 1:
         raise DomainError("start must be balanced or near-balanced")
     if h_max < start.height:
@@ -405,11 +417,7 @@ def reachable_balanced_heights(
                     nxt.append(out)
         frontier = nxt
     for h in range(start.height + 6, h_max + 1):
-        want = (
-            NormalBundleType(h // 2, h // 2)
-            if h % 2 == 0
-            else NormalBundleType((h - 1) // 2, (h + 1) // 2)
-        )
+        want = NormalBundleType(h // 2, (h + 1) // 2)
         if (h, want) not in seen:
             raise ToolkitError(
                 f"height {h} lacks the balanced type {want}; "
@@ -426,11 +434,9 @@ FUZZ_BUDGET = 2**15
 
 
 def check_fuzz_budget(count: int, depth: int) -> tuple[int, int]:
-    """(count, depth) as ints >= 1, else DomainError; CapExceeded past FUZZ_BUDGET."""
-    try:
-        count, depth = operator.index(count), operator.index(depth)
-    except TypeError:
-        raise DomainError(f"count {count!r} and depth {depth!r} must be integers") from None
+    """(count, depth) as Python ints >= 1, read by `errors._ints`, else
+    DomainError; CapExceeded past FUZZ_BUDGET."""
+    count, depth = _ints((count, depth), "count and depth must be integers")
     if count < 1 or depth < 1:
         raise DomainError("count and depth must be positive")
     _check_budget(count * depth, FUZZ_BUDGET, f"--trials {count} x --depth {depth} is past "
@@ -460,11 +466,11 @@ def fuzz_blow_up_sequences(count: int = 1000, depth: int = 8, seed: int = 0) -> 
         comps, adjacent, edges = [(0, 1)], [set()], []
         minus_one, unit_minus_one = set(), set()  # and those of multiplicity 1
         for _ in range(rng.randint(1, depth)):
+            # a live edge or component: valid by construction, so not read again
             if len(comps) > 1 and rng.random() < 0.5:
-                target = edges.pop(rng.randrange(len(edges)))
+                touched = _blow_up_at(comps, adjacent, edges.pop(rng.randrange(len(edges))))
             else:
-                target = rng.randrange(len(comps))
-            touched = _blow_up(comps, adjacent, target)
+                touched = _blow_up_at(comps, adjacent, (rng.randrange(len(comps)),))
             new = len(comps) - 1
             for b in touched:
                 insort(edges, (b, new))

@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     _check_budget,
     _index,
+    _ints,
     _json_bool,
     _json_document,
     _json_field,
@@ -39,14 +40,15 @@ from .picard import Vec
 class NefConeEta:
     """Nef cone of curves of the generic fiber, in the integral coordinates
     of the ambient total-space curve lattice, with its height covector; every
-    entry is read as a Python int, and a float raises DomainError."""
+    entry is read by `errors._ints`, and a bool, a float or a cone that is not
+    a list of vectors raises DomainError."""
 
     generators: tuple[Vec, ...]
     height: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "height", tuple(_index(x, "height entry") for x in self.height))
-        rows = tuple(tuple(_index(x, "generator entry") for x in g) for g in self.generators)
+        object.__setattr__(self, "height", _ints(self.height, "height entry must be an integer"))
+        rows = _ints(self.generators, "generator entry must be an integer", 2)
         object.__setattr__(self, "generators", rows)
         dim = len(self.height)
         if not self.generators:
@@ -74,6 +76,11 @@ class FibrationProfile:
     transcription_note: str = ""
 
     def __post_init__(self):
+        for name in ("fiber_degree", "rho_eta", "neg", "brauer_order", "num_profiles",
+                     "lattice_index"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        object.__setattr__(self, "maxdef_table", _ints(
+            self.maxdef_table, "maxdef table entry must be an integer", 2))
         if not (1 <= self.fiber_degree <= 8):
             raise DomainError(f"fiber degree {self.fiber_degree} outside 1..8")
         if self.rho_eta < 1:
@@ -198,6 +205,7 @@ def non_dominant_threshold(p: FibrationProfile) -> int:
 def maxdef_height_bound(p: FibrationProfile, d: int, n: int) -> int:
     """Minimal height d + 3n - maxdef(d) of a broken curve whose section core
     has height d and which passes through n general points."""
+    d, n = _index(d, "height d"), _index(n, "point count n")
     table = p.maxdef
     if d not in table:
         raise DomainError(f"height {d} has no section data in the profile table")
@@ -306,7 +314,7 @@ def monotone_corners(oracle, c: int, box) -> list[Vec]:
     DomainError, as does a bound that is not an integer, and a box of more
     than CORNER_BUDGET cells raises CapExceeded, before any oracle call.
     """
-    box = tuple(_index(b, "box bound") for b in box)
+    box = _ints(box, "box bound must be an integer")
     if any(b < 0 for b in box):
         raise DomainError(f"box bounds must be >= 0, got {box}")
     cells = math.prod(b + 1 for b in box)

@@ -37,13 +37,12 @@ a bound on its values.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
 
 from . import curves
-from .errors import DomainError, NotFound, ToolkitError, _index
+from .errors import DomainError, NotFound, ToolkitError, _index, _ints
 from .linalg import _exact_dtype, _exact_operands, integer_kernel, np
 # WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
 from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, check_cap  # noqa: F401
@@ -103,20 +102,6 @@ def weyl_generators(lat: PicardLattice) -> list[Matrix]:
         validate_isometry(lat, M)
         out.append(M)
     return out
-
-
-def _as_matrix(g) -> Matrix:
-    """A generator as a tuple of rows of Python ints.  Raises DomainError
-    unless it is a nonempty square matrix of integers within int8."""
-    try:
-        rows = tuple(tuple(operator.index(x) for x in row) for row in g)
-    except TypeError:
-        raise DomainError("generator entries must be integers") from None
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise DomainError("generator is not a nonempty square matrix")
-    if any(not -128 <= x <= 127 for row in rows for x in row):
-        raise DomainError("generator entry outside int8")
-    return rows
 
 
 _ACTION_ROWS = 1 << 15
@@ -285,12 +270,16 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     The products the closure forms are checked to stay within int8; the
     last step's cosets are formed, and checked, when `elements` is read.
     """
-    mats = list(dict.fromkeys(_as_matrix(g) for g in gens))
+    mats = list(dict.fromkeys(_ints(gens, "generator entries must be integers", 3)))
     if not mats:
         raise DomainError("generate_group needs at least one generator")
     rank = len(mats[0])
     if any(len(m) != rank for m in mats):
         raise DomainError("generators have different ranks")
+    if not rank or any(len(row) != rank for m in mats for row in m):
+        raise DomainError("generator is not a nonempty square matrix")
+    if any(not -128 <= x <= 127 for m in mats for row in m for x in row):
+        raise DomainError("generator entry outside int8")
     arr = np.array(mats, dtype=np.int8)
     inverses = [_inverse(g, cap) for g in arr]
     table = eye = np.eye(rank, dtype=np.int8)[None]

@@ -17,7 +17,22 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from delpezzo import counting, list_shipped_profiles, load_profile, threshold_report
+from delpezzo import (
+    NormalBundleType,
+    a_invariant,
+    break_section,
+    counting,
+    fuzz_blow_up_sequences,
+    hirzebruch_polarized,
+    larger_a_locus,
+    list_shipped_profiles,
+    load_profile,
+    make_lattice,
+    nef_classes_of_height,
+    polarized_del_pezzo,
+    reachable_balanced_heights,
+    threshold_report,
+)
 from delpezzo.counting import alpha, convergence_report
 from delpezzo.errors import DomainError
 from test_counting import _random_model, _seeded_cones
@@ -71,6 +86,17 @@ def _convergence_reports():
     ]
 
 
+def _balanced_heights():
+    """The glued heights from (1, 1) and (1, 2) up to 40, as sorted (h, a, b),
+    and break_section over q = 0..9, e = 0..4 (None where it refuses)."""
+    reached = [
+        sorted((h, nb.a, nb.b) for h, nb in reachable_balanced_heights(NormalBundleType(*ab), 40))
+        for ab in ((1, 1), (1, 2))
+    ]
+    parts = [_refused(break_section, q, e) for q in range(10) for e in range(5)]
+    return reached, [None if r is None else (r.rigid, r.movable, r.residual) for r in parts]
+
+
 RESULTS = {
     "alpha.values": lambda: [None if a is None else a.value for _, a in _alphas()],
     "alpha.triangulations.rank1": lambda: _triangulations(1),
@@ -80,6 +106,17 @@ RESULTS = {
         _refused(counting._slice_facets, g, h) for g, h in _seeded_cones(29, 800)
     ],
     "counting.convergence_reports": _convergence_reports,
+    "curves.nef_classes_of_height": lambda: [
+        nef_classes_of_height(make_lattice(n), h) for h in (1, 2, 3) for n in range(2, 9)
+    ],
+    "fujita.a_invariants": lambda: [
+        a_invariant(polarized_del_pezzo(make_lattice(n))) for n in range(9)
+    ] + [a_invariant(hirzebruch_polarized(e, (1, e + 1))) for e in range(5)],
+    "fujita.larger_a_locus": lambda: [larger_a_locus(make_lattice(n)) for n in range(9)],
+    "ruled.balanced_heights": _balanced_heights,
+    "ruled.fuzz_reports": lambda: [
+        fuzz_blow_up_sequences(200, depth, seed) for depth in (8, 16) for seed in range(10)
+    ],
     "thresholds.threshold_reports": lambda: [
         threshold_report(load_profile(name)) for name in list_shipped_profiles()
     ],

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,25 +7,38 @@ import pytest
 from delpezzo import (
     CapExceeded,
     DomainError,
+    FiberTree,
     HirzebruchModel,
+    NefConeEta,
+    NormalBundleType,
     PolarizedSurface,
+    SectionClass,
     a_invariant,
+    alpha,
     break_fiber_class,
     break_section,
     check_cap,
+    classify_vertical_family,
     count_exact,
     default_model,
+    fuzz_blow_up_sequences,
     generate_group,
+    glue_normal_bundle,
+    hirzebruch_polarized,
+    is_nef,
     load_profile,
     make_lattice,
+    maxdef_height_bound,
     minimal_moving_height,
     monotone_corners,
     nef_classes_of_height,
+    pair,
+    reachable_balanced_heights,
     trivial_group,
     weyl_generators,
 )
 from delpezzo import counting, curves
-from delpezzo.errors import _check_budget, _json_rational
+from delpezzo.errors import _check_budget, _ints, _json_rational
 from delpezzo.ruled import FUZZ_BUDGET, check_fuzz_budget
 
 
@@ -149,9 +163,77 @@ def test_degenerate_inputs_are_refused(call, words):
         call()
 
 
+_LAT3, _C3 = make_lattice(3), (3, -1, -1, -1)
+_PENCIL = load_profile("cubic-pencil")
+
+# (call, the message it must raise): a bool, a float, None or a non-iterable
+# where an integer or a vector is meant, each read by `errors._index` or
+# `errors._ints`
+_NOT_INTEGERS = {
+    "make-lattice-bool": (lambda: make_lattice(True), "blow-up count must be an integer"),
+    "pair-bool": (lambda: pair(_LAT3, (True, 0, 0, 0), _C3), "non-integer coordinates"),
+    "pair-none": (lambda: pair(_LAT3, None, _C3), "non-integer coordinates"),
+    "is-nef-int": (lambda: is_nef(_LAT3, 5), "non-integer coordinates"),
+    "section-class": (lambda: SectionClass(1.5), "section coefficient k must be an integer"),
+    "normal-bundle": (lambda: NormalBundleType(1.5, 2), "degree a must be an integer"),
+    "reachable-h-max": (
+        lambda: reachable_balanced_heights(NormalBundleType(1, 1), 10.5),
+        "h_max must be an integer",
+    ),
+    "glue-vertical-degree": (
+        lambda: glue_normal_bundle(NormalBundleType(1, 1), 3.0),
+        "vertical degree must be an integer",
+    ),
+    "profile-brauer-order": (
+        lambda: dataclasses.replace(_PENCIL, brauer_order=1.5),
+        "brauer_order must be an integer",
+    ),
+    "profile-neg": (lambda: dataclasses.replace(_PENCIL, neg=-1.5), "neg must be an integer"),
+    "maxdef-height-bound": (
+        lambda: maxdef_height_bound(_PENCIL, -1, 2.5), "point count n must be an integer"
+    ),
+    "hirzebruch-bool": (
+        lambda: hirzebruch_polarized(True), "Hirzebruch parameter must be an integer"
+    ),
+    "classify-fiber-degree": (
+        lambda: classify_vertical_family((1, 0, 0, 0, 0, 0, 0), 3.0),
+        "fiber degree must be an integer",
+    ),
+    "fuzz-bool": (lambda: fuzz_blow_up_sequences(True, 2), "must be integers"),
+    "fiber-tree-bool": (
+        lambda: FiberTree(((0, True),), ()), "fiber tree entries must be integers, in pairs"
+    ),
+    "generate-group-bool": (
+        lambda: generate_group([((True, 0), (0, True))]), "generator entries must be integers"
+    ),
+    "alpha-none": (lambda: alpha(None, (1,)), "generator entry must be an integer"),
+    "nef-cone-none": (lambda: NefConeEta(None, (1,)), "generator entry must be an integer"),
+    "corners-none": (
+        lambda: monotone_corners(lambda w: 0, 1, None), "box bound must be an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, words", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS)
+def test_integer_reads_refuse_what_is_not_an_integer(call, words):
+    with pytest.raises(DomainError, match=re.escape(words)):
+        call()
+
+
 def test_integer_reads_keep_python_ints():
     assert trivial_group(np.int64(1)).order == 1
     assert type(HirzebruchModel(np.int64(2)).e) is int
     parts = break_section(np.int64(5), np.int8(1))
     assert (parts.rigid, parts.movable) == (3, 2)
     assert all(type(x) is int for x in (parts.rigid, parts.movable))
+    # vectors and matrices come back as Python ints through `_ints`
+    u, v = np.array([1, 0, -1, 0], dtype=np.int64), np.array(_C3, dtype=np.int64)
+    assert type(pair(_LAT3, u, v)) is int and pair(_LAT3, u, v) == pair(_LAT3, (1, 0, -1, 0), _C3)
+    rows = _ints(np.array([[1, 2], [3, 4]], dtype=np.int8), "m", 2)
+    assert rows == ((1, 2), (3, 4)) and {type(x) for row in rows for x in row} == {int}
+    assert type(SectionClass(np.int64(2)).k) is int
+    nb = NormalBundleType(np.int64(1), np.int16(2))
+    assert nb == NormalBundleType(1, 2) and type(nb.a) is type(nb.b) is int
+    profile = dataclasses.replace(_PENCIL, neg=np.int64(-1), maxdef_table=np.array([[-1, 1]]))
+    assert profile == _PENCIL and type(profile.neg) is int
+    assert {type(x) for row in profile.maxdef_table for x in row} == {int}
