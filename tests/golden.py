@@ -21,17 +21,26 @@ from delpezzo import (
     NormalBundleType,
     a_invariant,
     break_section,
+    conic_bundle_extension_analysis,
     counting,
+    enumerate_conic_classes,
+    enumerate_cubic_classes,
+    enumerate_neg_one_curves,
+    find_diagonal_cubic_subgroup,
     fuzz_blow_up_sequences,
+    generate_group,
     hirzebruch_polarized,
+    invariant_sublattice,
     larger_a_locus,
     list_shipped_profiles,
     load_profile,
     make_lattice,
     nef_classes_of_height,
     polarized_del_pezzo,
+    orbits_under_generators,
     reachable_balanced_heights,
     threshold_report,
+    weyl_generators,
 )
 from delpezzo.counting import alpha, convergence_report
 from delpezzo.errors import DomainError
@@ -97,6 +106,25 @@ def _balanced_heights():
     return reached, [None if r is None else (r.rigid, r.movable, r.residual) for r in parts]
 
 
+def _orbit_partitions():
+    """Orbits of W(E_n) on lines, conics and cubics, n = 2..8."""
+    out = []
+    for n in range(2, 9):
+        lat = make_lattice(n)
+        cubics = [c for c, _ in enumerate_cubic_classes(lat)]
+        for classes in (enumerate_neg_one_curves(lat), enumerate_conic_classes(lat), cubics):
+            out.append(orbits_under_generators(weyl_generators(lat), classes).orbits)
+    return out
+
+
+def _diagonal_cubic():
+    """The diagonal-cubic subgroup of W(E6): its sorted element table and its
+    invariant sublattice."""
+    lat = make_lattice(6)
+    sub = find_diagonal_cubic_subgroup(generate_group(weyl_generators(lat)), lat)
+    return sub.elements.tolist(), invariant_sublattice(sub, lat)
+
+
 RESULTS = {
     "alpha.values": lambda: [None if a is None else a.value for _, a in _alphas()],
     "alpha.triangulations.rank1": lambda: _triangulations(1),
@@ -120,6 +148,9 @@ RESULTS = {
     "thresholds.threshold_reports": lambda: [
         threshold_report(load_profile(name)) for name in list_shipped_profiles()
     ],
+    "weyl.conic_bundle_report": conic_bundle_extension_analysis,
+    "weyl.diagonal_cubic_subgroup": _diagonal_cubic,
+    "weyl.orbit_partitions": _orbit_partitions,
 }
 
 
