@@ -51,13 +51,14 @@ class PolarizedSurface:
     nef_rays: tuple[Vec, ...] | None = None
 
     def __post_init__(self):
-        r = len(self.gram)
+        r = None
         for name in ("gram", "canonical", "eff_generators", "polarization", "nef_rays"):
             one, rows = name in ("canonical", "polarization"), getattr(self, name)
-            if rows is None:
+            if rows is None and name == "nef_rays":
                 continue
             what = f"polarized surface {name} has a non-integer entry"
             rows = (_ints(rows, what),) if one else _ints(rows, what, 2)
+            r = len(rows) if r is None else r  # the gram's, read first
             if any(len(v) != r for v in rows):
                 raise DomainError(f"polarized surface {name} does not match rank {r}")
             object.__setattr__(self, name, rows[0] if one else rows)

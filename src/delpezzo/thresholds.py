@@ -81,6 +81,10 @@ class FibrationProfile:
             object.__setattr__(self, name, _index(getattr(self, name), name))
         object.__setattr__(self, "maxdef_table", _ints(
             self.maxdef_table, "maxdef table entry must be an integer", 2))
+        if any(len(row) != 2 for row in self.maxdef_table):
+            raise DomainError("maxdef table rows must be (height, value) pairs")
+        if not isinstance(self.nef_cone_eta, NefConeEta):
+            raise DomainError(f"nef_cone_eta must be a NefConeEta, got {self.nef_cone_eta!r}")
         if not (1 <= self.fiber_degree <= 8):
             raise DomainError(f"fiber degree {self.fiber_degree} outside 1..8")
         if self.rho_eta < 1:

@@ -15,24 +15,25 @@ refuses writes none.  The closure keeps its last step: the subgroup's table
 and the coset representatives, whose count gives the order.  The group's own
 table, a read-only int8 array of its elements sorted by their row-major
 bytes, is written on first access to `FiniteGroup.elements`, each element
-once.  Products are formed a chunk at a time (`_product_chunks`).
-The closure is budgeted, so one that would pass the cap raises CapExceeded
-instead of thrashing memory, and the blow-up-count-8 Weyl group (order
-696729600, see `WEYL_ORDERS`) is refused by default.  `_permutation_action`
-maps matrices to the permutations they induce on a finite class set, keyed
-by the same helpers, and `_orbit_labels` reads orbits off such permutations,
-so `orbits_under_generators` works for groups too large to materialize.  The
-two subgroup searches compute their permutation tables once and read every
-group question off rows of them, orbit sizes through `_orbit_sizes`: the
-diagonal-cubic search off the actions on lines and on conics of the order-3
-elements of W(E6), found by cubes of the coset products h x whose trace
-admits order 3, with no table written; the conic bundle analysis off left
-multiplication by the 33 elements it reads of the signed permutation group
-on 4 letters (4 x 4 matrices, every permutation with every sign; products
-looked up in its table), whose subgroups are orbits of the identity, 256
-labelled at once, and off its action on sign vectors.  Every product, cube
-and image is exact by the one rule of `linalg`, which picks its dtype from
-a bound on its values.
+once.  The kernels share one working-set bound, `_BLOCK` entries: products
+(`_product_chunks`), class images, cubes and orbit labels are formed a block
+at a time.  The closure is budgeted, so one that would pass the cap raises
+CapExceeded instead of thrashing memory, and the blow-up-count-8 Weyl group
+(order 696729600, see `WEYL_ORDERS`) is refused by default.
+`_permutation_action` maps matrices to the permutations they induce on a
+finite class set, keyed by the same helpers, and `_orbit_labels` reads orbits
+off such permutations, so `orbits_under_generators` works for groups too
+large to materialize.  The two subgroup searches compute their permutation
+tables once and read every group question off rows of them, orbit sizes
+through `_orbit_sizes`: the diagonal-cubic search off the actions on lines
+and on conics of the order-3 elements of W(E6), found by cubes of the coset
+products h x whose trace admits order 3, with no table written; the conic
+bundle analysis off left multiplication by the 33 elements it reads of the
+signed permutation group on 4 letters (4 x 4 matrices, every permutation with
+every sign; products looked up in its table), whose subgroups are orbits of
+the identity, the 256 candidates labelled a block at a time, and off its
+action on sign vectors.  Every product, cube and image is exact by the one
+rule of `linalg`, which picks its dtype from a bound on its values.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
     """Check M preserves the pairing and fixes the canonical class: two exact
     products (`linalg._exact_operands`), G folded into the columns of M and
     into K, then M^T G M and M^T G K.  G is unimodular, so once M^T G M = G,
-    M K = K holds exactly when M^T G K = G K."""
-    r = lat.rank
+    M K = K holds exactly when M^T G K = G K.  M is read by `errors._ints`."""
+    r, M = lat.rank, _ints(M, "isometry entries must be integers", 2)
     if len(M) != r or any(len(row) != r for row in M):
         raise DomainError(f"matrix shape does not match rank {r}")
     G, C = _exact_operands(lat.gram, [*zip(*M), lat.canonical], "isometry check")
@@ -104,8 +105,10 @@ def weyl_generators(lat: PicardLattice) -> list[Matrix]:
     return out
 
 
-_ACTION_ROWS = 1 << 15
-_PRODUCT_ENTRIES = 1 << 22
+# the one working-set bound of the kernels: a chunk of products, a block of
+# class images, of cubes or of labelled candidates holds at most this many
+# entries, or one row where a row alone holds more
+_BLOCK = 1 << 15
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -166,14 +169,14 @@ def _product_chunks(left: np.ndarray, right: np.ndarray):
     stacks of square matrices of one rank.  The right factors are laid side by
     side, so each chunk is one matrix product, exact by the rule of `linalg`
     for the bound rank * 128 * 128 on its partial sums.  A chunk holds at most
-    2**22 output entries, however many right factors there are.  Raises
-    ToolkitError for an entry outside int8."""
+    `_BLOCK` output entries, or one left factor's products where those alone
+    are more.  Raises ToolkitError for an entry outside int8."""
     m, rank = len(right), right.shape[-1]
     exact = _exact_dtype(rank * 128 * 128, "group product")
     # R[i, b * rank + j] = right[b][i][j]: block b of the columns of x @ R is
     # x @ right[b]
     R = right.transpose(1, 0, 2).reshape(rank, m * rank).astype(exact)
-    step = max(1, _PRODUCT_ENTRIES // max(1, m * rank * rank))
+    step = max(1, _BLOCK // max(1, m * rank * rank))
     for lo in range(0, len(left), step):
         chunk = left[lo : lo + step]
         P = chunk.reshape(-1, rank).astype(exact) @ R
@@ -334,11 +337,11 @@ def _permutation_action(mats, classes) -> np.ndarray:
     """Permutations induced on a closed class set, one int32 row per matrix.
 
     Row g maps class index k to the index of mats[g] @ classes[k].  Images
-    are exact products by the rule of `linalg`, at most 2**15 rows at a time;
-    classes and images are keyed by the bytes of their int64 rows (`_row_keys`,
-    sorted, then searched with `_find`).  Raises DomainError for an input that
-    could leave int64 (before any product), duplicate classes or an image
-    outside the set.
+    are exact products by the rule of `linalg`, at most `_BLOCK` entries at a
+    time; classes and images are keyed by the bytes of their int64 rows
+    (`_row_keys`, sorted, then searched with `_find`).  Raises DomainError for
+    an input that could leave int64 (before any product), duplicate classes
+    or an image outside the set.
     """
     mats, arr = _exact_operands(mats, classes, "class images")
     k, r = arr.shape
@@ -353,8 +356,9 @@ def _permutation_action(mats, classes) -> np.ndarray:
     keys = keys[order]  # sorted, and the unsorted copy of the classes is freed
     if (keys[1:] == keys[:-1]).any():
         raise DomainError("class set contains duplicates")
-    step = min(k, _ACTION_ROWS)
-    per = max(1, _ACTION_ROWS // step)
+    images = max(1, _BLOCK // r)
+    step = min(k, images)
+    per = max(1, images // step)
     mats_t = mats.transpose(0, 2, 1)
     for lo in range(0, k, step):
         rows = arr[lo : lo + step]
@@ -449,13 +453,13 @@ def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
 
 def _order3_indices(elems: np.ndarray) -> np.ndarray:
     """Indices, in table order, of the int8 matrices M with M^3 = I != M, by
-    cubes over blocks of 4096 matrices, exact by the rule of `linalg` for
+    cubes over blocks of `_BLOCK` entries, exact by the rule of `linalg` for
     the bound rank**2 * 128**3 on their entries."""
     exact = _exact_dtype(elems.shape[-1] ** 2 * 128**3, "order-3 test")
     eye = np.eye(elems.shape[-1])
-    found = []
-    for lo in range(0, len(elems), 4096):
-        M = elems[lo : lo + 4096].astype(exact)
+    found, step = [], max(1, _BLOCK // elems.shape[-1] ** 2)
+    for lo in range(0, len(elems), step):
+        M = elems[lo : lo + step].astype(exact)
         hit = ((M @ M @ M) == eye).all(axis=(1, 2)) & ~(M == eye).all(axis=(1, 2))
         found.append(lo + np.flatnonzero(hit))
     return np.concatenate(found)
@@ -588,10 +592,11 @@ def conic_bundle_extension_analysis() -> dict:
     sign vectors are computed once, as permutation tables (`_left_table`,
     `_permutation_action`).  Each candidate G and complement is the orbit of
     the identity under left multiplication by its generators: one
-    `_orbit_labels` call labels all 256 candidates G, each on its own copy of
-    the elements, and one the complements of each G found.  The orbits of G
-    on sign vectors are those of its generators' rows (`_orbit_sizes`);
-    sigma is central when its row of left matches the 384 products e sigma.
+    `_orbit_labels` call labels a block of candidates G, each on its own copy
+    of the elements, in the narrowest dtype that holds the block's positions,
+    and one the complements of each G found.  The orbits of G on sign vectors
+    are those of its generators' rows (`_orbit_sizes`); sigma is central when
+    its row of left matches the 384 products e sigma.
     """
     elems, lifts = _signed_perm_table()
     perms = list(permutations(range(4)))
@@ -602,17 +607,26 @@ def conic_bundle_extension_analysis() -> dict:
     )
     # row i of left is lifts_t[i], row 16 + j is lifts_c[j], and row 32 sigma
     left = _left_table(elems, np.concatenate((lifts_t, lifts_c, [sigma])))
+    left = left.astype(np.min_scalar_type(len(elems)))
     signs = _permutation_action(elems, list(product((-1, 1), repeat=4)))
     sigma_central = bool((elems[left[32]] == _products(elems, elems[[sigma]])[:, 0]).all())
 
     def generated(*axes) -> np.ndarray:
         """Bool rows: for each choice of one row of left per axis, in the
         order of `product`, the members of the group they generate, the orbit
-        of the identity, labelled on copy k of the elements for choice k."""
+        of the identity.  A block of choices is labelled at once, choice k of
+        the block on copy k of the elements, in a dtype that holds the
+        block's positions."""
         gens = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
-        copies = len(elems) * np.arange(gens.shape[1])[:, None]
-        label = _orbit_labels((left[gens] + copies).reshape(len(axes), -1)).reshape(-1, len(elems))
-        return label == label[:, [one]]
+        n, out = len(elems), []
+        per = max(1, _BLOCK // (len(axes) * n))
+        for lo in range(0, gens.shape[1], per):
+            block = left[gens[:, lo : lo + per]]
+            k = block.shape[1]
+            block = block + n * np.arange(k, dtype=np.min_scalar_type(n * k))[:, None]
+            label = _orbit_labels(block.reshape(len(axes), -1)).reshape(k, n)
+            out.append(label == label[:, [one]])
+        return np.concatenate(out)
 
     found: dict[bytes, dict] = {}
     candidates = generated(range(16), range(16, 32), [32])

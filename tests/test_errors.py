@@ -35,6 +35,7 @@ from delpezzo import (
     pair,
     reachable_balanced_heights,
     trivial_group,
+    validate_isometry,
     weyl_generators,
 )
 from delpezzo import counting, curves
@@ -216,6 +217,35 @@ _NOT_INTEGERS = {
 
 @pytest.mark.parametrize("call, words", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS)
 def test_integer_reads_refuse_what_is_not_an_integer(call, words):
+    with pytest.raises(DomainError, match=re.escape(words)):
+        call()
+
+
+# (call, the message it must raise): a None or a row of the wrong length
+# where a matrix, a table or a cone is meant, each refused with DomainError
+# before any entry is used
+_MALFORMED = {
+    "isometry-none": (
+        lambda: validate_isometry(make_lattice(2), None), "isometry entries must be integers"
+    ),
+    "polarized-gram-none": (
+        lambda: PolarizedSurface(gram=None, canonical=(-2, -3), eff_generators=((1, 0), (0, 1)),
+                                 polarization=(2, 3)),
+        "polarized surface gram has a non-integer entry",
+    ),
+    "maxdef-row-not-a-pair": (
+        lambda: dataclasses.replace(_PENCIL, maxdef_table=((-1,),)),
+        "maxdef table rows must be (height, value) pairs",
+    ),
+    "nef-cone-eta-none": (
+        lambda: dataclasses.replace(_PENCIL, nef_cone_eta=None),
+        "nef_cone_eta must be a NefConeEta",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, words", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_inputs_are_domain_errors(call, words):
     with pytest.raises(DomainError, match=re.escape(words)):
         call()
 

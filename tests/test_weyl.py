@@ -35,6 +35,7 @@ from delpezzo import (
 from delpezzo.picard import DEFAULT_CAP
 from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
+    _BLOCK,
     FiniteGroup,
     _coset_table,
     _left_table,
@@ -424,6 +425,30 @@ def test_diagonal_search_writes_no_table(diag_subgroup, lat6):
     assert found.elements.tobytes() == diag_subgroup.elements.tobytes()
 
 
+def _peak(f, *args) -> int:
+    """The tracemalloc peak of f(*args) in bytes; numpy reports its buffers to
+    tracemalloc, so the peak covers the arrays."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_peaks(lat6):
+    # every kernel forms at most one block of _BLOCK entries at a time: the
+    # 256 conic-bundle candidates labelled at once took 12.8 MB, the
+    # diagonal search on a fresh W(E6) 3.3 MB, and the images of the 800
+    # elements of order 3 on the 27 lines in one block 2.9 MB
+    group = generate_group(weyl_generators(lat6))
+    cand, lines = _order3_elements(group), enumerate_neg_one_curves(lat6)
+    assert len(cand) == 800 and len(lines) == 27
+    assert _peak(conic_bundle_extension_analysis) < 2 * 2**20
+    assert _peak(find_diagonal_cubic_subgroup, group, lat6) < 1.5 * 2**20
+    assert _peak(_permutation_action, cand, lines) < 1 * 2**20
+
+
 def test_trivial_group():
     group = trivial_group(4)
     assert group.order == 1 and group.generators == ()
@@ -758,11 +783,18 @@ def test_left_table_empty_rows():
     assert left.shape == (0, 384)
 
 
+def _candidate_blocks(labellings):
+    """The leading labellings of the conic-bundle analysis: the blocks that
+    label its 256 candidates <a, b, sigma>, three generator rows each, up to
+    the first labelling of complements, which has two."""
+    return list(itertools.takewhile(lambda perms: len(perms) == 3, labellings))
+
+
 def test_union_labelling_matches_separate_calls(monkeypatch):
     # copies of B4 side by side, each generator row of copy k offset by
     # k * 384: one labelling of the union is, copy by copy, the labelling of
-    # each generator set alone; first on seeded sets, then on the union the
-    # analysis labels
+    # each generator set alone; first on seeded sets, then on each block the
+    # analysis labels, whose copies are the 256 candidates in scan order, once
     elems = generate_group(_signed_perm_gens(), cap=384).elements
     left, n = _left_table(elems), len(elems)
     rng = np.random.default_rng(2024)
@@ -780,19 +812,25 @@ def test_union_labelling_matches_separate_calls(monkeypatch):
 
     monkeypatch.setattr("delpezzo.weyl._orbit_labels", record)
     conic_bundle_extension_analysis()
-    union = calls[0].reshape(3, 256, n) - n * np.arange(256)[:, None]
-    label = _orbit_labels(calls[0]).reshape(256, n) - n * np.arange(256)[:, None]
     scan = _conic_bundle_scan_rows()
-    for k, (a, b) in enumerate(itertools.product(scan[:16], scan[16:32])):
-        assert (union[:, k] == left[[a, b, scan[32]]]).all()
-        assert (label[k] == _orbit_labels(left[[a, b, scan[32]]])).all()
+    choices = [left[[a, b, scan[32]]] for a, b in itertools.product(scan[:16], scan[16:32])]
+    k = 0
+    for perms in _candidate_blocks(calls):
+        label = _orbit_labels(perms)
+        for j in range(perms.shape[1] // n):
+            cols = slice(j * n, (j + 1) * n)
+            assert (perms[:, cols] - j * n == choices[k]).all()
+            assert (label[cols] - j * n == _orbit_labels(choices[k])).all()
+            k += 1
+    assert k == len(choices) == 256
 
 
 def test_conic_bundle_reads_only_its_rows(monkeypatch):
     # the analysis multiplies by the table only the 33 rows it reads, and
-    # sigma's centrality costs the 384 products e sigma more; one
-    # labelling closes the 256 candidates, and each of the 16 subgroups found
-    # takes one for its complements and one for its orbits on sign vectors
+    # sigma's centrality costs the 384 products e sigma more; blocks of at
+    # most _BLOCK entries label the 256 candidates, each once, and each of
+    # the 16 subgroups found takes one labelling for its complements and one
+    # for its orbits on sign vectors
     products, labellings = [], []
 
     def record_products(left, right, out=None):
@@ -800,15 +838,17 @@ def test_conic_bundle_reads_only_its_rows(monkeypatch):
         return _products(left, right, out)
 
     def record_labels(perms):
-        labellings.append(perms.shape)
+        labellings.append(perms)
         return _orbit_labels(perms)
 
     monkeypatch.setattr("delpezzo.weyl._products", record_products)
     monkeypatch.setattr("delpezzo.weyl._orbit_labels", record_labels)
     assert conic_bundle_extension_analysis()["subgroup_count"] == 16
     assert sorted(products) == [(33, 384), (384, 1)]
-    assert len(labellings) == 1 + 2 * 16
-    assert labellings[0] == (3, 256 * 384)
+    blocks = _candidate_blocks(labellings)
+    assert all(perms.size <= _BLOCK for perms in blocks)
+    assert sum(perms.shape[1] for perms in blocks) == 256 * 384
+    assert len(labellings) == len(blocks) + 2 * 16
 
 
 def test_conic_bundle_tables_match_closures():
