@@ -7,7 +7,11 @@ that moves a value lists the key and its reason in CHANGES.md.
 
     PYTHONPATH=src python tests/golden.py --write
 
-rewrites the file and prints the keys that changed.
+rewrites the file and prints the keys that changed, and
+
+    PYTHONPATH=src python tests/golden.py --show KEY
+
+prints the canonical JSON of one key, to diff against another revision's.
 """
 
 import hashlib
@@ -20,9 +24,11 @@ from pathlib import Path
 from delpezzo import (
     NormalBundleType,
     a_invariant,
+    break_fiber_class,
     break_section,
     conic_bundle_extension_analysis,
     counting,
+    decompose_nef_integral,
     enumerate_conic_classes,
     enumerate_cubic_classes,
     enumerate_neg_one_curves,
@@ -35,7 +41,9 @@ from delpezzo import (
     list_shipped_profiles,
     load_profile,
     make_lattice,
+    monotone_corners,
     nef_classes_of_height,
+    nef_curve_cone,
     polarized_del_pezzo,
     orbits_under_generators,
     reachable_balanced_heights,
@@ -43,22 +51,28 @@ from delpezzo import (
     weyl_generators,
 )
 from delpezzo.counting import alpha, convergence_report
-from delpezzo.errors import DomainError
+from delpezzo.errors import DecompositionNotFound, DomainError
+from delpezzo.linalg import dual_cone_rays
 from test_counting import _random_model, _seeded_cones
+from test_thresholds import _seeded_oracles
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
 
+def canonical(result) -> str:
+    return json.dumps(result, sort_keys=True, default=str, separators=(",", ":"))
+
+
 def digest(result) -> str:
-    text = json.dumps(result, sort_keys=True, default=str, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(canonical(result).encode()).hexdigest()
 
 
 def _refused(f, *args):
-    """f(*args), or None where it raises DomainError (a flat cone)."""
+    """f(*args), or None where it raises DomainError (a flat cone) or
+    DecompositionNotFound."""
     try:
         return f(*args)
-    except DomainError:
+    except (DomainError, DecompositionNotFound):
         return None
 
 
@@ -125,6 +139,43 @@ def _diagonal_cubic():
     return sub.elements.tolist(), invariant_sublattice(sub, lat)
 
 
+def _corners():
+    """The corners of the examples of `test_thresholds` and of 50 seeded
+    monotone oracles in boxes of dimension 1-4."""
+    examples = [
+        (lambda w: 1 if (w[0] >= 1 and w[1] >= 0) or (w[0] >= 0 and w[1] >= 2) else 0, 1, (4, 4)),
+        (lambda w: 0, 1, (4, 4)),
+        (lambda w: w[0] + w[1], 3, (5, 5)),
+        (lambda w: w[0] + w[1], 63, (63, 63)),
+        (lambda w: min(w), 1, (3, 3, 3)),
+    ]
+    return [monotone_corners(*case) for case in examples + _seeded_oracles(2024, 50)]
+
+
+def _nef_sums(seed):
+    """(lattice, class): sums of two to five seeded nef rays (`nef_curve_cone`)
+    on 2 to 7 blow-ups, five per lattice."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(2, 8):
+        lat = make_lattice(n)
+        rays = nef_curve_cone(lat).generators
+        for _ in range(5):
+            parts = [rng.choice(rays) for _ in range(rng.randint(2, 5))]
+            out.append((lat, tuple(map(sum, zip(*parts)))))
+    return out
+
+
+def _dual_cones(seed, count):
+    """Seeded normals of dimension 1-5: one to five more normals than the
+    dimension, entries in -1..3, some not spanning."""
+    rng = random.Random(seed)
+    return [
+        [tuple(rng.randint(-1, 3) for _ in range(dim)) for _ in range(dim + rng.randint(1, 5))]
+        for dim in (rng.randint(1, 5) for _ in range(count))
+    ]
+
+
 RESULTS = {
     "alpha.values": lambda: [None if a is None else a.value for _, a in _alphas()],
     "alpha.triangulations.rank1": lambda: _triangulations(1),
@@ -134,6 +185,13 @@ RESULTS = {
         _refused(counting._slice_facets, g, h) for g, h in _seeded_cones(29, 800)
     ],
     "counting.convergence_reports": _convergence_reports,
+    "curves.break_fiber_class": lambda: [
+        _refused(break_fiber_class, lat, c) for lat, c in _nef_sums(7)
+    ],
+    "curves.decompose_nef_integral": lambda: [
+        _refused(decompose_nef_integral, lat, c) for lat, c in _nef_sums(5)
+    ],
+    "curves.nef_curve_cone": lambda: [nef_curve_cone(make_lattice(n)).generators for n in range(9)],
     "curves.nef_classes_of_height": lambda: [
         nef_classes_of_height(make_lattice(n), h) for h in (1, 2, 3) for n in range(2, 9)
     ],
@@ -141,10 +199,12 @@ RESULTS = {
         a_invariant(polarized_del_pezzo(make_lattice(n))) for n in range(9)
     ] + [a_invariant(hirzebruch_polarized(e, (1, e + 1))) for e in range(5)],
     "fujita.larger_a_locus": lambda: [larger_a_locus(make_lattice(n)) for n in range(9)],
+    "linalg.dual_cone_rays": lambda: [_refused(dual_cone_rays, N) for N in _dual_cones(11, 100)],
     "ruled.balanced_heights": _balanced_heights,
     "ruled.fuzz_reports": lambda: [
         fuzz_blow_up_sequences(200, depth, seed) for depth in (8, 16) for seed in range(10)
     ],
+    "thresholds.monotone_corners": _corners,
     "thresholds.threshold_reports": lambda: [
         threshold_report(load_profile(name)) for name in list_shipped_profiles()
     ],
@@ -159,8 +219,12 @@ def load() -> dict:
 
 
 def main(argv):
+    if argv[:1] == ["--show"] and len(argv) == 2 and argv[1] in RESULTS:
+        print(canonical(RESULTS[argv[1]]()))
+        return
     if argv != ["--write"]:
-        sys.exit("usage: python tests/golden.py --write")
+        sys.exit("usage: python tests/golden.py --write | --show KEY, KEY one of: "
+                 + ", ".join(sorted(RESULTS)))
     old = load() if GOLDEN.exists() else {}
     new = {key: digest(make()) for key, make in sorted(RESULTS.items())}
     for key in sorted(set(old) | set(new)):

@@ -1,5 +1,9 @@
 import json
+import random
 import tracemalloc
+from collections import Counter
+from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +258,67 @@ def test_monotone_corners_antichain_and_cover(seeds):
         for y in range(6):
             if oracle((x, y)) >= 1:
                 assert any(x >= u and y >= v for u, v in corners)
+
+
+def _seeded_oracles(seed, count):
+    """(oracle, c, box): seeded monotone oracles on boxes of dimension 1-4, in
+    turn a linear form, the min and the max of weighted coordinates (weights
+    0-3), and the indicator of the up-set of one to four seeded points."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        box = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 4)))
+        if k % 4 == 3:
+            seeds = [tuple(rng.randint(0, b) for b in box) for _ in range(rng.randint(1, 4))]
+            cases.append((partial(_in_up_set, seeds), 1, box))
+            continue
+        weights = tuple(rng.randint(0, 3) for _ in box)
+        kind = (sum, min, max)[k % 4]
+        oracle = partial(_weighted, kind, weights)
+        cases.append((oracle, rng.randint(0, oracle(box) + 1), box))
+    return cases
+
+
+def _weighted(kind, weights, v):
+    return kind(a * x for a, x in zip(weights, v))
+
+
+def _in_up_set(seeds, v):
+    return int(any(all(x >= s for x, s in zip(v, seed)) for seed in seeds))
+
+
+def _corners_by_scan(oracle, c, box):
+    """The reference route: the corner sweep as the package ran it before its
+    one lexicographic pass.  The same spot check of monotonicity, then every
+    cell in (sum, lex) order, skipped when it dominates a corner found so far
+    (a scan of those corners), else given to the oracle."""
+    rng = random.Random(0)
+    for _ in range(64):
+        v = tuple(rng.randint(0, b) for b in box)
+        w = tuple(rng.randint(0, x) for x in v)
+        if oracle(w) > oracle(v):
+            raise DomainError(f"oracle is not monotone: f({w}) > f({v})")
+    points = sorted(product(*(range(b + 1) for b in box)), key=lambda v: (sum(v), v))
+    corners = []
+    for v in points:
+        if any(all(x >= y for x, y in zip(v, u)) for u in corners):
+            continue
+        if oracle(v) >= c:
+            corners.append(v)
+    return sorted(corners)
+
+
+def test_monotone_corners_match_the_corner_scan():
+    # the same corners, and the oracle called on the same cells the same
+    # number of times, as the reference route; {0, 1}^12 is the slowest box
+    # the budget admits, with the 924 corners of its middle layer
+    cases = _seeded_oracles(38, 300) + [(sum, 6, (1,) * 12)]
+    for oracle, c, box in cases:
+        calls = []
+        for route in (monotone_corners, _corners_by_scan):
+            seen = Counter()
+            calls.append((route(lambda v: seen.update([v]) or oracle(v), c, box), seen))
+        (got, got_calls), (want, want_calls) = calls
+        assert got == want and got_calls == want_calls, (box, c)
+    # the 64 pairs of the spot check, and the 2,510 cells of sum at most 6
+    assert len(got) == 924 and sum(got_calls.values()) == 2 * 64 + 2510
