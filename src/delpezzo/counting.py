@@ -234,9 +234,11 @@ def default_model(p: FibrationProfile, q, dim_rule: int = 2) -> CountingModel:
 
 # Work budget of the counting engine (`check_count_budget`).  The power bound
 # also keeps every exact value printable: Python refuses to convert an int of
-# more than 4300 digits to a string.  On a 2-CPU Xeon host the slowest admitted
-# corner found, three rank-3 generators at d = 763, takes about 1.4 s, and a
-# rank-1 report to d = 2046 at q = 2 (exponents up to 2048) about 0.25 s.
+# more than 4300 digits to a string.  On a 2-CPU Xeon host, one CPU pinned,
+# the slowest admitted corner found, the report to d = 416 of the cone of
+# (1, 0, 0), (0, 1, 0), (0, 0, 1) at height (1, 1, 1) with one translate
+# (-1, 0, 0) and q = 2, takes 0.95 s; the report of the cubic-pencil default
+# model at q = 2 to d = 2046 (exponents up to 2048) takes 0.09 s.
 COUNT_BUDGET = 2**20
 COUNT_POWER_BITS = 2**12
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import linalg
 from .errors import DecompositionNotFound, DomainError, _check_budget, _index
 from .linalg import np
-from .picard import PicardLattice, Vec, _check_vec, anticanonical_degree, pair
+from .picard import PicardLattice, Vec, _check_vec, _lattice, anticanonical_degree, pair
 
 
 class CurveClassKind(Enum):
@@ -52,10 +52,11 @@ class Cone:
 # visited last pair or its swap, so the search returns at most twice as many
 # classes as it visits prefixes.  On a 2-CPU Xeon host, one CPU pinned, the
 # slowest admitted search found (the largest admitted height for each n from
-# 0 to 8), the nef classes of height 4 on 8 blow-ups (457,254 prefixes,
-# 340,321 classes), takes 0.6-0.9 s; height 5 there would visit 2,285,202,
-# and height 6 took 31 s without a budget.  On one blow-up the scan of a is
-# wide and finds few classes: height 400 visits 676,702 prefixes for 101.
+# 0 to 8), `nef_classes_of_height(make_lattice(8), 4)` (457,254 prefixes,
+# 340,321 classes, 188,641 of them nef), takes 0.87-1.08 s; height 5 there
+# would visit 2,285,202, and height 6 took 31 s without a budget.  On one
+# blow-up the scan of a is wide and finds few classes: height 400 visits
+# 676,702 prefixes for 101.
 SEARCH_BUDGET = 2**19
 
 
@@ -81,7 +82,7 @@ def _class_search(lat: PicardLattice, self_int, degree: int) -> list[Vec]:
     passes SEARCH_BUDGET: a refused search visits no prefix past the budget,
     and its list holds at most twice the budget.
     """
-    n, d = lat.n, degree
+    n, d = _lattice(lat).n, degree
     squares = range(self_int, self_int + 1) if isinstance(self_int, int) else self_int
     out: list[Vec] = []
     visited = 0
@@ -173,7 +174,7 @@ def effective_cone_generators(lat: PicardLattice) -> Cone:
     For 2 <= n <= 8 the (-1)-classes generate; n = 1 needs {E1, H - E1};
     n = 0 is the half-line on H.
     """
-    if lat.n == 0:
+    if _lattice(lat).n == 0:
         gens: tuple[Vec, ...] = ((1,),)
     elif lat.n == 1:
         gens = ((0, 1), (1, -1))
@@ -219,7 +220,7 @@ def nef_classes_of_height(lat: PicardLattice, height: int) -> list[Vec]:
     """All nef integral classes with -K.c = height (complete, sorted): one
     class search over the feasible squares, which raises CapExceeded past
     SEARCH_BUDGET visited prefixes, and DomainError for a non-integer height."""
-    height = _index(height, "height")
+    lat, height = _lattice(lat), _index(height, "height")
     if height < 0:
         return []
     if height == 0:
@@ -241,7 +242,7 @@ def _decomposition_generators(lat: PicardLattice) -> tuple[Vec, ...]:
 def _nef_input(lat: PicardLattice, c, task: str) -> Vec:
     """c as a tuple of Python ints, refused (DomainError) unless c is nef on a
     lattice of degree >= 2, where `task` is defined."""
-    if lat.degree < 2:
+    if _lattice(lat).degree < 2:
         raise DomainError(f"{task} is defined for lattice degree >= 2, got {lat.degree}")
     c = _check_vec(lat, c)
     if not is_nef(lat, c):

@@ -78,8 +78,9 @@ def _json_field(doc: str, data, key: str, convert, default=_REQUIRED):
     """convert(data[key]) for a JSON object `data`; `default` when the key is
     absent and a default is given.
 
-    Every error the conversion raises becomes a FieldError naming the key; a
-    FieldError from a nested document comes back with the key as its prefix.
+    Every error the conversion raises becomes a FieldError naming the key, a
+    FieldCapExceeded where it is a CapExceeded; a FieldError from a nested
+    document comes back, of its own class, with the key as its prefix.
     """
     if not isinstance(data, dict):
         raise DomainError(f"{doc} JSON must be an object")
@@ -90,17 +91,18 @@ def _json_field(doc: str, data, key: str, convert, default=_REQUIRED):
     try:
         return convert(data[key])
     except FieldError as ex:
-        raise FieldError(doc, f"{key}.{ex.path}", ex.reason) from None
+        raise type(ex)(doc, f"{key}.{ex.path}", ex.reason) from None
     except (DomainError, TypeError, ValueError, ArithmeticError, AttributeError) as ex:
-        raise FieldError(doc, key, str(ex)) from None
+        refusal = FieldCapExceeded if isinstance(ex, CapExceeded) else FieldError
+        raise refusal(doc, key, str(ex)) from None
 
 
 @contextmanager
 def _json_document(doc: str, data):
     """The field reader `_json_field` of the JSON object `data`, for a block
     that builds the document `doc`: a DomainError raised in the block by a
-    constructor's checks across fields is re-raised naming `doc`; a FieldError
-    passes through unchanged."""
+    constructor's checks across fields is re-raised naming `doc`, a
+    CapExceeded as a CapExceeded; a FieldError passes through unchanged."""
     if not isinstance(data, dict):
         raise DomainError(f"{doc} JSON must be an object")
     try:
@@ -108,7 +110,8 @@ def _json_document(doc: str, data):
     except FieldError:
         raise
     except DomainError as ex:
-        raise DomainError(f"{doc} JSON: {ex}") from None
+        refusal = CapExceeded if isinstance(ex, CapExceeded) else DomainError
+        raise refusal(f"{doc} JSON: {ex}") from None
 
 
 def _read_json(doc: str, path):
@@ -175,6 +178,11 @@ class NonIntegralCoefficient(DomainError):
 
 class CapExceeded(DomainError):
     """A work budget refused by `_check_budget`, or a rank counting lacks."""
+
+
+class FieldCapExceeded(FieldError, CapExceeded):
+    """A work budget refused inside a JSON field: the field's FieldError, and
+    a CapExceeded as the same refusal outside a document is."""
 
 
 class DecompositionNotFound(ToolkitError):

@@ -21,7 +21,7 @@ from operator import mul
 from . import curves as _curves
 from . import linalg
 from .errors import DomainError, _index, _ints
-from .picard import PicardLattice, Vec
+from .picard import PicardLattice, Vec, _lattice
 
 INFINITE_A = math.inf
 
@@ -68,6 +68,7 @@ class PolarizedSurface:
 
 def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurface:
     """Blown-up plane with its effective and nef cones; default polarization -K."""
+    lat = _lattice(lat)
     L = tuple(polarization) if polarization is not None else lat.anticanonical
     return PolarizedSurface(
         gram=lat.gram,

@@ -76,7 +76,7 @@ def _exact_operands(rows, X, what: str):
     DomainError for an entry that is not an integer within int64."""
     rows, X = np.asarray(rows), np.asarray(X)
     for a in (rows, X):
-        if a.size and (a.dtype.kind not in "biu" or a.dtype.kind == "u" and a.max() >= 2**63):
+        if a.size and (a.dtype.kind not in "iu" or a.dtype.kind == "u" and a.max() >= 2**63):
             raise DomainError(f"{what} entry is not an integer within int64")
     top = max(1, int(X.max(initial=0)), -int(X.min(initial=0)))
     exact = _exact_dtype(top * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=1.0), what)

@@ -33,7 +33,7 @@ def _check_vec(lat: "PicardLattice", v) -> Vec:
     a float or a v that is not a vector raises DomainError, as does a length
     other than the rank."""
     v = _ints(v, "vector has non-integer coordinates")
-    if len(v) != lat.rank:
+    if len(v) != _lattice(lat).rank:
         raise DomainError(f"vector length {len(v)} does not match lattice rank {lat.rank}")
     return v
 
@@ -65,6 +65,14 @@ class PicardLattice:
         return tuple(-x for x in self.canonical)
 
 
+def _lattice(lat) -> PicardLattice:
+    """lat itself; anything but a PicardLattice raises DomainError.  Each path
+    of the package that takes a lattice reads it here before touching it."""
+    if isinstance(lat, PicardLattice):
+        return lat
+    raise DomainError(f"lattice must be a PicardLattice, got {lat!r}")
+
+
 def make_lattice(n: int) -> PicardLattice:
     """Lattice of the plane blown up at n points (0 <= n <= 8)."""
     return PicardLattice(n)
@@ -79,4 +87,4 @@ def pair(lat: PicardLattice, a, b) -> int:
 
 def anticanonical_degree(lat: PicardLattice, c) -> int:
     """Degree of c against -K, i.e. pair(-K, c); `pair` checks c."""
-    return pair(lat, lat.anticanonical, c)
+    return pair(lat, _lattice(lat).anticanonical, c)

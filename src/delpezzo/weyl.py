@@ -46,7 +46,7 @@ from . import curves
 from .errors import DomainError, NotFound, ToolkitError, _index, _ints
 from .linalg import _exact_dtype, _exact_operands, integer_kernel, np
 # WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
-from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, check_cap  # noqa: F401
+from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, _lattice, check_cap  # noqa: F401
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -56,7 +56,7 @@ def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
     products (`linalg._exact_operands`), G folded into the columns of M and
     into K, then M^T G M and M^T G K.  G is unimodular, so once M^T G M = G,
     M K = K holds exactly when M^T G K = G K.  M is read by `errors._ints`."""
-    r, M = lat.rank, _ints(M, "isometry entries must be integers", 2)
+    r, M = _lattice(lat).rank, _ints(M, "isometry entries must be integers", 2)
     if len(M) != r or any(len(row) != r for row in M):
         raise DomainError(f"matrix shape does not match rank {r}")
     G, C = _exact_operands(lat.gram, [*zip(*M), lat.canonical], "isometry check")
@@ -83,7 +83,7 @@ def _reflection(lat: PicardLattice, root: Vec) -> Matrix:
 
 def simple_roots(lat: PicardLattice) -> list[Vec]:
     """E_i - E_{i+1} differences plus, from n = 3 on, H - E1 - E2 - E3."""
-    n = lat.n
+    n = _lattice(lat).n
     roots: list[Vec] = []
     for i in range(1, n):
         root = [0] * lat.rank
@@ -420,7 +420,7 @@ def orbits(group: FiniteGroup, classes) -> OrbitPartition:
 
 def _check_rank(group: FiniteGroup, lat: PicardLattice) -> None:
     rank = group.subgroup.shape[-1]
-    if rank != lat.rank:
+    if rank != _lattice(lat).rank:
         raise DomainError(f"a group of rank {rank} does not act on a lattice of rank {lat.rank}")
 
 
@@ -468,13 +468,19 @@ def _order3_indices(elems: np.ndarray) -> np.ndarray:
 def _order3_elements(group: FiniteGroup) -> np.ndarray:
     """The int8 M in a group with M^3 = I != M, in table order: cubes, a coset
     at a time, of the h x (h in H, x = I or in a level) whose trace, from one
-    product, is r - 3k for k >= 1 eigenvalue pairs w, w-bar (Carter, 1972)."""
+    product, is r - 3k for k >= 1 eigenvalue pairs w, w-bar (Carter, 1972).
+    The traces are formed a block of rows of H at a time, each block and its
+    rows in the product's dtype at most `_BLOCK` entries, and kept as one bool
+    per product."""
     H, r = group.subgroup, group.subgroup.shape[-1]
     X = np.concatenate((np.eye(r, dtype=np.int8)[None], *group.levels))
     exact = _exact_dtype(r * r * 128**2, "trace")
     Xt = X.transpose(0, 2, 1).reshape(len(X), -1).astype(exact)
-    T = H.reshape(len(H), -1).astype(exact) @ Xt.T  # tr(h x) = sum h_ij x_ji
-    keep = (T < r) & ((r - T) % 3 == 0)
+    step = max(1, _BLOCK // max(len(X), r * r))
+    # tr(h x) = sum h_ij x_ji
+    traces = (H[lo : lo + step].reshape(-1, r * r).astype(exact) @ Xt.T
+              for lo in range(0, len(H), step))
+    keep = np.concatenate([(T < r) & ((r - T) % 3 == 0) for T in traces])
     found = [H[:0]]
     for j in np.flatnonzero(keep.any(axis=0)):
         block = _products(H[keep[:, j]], X[j : j + 1])[:, 0]
@@ -505,7 +511,7 @@ def find_diagonal_cubic_subgroup(
     outside <A, B>: so <A, B> has order 9 and <A, B, C> order 27, and its
     orbits are those of its generators' rows (`_orbit_sizes`).
     """
-    if lat.n != 6:
+    if _lattice(lat).n != 6:
         raise DomainError("the diagonal cubic search needs blow-up count 6")
     _check_rank(group, lat)
     cand = _order3_elements(group)

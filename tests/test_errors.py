@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from delpezzo import (
     CapExceeded,
     DomainError,
     FiberTree,
+    FieldError,
     HirzebruchModel,
     NefConeEta,
     NormalBundleType,
@@ -15,31 +17,38 @@ from delpezzo import (
     SectionClass,
     a_invariant,
     alpha,
+    anticanonical_degree,
     break_fiber_class,
     break_section,
     check_cap,
     classify_vertical_family,
     count_exact,
+    decompose_nef_integral,
     default_model,
+    enumerate_neg_one_curves,
     fuzz_blow_up_sequences,
     generate_group,
     glue_normal_bundle,
     hirzebruch_polarized,
+    invariant_sublattice,
     is_nef,
     load_profile,
     make_lattice,
     maxdef_height_bound,
     minimal_moving_height,
+    model_from_json,
     monotone_corners,
     nef_classes_of_height,
     pair,
+    polarized_del_pezzo,
     reachable_balanced_heights,
     trivial_group,
     validate_isometry,
     weyl_generators,
 )
 from delpezzo import counting, curves
-from delpezzo.errors import _check_budget, _ints, _json_rational
+from delpezzo.errors import _check_budget, _ints, _json_document, _json_field, _json_rational
+from delpezzo.linalg import cone_contains
 from delpezzo.ruled import FUZZ_BUDGET, check_fuzz_budget
 
 
@@ -241,6 +250,35 @@ _MALFORMED = {
         lambda: dataclasses.replace(_PENCIL, nef_cone_eta=None),
         "nef_cone_eta must be a NefConeEta",
     ),
+    "cone-contains-bool": (
+        lambda: cone_contains(curves._nef_normals(_LAT3), np.array([True, False, False, False])),
+        "cone membership entry is not an integer within int64",
+    ),
+    "is-nef-lattice-none": (
+        lambda: is_nef(None, (1, 0, 0, 0)), "lattice must be a PicardLattice, got None"
+    ),
+    "nef-classes-lattice-none": (
+        lambda: nef_classes_of_height(None, 2), "lattice must be a PicardLattice, got None"
+    ),
+    "neg-one-curves-lattice-tuple": (
+        lambda: enumerate_neg_one_curves((3,)), "lattice must be a PicardLattice, got (3,)"
+    ),
+    "weyl-generators-lattice-str": (
+        lambda: weyl_generators("x"), "lattice must be a PicardLattice, got 'x'"
+    ),
+    "pair-lattice-str": (lambda: pair("x", (1, 0), (1, 0)), "lattice must be a PicardLattice"),
+    "anticanonical-degree-lattice-none": (
+        lambda: anticanonical_degree(None, (1, 0, 0, 0)), "lattice must be a PicardLattice"
+    ),
+    "decompose-lattice-none": (
+        lambda: decompose_nef_integral(None, (1, 0, 0, 0)), "lattice must be a PicardLattice"
+    ),
+    "polarized-del-pezzo-lattice-none": (
+        lambda: polarized_del_pezzo(None, (3, -1, -1, -1)), "lattice must be a PicardLattice"
+    ),
+    "invariant-sublattice-lattice-none": (
+        lambda: invariant_sublattice(trivial_group(4), None), "lattice must be a PicardLattice"
+    ),
 }
 
 
@@ -248,6 +286,25 @@ _MALFORMED = {
 def test_malformed_inputs_are_domain_errors(call, words):
     with pytest.raises(DomainError, match=re.escape(words)):
         call()
+
+
+def test_budget_refused_in_a_json_field_is_both():
+    # the field's FieldError and the CapExceeded that `--q 1e5000` raises
+    doc = {"profile": "cubic-pencil", "translates": [[-1]], "q": "1e5000"}
+    with pytest.raises(CapExceeded, match="field 'q': a decimal exponent") as ex:
+        model_from_json(doc)
+    assert isinstance(ex.value, FieldError) and ex.value.path == "q"
+    # a nested document's refusal keeps both classes under the outer key
+    inner = partial(_json_field, "inner", key="q", convert=lambda x: _json_rational(x, 4096))
+    with pytest.raises(CapExceeded) as ex:
+        _json_field("outer", {"doc": {"q": "1e5000"}}, "doc", lambda d: inner(data=d))
+    assert isinstance(ex.value, FieldError) and ex.value.path == "doc.q"
+    # a refusal across fields stays a CapExceeded, and names the document
+    for refusal, kind in ((CapExceeded("over"), CapExceeded), (DomainError("bad"), DomainError)):
+        with pytest.raises(kind, match="^outer JSON: ") as ex:
+            with _json_document("outer", {}):
+                raise refusal
+        assert type(ex.value) is kind
 
 
 def test_integer_reads_keep_python_ints():

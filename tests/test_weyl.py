@@ -447,6 +447,9 @@ def test_kernel_peaks(lat6):
     assert _peak(conic_bundle_extension_analysis) < 2 * 2**20
     assert _peak(find_diagonal_cubic_subgroup, group, lat6) < 1.5 * 2**20
     assert _peak(_permutation_action, cand, lines) < 1 * 2**20
+    # the order-3 scan formed the traces of all 720 x 72 coset products at
+    # once: 0.69 MB
+    assert _peak(_order3_elements, group) < 0.6 * 2**20
 
 
 def test_trivial_group():
