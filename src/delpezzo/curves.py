@@ -197,11 +197,16 @@ def is_nef(lat: PicardLattice, c) -> bool:
     return linalg.cone_contains(_nef_normals(lat), _check_vec(lat, c))
 
 
-@lru_cache(maxsize=None)
 def nef_curve_cone(lat: PicardLattice) -> Cone:
     """Dual of the effective cone under the pairing, by its extreme rays
     (primitive, sorted): the nef conics and square-1 cubics of the class
-    search (Batyrev & Popov 2004).  Only -K + 2l, l a line, n = 8, is not nef."""
+    search (Batyrev & Popov 2004).  Only -K + 2l, l a line, n = 8, is not nef.
+    The lattice is read before the memo, which needs a hashable key."""
+    return _nef_curve_cone(_lattice(lat))
+
+
+@lru_cache(maxsize=None)
+def _nef_curve_cone(lat: PicardLattice) -> Cone:
     found = _class_search(lat, 0, 2) + _class_search(lat, 1, 3)
     nef = linalg.cone_contains(_nef_normals(lat), found)
     return Cone(generators=tuple(sorted(c for c, ok in zip(found, nef) if ok)))

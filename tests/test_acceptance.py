@@ -17,6 +17,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from cold_commands import CRITERION_10
 from delpezzo import (
     AInvariantClass,
     BreakResult,
@@ -333,21 +334,8 @@ def test_criterion_09_alpha_and_counting_asymptotics():
     print(f"criterion 09 (counting): PASS, reported offset {rep['measured_offset']}")
 
 
-CLI_INVOCATIONS = [
-    ["lattice", "--degree", "3"],
-    ["curves", "--degree", "6", "--kind", "cubics"],
-    ["weyl", "--degree", "5"],
-    ["orbits", "--degree", "4", "--classes", "lines"],
-    ["fujita", "--degree", "2"],
-    ["thresholds", "--profile", "hypersurface-23"],
-    ["ruled", "--seed", "7", "--trials", "200"],
-    ["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "6"],
-    ["example", "--name", "diagonal-cubic", "--q", "2", "--dmax", "4"],
-]
-
-
 def test_criterion_10_cli_determinism(cli):
-    for args in CLI_INVOCATIONS:
+    for args, _ in CRITERION_10:
         first = cli(args)
         second = cli(args)
         assert first.exit_code == 0, f"{args} exited {first.exit_code}"

@@ -9,15 +9,16 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cold_commands import (CLI, CRITERION_10, HUGE_LITERAL, ROWS, child_env, row_argv,
+                           write_documents)
 from delpezzo.cli import _COMMANDS, _parser, _rational, run_example
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS, default_model, load_model, model_to_json
-from delpezzo.errors import DomainError, FieldError, _read_json
+from delpezzo.errors import DomainError, FieldError, ToolkitError, _read_json
 from delpezzo.ruled import (
     FUZZ_BUDGET,
     blow_up_fiber,
@@ -28,6 +29,19 @@ from delpezzo.ruled import (
 )
 from delpezzo.weyl import DEFAULT_CAP, WEYL_ORDERS
 from delpezzo.thresholds import list_shipped_profiles, load_profile, profile_to_dict
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """A directory of the documents the cold-command rows read."""
+    docs = tmp_path_factory.mktemp("docs")
+    write_documents(docs)
+    return docs
+
+
+def _args(name, docs):
+    """The argv after `delpezzo` of the cold-command row `name`."""
+    return row_argv(CLI[name], docs)[2:]
 
 
 def test_lattice(cli):
@@ -163,19 +177,15 @@ def test_count_budget_refused(cli, args):
     assert f"at most {COUNT_POWER_BITS} bits" in help_text
 
 
-def test_huge_q_exponent_refused_at_once(cli, tmp_path):
+def test_huge_q_exponent_refused_at_once(cli, docs):
     # every q with a decimal exponent past 4096 in size is past the power
     # bound; it is refused before Fraction builds the number
-    model = {"profile": "cubic-pencil", "translates": [[-1]], "q": "1e3000000"}
-    (tmp_path / "model.json").write_text(json.dumps(model))
-    for args, words in (
-        (["count", "--profile", "cubic-pencil", "--q", "1e3000000", "--dmax", "5"],
-         "error: a decimal exponent"),
-        (["count", "--model", str(tmp_path / "model.json"), "--dmax", "5"],
-         "error: counting model JSON field 'q': a decimal exponent"),
+    for name, words in (
+        ("q-past-power-bound", "error: a decimal exponent"),
+        ("model-huge-q", "error: counting model JSON field 'q': a decimal exponent"),
     ):
         start = time.perf_counter()
-        res = cli(args)
+        res = cli(_args(name, docs))
         assert time.perf_counter() - start < 0.5
         assert res.exit_code == 1 and res.stdout == ""
         lines = res.stderr.splitlines()
@@ -183,18 +193,13 @@ def test_huge_q_exponent_refused_at_once(cli, tmp_path):
         assert "past the counting budget" in lines[0]
 
 
-def test_cross_field_errors_name_the_document(cli, tmp_path):
-    cubic = profile_to_dict(load_profile("cubic-pencil"))
-    (tmp_path / "profile.json").write_text(json.dumps(dict(cubic, fiber_degree=9)))
-    model = {"profile": cubic, "translates": [[]], "q": "2"}
-    (tmp_path / "model.json").write_text(json.dumps(model))
-    for args, line in (
-        (["thresholds", "--profile", str(tmp_path / "profile.json")],
-         "error: profile JSON: fiber degree 9 outside 1..8"),
-        (["count", "--model", str(tmp_path / "model.json")],
+def test_cross_field_errors_name_the_document(cli, docs):
+    for name, line in (
+        ("profile-fiber-degree-9", "error: profile JSON: fiber degree 9 outside 1..8"),
+        ("model-translate-empty",
          "error: counting model JSON: translate () does not match rho_eta"),
     ):
-        res = cli(args)
+        res = cli(_args(name, docs))
         assert res.exit_code == 1 and res.stderr.splitlines() == [line]
     with pytest.raises(DomainError) as ex:
         fibertree_from_json({"components": [[-1, 1], [-1, 1]], "edges": []})
@@ -360,155 +365,52 @@ def test_byte_identical_reruns(cli, args):
     assert first.output == second.output
 
 
-# sha256 of each criterion-10 stdout, the same pins as the benchmark's
-_CRITERION_10 = [
-    (["lattice", "--degree", "3"],
-     "b2c50c38ff42a8f6d204de67945cfce9af5704c601c35b7ee4b049264e305051"),
-    (["curves", "--degree", "6", "--kind", "cubics"],
-     "bd032506b7c979ebd4efed7a5af3128eb6d92c26a846fc27b28310d70b57d7a2"),
-    (["weyl", "--degree", "5"],
-     "147257dfa1ecdc2a9062fd11ffc500aced3f8de9e8de5bbb98c2788c18c5f3b9"),
-    (["orbits", "--degree", "4", "--classes", "lines"],
-     "d9e93efd38635db9413dfe95301604554baa7f6e498fbd3372c8743686bcf067"),
-    (["fujita", "--degree", "2"],
-     "f141da5bd7d8d5d41eb3f53d31acb5ecf99c9679f9f1de8307838690ad89b7a7"),
-    (["thresholds", "--profile", "hypersurface-23"],
-     "c9e1592f2af4e076bfb6d7f02cf8b16e381aa217762161e5f914c782ffa57199"),
-    (["ruled", "--seed", "7", "--trials", "200"],
-     "ce5ac37c5e0040798506f7c21e92e809b23ca6945a69c2110cf6ce51031dcbbd"),
-    (["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "6"],
-     "129508aa9ff18b9528d20936aa48d4fd6d49da3591b007b2427159c5e2f33dcd"),
-    (["example", "--name", "diagonal-cubic", "--q", "2", "--dmax", "4"],
-     "63367ad92840b2863ffd3631f549d970bc6be0279b0b2043039e0e487fe76d10"),
-]
-
-
-@pytest.mark.parametrize("args, digest", _CRITERION_10, ids=[a[0] for a, _ in _CRITERION_10])
+@pytest.mark.parametrize("args, digest", CRITERION_10, ids=[a[0] for a, _ in CRITERION_10])
 def test_criterion_10_stdout_digests(cli, args, digest):
     res = cli(args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
-# an integer literal of 5001 digits, past Python's limit of 4300 digits on
-# int strings; json.dumps cannot write it, so it is spliced into the text
-_HUGE_LITERAL = "1" + "0" * 5000
+# the usage error each exit-2 row prints
+_USAGE = {
+    "q-not-rational": "argument --q: 'abc' is not a rational number",
+    "example-q-not-rational": "argument --q: 'x/2' is not a rational number",
+    "model-with-q": "--q applies to --profile only",
+}
 
 
-def _bad_inputs(tmp_path):
-    x5 = profile_to_dict(load_profile("x5-pencil"))
-    model = {"profile": x5, "translates": [[x5["neg"]]], "q": "2"}
-    files = {
-        "q-zero-denominator": dict(model, q="1/0"),
-        "top-level-list": [model],
-        "maxdef-list": dict(x5, maxdef_table=[[-1, 1]]),
-    }
-    for name, data in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    (tmp_path / "not-utf8.json").write_bytes(b"\xff" * 16)
-    wide = dict(x5, rho_eta=3, nef_cone_eta={
-        "generators": [[1, -1000000, 0], [1, 1000000, 0], [1, 0, 1]], "height": [1, 0, 0]})
-    budget_files = {
-        "model-dim-rule-past-budget": dict(model, dim_rule=10**14),
-        "model-cone-past-budget": {"profile": wide, "translates": [[0, 0, 0]], "q": "2"},
-    }
-
-    def model_on(gens):
-        rank = len(gens[0])
-        cone = {"generators": gens, "height": [1] * rank}
-        return {"profile": dict(x5, rho_eta=rank, nef_cone_eta=cone),
-                "translates": [[0] * rank], "q": "2"}
-
-    # two flat cones (not full-dimensional), and a cone past rank 3
-    cone_files = {
-        "model-flat-rank-2": model_on([[1, 0], [2, 0]]),
-        "model-flat-rank-3": model_on([[1, 0, 0], [0, 1, 0], [1, 1, 0]]),
-        "model-rank-4": model_on([[int(i == j) for j in range(4)] for i in range(4)]),
-    }
-    for name, data in {**budget_files, **cone_files}.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    # brauer_order past int64, and as an integer literal past Python's limit
-    # of 4300 digits on int strings (json.loads raises a plain ValueError);
-    # arrays nested past the recursion limit (json.loads raises RecursionError)
-    huge = json.dumps(dict(model, profile=dict(x5, brauer_order=10**4000)))
-    (tmp_path / "model-brauer-past-int64.json").write_text(huge)
-    (tmp_path / "model-nested-too-deep.json").write_text("[" * 100000 + "]" * 100000)
-    (tmp_path / "model-brauer-5001-digits.json").write_text(
-        json.dumps(dict(model, profile=dict(x5, brauer_order=-1)))
-        .replace('"brauer_order": -1', '"brauer_order": ' + _HUGE_LITERAL)
-    )
-    return {
-        "q-not-rational": (["count", "--profile", "cubic-pencil", "--q", "abc"], 2),
-        "example-q-not-rational": (
-            ["example", "--name", "x5-pencil", "--q", "x/2"], 2
-        ),
-        "q-zero-denominator": (
-            ["count", "--model", str(tmp_path / "q-zero-denominator.json")], 1
-        ),
-        "top-level-list": (
-            ["count", "--model", str(tmp_path / "top-level-list.json")], 1
-        ),
-        "maxdef-list": (
-            ["thresholds", "--profile", str(tmp_path / "maxdef-list.json")], 1
-        ),
-        "profile-directory": (["thresholds", "--profile", str(tmp_path)], 1),
-        "count-profile-directory": (["count", "--profile", str(tmp_path)], 1),
-        "model-directory": (["count", "--model", str(tmp_path)], 1),
-        "profile-not-utf8": (
-            ["thresholds", "--profile", str(tmp_path / "not-utf8.json")], 1
-        ),
-        "model-not-utf8": (["count", "--model", str(tmp_path / "not-utf8.json")], 1),
-        **{
-            name: (["count", "--model", str(tmp_path / f"{name}.json"), "--dmax", "5"], 1)
-            for name in [*budget_files, *cone_files]
-        },
-        "model-brauer-past-int64": (
-            ["count", "--model", str(tmp_path / "model-brauer-past-int64.json"),
-             "--dmax", "1100"], 1
-        ),
-        "model-brauer-5001-digits": (
-            ["count", "--model", str(tmp_path / "model-brauer-5001-digits.json"),
-             "--dmax", "5"], 1
-        ),
-        "model-nested-too-deep": (
-            ["count", "--model", str(tmp_path / "model-nested-too-deep.json")], 1
-        ),
-    }
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        "q-not-rational",
-        "example-q-not-rational",
-        "q-zero-denominator",
-        "top-level-list",
-        "maxdef-list",
-        "profile-directory",
-        "count-profile-directory",
-        "model-directory",
-        "profile-not-utf8",
-        "model-not-utf8",
-        "model-dim-rule-past-budget",
-        "model-cone-past-budget",
-        "model-flat-rank-2",
-        "model-flat-rank-3",
-        "model-rank-4",
-        "model-brauer-past-int64",
-        "model-brauer-5001-digits",
-        "model-nested-too-deep",
-    ],
-)
-def test_bad_input_exits_cleanly(cli, tmp_path, case):
-    args, code = _bad_inputs(tmp_path)[case]
-    res = cli(args)
-    assert res.exit_code == code
+@pytest.mark.parametrize("name", [name for name, row in CLI.items() if row.exit])
+def test_bad_input_exits_cleanly(cli, docs, name):
+    res = cli(_args(name, docs))
+    assert res.exit_code == CLI[name].exit
     assert "Traceback" not in res.stderr
-    if code == 1:
+    if res.exit_code == 1:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
-        assert "argument --q:" in res.stderr and "is not a rational number" in res.stderr
+        assert _USAGE[name] in res.stderr.splitlines()[-1]
+
+
+def test_cold_command_rows(docs):
+    # a renamed flag or a stale row fails here, not only where the rows run
+    # cold: every row parses (an exit-1 row may be refused as an option is
+    # read, a help row exits 0), a usage-error row exits 2, and every
+    # document the rows read is written
+    assert len({row.name for row in ROWS}) == len(ROWS)
+    for name, row in CLI.items():
+        try:
+            opts = _parser("delpezzo").parse_args(_args(name, docs))
+            if row.exit == 2:
+                opts.run(opts)
+            code = 0
+        except SystemExit as ex:
+            code = ex.code
+        except ToolkitError:
+            code = 1
+        assert code in ({0, 1} if row.exit == 1 else {row.exit}), name
+    read = {a for row in ROWS for a in row.argv}
+    assert all(f"{{docs}}/{name}" in read for name in write_documents(docs))
 
 
 # leaf replacements of the JSON property test: wrong types, NaN, Infinity, a
@@ -571,7 +473,7 @@ def _mutate(name, doc, edits):
         except IndexError:
             continue
         paths.append(path)
-    text = json.dumps(doc).replace(json.dumps(_LITERAL_PLACEHOLDER), _HUGE_LITERAL)
+    text = json.dumps(doc).replace(json.dumps(_LITERAL_PLACEHOLDER), HUGE_LITERAL)
     return name, text, paths
 
 
@@ -601,12 +503,12 @@ def _mutated_document(draw):
 @example(case=_mutate(*_DOCUMENTS[4], [(("translates", 0, 0), _MISSING)]))
 @example(case=_mutate(*_DOCUMENTS[10], [(("components", 3), _MISSING)]))
 @settings(derandomize=True, deadline=None, max_examples=197)
-def test_json_documents_load_or_name_the_fault(cli, argv_tmp, case):
+def test_json_documents_load_or_name_the_fault(cli, docs, case):
     # every mutated document loads, or raises one DomainError that names a
     # field on the path to a mutation, the file it could not read, or, for a
     # check across fields, the document
     name, text, paths = case
-    path = argv_tmp / "document.json"
+    path = docs / "document.json"
     path.write_text(text)
     read = {
         "profile": lambda: load_profile(str(path)),
@@ -642,70 +544,43 @@ finally:
     sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
 """
 
-# commands that never compute with numpy, ids by what they run
-_NUMPY_FREE = {
-    "lattice": ["lattice", "--degree", "3"],
-    "thresholds": ["thresholds", "--profile", "hypersurface-23"],
-    "ruled": ["ruled", "--seed", "7", "--trials", "200"],
-    "count": ["count", "--profile", "cubic-pencil", "--q", "2", "--dmax", "6"],
-    "weyl-refused": ["weyl", "--degree", "2", "--cap", "100000"],
-    "count-bad-q": ["count", "--profile", "cubic-pencil", "--q", "abc"],
-}
+# the rows that may not load numpy, in two tests: the second holds those
+# kept free of numpy by their route, not by their command (a count on a rank-2
+# or rank-3 cone reads its facets off the height-1 slice, and a Hirzebruch
+# surface carries its nef rays)
+_NUMPY_FREE_COUNTS = [
+    "count-rank3-model", "count-x5-pencil", *(f"fujita-hirzebruch-{e}" for e in range(3))
+]
+_NUMPY_FREE = [n for n, row in CLI.items() if not row.numpy and n not in _NUMPY_FREE_COUNTS]
 
 
-def _child_env():
-    """The environment of a child `python` that imports the package from `src`."""
-    env = dict(os.environ)
-    src = str(Path(__file__).parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-@pytest.mark.parametrize("args", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
-def test_cold_command_loads_only_what_it_runs(cli, args):
-    # a cold process loads neither numpy's core (numpy._core in numpy 2,
-    # numpy.core in 1.x), sympy, a test-only dependency, nor click, and prints
-    # what the command prints where every module is loaded
+def _cold_matches_warm(cli, docs, name):
+    """A cold process of row `name` loads neither numpy's core (numpy._core in
+    numpy 2, numpy.core in 1.x), sympy, a test-only dependency, nor click, and
+    prints what the command prints where every module is loaded."""
+    args = _args(name, docs)
     cold = subprocess.run(
-        [sys.executable, "-c", _REPORT_MODULES, *args], env=_child_env(), capture_output=True,
+        [sys.executable, "-c", _REPORT_MODULES, *args], env=child_env(), capture_output=True,
         text=True,
     )
     modules = set(json.loads(cold.stderr.splitlines()[-1]))
     assert not modules & {"numpy._core", "numpy.core", "sympy", "click"}
-    if args[0] == "lattice":
+    if name == "lattice":
         package = {m for m in modules if m.split(".")[0] == "delpezzo"}
         assert package <= {"delpezzo", "delpezzo.cli", "delpezzo.picard", "delpezzo.errors"}
     warm = cli(args)
     assert (cold.returncode, cold.stdout) == (warm.exit_code, warm.stdout)
+    assert cold.returncode == CLI[name].exit
 
 
-# the slice counter of a rank-2 or rank-3 cone reads its facets off the height-1
-# slice, and a Hirzebruch surface carries its nef rays: neither runs numpy
-_RANK3_MODEL = {
-    "profile": dict(profile_to_dict(load_profile("cubic-pencil")), rho_eta=3, nef_cone_eta={
-        "generators": [[1, 0, 0], [0, 1, 1], [1, 1, 3], [2, 1, 1]], "height": [1, -1, 2]}),
-    "translates": [[0, 0, 0]],
-    "q": "3/2",
-}
-_NUMPY_FREE_COUNTS = {
-    "count-rank3-model": ["count", "--model", "MODEL", "--dmax", "6"],
-    "count-x5-pencil": ["count", "--profile", "x5-pencil", "--q", "5/2", "--dmax", "12"],
-    **{f"fujita-hirzebruch-{e}": ["fujita", "--hirzebruch", str(e)] for e in range(3)},
-}
+@pytest.mark.parametrize("name", _NUMPY_FREE)
+def test_cold_command_loads_only_what_it_runs(cli, docs, name):
+    _cold_matches_warm(cli, docs, name)
 
 
-@pytest.mark.parametrize("args", _NUMPY_FREE_COUNTS.values(), ids=_NUMPY_FREE_COUNTS)
-def test_cold_count_and_hirzebruch_load_no_numpy(cli, tmp_path, args):
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(_RANK3_MODEL))
-    args = [str(model) if a == "MODEL" else a for a in args]
-    cold = subprocess.run(
-        [sys.executable, "-c", _REPORT_MODULES, *args], env=_child_env(), capture_output=True,
-        text=True,
-    )
-    assert not set(json.loads(cold.stderr.splitlines()[-1])) & {"numpy._core", "numpy.core"}
-    warm = cli(args)
-    assert (cold.returncode, cold.stdout) == (0, warm.stdout)
+@pytest.mark.parametrize("name", _NUMPY_FREE_COUNTS)
+def test_cold_count_and_hirzebruch_load_no_numpy(cli, docs, name):
+    _cold_matches_warm(cli, docs, name)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -715,7 +590,7 @@ def test_closed_stdout_exits_quietly(fmt):
     proc = subprocess.Popen(
         [sys.executable, "-m", "delpezzo.cli", "curves", "--degree", "1", "--kind", "cubics",
          "--format", fmt],
-        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
@@ -736,7 +611,7 @@ def test_device_path_refused_before_reading(args):
     resource = pytest.importorskip("resource")
     cap = 600 * 2**20
     proc = subprocess.run(
-        [sys.executable, "-m", "delpezzo.cli", *args], env=_child_env(), capture_output=True,
+        [sys.executable, "-m", "delpezzo.cli", *args], env=child_env(), capture_output=True,
         text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
@@ -842,26 +717,16 @@ def _slow(name, opts) -> bool:
     return opts.get("--name") == "diagonal-cubic"
 
 
-@pytest.fixture(scope="module")
-def argv_tmp(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("argv")
-    (tmp / "model.json").write_text(
-        json.dumps({"profile": "cubic-pencil", "translates": [[-1]], "q": "3"})
-    )
-    (tmp / "not-utf8.json").write_bytes(b"\xff" * 16)
-    return tmp
-
-
 @given(argv=_argv())
 @example(argv=("orbits", {"--degree": 3, "--classes": "cubics"}))
 @settings(derandomize=True, deadline=None, max_examples=200)
-def test_argv_exits_cleanly(cli, argv_tmp, argv):
+def test_argv_exits_cleanly(cli, docs, argv):
     name, opts = argv
     if _slow(name, opts):
         return
     args = [name]
     for opt, value in opts.items():
-        args += [opt, str(value).replace("{tmp}", str(argv_tmp))]
+        args += [opt, str(value).replace("{tmp}", str(docs))]
     res = cli(args)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.stderr

@@ -39,6 +39,7 @@ from delpezzo import (
     model_from_json,
     monotone_corners,
     nef_classes_of_height,
+    nef_curve_cone,
     pair,
     polarized_del_pezzo,
     reachable_balanced_heights,
@@ -275,6 +276,9 @@ _MALFORMED = {
     ),
     "polarized-del-pezzo-lattice-none": (
         lambda: polarized_del_pezzo(None, (3, -1, -1, -1)), "lattice must be a PicardLattice"
+    ),
+    "nef-curve-cone-lattice-list": (
+        lambda: nef_curve_cone([3]), "lattice must be a PicardLattice, got [3]"
     ),
     "invariant-sublattice-lattice-none": (
         lambda: invariant_sublattice(trivial_group(4), None), "lattice must be a PicardLattice"

@@ -20,10 +20,9 @@ from delpezzo import (
     larger_a_locus,
     make_lattice,
     nef_classes_of_height,
-    nef_curve_cone,
     polarized_del_pezzo,
 )
-from delpezzo import linalg
+from delpezzo import curves, linalg
 from delpezzo.linalg import dual_cone_rays
 
 GT = AInvariantClass.GREATER_THAN_ONE
@@ -51,7 +50,7 @@ def test_del_pezzo_a_invariant_runs_no_double_description(monkeypatch):
         raise AssertionError("double description on a del Pezzo surface")
 
     monkeypatch.setattr(linalg, "dual_cone_rays", refuse)
-    nef_curve_cone.cache_clear()
+    curves._nef_curve_cone.cache_clear()
     lat = make_lattice(8)
     assert a_invariant(polarized_del_pezzo(lat)) == 1
     minus_2k = tuple(2 * x for x in lat.anticanonical)
