@@ -114,9 +114,9 @@ def weyl_cmd(opts):
     from . import weyl
 
     gens = weyl.weyl_generators(lat)
-    # no simple roots for n <= 1: the group is trivial
-    group = weyl.generate_group(gens, cap=opts.cap) if gens else weyl.trivial_group(lat.rank)
-    return {"degree": opts.degree, "blowups": lat.n, "generators": len(gens), "order": group.order}
+    # no simple roots for n <= 1: the group is trivial, and numpy never loads
+    order = weyl.generate_group(gens, cap=opts.cap).order if gens else 1
+    return {"degree": opts.degree, "blowups": lat.n, "generators": len(gens), "order": order}
 
 
 def orbits(opts):

@@ -15,14 +15,23 @@ One rule keeps every batch product of the package exact (the bounded-magnitude
 products of Dumas, Giorgi & Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008):
 given a bound on every value a product reads or forms, `_exact_dtype` runs it
 on BLAS in float32 below 2**24 and in float64 below 2**53, in int64 below
-2**62, and refuses it past that before any work.  `_exact_operands` bounds
-every pair of integer operands (membership, the isometry check, the Weyl
+2**62, and refuses it past that before any work.  `_integer_operands`
+bounds a pair of integer operands by their values (membership and the Weyl
 action kernel); other bounds are structural: the number of normals for
 tight-set counts, rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3 for
 int8 group products, traces and cubes, and the Hadamard bound above (the
 rays stay int64 for `np.gcd`).  A result used as a value (key, list,
 `Fraction`) or in another product is converted to int64 first: -0.0 and 0.0
 differ in their bytes.
+
+One bound, `_BLOCK` entries, sets how much a batch kernel of the package
+holds at once, and this module applies it.  `_exact_tiles` is the one tiled
+exact product: it covers X @ rows.T with two-dimensional tiles of at most
+`_BLOCK` entries, never splits a matrix of a stack of right factors, and
+converts each operand tile to the product's dtype as it reads it.
+Membership, both counts of the adjacency test, the Weyl action kernel and
+the trace scan of the order-3 search read it; every other blocked loop takes
+its rows from `_block_rows`.
 
 numpy is imported once, here, as `np` for the whole package, and executes on
 its first attribute access: a command that never computes with it never
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, ToolkitError
 
@@ -55,8 +64,16 @@ np = _lazy_import("numpy")
 
 Vec = tuple[int, ...]
 
-# product blocks of _BLOCK x _BLOCK cells: 1 MB in float32, 2 MB in float64/int64
-_BLOCK = 512
+# the one working-set bound of the package: a product tile, a block of rows,
+# cubes or orbit labels holds at most this many entries (128 KB in float32,
+# 256 KB in float64/int64)
+_BLOCK = 1 << 15
+
+
+def _block_rows(width: int) -> int:
+    """The rows of `width` entries that one block holds: at most _BLOCK
+    entries, or one row where a row alone holds more."""
+    return max(1, _BLOCK // max(1, width))
 
 
 def _exact_dtype(bound, what: str):
@@ -69,18 +86,50 @@ def _exact_dtype(bound, what: str):
     raise DomainError(f"{what} could leave int64; refusing inexact arithmetic")
 
 
-def _exact_operands(rows, X, what: str):
-    """(rows, X) in the rule's dtype for the products X @ rows.T, bounded by
-    max |x| times the largest row-abs sum of the rows, each factor at least 1
-    so that it bounds every entry too (in float64, exact below 2**53).  Raises
-    DomainError for an entry that is not an integer within int64."""
+def _integer_operands(rows, X, what: str):
+    """(rows, X) as integer arrays, and the rule's dtype for the products
+    X @ rows.T, bounded by max |x| times the largest row-abs sum of the rows
+    (last axis), each factor at least 1 so that it bounds every entry too;
+    the sums are taken in float64 (exact below 2**53) a block of rows at a
+    time.  Raises DomainError for an entry that is not an integer within
+    int64."""
     rows, X = np.asarray(rows), np.asarray(X)
     for a in (rows, X):
         if a.size and (a.dtype.kind not in "iu" or a.dtype.kind == "u" and a.max() >= 2**63):
             raise DomainError(f"{what} entry is not an integer within int64")
     top = max(1, int(X.max(initial=0)), -int(X.min(initial=0)))
-    exact = _exact_dtype(top * np.abs(rows, dtype=np.float64).sum(axis=-1).max(initial=1.0), what)
+    flat = np.atleast_2d(rows)
+    step = _block_rows(prod(flat.shape[1:]))
+    widest = max((np.abs(flat[lo : lo + step], dtype=np.float64).sum(axis=-1).max(initial=1.0)
+                  for lo in range(0, len(flat), step)), default=1.0)
+    return rows, X, _exact_dtype(top * widest, what)
+
+
+def _exact_operands(rows, X, what: str):
+    """(rows, X) converted to the dtype `_integer_operands` gives them."""
+    rows, X, exact = _integer_operands(rows, X, what)
     return rows.astype(exact, copy=False), X.astype(exact, copy=False)
+
+
+def _exact_tiles(X, rows, exact, width: int = 1):
+    """Yield (a, b, P) with P = X[a : a + p] @ rows[b : b + q].T in the dtype
+    `exact`, over tiles that cover the product X @ rows.T, each operand tile
+    converted as it is read.  A product tile holds at most _BLOCK entries, or
+    one group of `width` rows where that alone holds more: the rows of `rows`
+    come in groups of `width` (the rows of one matrix of a stack), never
+    split.  An operand tile holds at most _BLOCK entries or isqrt(_BLOCK)
+    rows, whichever is more.  Tiles are two-dimensional, near square where
+    both operands are long, and the groups are spread evenly over the column
+    tiles."""
+    (m, d), groups = X.shape, len(rows) // width
+    most = max(isqrt(_BLOCK), _block_rows(d))  # the rows of an operand tile
+    per = min(_block_rows(min(m, isqrt(_BLOCK)) * width), max(1, most // width))
+    q = width * max(1, -(-groups // max(1, -(-groups // per))))
+    p = min(_block_rows(q), most)
+    for a in range(0, m, p):
+        A = X[a : a + p].astype(exact, copy=False)
+        for b in range(0, len(rows), q):
+            yield a, b, A @ rows[b : b + q].astype(exact, copy=False).T
 
 
 def dot(a, b) -> int:
@@ -219,25 +268,20 @@ def _adjacent_pairs(T, pos, neg, dim):
     """The adjacent pairs (i, j), i in `pos` and j in `neg`, among the rays
     whose tight sets are the rows of the bool matrix T: their common tight
     set has at least dim - 2 normals and exactly two rows of T (i and j)
-    contain it.  Both counts are exact products in blocks of _BLOCK rows."""
+    contain it.  Both counts are exact products over the tiles of
+    `_exact_tiles`."""
     exact = _exact_dtype(T.shape[1], "adjacency test")
-    pairs = [np.empty((0, 2), dtype=np.intp)]
-    for a in range(0, len(pos), _BLOCK):
-        P = T[pos[a : a + _BLOCK]].astype(exact)
-        for b in range(0, len(neg), _BLOCK):
-            Q = T[neg[b : b + _BLOCK]].astype(exact)
-            i, j = np.nonzero(P @ Q.T >= dim - 2)
-            pairs.append(np.stack([pos[a + i], neg[b + j]], axis=1))
-    i, j = np.concatenate(pairs).T
-    keep = np.empty(len(i), dtype=bool)
-    for a in range(0, len(i), _BLOCK):
-        common = (T[i[a : a + _BLOCK]] & T[j[a : a + _BLOCK]]).astype(exact)
-        size = common.sum(axis=1, keepdims=True)
-        holders = np.zeros(len(common), dtype=np.intp)
-        for r in range(0, len(T), _BLOCK):
-            holders += (common @ T[r : r + _BLOCK].T.astype(exact) == size).sum(axis=1)
-        keep[a : a + _BLOCK] = holders == 2
-    return i[keep], j[keep]
+    pairs = [np.empty((0, 3), dtype=np.intp)]
+    for a, b, P in _exact_tiles(T[pos], T[neg], exact):
+        i, j = np.nonzero(P >= dim - 2)
+        pairs.append(np.stack([pos[a + i], neg[b + j], P[i, j].astype(np.intp)], axis=1))
+    # (i, j, the size of their common tight set), the size compared in the
+    # products' dtype rather than promoted to float64 tile by tile
+    i, j, size = np.concatenate(pairs).T
+    size, holders = size[:, None].astype(exact), np.zeros(len(i), dtype=np.intp)
+    for a, _, P in _exact_tiles(T[i] & T[j], T, exact):
+        holders[a : a + len(P)] += (P == size[a : a + len(P)]).sum(axis=1)
+    return i[holders == 2], j[holders == 2]
 
 
 def cone_contains(normals, x):
@@ -245,9 +289,9 @@ def cone_contains(normals, x):
     vector, a bool array for the rows of a matrix or the vectors of a list
     (empty for an empty list).
 
-    Exact products (`_exact_operands`) over blocks of at most _BLOCK x _BLOCK
-    cells; refuses (DomainError) an input whose product could leave int64, and
-    raises ToolkitError for a NaN in a block, which no comparison may read.
+    Exact products (`_exact_operands`) over the tiles of `_exact_tiles`;
+    refuses (DomainError) an input whose product could leave int64, and
+    raises ToolkitError for a NaN in a tile, which no comparison may read.
     """
     N, X = _exact_operands(normals, x, "cone membership")
     if X.shape == (0,):  # an empty list of vectors
@@ -255,14 +299,12 @@ def cone_contains(normals, x):
     if N.size and N.shape[-1] != X.shape[-1]:
         raise DomainError(f"normals of length {N.shape[-1]} and vectors of length "
                           f"{X.shape[-1]} differ")
-    N, rows = N.reshape(-1, X.shape[-1]).T, np.atleast_2d(X)
-    step = max(1, _BLOCK * _BLOCK // max(1, N.shape[1]))
-    inside = np.empty(len(rows), dtype=bool)
-    for a in range(0, len(rows), step):
-        P = rows[a : a + step] @ N
+    rows = np.atleast_2d(X)
+    inside = np.ones(len(rows), dtype=bool)
+    for a, _, P in _exact_tiles(rows, N.reshape(-1, X.shape[-1]), X.dtype):
         if np.isnan(P).any():
             raise ToolkitError("cone membership product is not a number")
-        inside[a : a + step] = (P >= 0).all(axis=1)
+        inside[a : a + len(P)] &= (P >= 0).all(axis=1)
     return bool(inside[0]) if X.ndim == 1 else inside
 
 

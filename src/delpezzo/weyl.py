@@ -15,11 +15,13 @@ refuses writes none.  The closure keeps its last step: the subgroup's table
 and the coset representatives, whose count gives the order.  The group's own
 table, a read-only int8 array of its elements sorted by their row-major
 bytes, is written on first access to `FiniteGroup.elements`, each element
-once.  The kernels share one working-set bound, `_BLOCK` entries: products
-(`_product_chunks`), class images, cubes and orbit labels are formed a block
-at a time.  The closure is budgeted, so one that would pass the cap raises
-CapExceeded instead of thrashing memory, and the blow-up-count-8 Weyl group
-(order 696729600, see `WEYL_ORDERS`) is refused by default.
+once.  The kernels share the one working-set bound of `linalg`, `_BLOCK`
+entries: class images and the traces of the order-3 search are tiles of its
+one exact product (`linalg._exact_tiles`), and group products
+(`_product_chunks`), cubes and orbit labels take their rows from
+`linalg._block_rows`.  The closure is budgeted, so one that would pass the
+cap raises CapExceeded instead of thrashing memory, and the blow-up-count-8
+Weyl group (order 696729600, see `WEYL_ORDERS`) is refused by default.
 `_permutation_action` maps matrices to the permutations they induce on a
 finite class set, keyed by the same helpers, and `_orbit_labels` reads orbits
 off such permutations, so `orbits_under_generators` works for groups too
@@ -41,10 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
+from operator import mul
 
 from . import curves
 from .errors import DomainError, NotFound, ToolkitError, _index, _ints
-from .linalg import _exact_dtype, _exact_operands, integer_kernel, np
+# _BLOCK is re-exported: `from delpezzo.weyl import _BLOCK` reads linalg's bound
+from .linalg import _BLOCK, _block_rows, _exact_dtype, _exact_tiles, _integer_operands  # noqa: F401
+from .linalg import integer_kernel, np
 # WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
 from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, _lattice, check_cap  # noqa: F401
 
@@ -52,20 +57,18 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def validate_isometry(lat: PicardLattice, M: Matrix) -> None:
-    """Check M preserves the pairing and fixes the canonical class: two exact
-    products (`linalg._exact_operands`), G folded into the columns of M and
-    into K, then M^T G M and M^T G K.  G is unimodular, so once M^T G M = G,
-    M K = K holds exactly when M^T G K = G K.  M is read by `errors._ints`."""
+    """Check M preserves the pairing and fixes the canonical class, in Python
+    ints, so exact at any size: every pair of columns of M pairs as the gram
+    G says (M^T G M = G, with G folded into each column), and M K = K.  M is
+    read by `errors._ints`."""
     r, M = _lattice(lat).rank, _ints(M, "isometry entries must be integers", 2)
     if len(M) != r or any(len(row) != r for row in M):
         raise DomainError(f"matrix shape does not match rank {r}")
-    G, C = _exact_operands(lat.gram, [*zip(*M), lat.canonical], "isometry check")
-    folded, C = _exact_operands((C @ G.T).astype(np.int64), C[:r].astype(np.int64),
-                                "isometry check")
-    P = C @ folded.T
-    if (P[:, :r] != G).any():
+    cols = list(zip(*M))
+    folded = [[sum(map(mul, g, c)) for g in lat.gram] for c in cols]
+    if any(sum(map(mul, c, f)) != g for c, row in zip(cols, lat.gram) for f, g in zip(folded, row)):
         raise DomainError("matrix does not preserve the pairing")
-    if (P[:, r] != folded[r]).any():
+    if any(sum(map(mul, row, lat.canonical)) != k for row, k in zip(M, lat.canonical)):
         raise DomainError("matrix does not fix the canonical class")
 
 
@@ -103,12 +106,6 @@ def weyl_generators(lat: PicardLattice) -> list[Matrix]:
         validate_isometry(lat, M)
         out.append(M)
     return out
-
-
-# the one working-set bound of the kernels: a chunk of products, a block of
-# class images, of cubes or of labelled candidates holds at most this many
-# entries, or one row where a row alone holds more
-_BLOCK = 1 << 15
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -176,7 +173,7 @@ def _product_chunks(left: np.ndarray, right: np.ndarray):
     # R[i, b * rank + j] = right[b][i][j]: block b of the columns of x @ R is
     # x @ right[b]
     R = right.transpose(1, 0, 2).reshape(rank, m * rank).astype(exact)
-    step = max(1, _BLOCK // max(1, m * rank * rank))
+    step = _block_rows(m * rank * rank)
     for lo in range(0, len(left), step):
         chunk = left[lo : lo + step]
         P = chunk.reshape(-1, rank).astype(exact) @ R
@@ -337,13 +334,14 @@ def _permutation_action(mats, classes) -> np.ndarray:
     """Permutations induced on a closed class set, one int32 row per matrix.
 
     Row g maps class index k to the index of mats[g] @ classes[k].  Images
-    are exact products by the rule of `linalg`, at most `_BLOCK` entries at a
-    time; classes and images are keyed by the bytes of their int64 rows
-    (`_row_keys`, sorted, then searched with `_find`).  Raises DomainError for
-    an input that could leave int64 (before any product), duplicate classes
-    or an image outside the set.
+    are exact products by the rule of `linalg` (`_integer_operands`), formed a
+    tile of classes by whole matrices at a time (`_exact_tiles`); classes and
+    images are keyed by the bytes of their int64 rows (`_row_keys`, sorted,
+    then searched with `_find`).  Raises DomainError for an input that could
+    leave int64 (before any product), duplicate classes or an image outside
+    the set.
     """
-    mats, arr = _exact_operands(mats, classes, "class images")
+    mats, arr, exact = _integer_operands(mats, classes, "class images")
     k, r = arr.shape
     mats = mats.reshape(-1, r, r) if mats.size == 0 else mats
     if mats.ndim != 3 or mats.shape[1:] != (r, r):
@@ -356,20 +354,16 @@ def _permutation_action(mats, classes) -> np.ndarray:
     keys = keys[order]  # sorted, and the unsorted copy of the classes is freed
     if (keys[1:] == keys[:-1]).any():
         raise DomainError("class set contains duplicates")
-    images = max(1, _BLOCK // r)
-    step = min(k, images)
-    per = max(1, images // step)
-    mats_t = mats.transpose(0, 2, 1)
-    for lo in range(0, k, step):
-        rows = arr[lo : lo + step]
-        for g in range(0, len(mats), per):
-            pos, hit = _find(keys, _row_keys((rows @ mats_t[g : g + per]).astype(np.int64)))
-            if not hit.all():
-                c = tuple(int(x) for x in rows[np.argwhere(~hit)[0][1]])
-                raise DomainError(
-                    f"class set is not closed: a matrix moves {c} outside"
-                )
-            out[g : g + per, lo : lo + step] = order[pos]
+    # row g * r + i of the stack is row i of mats[g], so P[k, g * r + i] is
+    # entry i of the image of class k under mats[g]; the images are keyed
+    # matrix by matrix, whose lookups of a sorted class set run faster
+    for lo, g, P in _exact_tiles(arr, mats.reshape(-1, r), exact, width=r):
+        images = P.reshape(len(P), -1, r).transpose(1, 0, 2).astype(np.int64, order="C")
+        pos, hit = _find(keys, _row_keys(images))
+        if not hit.all():
+            c = tuple(int(x) for x in arr[lo + np.argwhere(~hit)[0][1]])
+            raise DomainError(f"class set is not closed: a matrix moves {c} outside")
+        out[g // r : g // r + len(images), lo : lo + len(P)] = order[pos]
     return out
 
 
@@ -457,7 +451,7 @@ def _order3_indices(elems: np.ndarray) -> np.ndarray:
     the bound rank**2 * 128**3 on their entries."""
     exact = _exact_dtype(elems.shape[-1] ** 2 * 128**3, "order-3 test")
     eye = np.eye(elems.shape[-1])
-    found, step = [], max(1, _BLOCK // elems.shape[-1] ** 2)
+    found, step = [], _block_rows(elems.shape[-1] ** 2)
     for lo in range(0, len(elems), step):
         M = elems[lo : lo + step].astype(exact)
         hit = ((M @ M @ M) == eye).all(axis=(1, 2)) & ~(M == eye).all(axis=(1, 2))
@@ -469,18 +463,16 @@ def _order3_elements(group: FiniteGroup) -> np.ndarray:
     """The int8 M in a group with M^3 = I != M, in table order: cubes, a coset
     at a time, of the h x (h in H, x = I or in a level) whose trace, from one
     product, is r - 3k for k >= 1 eigenvalue pairs w, w-bar (Carter, 1972).
-    The traces are formed a block of rows of H at a time, each block and its
-    rows in the product's dtype at most `_BLOCK` entries, and kept as one bool
-    per product."""
+    The traces are the tiles of one exact product (`linalg._exact_tiles`),
+    kept as one bool per product."""
     H, r = group.subgroup, group.subgroup.shape[-1]
     X = np.concatenate((np.eye(r, dtype=np.int8)[None], *group.levels))
-    exact = _exact_dtype(r * r * 128**2, "trace")
-    Xt = X.transpose(0, 2, 1).reshape(len(X), -1).astype(exact)
-    step = max(1, _BLOCK // max(len(X), r * r))
     # tr(h x) = sum h_ij x_ji
-    traces = (H[lo : lo + step].reshape(-1, r * r).astype(exact) @ Xt.T
-              for lo in range(0, len(H), step))
-    keep = np.concatenate([(T < r) & ((r - T) % 3 == 0) for T in traces])
+    tiles = _exact_tiles(H.reshape(-1, r * r), X.transpose(0, 2, 1).reshape(len(X), -1),
+                         _exact_dtype(r * r * 128**2, "trace"))
+    keep = np.empty((len(H), len(X)), dtype=bool)
+    for a, b, T in tiles:
+        keep[a : a + len(T), b : b + T.shape[1]] = (T < r) & ((r - T) % 3 == 0)
     found = [H[:0]]
     for j in np.flatnonzero(keep.any(axis=0)):
         block = _products(H[keep[:, j]], X[j : j + 1])[:, 0]
@@ -625,7 +617,7 @@ def conic_bundle_extension_analysis() -> dict:
         block's positions."""
         gens = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
         n, out = len(elems), []
-        per = max(1, _BLOCK // (len(axes) * n))
+        per = _block_rows(len(axes) * n)
         for lo in range(0, gens.shape[1], per):
             block = left[gens[:, lo : lo + per]]
             k = block.shape[1]

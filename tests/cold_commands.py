@@ -98,7 +98,9 @@ else:
     # the 576 cosets of S_7 in W(E7) along the simple roots and no table of
     # the group: about 31 MB, where the whole table is 186 MB
     cli("weyl-e7", "weyl --degree 2", stdout=("line", '  "order": 2903040'), wall=5, rss=100),
-    cli("weyl-trivial", "weyl --degree 9", stdout=("line", '  "order": 1')),
+    # no simple roots: order 1 without numpy
+    cli("weyl-trivial", "weyl --degree 9", stdout=("line", '  "order": 1'), numpy=False),
+    cli("weyl-trivial-8", "weyl --degree 8", stdout=("line", '  "order": 1'), numpy=False),
     # 19,440 nef rays from 19,680 conic and cubic classes, no double description
     cli("fujita-e8", "fujita --degree 1", stdout=("contains", '"a_invariant": "1"')),
     # a header and one row per square-1 cubic class

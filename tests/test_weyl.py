@@ -452,6 +452,14 @@ def test_kernel_peaks(lat6):
     assert _peak(_order3_elements, group) < 0.6 * 2**20
 
 
+def test_whole_table_action_peak(we6, lat6):
+    # the action of W(E6)'s 51,840 elements on its 27 lines took 22.2 MB when
+    # the operands were bounded in one float64 copy and converted whole; the
+    # permutations alone are 5.3 MB
+    table, lines = we6.elements, enumerate_neg_one_curves(lat6)
+    assert _peak(_permutation_action, table, lines) < 8 * 2**20
+
+
 def test_trivial_group():
     group = trivial_group(4)
     assert group.order == 1 and group.generators == ()
