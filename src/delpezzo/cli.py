@@ -7,8 +7,10 @@ anything else as JSON with sorted keys) and turns a ToolkitError into one
 `error: ...` line on stderr.  Exit codes: 0 ok, 1 domain/cap error, 2 usage
 error.  Every command is deterministic given its flags and seed.  Each command
 imports the kernel modules it runs, so a process loads only what its command
-needs: `lattice`, `count` and `fujita --hirzebruch` need no numpy, and `weyl`
-refuses a known order past `--cap` before it loads the closure.
+needs: `lattice`, `curves`, `thresholds`, `ruled`, `count`, `fujita
+--hirzebruch` and `weyl --degree 8/9` need no numpy and run where it is not
+installed, and `weyl` refuses a known order past `--cap` before it loads the
+closure.
 """
 
 from __future__ import annotations

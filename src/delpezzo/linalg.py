@@ -35,7 +35,9 @@ its rows from `_block_rows`.
 
 numpy is imported once, here, as `np` for the whole package, and executes on
 its first attribute access: a command that never computes with it never
-loads it.
+loads it, and runs where numpy is not installed.  There `np` is a stand-in
+whose first attribute access raises ToolkitError, so a command that needs
+numpy ends in one `error:` line.
 """
 
 from __future__ import annotations
@@ -43,16 +45,24 @@ from __future__ import annotations
 import importlib.util
 import sys
 from math import gcd, isqrt, prod
+from types import ModuleType
 
 from .errors import DomainError, ToolkitError
 
 
 def _lazy_import(name: str):
     """The module `name`, executed on its first attribute access (the loaded
-    module itself once anything has imported it)."""
+    module itself once anything has imported it); where it is not installed, a
+    stand-in whose first attribute access raises ToolkitError."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:
+        def missing(attr):
+            raise ToolkitError(f"this command needs {name}, which is not installed")
+        module = ModuleType(name)
+        module.__getattr__ = missing
+        return module
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module

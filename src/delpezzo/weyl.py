@@ -47,11 +47,8 @@ from operator import mul
 
 from . import curves
 from .errors import DomainError, NotFound, ToolkitError, _index, _ints
-# _BLOCK is re-exported: `from delpezzo.weyl import _BLOCK` reads linalg's bound
-from .linalg import _BLOCK, _block_rows, _exact_dtype, _exact_tiles, _integer_operands  # noqa: F401
-from .linalg import integer_kernel, np
-# WEYL_ORDERS is re-exported: `from delpezzo.weyl import WEYL_ORDERS` keeps working
-from .picard import DEFAULT_CAP, WEYL_ORDERS, PicardLattice, Vec, _lattice, check_cap  # noqa: F401
+from .linalg import _block_rows, _exact_dtype, _exact_tiles, _integer_operands, integer_kernel, np
+from .picard import DEFAULT_CAP, PicardLattice, Vec, _lattice, check_cap
 
 Matrix = tuple[tuple[int, ...], ...]
 

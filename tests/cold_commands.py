@@ -5,17 +5,20 @@ library snippet), the expected exit code, a stdout check (the sha256 of the
 whole stdout, a substring, a whole line, or a line count), a wall bound the
 process is killed at, a peak RSS bound where one is set, and whether the
 process may load numpy (a row that may not runs under `-X importtime` and
-fails on numpy's core or on click).  `{docs}` in an argv is the directory
-`write_documents` fills.
+fails on numpy's core or on click, and runs a second time under `-S`, with
+the same checks: without site-packages numpy cannot be imported, as where it
+is not installed).  `{docs}` in an argv is the directory `write_documents`
+fills.
 
     PYTHONPATH=src python tests/cold_commands.py
 
 writes the documents to a temporary directory and runs every row with `src`
-on PYTHONPATH, one after another.  It reads each child's wall time and peak
-RSS (`ru_maxrss`) from `os.wait4`, checks the exit code, one `error:` line on
-exit 1, no traceback, the stdout check and numpy, prints one line per row and
-exits 1 if any row fails.  It imports only the standard library: a child's
-`ru_maxrss` includes the peak RSS of the process that spawned it.
+on PYTHONPATH, one after another, then the `-S` runs.  It reads each child's
+wall time and peak RSS (`ru_maxrss`) from `os.wait4`, checks the exit code,
+one `error:` line on exit 1, no traceback, the stdout check and numpy,
+prints one line per run and exits 1 if any run fails.  It imports only the
+standard library: a child's `ru_maxrss` includes the peak RSS of the process
+that spawned it.
 """
 
 import json
@@ -56,7 +59,7 @@ ROWS = [
     # benchmark pins the same digests
     cli("lattice", "lattice --degree 3", numpy=False,
         stdout=("sha256", "b2c50c38ff42a8f6d204de67945cfce9af5704c601c35b7ee4b049264e305051")),
-    cli("curves", "curves --degree 6 --kind cubics",
+    cli("curves", "curves --degree 6 --kind cubics", numpy=False,
         stdout=("sha256", "bd032506b7c979ebd4efed7a5af3128eb6d92c26a846fc27b28310d70b57d7a2")),
     cli("weyl", "weyl --degree 5",
         stdout=("sha256", "147257dfa1ecdc2a9062fd11ffc500aced3f8de9e8de5bbb98c2788c18c5f3b9")),
@@ -104,7 +107,7 @@ else:
     # 19,440 nef rays from 19,680 conic and cubic classes, no double description
     cli("fujita-e8", "fujita --degree 1", stdout=("contains", '"a_invariant": "1"')),
     # a header and one row per square-1 cubic class
-    cli("curves-e8-cubics-csv", "curves --degree 1 --kind cubics --format csv",
+    cli("curves-e8-cubics-csv", "curves --degree 1 --kind cubics --format csv", numpy=False,
         stdout=("lines", 17521)),
     cli("orbits-cubics", "orbits --degree 3 --classes cubics",
         stdout=("contains", '"orbit_sizes"')),
@@ -227,10 +230,12 @@ def write_documents(docs) -> list:
     return sorted(files)
 
 
-def _spawn(row, docs, env):
+def _spawn(row, docs, env, flags=()):
     """(exit code, wall s, peak RSS MB, stdout, stderr lines) of one row's
-    child, killed with SIGKILL at the row's wall bound."""
-    args = row_argv(row, docs) if row.numpy else ["-X", "importtime", *row_argv(row, docs)]
+    child, run with the interpreter `flags` and killed with SIGKILL at the
+    row's wall bound."""
+    imports = () if row.numpy else ("-X", "importtime")
+    args = [*flags, *imports, *row_argv(row, docs)]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         pid = os.posix_spawn(sys.executable, [sys.executable, *args], env, file_actions=[
@@ -290,14 +295,16 @@ def main() -> int:
     env = child_env()
     with tempfile.TemporaryDirectory() as docs:
         write_documents(docs)
-        results = [(row, _spawn(row, docs, env)) for row in ROWS]
+        runs = [(row, ()) for row in ROWS] + [(row, ("-S",)) for row in ROWS if not row.numpy]
+        results = [(row, flags, _spawn(row, docs, env, flags)) for row, flags in runs]
     failed = 0
-    for row, (code, wall, rss, stdout, stderr) in results:
+    for row, flags, (code, wall, rss, stdout, stderr) in results:
         faults = _faults(row, code, wall, rss, stdout, stderr)
         failed += bool(faults)
-        print(f"{'FAIL' if faults else 'ok  '} {row.name:28} exit {code:3} {wall:6.2f} s "
+        name = " ".join([row.name, *flags])
+        print(f"{'FAIL' if faults else 'ok  '} {name:30} exit {code:3} {wall:6.2f} s "
               f"{rss:6.1f} MB  {'; '.join(faults)}".rstrip())
-    print(f"{len(ROWS) - failed} of {len(ROWS)} rows passed")
+    print(f"{len(runs) - failed} of {len(runs)} runs passed")
     return 1 if failed else 0
 
 

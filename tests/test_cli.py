@@ -19,6 +19,7 @@ from cold_commands import (CLI, CRITERION_10, HUGE_LITERAL, ROWS, child_env, row
 from delpezzo.cli import _COMMANDS, _parser, _rational, run_example
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS, default_model, load_model, model_to_json
 from delpezzo.errors import DomainError, FieldError, ToolkitError, _read_json
+from delpezzo.picard import DEFAULT_CAP, WEYL_ORDERS
 from delpezzo.ruled import (
     FUZZ_BUDGET,
     blow_up_fiber,
@@ -27,7 +28,6 @@ from delpezzo.ruled import (
     irreducible_fiber,
     with_marked,
 )
-from delpezzo.weyl import DEFAULT_CAP, WEYL_ORDERS
 from delpezzo.thresholds import list_shipped_profiles, load_profile, profile_to_dict
 
 
@@ -557,7 +557,8 @@ _NUMPY_FREE = [n for n, row in CLI.items() if not row.numpy and n not in _NUMPY_
 def _cold_matches_warm(cli, docs, name):
     """A cold process of row `name` loads neither numpy's core (numpy._core in
     numpy 2, numpy.core in 1.x), sympy, a test-only dependency, nor click, and
-    prints what the command prints where every module is loaded."""
+    prints what the command prints where every module is loaded; so does one
+    under `-S`, where site-packages, and so numpy, cannot be imported."""
     args = _args(name, docs)
     cold = subprocess.run(
         [sys.executable, "-c", _REPORT_MODULES, *args], env=child_env(), capture_output=True,
@@ -570,6 +571,9 @@ def _cold_matches_warm(cli, docs, name):
         assert package <= {"delpezzo", "delpezzo.cli", "delpezzo.picard", "delpezzo.errors"}
     warm = cli(args)
     assert (cold.returncode, cold.stdout) == (warm.exit_code, warm.stdout)
+    bare = subprocess.run([sys.executable, "-S", "-m", "delpezzo.cli", *args], env=child_env(),
+                          capture_output=True, text=True)
+    assert (bare.returncode, bare.stdout) == (warm.exit_code, warm.stdout), bare.stderr[-300:]
     assert cold.returncode == CLI[name].exit
 
 
@@ -581,6 +585,15 @@ def test_cold_command_loads_only_what_it_runs(cli, docs, name):
 @pytest.mark.parametrize("name", _NUMPY_FREE_COUNTS)
 def test_cold_count_and_hirzebruch_load_no_numpy(cli, docs, name):
     _cold_matches_warm(cli, docs, name)
+
+
+def test_command_needing_numpy_refused_without_it():
+    # under -S numpy cannot be imported: a command that computes with it ends
+    # in one `error:` line naming numpy, not a traceback
+    proc = subprocess.run([sys.executable, "-S", "-m", "delpezzo.cli", "weyl", "--degree", "5"],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: this command needs numpy, which is not installed"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -32,10 +32,10 @@ from delpezzo import (
     validate_isometry,
     weyl_generators,
 )
+from delpezzo.linalg import _BLOCK
 from delpezzo.picard import DEFAULT_CAP
-from delpezzo.weyl import WEYL_ORDERS as CLOSED_FORM_ORDERS
+from delpezzo.picard import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
-    _BLOCK,
     FiniteGroup,
     _coset_table,
     _left_table,
