@@ -56,7 +56,11 @@ class Cone:
 # 340,321 classes, 188,641 of them nef), takes 0.87-1.08 s; height 5 there
 # would visit 2,285,202, and height 6 took 31 s without a budget.  On one
 # blow-up the scan of a is wide and finds few classes: height 400 visits
-# 676,702 prefixes for 101.
+# 676,702 prefixes for 101.  The same budget bounds the candidates a nef
+# decomposition tests and the cells `break_fiber_class` scans.  A plan of
+# 2000 (-K) tests 8,000 candidates on two blow-ups and 128,072 on six (on
+# seven, 591,985, refused); 2**40 (-K) is refused after 1.8-2.1 s on six or
+# seven blow-ups and 9.3 s on two, whose steps test four candidates each.
 SEARCH_BUDGET = 2**19
 
 
@@ -264,18 +268,26 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
     Gated to lattice degree >= 2.  The returned list is the chosen multiset in
     search order (non-increasing).  An exhausted search raises
     DecompositionNotFound carrying the residual and the generating set size;
-    the generating set is fixed, never extended silently.
+    the generating set is fixed, never extended silently.  The cost grows
+    with the height, each summand a step, so every step counts the candidates
+    it tests before it tests them, and past SEARCH_BUDGET the search raises
+    CapExceeded.
     """
     c = _nef_input(lat, c, "decomposition")
     gens, normals = _decomposition_generators(lat), _nef_normals(lat)
+    tested, refusal = 0, f"decomposing {c} would test more than {SEARCH_BUDGET} candidates"
 
     def steps(residual: Vec, start: int):
         """The (index, generator, next residual) moves from a search state,
         in the order they are tried: generators from `start` on whose height
-        fits the residual's and that leave it nef."""
+        fits the residual's and that leave it nef.  Each candidate is counted
+        before it is tested."""
+        nonlocal tested
         h = anticanonical_degree(lat, residual)
         if h < 2:
             return ()
+        tested += len(gens) - start
+        _check_budget(tested, SEARCH_BUDGET, refusal)
         rest = [tuple(a - b for a, b in zip(residual, g)) for g in gens[start:]]
         nef = linalg.cone_contains(normals, rest)
         return (
@@ -339,7 +351,7 @@ def break_fiber_class(lat: PicardLattice, c) -> tuple[Vec, Vec]:
         _check_budget(cells, SEARCH_BUDGET, refusal)
         c0 = np.full((size, lat.rank), a, dtype=np.int64)
         c0[:, 1:] = np.indices(shape, dtype=np.int64).reshape(lat.n, size).T + lo
-        c1 = np.array(c, dtype=np.int64) - c0
+        c1 = linalg._integer_operands(c, c0, "class")[0] - c0
         hit = np.flatnonzero(linalg.cone_contains(normals, c0) & linalg.cone_contains(normals, c1))
         if hit.size:
             return tuple(c0[hit[0]].tolist()), tuple(c1[hit[0]].tolist())

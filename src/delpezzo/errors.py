@@ -1,8 +1,8 @@
 """Error taxonomy shared by every module, the one check of every work budget,
 the one integer rule, and the readers of the JSON parsers (profile, counting
 model, fiber tree): files, documents, fields named by their path, and exact
-integers (within int64, the range of the kernels), rationals, booleans and
-strings.
+integers (within int64, the contract of the JSON formats; the kernels are
+exact at any size), rationals, booleans and strings.
 
 The integer rule: every exact integer input of the package is read by
 `_index`, and every vector or matrix of them by `_ints`, entry by entry as

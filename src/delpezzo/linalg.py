@@ -6,21 +6,23 @@ normal h} (callers fold any bilinear form into the normals) by the double
 description method on matrices (Fukuda & Prodon, "Double description method
 revisited", 1996); del Pezzo and Hirzebruch nef cones and counting cones read
 their rays otherwise, checked against it by the tests.  Rays are the rows of
-an int64 matrix and their tight sets the rows of a bool matrix; each ray spans
-the kernel of dim - 1 tight normals, so by Hadamard's bound every product a
-run forms is at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest
-Euclidean norm of a normal (about 4e16 for the 240 lines of eight blow-ups).
+an integer matrix and their tight sets the rows of a bool matrix; each ray
+spans the kernel of dim - 1 tight normals, so by Hadamard's bound every
+product a run forms is at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H
+the largest Euclidean norm of a normal (about 4e16 for the 240 lines of eight
+blow-ups).
 
 One rule keeps every batch product of the package exact (the bounded-magnitude
 products of Dumas, Giorgi & Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008):
 given a bound on every value a product reads or forms, `_exact_dtype` runs it
 on BLAS in float32 below 2**24 and in float64 below 2**53, in int64 below
-2**62, and refuses it past that before any work.  `_integer_operands`
-bounds a pair of integer operands by their values (membership and the Weyl
-action kernel); other bounds are structural: the number of normals for
-tight-set counts, rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3 for
-int8 group products, traces and cubes, and the Hadamard bound above (the
-rays stay int64 for `np.gcd`).  A result used as a value (key, list,
+2**62, or in Python ints (object arrays) past that, so no integer input is
+refused for its size.  `_integer_operands` reads a pair of integer operands
+and bounds them by their values (membership and the Weyl action kernel);
+other bounds are structural: the number of normals for tight-set counts,
+rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3 for int8 group
+products, traces and cubes, and the Hadamard bound above, which picks int64
+rays (for `np.gcd`) or Python ints.  A result used as a value (key, list,
 `Fraction`) or in another product is converted to int64 first: -0.0 and 0.0
 differ in their bytes.
 
@@ -44,10 +46,10 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, prod
 from types import ModuleType
 
-from .errors import DomainError, ToolkitError
+from .errors import DomainError, ToolkitError, _ints
 
 
 def _lazy_import(name: str):
@@ -86,39 +88,40 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK // max(1, width))
 
 
-def _exact_dtype(bound, what: str):
+def _exact_dtype(bound):
     """The dtype of the rule (module docstring) for a product whose values are
-    at most `bound` in size; DomainError from 2**62 on, whose factor-2 margin
-    under 2**63 covers the rounding of a float64 bound."""
-    for limit, dtype in ((2**24, np.float32), (2**53, np.float64), (2**62, np.int64)):
-        if bound < limit:
-            return dtype
-    raise DomainError(f"{what} could leave int64; refusing inexact arithmetic")
+    at most `bound` in size: object (Python ints) from 2**62 on, whose
+    factor-2 margin under 2**63 covers the rounding of a float64 bound."""
+    tiers = ((2**24, np.float32), (2**53, np.float64), (2**62, np.int64), (inf, object))
+    return next(dtype for limit, dtype in tiers if bound < limit)
 
 
 def _integer_operands(rows, X, what: str):
     """(rows, X) as integer arrays, and the rule's dtype for the products
     X @ rows.T, bounded by max |x| times the largest row-abs sum of the rows
     (last axis), each factor at least 1 so that it bounds every entry too;
-    the sums are taken in float64 (exact below 2**53) a block of rows at a
-    time.  Raises DomainError for an entry that is not an integer within
-    int64."""
-    rows, X = np.asarray(rows), np.asarray(X)
-    for a in (rows, X):
-        if a.size and (a.dtype.kind not in "iu" or a.dtype.kind == "u" and a.max() >= 2**63):
-            raise DomainError(f"{what} entry is not an integer within int64")
+    the sums are taken a block of rows at a time, in float64 (exact below
+    2**53) or in Python ints.
+
+    An operand that numpy reads as a signed integer array passes as it is;
+    any other (past int64, unsigned, ragged, or not of integers) is read by
+    `errors._ints` into an object array of Python ints, which raises
+    DomainError("{what}: ...") for a ragged one or an entry that is not an
+    integer."""
+    def read(x):
+        try:
+            a = np.asarray(x)
+        except ValueError:  # ragged: its rows as the entries of an object array
+            a = np.asarray(x, dtype=object)
+        return a if a.dtype.kind == "i" else np.array(_ints(x, what, a.ndim), dtype=object)
+
+    rows, X = read(rows), read(X)
     top = max(1, int(X.max(initial=0)), -int(X.min(initial=0)))
     flat = np.atleast_2d(rows)
-    step = _block_rows(prod(flat.shape[1:]))
-    widest = max((np.abs(flat[lo : lo + step], dtype=np.float64).sum(axis=-1).max(initial=1.0)
-                  for lo in range(0, len(flat), step)), default=1.0)
-    return rows, X, _exact_dtype(top * widest, what)
-
-
-def _exact_operands(rows, X, what: str):
-    """(rows, X) converted to the dtype `_integer_operands` gives them."""
-    rows, X, exact = _integer_operands(rows, X, what)
-    return rows.astype(exact, copy=False), X.astype(exact, copy=False)
+    step, sums = _block_rows(prod(flat.shape[1:])), np.float64 if rows.dtype.kind == "i" else object
+    widest = max((np.abs(flat[lo : lo + step], dtype=sums).sum(axis=-1).max(initial=1)
+                  for lo in range(0, len(flat), step)), default=1)
+    return rows, X, _exact_dtype(top * int(widest))
 
 
 def _exact_tiles(X, rows, exact, width: int = 1):
@@ -245,21 +248,22 @@ def dual_cone_rays(normals) -> list[Vec]:
     spanning subset of the normals, then cut by the remaining inequalities,
     combining adjacent rays across each new hyperplane.  Adjacency is the
     combinatorial test on exact tight sets.  Requires the normals to span
-    (pointed dual cone); refuses (DomainError) normals whose products could
-    leave int64.  Returns primitive integer rays, lexicographically sorted.
+    (pointed dual cone).  The rays are int64, or Python ints where the
+    Hadamard bound of the module docstring reaches 2**62.  Returns primitive
+    integer rays, lexicographically sorted.
     """
     normals = list(dict.fromkeys(primitive(h) for h in normals))
     if not normals:
         raise DomainError("no inequality normals: the dual cone is the whole space, not pointed")
     dim = len(normals[0])
-    # the Hadamard bound of the module docstring, with H**2 = hsq
-    hsq = max(dot(h, h) for h in normals)
-    _exact_dtype(isqrt(4 * dim * hsq ** (2 * dim - 1)) + 1, "double description")
+    # the Hadamard bound of the module docstring; int64 rays for `np.gcd` below 2**62
+    exact = _exact_dtype(isqrt(4 * dim * max(dot(h, h) for h in normals) ** (2 * dim - 1)) + 1)
+    exact = object if exact is object else np.int64
     picked, rays = _initial_simplicial_rays(normals)
     # seed normals first, so the normals cut so far are a prefix of the columns
     order = picked + [i for i in range(len(normals)) if i not in picked]
-    N = np.array([normals[i] for i in order], dtype=np.int64)
-    R = np.array(rays, dtype=np.int64)
+    N = np.array([normals[i] for i in order], dtype=exact)
+    R = np.array(rays, dtype=exact)
     T = R @ N.T == 0
     for c in range(dim, len(N)):
         s = R @ N[c]
@@ -280,7 +284,7 @@ def _adjacent_pairs(T, pos, neg, dim):
     set has at least dim - 2 normals and exactly two rows of T (i and j)
     contain it.  Both counts are exact products over the tiles of
     `_exact_tiles`."""
-    exact = _exact_dtype(T.shape[1], "adjacency test")
+    exact = _exact_dtype(T.shape[1])
     pairs = [np.empty((0, 3), dtype=np.intp)]
     for a, b, P in _exact_tiles(T[pos], T[neg], exact):
         i, j = np.nonzero(P >= dim - 2)
@@ -299,11 +303,12 @@ def cone_contains(normals, x):
     vector, a bool array for the rows of a matrix or the vectors of a list
     (empty for an empty list).
 
-    Exact products (`_exact_operands`) over the tiles of `_exact_tiles`;
-    refuses (DomainError) an input whose product could leave int64, and
-    raises ToolkitError for a NaN in a tile, which no comparison may read.
+    Exact products over the tiles of `_exact_tiles`, in the dtype
+    `_integer_operands` gives the operands (Python ints past int64), so a
+    ragged operand or an entry that is not an integer raises DomainError,
+    and a NaN in a float tile, which no comparison may read, ToolkitError.
     """
-    N, X = _exact_operands(normals, x, "cone membership")
+    N, X, exact = _integer_operands(normals, x, "cone membership entry is not an integer")
     if X.shape == (0,):  # an empty list of vectors
         return np.empty(0, dtype=bool)
     if N.size and N.shape[-1] != X.shape[-1]:
@@ -311,8 +316,8 @@ def cone_contains(normals, x):
                           f"{X.shape[-1]} differ")
     rows = np.atleast_2d(X)
     inside = np.ones(len(rows), dtype=bool)
-    for a, _, P in _exact_tiles(rows, N.reshape(-1, X.shape[-1]), X.dtype):
-        if np.isnan(P).any():
+    for a, _, P in _exact_tiles(rows, N.reshape(-1, X.shape[-1]).astype(exact), exact):
+        if P.dtype.kind == "f" and np.isnan(P).any():
             raise ToolkitError("cone membership product is not a number")
         inside[a : a + len(P)] &= (P >= 0).all(axis=1)
     return bool(inside[0]) if X.ndim == 1 else inside

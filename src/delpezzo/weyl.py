@@ -166,7 +166,7 @@ def _product_chunks(left: np.ndarray, right: np.ndarray):
     `_BLOCK` output entries, or one left factor's products where those alone
     are more.  Raises ToolkitError for an entry outside int8."""
     m, rank = len(right), right.shape[-1]
-    exact = _exact_dtype(rank * 128 * 128, "group product")
+    exact = _exact_dtype(rank * 128 * 128)
     # R[i, b * rank + j] = right[b][i][j]: block b of the columns of x @ R is
     # x @ right[b]
     R = right.transpose(1, 0, 2).reshape(rank, m * rank).astype(exact)
@@ -334,11 +334,16 @@ def _permutation_action(mats, classes) -> np.ndarray:
     are exact products by the rule of `linalg` (`_integer_operands`), formed a
     tile of classes by whole matrices at a time (`_exact_tiles`); classes and
     images are keyed by the bytes of their int64 rows (`_row_keys`, sorted,
-    then searched with `_find`).  Raises DomainError for an input that could
-    leave int64 (before any product), duplicate classes or an image outside
-    the set.
+    then searched with `_find`).  So this is the one place where an integer
+    input is refused for its size: DomainError, before any product, where the
+    rule's bound reaches 2**62 and an image could leave int64, the key's
+    width (keying rows by tuples of Python ints would be a second index).
+    Raises DomainError too for a ragged or non-integer input, duplicate
+    classes or an image outside the set.
     """
-    mats, arr, exact = _integer_operands(mats, classes, "class images")
+    mats, arr, exact = _integer_operands(mats, classes, "class images need integer entries")
+    if exact is object:
+        raise DomainError("class images could leave int64, the width of a row key")
     k, r = arr.shape
     mats = mats.reshape(-1, r, r) if mats.size == 0 else mats
     if mats.ndim != 3 or mats.shape[1:] != (r, r):
@@ -446,7 +451,7 @@ def _order3_indices(elems: np.ndarray) -> np.ndarray:
     """Indices, in table order, of the int8 matrices M with M^3 = I != M, by
     cubes over blocks of `_BLOCK` entries, exact by the rule of `linalg` for
     the bound rank**2 * 128**3 on their entries."""
-    exact = _exact_dtype(elems.shape[-1] ** 2 * 128**3, "order-3 test")
+    exact = _exact_dtype(elems.shape[-1] ** 2 * 128**3)
     eye = np.eye(elems.shape[-1])
     found, step = [], _block_rows(elems.shape[-1] ** 2)
     for lo in range(0, len(elems), step):
@@ -466,7 +471,7 @@ def _order3_elements(group: FiniteGroup) -> np.ndarray:
     X = np.concatenate((np.eye(r, dtype=np.int8)[None], *group.levels))
     # tr(h x) = sum h_ij x_ji
     tiles = _exact_tiles(H.reshape(-1, r * r), X.transpose(0, 2, 1).reshape(len(X), -1),
-                         _exact_dtype(r * r * 128**2, "trace"))
+                         _exact_dtype(r * r * 128**2))
     keep = np.empty((len(H), len(X)), dtype=bool)
     for a, b, T in tiles:
         keep[a : a + len(T), b : b + T.shape[1]] = (T < r) & ((r - T) % 3 == 0)

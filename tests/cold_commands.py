@@ -84,9 +84,9 @@ ROWS = [
     *(cli(f"fujita-hirzebruch-{e}", f"fujita --hirzebruch {e}", numpy=False) for e in range(3)),
     cli("weyl-refused", "weyl --degree 2 --cap 100000", exit=1, numpy=False),
     # the --cap default comes from picard, not weyl
-    cli("weyl-help", "weyl --help", stdout=("contains", "[default: 4000000]")),
+    cli("weyl-help", "weyl --help", stdout=("contains", "[default: 4000000]"), numpy=False),
     # the known order of W(E8) passes the default cap: refused before any closure
-    cli("weyl-e8-refused", "weyl --degree 1", exit=1, wall=20),
+    cli("weyl-e8-refused", "weyl --degree 1", exit=1, wall=20, numpy=False),
     # the closure itself counts the cosets of S_8 in W(E8) against the cap
     # before it writes any
     lib("generate-group-e8-refused", """
@@ -128,36 +128,38 @@ for n in (3, 6, 7):
     # trials x depth is the one fuzz budget and a trial costs O(depth log
     # depth): the slowest split of it, and two others
     *(cli(f"ruled-depth-{depth}", f"ruled --trials {trials} --depth {depth}", wall=5,
-          stdout=("contains", '"all_passed": true'))
+          stdout=("contains", '"all_passed": true'), numpy=False)
       for trials, depth in ((1, 32768), (8, 4096), (32768, 1))),
     # counted a slice by intervals; a box scan would test 120,000,006 points
     cli("count-wide-rank-2", "count --model {docs}/model-wide-rank-2.json --dmax 5",
-        stdout=("contains", '"stabilizes"')),
+        stdout=("contains", '"stabilizes"'), numpy=False),
     # bad inputs: exit 1 with one `error:` line, or a usage error (exit 2)
     cli("q-not-rational", "count --profile cubic-pencil --q abc", exit=2, numpy=False),
-    cli("example-q-not-rational", "example --name x5-pencil --q x/2", exit=2),
-    cli("model-with-q", "count --model {docs}/model.json --q 7", exit=2),
+    cli("example-q-not-rational", "example --name x5-pencil --q x/2", exit=2, numpy=False),
+    cli("model-with-q", "count --model {docs}/model.json --q 7", exit=2, numpy=False),
     # `.` reads as a shipped profile name, `./` and {docs} as directories
-    cli("profile-dot", "thresholds --profile .", exit=1),
-    cli("profile-dot-slash", "thresholds --profile ./", exit=1),
-    cli("profile-directory", "thresholds --profile {docs}", exit=1),
-    cli("count-profile-directory", "count --profile {docs}", exit=1),
-    cli("model-directory", "count --model {docs}", exit=1),
-    cli("profile-not-utf8", "thresholds --profile {docs}/not-utf8.json", exit=1),
-    cli("model-not-utf8", "count --model {docs}/not-utf8.json", exit=1),
-    cli("maxdef-list", "thresholds --profile {docs}/maxdef-list.json", exit=1),
+    cli("profile-dot", "thresholds --profile .", exit=1, numpy=False),
+    cli("profile-dot-slash", "thresholds --profile ./", exit=1, numpy=False),
+    cli("profile-directory", "thresholds --profile {docs}", exit=1, numpy=False),
+    cli("count-profile-directory", "count --profile {docs}", exit=1, numpy=False),
+    cli("model-directory", "count --model {docs}", exit=1, numpy=False),
+    cli("profile-not-utf8", "thresholds --profile {docs}/not-utf8.json", exit=1, numpy=False),
+    cli("model-not-utf8", "count --model {docs}/not-utf8.json", exit=1, numpy=False),
+    cli("maxdef-list", "thresholds --profile {docs}/maxdef-list.json", exit=1, numpy=False),
     cli("profile-fiber-degree-9", "thresholds --profile {docs}/profile-fiber-degree-9.json",
-        exit=1),
-    *(cli(name, f"count --model {{docs}}/{name}.json", exit=1)
+        exit=1, numpy=False),
+    *(cli(name, f"count --model {{docs}}/{name}.json", exit=1, numpy=False)
       for name in ("q-zero-denominator", "top-level-list", "model-nested-too-deep",
                    "model-translate-empty")),
     # refused before the first slice or before q is expanded
-    cli("count-dmax-past-budget", "count --profile cubic-pencil --dmax 100000000", exit=1),
-    cli("q-past-power-bound", "count --profile cubic-pencil --q 1e3000000 --dmax 5", exit=1),
+    cli("count-dmax-past-budget", "count --profile cubic-pencil --dmax 100000000", exit=1,
+        numpy=False),
+    cli("q-past-power-bound", "count --profile cubic-pencil --q 1e3000000 --dmax 5", exit=1,
+        numpy=False),
     cli("model-brauer-past-int64", "count --model {docs}/model-brauer-past-int64.json --dmax 1100",
-        exit=1),
+        exit=1, numpy=False),
     # the wide rank-3 cone would count 360,000,018 column-generator pairs
-    *(cli(name, f"count --model {{docs}}/{name}.json --dmax 5", exit=1)
+    *(cli(name, f"count --model {{docs}}/{name}.json --dmax 5", exit=1, numpy=False)
       for name in ("model-brauer-5001-digits", "model-huge-q", "model-dim-rule-past-budget",
                    "model-cone-past-budget", "model-flat-rank-2", "model-flat-rank-3",
                    "model-rank-4")),

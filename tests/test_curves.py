@@ -555,6 +555,48 @@ def test_break_budget_is_exact(monkeypatch):
         break_fiber_class(lat, c)
 
 
+def test_decomposition_budget_is_exact(monkeypatch):
+    # on two blow-ups -K comes first of the four generators, so each of the
+    # three steps of 3(-K) tests all four: 12 candidates
+    lat = make_lattice(2)
+    c = tuple(3 * x for x in lat.anticanonical)
+    _decomposition_generators(lat)  # its class searches run under the real budget
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 12)
+    assert decompose_nef_integral(lat, c) == [lat.anticanonical] * 3
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 11)
+    with pytest.raises(CapExceeded, match="more than 11 candidates"):
+        decompose_nef_integral(lat, c)
+
+
+def test_exact_past_int64(monkeypatch):
+    # 2**70 (-K): membership in Python ints, so nothing is refused for its
+    # size; its decomposition, whose steps grow with the height, ends at its
+    # budget, here a small one, as products in Python ints are slow
+    lat = make_lattice(7)
+    c = tuple(2**70 * x for x in lat.anticanonical)
+    assert is_nef(lat, c)
+    c0, c1 = break_fiber_class(lat, c)
+    assert tuple(map(sum, zip(c0, c1))) == c and is_nef(lat, c0) and is_nef(lat, c1)
+    _decomposition_generators(lat)  # its class searches run under the real budget
+    monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 2**12)
+    with pytest.raises(CapExceeded, match="would test more than 4096 candidates"):
+        decompose_nef_integral(lat, c)
+
+
+def test_is_nef_past_int64_matches_small_classes():
+    # seeded sums of two nef rays, moved by at most one in each entry
+    rng = random.Random(70)
+    seen = []
+    for n in range(2, 8):
+        lat = make_lattice(n)
+        rays = nef_curve_cone(lat).generators
+        for _ in range(20):
+            c = tuple(a + b + rng.randint(-1, 1) for a, b in zip(*rng.sample(rays, 2)))
+            seen.append(is_nef(lat, c))
+            assert is_nef(lat, tuple(2**70 * x for x in c)) == seen[-1]
+    assert 0 < sum(seen) < len(seen)
+
+
 def test_numpy_input_gives_python_ints(monkeypatch):
     lat = make_lattice(6)
     c = np.array([2 * x for x in lat.anticanonical], dtype=np.int64)

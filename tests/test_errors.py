@@ -40,6 +40,7 @@ from delpezzo import (
     monotone_corners,
     nef_classes_of_height,
     nef_curve_cone,
+    orbits_under_generators,
     pair,
     polarized_del_pezzo,
     reachable_balanced_heights,
@@ -253,7 +254,15 @@ _MALFORMED = {
     ),
     "cone-contains-bool": (
         lambda: cone_contains(curves._nef_normals(_LAT3), np.array([True, False, False, False])),
-        "cone membership entry is not an integer within int64",
+        "cone membership entry is not an integer",
+    ),
+    # ragged operands, which numpy reads with a ValueError of its own
+    "cone-contains-ragged": (
+        lambda: cone_contains([(1, 1)], [(1, 2), (3,)]), "cone membership entry is not an integer"
+    ),
+    "orbits-ragged": (
+        lambda: orbits_under_generators(weyl_generators(make_lattice(3)), [(1, 0, 0, 0), (1, 0)]),
+        "class images need integer entries",
     ),
     "is-nef-lattice-none": (
         lambda: is_nef(None, (1, 0, 0, 0)), "lattice must be a PicardLattice, got None"

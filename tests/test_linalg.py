@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delpezzo import linalg
+from delpezzo import counting, linalg
 from delpezzo.curves import enumerate_neg_one_curves
 from delpezzo.errors import DomainError, ToolkitError
 from delpezzo.fujita import a_invariant, hirzebruch_polarized
@@ -212,32 +212,70 @@ def test_cone_contains_refuses_nan(monkeypatch, where):
     rng = np.random.default_rng(8)
     normals = rng.integers(0, 4, size=(240, 6))
     points = rng.integers(-1, 6, size=(5000, 6))
-    exact_operands = linalg._exact_operands
+    integer_operands = linalg._integer_operands
 
     def inject(rows, X, what):
-        rows, X = (a.astype(np.float32) for a in exact_operands(rows, X, what))
+        rows, X, exact = integer_operands(rows, X, what)
+        rows, X = rows.astype(np.float32), X.astype(np.float32)
         {"first row": X[0], "last block": X[-1], "normal": rows[7]}[where][2] = np.nan
-        return rows, X
+        return rows, X, exact
 
-    monkeypatch.setattr(linalg, "_exact_operands", inject)
+    monkeypatch.setattr(linalg, "_integer_operands", inject)
     with pytest.raises(ToolkitError, match="not a number"):
         cone_contains(normals, points)
     monkeypatch.undo()
     assert cone_contains(normals, points).sum() > 0
 
 
+def test_dual_cone_rays_past_int64_match_slice_facets():
+    # seeded rank-3 cones with entries near 2**40: the Hadamard bound is far
+    # past 2**62, so the rays are Python ints; the slice route reads the
+    # facets off the hull of the height-1 slice, in Python ints, with no
+    # double description
+    rng = random.Random(40)
+    past = 0
+    for _ in range(20):
+        gens = tuple((2**40 + rng.randint(0, 2**20), rng.randint(-(2**40), 2**40),
+                      rng.randint(-(2**40), 2**40)) for _ in range(rng.randint(3, 6)))
+        rays = dual_cone_rays(gens)
+        assert rays == counting._slice_facets(gens, (1, 0, 0))
+        past += max(abs(x) for ray in rays for x in ray) >= 2**63
+    assert past == 20
+
+
+def test_cone_contains_past_int64_matches_python_dot():
+    # vectors past int64 against seeded normals of entries near 2**40, some
+    # put at dot product -1, 0 or 1 with the first normal, which no float
+    # product could tell apart
+    rng = random.Random(63)
+    normals = [tuple(rng.randint(-(2**40), 2**40) for _ in range(3)) + (1,) for _ in range(3)]
+    xs = []
+    for _ in range(300):
+        x = [rng.randint(-(2**70), 2**70) for _ in range(4)]
+        tight = rng.choice((-1, 0, 1, None))
+        if tight is not None:  # the first normal ends in 1
+            x[3] += tight - dot(normals[0], x)
+        xs.append(tuple(x))
+    want = [all(dot(h, x) >= 0 for h in normals) for x in xs]
+    assert 0 < sum(want) < len(xs)
+    assert cone_contains(normals, xs).tolist() == want
+    assert [cone_contains(normals, x) for x in xs] == want
+
+
 def test_int64_guard():
-    # membership: max |x| times the largest row-abs-sum of the normals
+    # membership: max |x| times the largest row-abs-sum of the normals; in
+    # int64 below 2**62, in Python ints from there, nothing truncated or wrapped
     assert cone_contains([(1, 1)], (2**60, 2**60))
-    for x in ((2**61, 0), (2**70, 0), (1.5, 0), (2**63, 1)):  # nothing truncated or wrapped
-        with pytest.raises(DomainError, match="int64"):
-            cone_contains([(1, 1)], x)
+    for x in ((2**61, 0), (2**70, 0), (2**63, 1), (2**70, -(2**70))):
+        assert cone_contains([(1, 1)], x)
+    assert not cone_contains([(1, 1)], (2**70, -(2**70) - 1))
+    with pytest.raises(DomainError, match="not an integer"):
+        cone_contains([(1, 1)], (1.5, 0))
     # double description: 2 * sqrt(dim) * H**(2 * dim - 1), H the largest
-    # norm of a normal; in dim 2 it reaches 2**62 at H of about 2**20.2
-    assert dual_cone_rays([(1, 0), (2**20, 1)]) == [(0, 1), (1, -(2**20))]
-    for big in (2**21, 2**70):
-        with pytest.raises(DomainError, match="int64"):
-            dual_cone_rays([(1, 0), (big, 1)])
+    # norm of a normal; in dim 2 it reaches 2**62 at H of about 2**20.2, and
+    # the rays are Python ints from there
+    for big in (2**20, 2**21, 2**70):
+        assert dual_cone_rays([(1, 0), (big, 1)]) == [(0, 1), (1, -big)]
     # a-invariant: the facets (1, 0), (0, 1) of F0 paired with G L = L, in
     # Python ints, so exact past int64 too
     assert a_invariant(hirzebruch_polarized(0, (2**61, 2**61))) == Fraction(1, 2**60)
@@ -254,14 +292,10 @@ def test_int64_guard():
 @pytest.mark.parametrize(
     "bound, dtype",
     [(2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64), (2**53, np.int64),
-     (2**62 - 1, np.int64), (2**62, None)],
+     (2**62 - 1, np.int64), (2**62, object), (2**70, object)],
 )
 def test_exact_dtype_edges(bound, dtype):
-    if dtype is None:
-        with pytest.raises(DomainError, match="int64"):
-            linalg._exact_dtype(bound, "test product")
-    else:
-        assert linalg._exact_dtype(bound, "test product") is dtype
+    assert linalg._exact_dtype(bound) is dtype
 
 
 @pytest.mark.parametrize("e", [24, 53])
