@@ -59,8 +59,8 @@ class Cone:
 # 676,702 prefixes for 101.  The same budget bounds the candidates a nef
 # decomposition tests and the cells `break_fiber_class` scans.  A plan of
 # 2000 (-K) tests 8,000 candidates on two blow-ups and 128,072 on six (on
-# seven, 591,985, refused); 2**40 (-K) is refused after 1.8-2.1 s on six or
-# seven blow-ups and 9.3 s on two, whose steps test four candidates each.
+# seven, 591,985, refused); a plan of more summands than the budget is
+# refused before its first step, so 2**40 (-K) is refused at once.
 SEARCH_BUDGET = 2**19
 
 
@@ -158,7 +158,7 @@ def enumerate_cubic_classes(
 
 
 def classify_kind(lat: PicardLattice, c) -> CurveClassKind | None:
-    c = tuple(c)
+    c = _check_vec(lat, c)
     s = pair(lat, c, c)
     d = anticanonical_degree(lat, c)
     if (s, d) == (-1, 1):
@@ -271,11 +271,15 @@ def decompose_nef_integral(lat: PicardLattice, c) -> list[Vec]:
     the generating set is fixed, never extended silently.  The cost grows
     with the height, each summand a step, so every step counts the candidates
     it tests before it tests them, and past SEARCH_BUDGET the search raises
-    CapExceeded.
+    CapExceeded.  A plan of height h has at least ceil(h / t) summands, t the
+    largest generator height, and each step tests at least one candidate, so
+    past the budget that bound is refused before the first step.
     """
     c = _nef_input(lat, c, "decomposition")
     gens, normals = _decomposition_generators(lat), _nef_normals(lat)
     tested, refusal = 0, f"decomposing {c} would test more than {SEARCH_BUDGET} candidates"
+    _check_budget(-(-anticanonical_degree(lat, c) // anticanonical_degree(lat, gens[0])),
+                  SEARCH_BUDGET, refusal)
 
     def steps(residual: Vec, start: int):
         """The (index, generator, next residual) moves from a search state,

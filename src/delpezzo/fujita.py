@@ -69,12 +69,11 @@ class PolarizedSurface:
 def polarized_del_pezzo(lat: PicardLattice, polarization=None) -> PolarizedSurface:
     """Blown-up plane with its effective and nef cones; default polarization -K."""
     lat = _lattice(lat)
-    L = tuple(polarization) if polarization is not None else lat.anticanonical
     return PolarizedSurface(
         gram=lat.gram,
         canonical=lat.canonical,
         eff_generators=_curves.effective_cone_generators(lat).generators,
-        polarization=L,
+        polarization=lat.anticanonical if polarization is None else polarization,
         nef_rays=_curves.nef_curve_cone(lat).generators,
     )
 
@@ -85,12 +84,11 @@ def hirzebruch_polarized(e: int, polarization=None) -> PolarizedSurface:
     e = _index(e, "Hirzebruch parameter")
     if e < 0:
         raise DomainError(f"Hirzebruch parameter must be >= 0, got {e}")
-    L = tuple(polarization) if polarization is not None else (2, e + 2)
     return PolarizedSurface(
         gram=((-e, 1), (1, 0)),
         canonical=(-2, -(e + 2)),
         eff_generators=((1, 0), (0, 1)),
-        polarization=L,
+        polarization=(2, e + 2) if polarization is None else polarization,
         nef_rays=((0, 1), (1, e)),
     )
 
@@ -134,7 +132,7 @@ def classify_vertical_family(
     if not (1 <= fiber_degree <= 8):
         raise DomainError(f"fiber degree {fiber_degree} outside 1..8")
     lat = PicardLattice(9 - fiber_degree)
-    c = tuple(c)
+    c = _ints(c, "vertical class has non-integer coordinates")
     if len(c) != lat.rank:
         raise DomainError(f"class {c} does not live on a degree-{fiber_degree} fiber")
     if pullback_of_degree_two_anticanonical and fiber_degree != 1:

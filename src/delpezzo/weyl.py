@@ -338,10 +338,12 @@ def _permutation_action(mats, classes) -> np.ndarray:
     input is refused for its size: DomainError, before any product, where the
     rule's bound reaches 2**62 and an image could leave int64, the key's
     width (keying rows by tuples of Python ints would be a second index).
-    Raises DomainError too for a ragged or non-integer input, duplicate
-    classes or an image outside the set.
+    Raises DomainError too for a ragged or non-integer input, a class set that
+    is not two-dimensional, duplicate classes or an image outside the set.
     """
     mats, arr, exact = _integer_operands(mats, classes, "class images need integer entries")
+    if arr.ndim != 2:
+        raise DomainError(f"the class set is not two-dimensional: {arr.ndim} axes")
     if exact is object:
         raise DomainError("class images could leave int64, the width of a row key")
     k, r = arr.shape
@@ -397,15 +399,15 @@ def orbits_under_generators(gens, classes) -> OrbitPartition:
 
     Only the generators' permutations are computed (`_permutation_action`) and
     the orbits are read off them (`_orbit_labels`), so this works for groups
-    too large to materialize.  Raises DomainError for duplicate classes or a
-    generator image outside the set.
+    too large to materialize.  Raises DomainError for a class set that is not
+    two-dimensional, duplicate classes or a generator image outside the set.
     """
-    classes = [tuple(c) for c in classes]
+    classes = list(classes)
     if not classes:
         return OrbitPartition(())
     label = _orbit_labels(_permutation_action(list(gens), classes))
     by_label: dict[int, list[Vec]] = {}
-    for c, root in zip(classes, label.tolist()):
+    for c, root in zip(map(tuple, classes), label.tolist()):
         by_label.setdefault(root, []).append(c)
     return OrbitPartition(tuple(sorted(tuple(sorted(o)) for o in by_label.values())))
 

@@ -2,23 +2,24 @@
 
 A row holds the argv after `python` (`-m delpezzo.cli ...` or a `-c`
 library snippet), the expected exit code, a stdout check (the sha256 of the
-whole stdout, a substring, a whole line, or a line count), a wall bound the
-process is killed at, a peak RSS bound where one is set, and whether the
-process may load numpy (a row that may not runs under `-X importtime` and
-fails on numpy's core or on click, and runs a second time under `-S`, with
-the same checks: without site-packages numpy cannot be imported, as where it
-is not installed).  `{docs}` in an argv is the directory `write_documents`
-fills.
+whole stdout, a substring or a whole line; a row with none must print
+nothing), a wall bound the process is killed at, a peak RSS bound where one
+is set, and whether the process may load numpy (a row that may not runs
+under `-X importtime` and fails on numpy's core, click or sympy, a test-only
+dependency, or on a module of theirs, and runs a second time under `-S`,
+with the same checks: without site-packages numpy cannot be imported, as
+where it is not installed).  `{docs}` in an argv is the directory `write_documents` fills.
 
     PYTHONPATH=src python tests/cold_commands.py
 
 writes the documents to a temporary directory and runs every row with `src`
 on PYTHONPATH, one after another, then the `-S` runs.  It reads each child's
 wall time and peak RSS (`ru_maxrss`) from `os.wait4`, checks the exit code,
-one `error:` line on exit 1, no traceback, the stdout check and numpy,
+one `error:` line on exit 1, no traceback, the stdout check and the modules,
 prints one line per run and exits 1 if any run fails.  It imports only the
 standard library: a child's `ru_maxrss` includes the peak RSS of the process
-that spawned it.
+that spawned it.  The Tier-1 suite runs it once, in a process of its own, and
+reads one test's verdict off each run's line (`tests/test_cli.py`).
 """
 
 import json
@@ -38,7 +39,7 @@ class Row(NamedTuple):
     name: str
     argv: tuple
     exit: int = 0
-    stdout: tuple | None = None  # ("sha256" | "contains" | "line" | "lines", value)
+    stdout: tuple | None = None  # ("sha256" | "contains" | "line", value)
     wall: float = 10.0  # seconds
     rss: float | None = None  # MB
     numpy: bool = True
@@ -79,9 +80,16 @@ ROWS = [
         stdout=("sha256", "63367ad92840b2863ffd3631f549d970bc6be0279b0b2043039e0e487fe76d10")),
     # numpy loads on first use; a count of rank 2 or 3 reads its facets off
     # the cone's height-1 slice, and a Hirzebruch surface carries its nef rays
-    cli("count-rank3-model", "count --model {docs}/model-rank-3.json --dmax 6", numpy=False),
-    cli("count-x5-pencil", "count --profile x5-pencil --q 5/2 --dmax 12", numpy=False),
-    *(cli(f"fujita-hirzebruch-{e}", f"fujita --hirzebruch {e}", numpy=False) for e in range(3)),
+    cli("count-rank3-model", "count --model {docs}/model-rank-3.json --dmax 6", numpy=False,
+        stdout=("sha256", "5cef392bda3cf842bd047620aae157742a0551bb3cd7b52f2d7819dbe19a5516")),
+    cli("count-x5-pencil", "count --profile x5-pencil --q 5/2 --dmax 12", numpy=False,
+        stdout=("sha256", "93b78f0ea729fda537f568b98f4b67f8985879a366d3e8105dd8631fbe3300d1")),
+    *(cli(f"fujita-hirzebruch-{e}", f"fujita --hirzebruch {e}", numpy=False,
+          stdout=("sha256", digest))
+      for e, digest in enumerate((
+          "995478d47b7c4e30d9790bc3495ffdc9f40a5122b140ace346d51c56b9ad3513",
+          "9cf7f11159e93cbbd92f45e6f48a46e5d018fb91b03770f00ddf3fa9a7ce5768",
+          "4b44779ebb34b5d06948df99b6b5888c1f3e19d353526346e730bfb74fac1c83"))),
     cli("weyl-refused", "weyl --degree 2 --cap 100000", exit=1, numpy=False),
     # the --cap default comes from picard, not weyl
     cli("weyl-help", "weyl --help", stdout=("contains", "[default: 4000000]"), numpy=False),
@@ -102,13 +110,15 @@ else:
     # the group: about 31 MB, where the whole table is 186 MB
     cli("weyl-e7", "weyl --degree 2", stdout=("line", '  "order": 2903040'), wall=5, rss=100),
     # no simple roots: order 1 without numpy
-    cli("weyl-trivial", "weyl --degree 9", stdout=("line", '  "order": 1'), numpy=False),
-    cli("weyl-trivial-8", "weyl --degree 8", stdout=("line", '  "order": 1'), numpy=False),
+    cli("weyl-trivial", "weyl --degree 9", numpy=False,
+        stdout=("sha256", "cd3900fd9bbe99609894a7fa584260011cb1b361a9920fceb9e09c366a397001")),
+    cli("weyl-trivial-8", "weyl --degree 8", numpy=False,
+        stdout=("sha256", "b224d5848820b1397b49b1267fb3c77191f8c8e693e031f5c5f38967f9c68825")),
     # 19,440 nef rays from 19,680 conic and cubic classes, no double description
     cli("fujita-e8", "fujita --degree 1", stdout=("contains", '"a_invariant": "1"')),
-    # a header and one row per square-1 cubic class
+    # a header and one row per square-1 cubic class, 17,521 lines
     cli("curves-e8-cubics-csv", "curves --degree 1 --kind cubics --format csv", numpy=False,
-        stdout=("lines", 17521)),
+        stdout=("sha256", "5a7b42ff17d8e91302d36be99bdeec7097d0f141bf1c556c7b0af6fa517de047")),
     cli("orbits-cubics", "orbits --degree 3 --classes cubics",
         stdout=("contains", '"orbit_sizes"')),
     # one box of candidates per first coordinate and no class search
@@ -126,13 +136,17 @@ for n in (3, 6, 7):
         "r = f(); assert (r['ambient_order'], r['subgroup_count'], r['claims_verified']) == "
         "(384, 16, True), r"),
     # trials x depth is the one fuzz budget and a trial costs O(depth log
-    # depth): the slowest split of it, and two others
+    # depth): the slowest split of it, and two others, each all passed
     *(cli(f"ruled-depth-{depth}", f"ruled --trials {trials} --depth {depth}", wall=5,
-          stdout=("contains", '"all_passed": true'), numpy=False)
-      for trials, depth in ((1, 32768), (8, 4096), (32768, 1))),
+          stdout=("sha256", digest), numpy=False)
+      for trials, depth, digest in (
+          (1, 32768, "37fe10a8c4611808f92c276a7fc001b79d42131dbf36e41e4edb6af0a3ee3503"),
+          (8, 4096, "6bcd61ced78160023131f2c062d1a1bc370afb45ec1b6ee3389b2f8d6e84f158"),
+          (32768, 1, "b8ef6066c94325640af36bf180b1e0a8c84ff1f670cfe86ef2bcc9e22ce6f8f1"))),
     # counted a slice by intervals; a box scan would test 120,000,006 points
     cli("count-wide-rank-2", "count --model {docs}/model-wide-rank-2.json --dmax 5",
-        stdout=("contains", '"stabilizes"'), numpy=False),
+        numpy=False,
+        stdout=("sha256", "ffbe4c6f29fd6637909c5d4cf3b3e6bfa26b7e7a2be7cb68aa9ce99d50528875")),
     # bad inputs: exit 1 with one `error:` line, or a usage error (exit 2)
     cli("q-not-rational", "count --profile cubic-pencil --q abc", exit=2, numpy=False),
     cli("example-q-not-rational", "example --name x5-pencil --q x/2", exit=2, numpy=False),
@@ -167,9 +181,18 @@ for n in (3, 6, 7):
 
 CLI = {row.name: row for row in ROWS if row.argv[:2] == ("-m", "delpezzo.cli")}
 
-# the criterion-10 invocations (argv after `delpezzo`) and their digests
+# the criterion-10 invocations (argv after `delpezzo`) and their digests: the
+# sha256 rows named after their command, one per command
 CRITERION_10 = [(list(row.argv[2:]), row.stdout[1]) for row in ROWS
-                if row.stdout and row.stdout[0] == "sha256"]
+                if row.stdout and row.stdout[0] == "sha256" and row.argv[2:3] == (row.name,)]
+
+# every run of the runner: each row, then each numpy-free row under `-S`
+RUNS = [(row, ()) for row in ROWS] + [(row, ("-S",)) for row in ROWS if not row.numpy]
+
+
+def run_name(row, flags) -> str:
+    """The name the runner prints for a run of `row` under the interpreter `flags`."""
+    return " ".join([row.name, *flags])
 
 
 def row_argv(row, docs) -> list:
@@ -249,10 +272,11 @@ def _spawn(row, docs, env, flags=()):
             except ProcessLookupError:
                 pass
 
-        signal.signal(signal.SIGALRM, kill)
+        previous = signal.signal(signal.SIGALRM, kill)
         signal.setitimer(signal.ITIMER_REAL, row.wall)
         _, status, usage = os.wait4(pid, 0)
         signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
         wall = time.perf_counter() - start
         out.seek(0), err.seek(0)
         stdout, stderr = out.read(), err.read().decode(errors="replace").splitlines()
@@ -267,6 +291,10 @@ def _faults(row, code, wall, rss, stdout, stderr) -> list:
 
     imports = [line for line in stderr if line.startswith("import time:")]
     errors = [line for line in stderr if not line.startswith("import time:")]
+    # numpy's core, click or sympy, or a module of theirs: `-X importtime`
+    # does not name a module that importlib.import_module loads, but does name
+    # the modules it imports in turn
+    forbidden = re.compile(r"\| +(numpy\.(_core|core)|click|sympy)(\.|$)")
     kind, value = row.stdout or (None, None)
     text = stdout.decode(errors="replace")
     faults = [
@@ -276,12 +304,11 @@ def _faults(row, code, wall, rss, stdout, stderr) -> list:
         (row.exit == 1 and not (len(errors) == 1 and errors[0].startswith("error: ")),
          "not one `error:` line on stderr"),
         (row.rss is not None and rss >= row.rss, f"peak RSS past {row.rss} MB"),
-        (any(re.search(r"\| +(numpy\.(_core|core)|click)$", line) for line in imports),
-         "loaded numpy or click"),
+        (any(map(forbidden.search, imports)), "loaded numpy, click or sympy"),
+        (kind is None and stdout, "printed to stdout with no check of it"),
         (kind == "sha256" and hashlib.sha256(stdout).hexdigest() != value, "stdout digest"),
         (kind == "contains" and value not in text, f"no {value!r} in stdout"),
         (kind == "line" and value not in text.splitlines(), f"no line {value!r} in stdout"),
-        (kind == "lines" and stdout.count(b"\n") != value, f"stdout not {value} lines"),
     ]
     return [why for bad, why in faults if bad]
 
@@ -297,16 +324,15 @@ def main() -> int:
     env = child_env()
     with tempfile.TemporaryDirectory() as docs:
         write_documents(docs)
-        runs = [(row, ()) for row in ROWS] + [(row, ("-S",)) for row in ROWS if not row.numpy]
-        results = [(row, flags, _spawn(row, docs, env, flags)) for row, flags in runs]
+        results = [(row, flags, _spawn(row, docs, env, flags)) for row, flags in RUNS]
     failed = 0
     for row, flags, (code, wall, rss, stdout, stderr) in results:
         faults = _faults(row, code, wall, rss, stdout, stderr)
         failed += bool(faults)
-        name = " ".join([row.name, *flags])
+        name = run_name(row, flags)
         print(f"{'FAIL' if faults else 'ok  '} {name:30} exit {code:3} {wall:6.2f} s "
               f"{rss:6.1f} MB  {'; '.join(faults)}".rstrip())
-    print(f"{len(runs) - failed} of {len(runs)} runs passed")
+    print(f"{len(RUNS) - failed} of {len(RUNS)} runs passed")
     return 1 if failed else 0
 
 

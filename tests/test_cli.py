@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cold_commands import (CLI, CRITERION_10, HUGE_LITERAL, ROWS, child_env, row_argv,
+import cold_commands
+from cold_commands import (CLI, HUGE_LITERAL, ROWS, RUNS, _spawn, child_env, row_argv, run_name,
                            write_documents)
 from delpezzo.cli import _COMMANDS, _parser, _rational, run_example
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS, default_model, load_model, model_to_json
@@ -365,11 +367,15 @@ def test_byte_identical_reruns(cli, args):
     assert first.output == second.output
 
 
-@pytest.mark.parametrize("args, digest", CRITERION_10, ids=[a[0] for a, _ in CRITERION_10])
-def test_criterion_10_stdout_digests(cli, args, digest):
-    res = cli(args)
+# every row whose stdout the cold-command table pins by its sha256, run in
+# this process, where every module is loaded, against the digest its cold runs
+# meet: the criterion-10 rows, each named after its command, and the rest
+@pytest.mark.parametrize("name", [name for name, row in CLI.items()
+                                  if row.stdout and row.stdout[0] == "sha256"])
+def test_criterion_10_stdout_digests(cli, docs, name):
+    res = cli(_args(name, docs))
     assert res.exit_code == 0
-    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == CLI[name].stdout[1]
 
 
 # the usage error each exit-2 row prints
@@ -533,58 +539,38 @@ def test_json_documents_load_or_name_the_fault(cli, docs, case):
             assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-# runs one command as `delpezzo ARGS`, then writes the names of the loaded
-# modules as the last stderr line
-_REPORT_MODULES = """
-import json, sys
-from delpezzo.cli import main
-try:
-    main(sys.argv[1:])
-finally:
-    sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
-"""
-
-# the rows that may not load numpy, in two tests: the second holds those
-# kept free of numpy by their route, not by their command (a count on a rank-2
-# or rank-3 cone reads its facets off the height-1 slice, and a Hirzebruch
-# surface carries its nef rays)
-_NUMPY_FREE_COUNTS = [
-    "count-rank3-model", "count-x5-pencil", *(f"fujita-hirzebruch-{e}" for e in range(3))
-]
-_NUMPY_FREE = [n for n, row in CLI.items() if not row.numpy and n not in _NUMPY_FREE_COUNTS]
+@pytest.fixture(scope="session")
+def cold_runs():
+    """The line `tests/cold_commands.py` prints for each of its runs, by run
+    name, and its stderr.  The runner runs once, in a process of its own that
+    imports only the standard library: a child's peak RSS counts the peak of
+    the process that spawned it.  Each run is killed at its row's wall bound,
+    and the whole table takes about 15 s."""
+    proc = subprocess.run([sys.executable, cold_commands.__file__], capture_output=True,
+                          text=True, timeout=600)
+    lines = re.finditer(r"^(?:ok  |FAIL) (.+?) +exit .*$", proc.stdout, re.MULTILINE)
+    return {line[1]: line[0] for line in lines}, proc.stderr
 
 
-def _cold_matches_warm(cli, docs, name):
-    """A cold process of row `name` loads neither numpy's core (numpy._core in
-    numpy 2, numpy.core in 1.x), sympy, a test-only dependency, nor click, and
-    prints what the command prints where every module is loaded; so does one
-    under `-S`, where site-packages, and so numpy, cannot be imported."""
-    args = _args(name, docs)
-    cold = subprocess.run(
-        [sys.executable, "-c", _REPORT_MODULES, *args], env=child_env(), capture_output=True,
-        text=True,
-    )
-    modules = set(json.loads(cold.stderr.splitlines()[-1]))
-    assert not modules & {"numpy._core", "numpy.core", "sympy", "click"}
-    if name == "lattice":
-        package = {m for m in modules if m.split(".")[0] == "delpezzo"}
-        assert package <= {"delpezzo", "delpezzo.cli", "delpezzo.picard", "delpezzo.errors"}
-    warm = cli(args)
-    assert (cold.returncode, cold.stdout) == (warm.exit_code, warm.stdout)
-    bare = subprocess.run([sys.executable, "-S", "-m", "delpezzo.cli", *args], env=child_env(),
-                          capture_output=True, text=True)
-    assert (bare.returncode, bare.stdout) == (warm.exit_code, warm.stdout), bare.stderr[-300:]
-    assert cold.returncode == CLI[name].exit
+@pytest.mark.parametrize("name", [run_name(row, flags) for row, flags in RUNS])
+def test_cold_command_run(cold_runs, name):
+    # the runner's checks of one cold process: its exit code, its stderr, its
+    # stdout, its wall and RSS bounds, and the modules it may not load
+    lines, stderr = cold_runs
+    assert name in lines, f"the runner printed no line for {name}:\n{stderr[-2000:]}"
+    assert lines[name].startswith("ok "), lines[name]
 
 
-@pytest.mark.parametrize("name", _NUMPY_FREE)
-def test_cold_command_loads_only_what_it_runs(cli, docs, name):
-    _cold_matches_warm(cli, docs, name)
-
-
-@pytest.mark.parametrize("name", _NUMPY_FREE_COUNTS)
-def test_cold_count_and_hirzebruch_load_no_numpy(cli, docs, name):
-    _cold_matches_warm(cli, docs, name)
+def test_cold_lattice_loads_only_the_lattice(docs):
+    # `lattice` reads nothing but the lattice: no other module of the package
+    # is on its cold path.  Read off `-v`, which names every module loaded:
+    # `-X importtime` misses one loaded by importlib.import_module, as the
+    # package's lazy attributes load theirs
+    code, *_, stderr = _spawn(CLI["lattice"], docs, child_env(), ("-v",))
+    loaded = {m[1] for line in stderr if (m := re.match(r"import '([\w.]+)'", line))}
+    assert code == 0
+    package = {m for m in loaded if m.split(".")[0] == "delpezzo"}
+    assert package <= {"delpezzo", "delpezzo.cli", "delpezzo.picard", "delpezzo.errors"}
 
 
 def test_command_needing_numpy_refused_without_it():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from functools import lru_cache
 
@@ -566,6 +567,18 @@ def test_decomposition_budget_is_exact(monkeypatch):
     monkeypatch.setattr("delpezzo.curves.SEARCH_BUDGET", 11)
     with pytest.raises(CapExceeded, match="more than 11 candidates"):
         decompose_nef_integral(lat, c)
+
+
+def test_hopeless_decomposition_refused_at_once():
+    # a plan of 2**40 (-K) has at least 2**40 summands, each step testing at
+    # least one candidate: refused before the first step
+    lat = make_lattice(2)
+    c = tuple(2**40 * x for x in lat.anticanonical)
+    _decomposition_generators(lat)  # its class searches are not timed
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"would test more than {SEARCH_BUDGET} candidates"):
+        decompose_nef_integral(lat, c)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_exact_past_int64(monkeypatch):

@@ -21,6 +21,7 @@ from delpezzo import (
     break_fiber_class,
     break_section,
     check_cap,
+    classify_kind,
     classify_vertical_family,
     count_exact,
     decompose_nef_integral,
@@ -48,7 +49,7 @@ from delpezzo import (
     validate_isometry,
     weyl_generators,
 )
-from delpezzo import counting, curves
+from delpezzo import counting, curves, weyl
 from delpezzo.errors import _check_budget, _ints, _json_document, _json_field, _json_rational
 from delpezzo.linalg import cone_contains
 from delpezzo.ruled import FUZZ_BUDGET, check_fuzz_budget
@@ -186,6 +187,16 @@ _NOT_INTEGERS = {
     "pair-bool": (lambda: pair(_LAT3, (True, 0, 0, 0), _C3), "non-integer coordinates"),
     "pair-none": (lambda: pair(_LAT3, None, _C3), "non-integer coordinates"),
     "is-nef-int": (lambda: is_nef(_LAT3, 5), "non-integer coordinates"),
+    "classify-kind-int": (lambda: classify_kind(_LAT3, 5), "non-integer coordinates"),
+    "vertical-family-int": (
+        lambda: classify_vertical_family(5, 3), "vertical class has non-integer coordinates"
+    ),
+    "polarized-del-pezzo-int": (
+        lambda: polarized_del_pezzo(_LAT3, 5), "polarization has a non-integer entry"
+    ),
+    "hirzebruch-polarized-int": (
+        lambda: hirzebruch_polarized(1, 5), "polarization has a non-integer entry"
+    ),
     "section-class": (lambda: SectionClass(1.5), "section coefficient k must be an integer"),
     "normal-bundle": (lambda: NormalBundleType(1.5, 2), "degree a must be an integer"),
     "reachable-h-max": (
@@ -233,8 +244,8 @@ def test_integer_reads_refuse_what_is_not_an_integer(call, words):
 
 
 # (call, the message it must raise): a None or a row of the wrong length
-# where a matrix, a table or a cone is meant, each refused with DomainError
-# before any entry is used
+# where a matrix, a table or a cone is meant, or a flat list where a class
+# set is, each refused with DomainError before any entry is used
 _MALFORMED = {
     "isometry-none": (
         lambda: validate_isometry(make_lattice(2), None), "isometry entries must be integers"
@@ -263,6 +274,14 @@ _MALFORMED = {
     "orbits-ragged": (
         lambda: orbits_under_generators(weyl_generators(make_lattice(3)), [(1, 0, 0, 0), (1, 0)]),
         "class images need integer entries",
+    ),
+    "orbits-flat": (
+        lambda: orbits_under_generators(weyl_generators(_LAT3), [5]),
+        "the class set is not two-dimensional",
+    ),
+    "permutation-action-flat": (
+        lambda: weyl._permutation_action(weyl_generators(_LAT3), [5]),
+        "the class set is not two-dimensional",
     ),
     "is-nef-lattice-none": (
         lambda: is_nef(None, (1, 0, 0, 0)), "lattice must be a PicardLattice, got None"
