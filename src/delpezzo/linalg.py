@@ -3,14 +3,21 @@
 Ranks and kernels are exact over Z in Python.  `dual_cone_rays`, the general
 route of cone duality, gives the extreme rays of {x : h . x >= 0 for every
 normal h} (callers fold any bilinear form into the normals) by the double
-description method on matrices (Fukuda & Prodon, "Double description method
+description method on matrices (Motzkin, Raiffa, Thompson & Thrall, "The
+double description method", 1953; Fukuda & Prodon, "Double description method
 revisited", 1996); del Pezzo and Hirzebruch nef cones and counting cones read
-their rays otherwise, checked against it by the tests.  Rays are the rows of
-an integer matrix and their tight sets the rows of a bool matrix; each ray
-spans the kernel of dim - 1 tight normals, so by Hadamard's bound every
-product a run forms is at most 2 * sqrt(dim) * H**(2 * dim - 1) in size, H
-the largest Euclidean norm of a normal (about 4e16 for the 240 lines of eight
-blow-ups).
+their rays otherwise, checked against it by the tests.  It starts from the
+whole space, a basis of lines and no rays, and cuts by each normal in turn:
+a line that crosses it becomes a ray and the other rows are projected onto
+its hyperplane, and otherwise adjacent rays across it are combined, each new
+ray inheriting the common tight set of its two parents.  Lines and rays are
+the rows of integer matrices and the rays' tight sets the rows of a bool
+matrix.  Each row is, up to its gcd, a vector of minors of the normals on the
+pivot coordinates (those of the lines that have crossed a normal so far), so
+by Hadamard's bound every product a run forms is at most
+2 * sqrt(dim) * H**(2 * dim - 1) in size, H the largest Euclidean norm of a
+normal (about 4e16 for the 240 lines of eight blow-ups): a cut
+s_i R_j - s_j R_i and a projection (n . l) x - (n . x) l have the same form.
 
 One rule keeps every batch product of the package exact (the bounded-magnitude
 products of Dumas, Giorgi & Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008):
@@ -212,70 +219,65 @@ def mat_rank(rows) -> int:
     return row_echelon_transform(rows)[2]
 
 
-def _initial_simplicial_rays(normals):
-    """Pick a spanning subset of normals; its simplicial cone seeds the DD run.
-
-    Seed ray j spans the kernel of the other picked normals, oriented so that
-    picked normal j is positive on it (a column of the inverse matrix, made
-    primitive).
-    """
-    dim = len(normals[0])
-    picked: list[int] = []
-    acc: list[Vec] = []
-    for idx, h in enumerate(normals):
-        if mat_rank(acc + [h]) > len(acc):
-            acc.append(h)
-            picked.append(idx)
-        if len(acc) == dim:
-            break
-    if len(acc) < dim:
-        raise DomainError(
-            "inequality normals do not span the ambient space; "
-            "the dual cone is not pointed"
-        )
-    rays = []
-    for j in range(dim):
-        others = acc[:j] + acc[j + 1 :]
-        ray = integer_kernel(others)[0] if others else (1,)
-        rays.append(ray if dot(acc[j], ray) > 0 else tuple(-x for x in ray))
-    return picked, rays
-
-
 def dual_cone_rays(normals) -> list[Vec]:
     """Extreme rays of {x : n . x >= 0 for every normal n}, exact.
 
-    Double description on matrices: seed with a simplicial subcone from a
-    spanning subset of the normals, then cut by the remaining inequalities,
-    combining adjacent rays across each new hyperplane.  Adjacency is the
-    combinatorial test on exact tight sets.  Requires the normals to span
-    (pointed dual cone).  The rays are int64, or Python ints where the
-    Hadamard bound of the module docstring reaches 2**62.  Returns primitive
-    integer rays, lexicographically sorted.
+    Double description on matrices, one cut per normal in the order they are
+    read, started from the whole space: the identity rows as lines and no
+    rays.  Where a line crosses the normal n (the first line l with
+    n . l != 0, signed so that n . l > 0), l becomes a ray, tight on every
+    normal cut so far, and each other line and ray x is projected onto
+    n . x = 0 as (n . l) x - (n . x) l, keeping its tight set.  Where none
+    does, adjacent rays across n are combined; a new ray is tight on the
+    common tight set of its two parents and on n.  Adjacency is the
+    combinatorial test on exact tight sets in the quotient by the lines left.
+    Lines left after the last normal mean the normals do not span (the dual
+    cone is not pointed), which raises DomainError.  The normals are read by
+    `errors._ints`; the rows are int64, or Python ints where the Hadamard
+    bound of the module docstring reaches 2**62.  Returns primitive integer
+    rays, lexicographically sorted.
     """
-    normals = list(dict.fromkeys(primitive(h) for h in normals))
+    normals = list(dict.fromkeys(map(primitive, _ints(
+        normals, "inequality normal entry must be an integer", 2))))
     if not normals:
         raise DomainError("no inequality normals: the dual cone is the whole space, not pointed")
     dim = len(normals[0])
-    # the Hadamard bound of the module docstring; int64 rays for `np.gcd` below 2**62
+    if any(len(h) != dim for h in normals):
+        raise DomainError("inequality normals differ in length")
+    # the Hadamard bound of the module docstring; int64 rows for `np.gcd` below 2**62
     exact = _exact_dtype(isqrt(4 * dim * max(dot(h, h) for h in normals) ** (2 * dim - 1)) + 1)
     exact = object if exact is object else np.int64
-    picked, rays = _initial_simplicial_rays(normals)
-    # seed normals first, so the normals cut so far are a prefix of the columns
-    order = picked + [i for i in range(len(normals)) if i not in picked]
-    N = np.array([normals[i] for i in order], dtype=exact)
-    R = np.array(rays, dtype=exact)
-    T = R @ N.T == 0
-    for c in range(dim, len(N)):
-        s = R @ N[c]
+    N = np.array(normals, dtype=exact)
+    L, R, T = np.eye(dim, dtype=exact), np.empty((0, dim), dtype=exact), np.zeros((0, len(N)), bool)
+    for c, n in enumerate(N):
+        t, s = L @ n, R @ n
+        if t.any():  # the first crossing line becomes a ray; the other rows lie on n . x = 0
+            k = np.flatnonzero(t)[0]
+            l, nl = (L[k], t[k]) if t[k] > 0 else (-L[k], -t[k])
+            L = _primitive_rows(np.delete(nl * L - t[:, None] * l, k, axis=0))  # row k is 0
+            R = _primitive_rows(nl * R - s[:, None] * l)
+            T[:, c] = True
+            R, T = np.concatenate([R, l[None]]), np.concatenate([T, [np.arange(len(N)) < c]])
+            continue
+        T[:, c] = s == 0  # no line crosses: adjacent rays across n are combined
         neg = s < 0
         if not neg.any():
             continue
-        i, j = _adjacent_pairs(T[:, :c], np.flatnonzero(s > 0), np.flatnonzero(neg), dim)
-        W = s[i, None] * R[j] - s[j, None] * R[i]
-        W //= np.gcd.reduce(W, axis=1)[:, None]
-        R = np.concatenate([R[~neg], W])
-        T = np.concatenate([T[~neg], W @ N.T == 0])
+        i, j = _adjacent_pairs(T[:, :c], np.flatnonzero(s > 0), np.flatnonzero(neg), dim - len(L))
+        new = T[i] & T[j]
+        new[:, c] = True
+        R = np.concatenate([R[~neg], _primitive_rows(s[i, None] * R[j] - s[j, None] * R[i])])
+        T = np.concatenate([T[~neg], new])
+    if len(L):
+        raise DomainError(
+            "inequality normals do not span the ambient space; the dual cone is not pointed"
+        )
     return sorted(map(tuple, R.tolist()))
+
+
+def _primitive_rows(X):
+    """The rows of the integer matrix X, each divided by the gcd of its entries."""
+    return X // np.gcd.reduce(X, axis=1)[:, None]
 
 
 def _adjacent_pairs(T, pos, neg, dim):

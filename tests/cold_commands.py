@@ -18,8 +18,10 @@ wall time and peak RSS (`ru_maxrss`) from `os.wait4`, checks the exit code,
 one `error:` line on exit 1, no traceback, the stdout check and the modules,
 prints one line per run and exits 1 if any run fails.  It imports only the
 standard library: a child's `ru_maxrss` includes the peak RSS of the process
-that spawned it.  The Tier-1 suite runs it once, in a process of its own, and
-reads one test's verdict off each run's line (`tests/test_cli.py`).
+that spawned it.  The Tier-1 suite starts it once, in a process of its own,
+as soon as collection ends, so that it runs beside the in-process tests
+(`tests/conftest.py`), and reads one test's verdict off each run's line
+(`tests/test_cli.py`).
 """
 
 import json

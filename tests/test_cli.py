@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cold_commands
 from cold_commands import (CLI, HUGE_LITERAL, ROWS, RUNS, _spawn, child_env, row_argv, run_name,
                            write_documents)
 from delpezzo.cli import _COMMANDS, _parser, _rational, run_example
@@ -537,19 +536,6 @@ def test_json_documents_load_or_name_the_fault(cli, docs, case):
         if res.exit_code == 1:
             lines = res.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
-
-
-@pytest.fixture(scope="session")
-def cold_runs():
-    """The line `tests/cold_commands.py` prints for each of its runs, by run
-    name, and its stderr.  The runner runs once, in a process of its own that
-    imports only the standard library: a child's peak RSS counts the peak of
-    the process that spawned it.  Each run is killed at its row's wall bound,
-    and the whole table takes about 15 s."""
-    proc = subprocess.run([sys.executable, cold_commands.__file__], capture_output=True,
-                          text=True, timeout=600)
-    lines = re.finditer(r"^(?:ok  |FAIL) (.+?) +exit .*$", proc.stdout, re.MULTILINE)
-    return {line[1]: line[0] for line in lines}, proc.stderr
 
 
 @pytest.mark.parametrize("name", [run_name(row, flags) for row, flags in RUNS])

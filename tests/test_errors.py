@@ -51,7 +51,7 @@ from delpezzo import (
 )
 from delpezzo import counting, curves, weyl
 from delpezzo.errors import _check_budget, _ints, _json_document, _json_field, _json_rational
-from delpezzo.linalg import cone_contains
+from delpezzo.linalg import cone_contains, dual_cone_rays
 from delpezzo.ruled import FUZZ_BUDGET, check_fuzz_budget
 
 
@@ -234,6 +234,16 @@ _NOT_INTEGERS = {
     "corners-none": (
         lambda: monotone_corners(lambda w: 0, 1, None), "box bound must be an integer"
     ),
+    "dual-cone-float": (
+        lambda: dual_cone_rays([(1, 0), (0.5, 1)]), "inequality normal entry must be an integer"
+    ),
+    "dual-cone-bool": (
+        lambda: dual_cone_rays([(True, False), (False, True)]),
+        "inequality normal entry must be an integer",
+    ),
+    "dual-cone-none": (
+        lambda: dual_cone_rays([(1, 0), None]), "inequality normal entry must be an integer"
+    ),
 }
 
 
@@ -270,6 +280,9 @@ _MALFORMED = {
     # ragged operands, which numpy reads with a ValueError of its own
     "cone-contains-ragged": (
         lambda: cone_contains([(1, 1)], [(1, 2), (3,)]), "cone membership entry is not an integer"
+    ),
+    "dual-cone-ragged": (
+        lambda: dual_cone_rays([(1, 0), (0, 1), (1, 1, 1)]), "inequality normals differ in length"
     ),
     "orbits-ragged": (
         lambda: orbits_under_generators(weyl_generators(make_lattice(3)), [(1, 0, 0, 0), (1, 0)]),

@@ -14,7 +14,6 @@ from delpezzo.curves import enumerate_neg_one_curves
 from delpezzo.errors import DomainError, ToolkitError
 from delpezzo.fujita import a_invariant, hirzebruch_polarized
 from delpezzo.linalg import (
-    _initial_simplicial_rays,
     cone_contains,
     convex_hull_2d,
     dot,
@@ -53,41 +52,30 @@ def test_rank_against_sympy():
         assert mat_rank(rows) == sympy.Matrix(rows).rank()
 
 
-def _seed_by_inverse(sympy, normals):
-    """Reference seed: the first spanning normals by sympy rank, and the
-    columns of the inverse of their matrix, made primitive."""
-    dim = len(normals[0])
-    picked, acc = [], []
-    for idx, h in enumerate(normals):
-        if sympy.Matrix(acc + [list(h)]).rank() > len(acc):
-            acc.append(list(h))
-            picked.append(idx)
-        if len(acc) == dim:
-            break
-    inv = sympy.Matrix(acc).inv()
+def _rays_by_inverse(sympy, normals):
+    """Reference rays of a simplicial cone: the columns of the inverse of the
+    matrix of its normals, made primitive and sorted."""
+    inv = sympy.Matrix(normals).inv()
     rays = []
-    for j in range(dim):
-        col = [inv[i, j] for i in range(dim)]
+    for j in range(len(normals)):
+        col = list(inv.col(j))
         den = sympy.ilcm(1, *[c.q for c in col])
         rays.append(primitive(tuple(int(c * den) for c in col)))
-    return picked, rays
+    return sorted(rays)
 
 
-def test_seed_rays_against_matrix_inverse():
+def test_simplicial_cone_rays_against_matrix_inverse():
+    # exactly dim spanning normals: each line of the start crosses one of
+    # them, so no cut ever combines two rays
     sympy = pytest.importorskip("sympy")
     rng = random.Random(17)
     for dim in range(1, 10):
         done = 0
         while done < 6:
-            normals = [
-                tuple(rng.randint(-3, 3) for _ in range(dim))
-                for _ in range(dim + rng.randint(0, 3))
-            ]
+            normals = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
             if sympy.Matrix(normals).rank() < dim:
                 continue
-            assert _initial_simplicial_rays(normals) == _seed_by_inverse(
-                sympy, normals
-            )
+            assert dual_cone_rays(normals) == _rays_by_inverse(sympy, normals)
             done += 1
 
 
@@ -134,6 +122,12 @@ def test_degenerate_cones_are_domain_errors():
     # no normals: the dual cone is the whole space, which has no extreme rays
     with pytest.raises(DomainError, match="no inequality normals"):
         dual_cone_rays([])
+    # normals that do not span leave lines after the last cut, whether the
+    # cuts kept rays or removed them all
+    for normals in ([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(1, 0), (-1, 0)], [(2, 0, 1)]):
+        with pytest.raises(DomainError, match="do not span the ambient space; the dual cone "
+                                              "is not pointed"):
+            dual_cone_rays(normals)
     # normals and vectors of different lengths, one vector or a list of them
     for x in ((1, 2, 3), [(1, 2, 3)], [(1,)]):
         with pytest.raises(DomainError, match="normals of length 2 and vectors of length"):
@@ -396,3 +390,53 @@ def test_dual_cone_rays_match_brute_force():
                 normals.append(n)
         spanning += _check_against_brute_force(normals)
     assert spanning >= 500
+
+
+def test_dual_cone_rays_cut_while_lines_remain(monkeypatch):
+    # the first normals span a proper subspace, so cuts run while lines of the
+    # start remain: the adjacency threshold is taken in the quotient by them
+    thresholds = []
+    adjacent_pairs = linalg._adjacent_pairs
+
+    def spy(T, pos, neg, dim):
+        thresholds.append(dim)
+        return adjacent_pairs(T, pos, neg, dim)
+
+    monkeypatch.setattr(linalg, "_adjacent_pairs", spy)
+    rng = random.Random(21)
+    spanning = with_lines = 0
+    for k in range(120):
+        dim = 3 + k % 3
+        basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(2, dim - 1))]
+        normals = []
+        while len(normals) < len(basis) + 3:  # in the span of the basis
+            coefficients = [rng.randint(-2, 2) for _ in basis]
+            n = tuple(sum(a * b[i] for a, b in zip(coefficients, basis)) for i in range(dim))
+            if any(n):
+                normals.append(n)
+        while len(normals) < len(basis) + 3 + dim:
+            n = tuple(rng.randint(-2, 2) for _ in range(dim))
+            if any(n):
+                normals.append(n)
+        thresholds.clear()
+        spanning += _check_against_brute_force(normals)
+        with_lines += any(t < dim for t in thresholds)
+    assert spanning >= 110 and with_lines >= 100
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_dual_cone_rays_read_any_integer_array(dim):
+    # the same normals as a list and as an array of any integer dtype they
+    # fit give the same rays: each is read as Python ints before the
+    # Hadamard bound is taken, which an integer array would wrap
+    # (positive on the first unit vector, so that the cone has rays)
+    rng = random.Random(dim)
+    for top in (100, 2**40):
+        for _ in range(2):
+            normals = [(rng.randint(1, top),) + tuple(rng.randint(-top, top) for _ in range(dim - 1))
+                       for _ in range(dim + 2)]
+            want = dual_cone_rays(normals)
+            assert want and all(type(x) is int for ray in want for x in ray)
+            for dtype in (np.int8, np.int16, np.int32, np.int64, object):
+                if dtype is object or top <= np.iinfo(dtype).max:
+                    assert dual_cone_rays(np.array(normals, dtype=dtype)) == want
