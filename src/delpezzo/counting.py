@@ -34,7 +34,7 @@ from .errors import (
     _json_rational,
     _read_json,
 )
-from .linalg import convex_hull_2d, dot, integer_kernel
+from .linalg import _convex_hull_2d, _dot, _primitive
 from .picard import Vec
 from .thresholds import (
     FibrationProfile,
@@ -59,15 +59,15 @@ def _slice(gens, height: Vec) -> list[Vec]:
     """The generators on the vertices of the height-1 slice of cone(gens), in
     order, read in the projection that drops the first coordinate of nonzero
     height: the one vertex in rank 1, the two ends in increasing projected
-    coordinate in rank 2, and the counterclockwise `convex_hull_2d` in rank 3.
+    coordinate in rank 2, and the counterclockwise `_convex_hull_2d` in rank 3.
     Fewer vertices than the rank (a flat cone) raise DomainError."""
     rho = len(height)
     if rho > 3:
         raise CapExceeded(f"counting implemented for dimension <= 3, got {rho}")
     drop = next(k for k in range(rho) if height[k])
-    flat = {tuple(Fraction(x, dot(height, g)) for x in g[:drop] + g[drop + 1:]): g for g in gens}
+    flat = {tuple(Fraction(x, _dot(height, g)) for x in g[:drop] + g[drop + 1:]): g for g in gens}
     # below rank 3, the least and greatest point: one, in rank 1 or on a flat cone
-    points = convex_hull_2d(list(flat)) if rho == 3 else dict.fromkeys((min(flat), max(flat)))
+    points = _convex_hull_2d(list(flat)) if rho == 3 else dict.fromkeys((min(flat), max(flat)))
     vertices = [flat[p] for p in points]
     if len(vertices) < rho:
         raise DomainError("cone is not full-dimensional")
@@ -98,7 +98,7 @@ def alpha(cone, height: Vec, index: int = 1) -> AlphaResult:
     index = _index(index, "lattice index")
     if index < 1:
         raise DomainError(f"lattice index must be >= 1, got {index}")
-    v = [tuple(Fraction(x, dot(height, g)) for x in g) for g in _slice(gens, height)]
+    v = [tuple(Fraction(x, _dot(height, g)) for x in g) for g in _slice(gens, height)]
     # the fan from v[0]: (v0,) in rank 1, (v0, v1) in rank 2, each (v0, vk, vk+1) in rank 3
     simplices = [(v[0], *v[k:k + rho - 1]) for k in range(1, len(v) - rho + 2)]
     triangulation = tuple((s, abs(_det(s))) for s in simplices)
@@ -120,19 +120,24 @@ def _slice_box(gens, height: Vec):
     pivot = max(range(rho), key=lambda k: abs(height[k]))
     free = [k for k in range(rho) if k != pivot]
     # lam_j <= s / h_j bounds each coordinate of a cone point at height s
-    slopes = [sum(Fraction(abs(g[k]), dot(height, g)) for g in gens) for k in free]
+    slopes = [sum(Fraction(abs(g[k]), _dot(height, g)) for g in gens) for k in free]
     return pivot, free, lambda s: [s * c.numerator // c.denominator for c in slopes]
 
 
 def _slice_facets(gens, height: Vec) -> list[Vec]:
     """The facets of cone(gens), rank 2 or 3, as `linalg.dual_cone_rays(gens)`
-    gives them: the primitive kernels of the ends of the height-1 slice
-    (`_slice`) in rank 2, of the edges of its hull in rank 3, each oriented
-    positive on the generators."""
+    gives them: the primitive normals of the ends g of the height-1 slice
+    (`_slice`) in rank 2, (g1, -g0), and of the edges (u, v) of its hull in
+    rank 3, the cross product u x v, each oriented positive on the
+    generators."""
     v = _slice(gens, height)
-    edges = [(g,) for g in v] if len(height) == 2 else list(zip(v, v[1:] + v[:1]))
-    normals = [integer_kernel(edge)[0] for edge in edges]
-    return sorted(n if sum(dot(n, g) for g in gens) > 0 else tuple(-x for x in n) for n in normals)
+    if len(height) == 2:
+        normals = [(g[1], -g[0]) for g in v]
+    else:
+        normals = [(u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+                    u[0] * w[1] - u[1] * w[0]) for u, w in zip(v, v[1:] + v[:1])]
+    return sorted(n if sum(_dot(n, g) for g in gens) > 0 else tuple(-x for x in n)
+                  for n in map(_primitive, normals))
 
 
 def _slice_counter(gens, height: Vec):
@@ -186,7 +191,7 @@ def lattice_points_at_height(cone, height: Vec, translate: Vec, i: int) -> int:
     if len(translate) != len(cone.height):
         raise DomainError(f"translate {translate} does not match dimension {len(cone.height)}")
     i = _index(i, "height i")
-    return _slice_counter(cone.generators, cone.height)(i - dot(cone.height, translate))
+    return _slice_counter(cone.generators, cone.height)(i - _dot(cone.height, translate))
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,9 @@ class CountingModel:
         for t in self.translates:
             if len(t) != self.profile.rho_eta:
                 raise DomainError(f"translate {t} does not match rho_eta")
-            if dot(cone.height, t) < self.profile.neg:
+            if _dot(cone.height, t) < self.profile.neg:
                 raise DomainError(
-                    f"translate {t} has height {dot(cone.height, t)} below "
+                    f"translate {t} has height {_dot(cone.height, t)} below "
                     f"neg = {self.profile.neg}"
                 )
 
@@ -257,7 +262,7 @@ def check_count_budget(m: CountingModel, d: int) -> None:
     """
     d, cone = _index(d, "d"), m.profile.nef_cone_eta
     box = _slice_box(cone.generators, cone.height)[2]
-    starts = [dot(cone.height, t) for t in m.translates]
+    starts = [_dot(cone.height, t) for t in m.translates]
     starts = [start for start in starts if start <= d]
     exponents = [d] + [i + m.dim_rule for start in starts for i in (start, d)]
     q_bits = max(m.q.numerator.bit_length(), m.q.denominator.bit_length())
@@ -286,7 +291,7 @@ def _slice_weights(m: CountingModel, d: int) -> dict[int, Fraction]:
     count = _slice_counter(cone.generators, cone.height)
     points: dict[int, int] = {}
     for t in m.translates:
-        start = dot(cone.height, t)
+        start = _dot(cone.height, t)
         for i in range(start, d + 1):
             points[i] = points.get(i, 0) + count(i - start)
     return {

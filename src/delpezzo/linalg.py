@@ -1,6 +1,11 @@
 """Exact integer linear algebra and the cone layer.
 
-Ranks and kernels are exact over Z in Python.  `dual_cone_rays`, the general
+The public functions are the cone layer, `dual_cone_rays` and
+`cone_contains`, and both read their inputs by the integer rule of `errors`.
+The exact helpers below them read nothing and are private, for callers that
+pass vectors already read: `_dot`, `_primitive`, `_convex_hull_2d`, and one
+integer kernel, `_integer_kernel`, exact over Z in Python, whose one caller
+is `weyl.invariant_sublattice`.  `dual_cone_rays`, the general
 route of cone duality, gives the extreme rays of {x : h . x >= 0 for every
 normal h} (callers fold any bilinear form into the normals) by the double
 description method on matrices (Motzkin, Raiffa, Thompson & Thrall, "The
@@ -152,11 +157,11 @@ def _exact_tiles(X, rows, exact, width: int = 1):
             yield a, b, A @ rows[b : b + q].astype(exact, copy=False).T
 
 
-def dot(a, b) -> int:
+def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def primitive(v) -> Vec:
+def _primitive(v) -> Vec:
     """Divide an integer vector by the gcd of its entries (direction kept)."""
     g = gcd(*v)
     if g == 0:
@@ -164,59 +169,31 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in v)
 
 
-def row_echelon_transform(rows):
-    """Integer row echelon form with transform.
+def _integer_kernel(rows) -> list[Vec]:
+    """A Z-basis of {x : A x = 0} for the integer matrix A given as its
+    (one or more) rows.
 
-    Returns (H, U, rank) with U unimodular, U*A = H, and H in echelon form
-    (pivot entries positive).  Rows of U beyond `rank` span the left kernel
-    of A over Z (a genuine Z-basis, since U is unimodular).
-    """
-    H = [list(r) for r in rows]
+    The Euclidean reduction of A's transpose H, column by column, with its
+    unimodular transform U (U A^T = H): the row with the least nonzero entry
+    of the column in size is the pivot, and the rows below are reduced by
+    pivots in turn until they are zero there.  The rows of U past the rank
+    span the left kernel of A^T over Z, since U is unimodular."""
+    H = [list(c) for c in zip(*rows)]
     m = len(H)
-    n = len(H[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pr = 0
-    for col in range(n):
-        if pr == m:
-            break
-        while True:
-            nz = [i for i in range(pr, m) if H[i][col] != 0]
-            if not nz:
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    rank = 0
+    for col in range(len(rows)):
+        while nz := [i for i in range(rank, m) if H[i][col]]:
+            k = min(nz, key=lambda i: (abs(H[i][col]), i))
+            H[rank], H[k], U[rank], U[k] = H[k], H[rank], U[k], U[rank]
+            for i in range(rank + 1, m):
+                if q := H[i][col] // H[rank][col]:
+                    H[i] = [a - q * b for a, b in zip(H[i], H[rank])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[rank])]
+            if not any(H[i][col] for i in range(rank + 1, m)):
+                rank += 1
                 break
-            i0 = min(nz, key=lambda i: (abs(H[i][col]), i))
-            H[pr], H[i0] = H[i0], H[pr]
-            U[pr], U[i0] = U[i0], U[pr]
-            p = H[pr][col]
-            clean = True
-            for i in range(pr + 1, m):
-                if H[i][col]:
-                    q = H[i][col] // p
-                    if q:
-                        H[i] = [a - q * b for a, b in zip(H[i], H[pr])]
-                        U[i] = [a - q * b for a, b in zip(U[i], U[pr])]
-                    if H[i][col]:
-                        clean = False
-            if clean:
-                break
-        if H[pr][col] != 0:
-            if H[pr][col] < 0:
-                H[pr] = [-a for a in H[pr]]
-                U[pr] = [-a for a in U[pr]]
-            pr += 1
-    return H, U, pr
-
-
-def integer_kernel(rows) -> list[Vec]:
-    """Z-basis of {x : A x = 0} for an integer matrix A given as rows."""
-    if not rows:
-        raise DomainError("integer_kernel needs at least one row")
-    transpose = list(zip(*rows))
-    _, U, rank = row_echelon_transform(transpose)
-    return [tuple(U[i]) for i in range(rank, len(transpose))]
-
-
-def mat_rank(rows) -> int:
-    return row_echelon_transform(rows)[2]
+    return [tuple(u) for u in U[rank:]]
 
 
 def dual_cone_rays(normals) -> list[Vec]:
@@ -237,7 +214,7 @@ def dual_cone_rays(normals) -> list[Vec]:
     bound of the module docstring reaches 2**62.  Returns primitive integer
     rays, lexicographically sorted.
     """
-    normals = list(dict.fromkeys(map(primitive, _ints(
+    normals = list(dict.fromkeys(map(_primitive, _ints(
         normals, "inequality normal entry must be an integer", 2))))
     if not normals:
         raise DomainError("no inequality normals: the dual cone is the whole space, not pointed")
@@ -245,7 +222,7 @@ def dual_cone_rays(normals) -> list[Vec]:
     if any(len(h) != dim for h in normals):
         raise DomainError("inequality normals differ in length")
     # the Hadamard bound of the module docstring; int64 rows for `np.gcd` below 2**62
-    exact = _exact_dtype(isqrt(4 * dim * max(dot(h, h) for h in normals) ** (2 * dim - 1)) + 1)
+    exact = _exact_dtype(isqrt(4 * dim * max(_dot(h, h) for h in normals) ** (2 * dim - 1)) + 1)
     exact = object if exact is object else np.int64
     N = np.array(normals, dtype=exact)
     L, R, T = np.eye(dim, dtype=exact), np.empty((0, dim), dtype=exact), np.zeros((0, len(N)), bool)
@@ -325,7 +302,7 @@ def cone_contains(normals, x):
     return bool(inside[0]) if X.ndim == 1 else inside
 
 
-def convex_hull_2d(points):
+def _convex_hull_2d(points):
     """Andrew monotone chain over exact rationals; returns hull in CCW order.
 
     Accepts points as tuples of Fractions/ints.  Collinear interior points are

@@ -32,7 +32,7 @@ from .errors import (
     _json_str,
     _read_json,
 )
-from .linalg import dot
+from .linalg import _dot
 from .picard import Vec
 
 
@@ -56,7 +56,7 @@ class NefConeEta:
         for g in self.generators:
             if len(g) != dim:
                 raise DomainError(f"generator {g} does not match dimension {dim}")
-            if dot(self.height, g) <= 0:
+            if _dot(self.height, g) <= 0:
                 raise DomainError(f"generator {g} must have positive height")
 
 

@@ -47,7 +47,7 @@ from operator import mul
 
 from . import curves
 from .errors import DomainError, NotFound, ToolkitError, _index, _ints
-from .linalg import _block_rows, _exact_dtype, _exact_tiles, _integer_operands, integer_kernel, np
+from .linalg import _block_rows, _exact_dtype, _exact_tiles, _integer_kernel, _integer_operands, np
 from .picard import DEFAULT_CAP, PicardLattice, Vec, _lattice, check_cap
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -426,22 +426,26 @@ def invariant_sublattice(group: FiniteGroup, lat: PicardLattice) -> list[Vec]:
     """Z-basis of the sublattice fixed by every group element.
 
     The fixed space of the group equals the joint kernel of (M - I) over the
-    generators.  Kernels of integer matrices are saturated, so the basis spans
-    the full invariant sublattice, not a finite-index piece.  Basis rows are
-    sign-normalized (first nonzero entry positive).  Raises DomainError when
-    the group's rank is not the lattice's.
+    generators, read by `errors._ints`.  Kernels of integer matrices are
+    saturated, so the basis spans the full invariant sublattice, not a
+    finite-index piece.  Basis rows are sign-normalized (first nonzero entry
+    positive).  Raises DomainError when the group's rank is not the
+    lattice's, or a generator is not a rank x rank integer matrix.
     """
     _check_rank(group, lat)
+    gens = _ints(group.generators, "generator entries must be integers", 3)
     r = lat.rank
-    if not group.generators:
+    if any(len(M) != r or any(len(row) != r for row in M) for M in gens):
+        raise DomainError(f"generator shape does not match rank {r}")
+    if not gens:
         return [tuple(int(i == j) for j in range(r)) for i in range(r)]
     rows = []
-    for M in group.generators:
+    for M in gens:
         for i in range(r):
             rows.append(
                 tuple(M[i][j] - (1 if i == j else 0) for j in range(r))
             )
-    basis = integer_kernel(rows)
+    basis = _integer_kernel(rows)
     out = []
     for v in basis:
         lead = next((x for x in v if x != 0), 1)

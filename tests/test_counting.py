@@ -29,7 +29,7 @@ from delpezzo import (
 from delpezzo import counting
 from delpezzo.counting import COUNT_BUDGET, COUNT_POWER_BITS
 from delpezzo.errors import FieldError
-from delpezzo.linalg import cone_contains, dual_cone_rays, mat_rank
+from delpezzo.linalg import _integer_kernel, cone_contains, dual_cone_rays
 from delpezzo.thresholds import FibrationProfile, NefConeEta
 
 
@@ -188,7 +188,8 @@ def _seeded_cone(rng, rho):
             tuple(rng.randint(-3, 3) for _ in range(rho)) for _ in range(rho + rng.randint(0, 2))
         )
         height = tuple(rng.randint(-3, 5) for _ in range(rho))
-        if all(sum(a * b for a, b in zip(g, height)) > 0 for g in gens) and mat_rank(gens) == rho:
+        positive = all(sum(a * b for a, b in zip(g, height)) > 0 for g in gens)
+        if positive and not _integer_kernel(gens):
             return gens, height
 
 
@@ -392,7 +393,7 @@ def _random_model(rng, rho):
             for _ in range(rho + rng.randint(0, 1))
         )
         cov = tuple(rng.randint(1, 2) for _ in range(rho))
-        if all(any(g) for g in gens) and mat_rank(gens) == rho:
+        if all(any(g) for g in gens) and not _integer_kernel(gens):
             break
     profile = make_profile(
         rho, -1, gens, cov, br=rng.randint(1, 2), idx=rng.randint(1, 3)

@@ -179,6 +179,12 @@ def test_degenerate_inputs_are_refused(call, words):
 _LAT3, _C3 = make_lattice(3), (3, -1, -1, -1)
 _PENCIL = load_profile("cubic-pencil")
 
+
+def _with_generator(M):
+    """W(E3) on `_LAT3`, its generators replaced by the one matrix M."""
+    return dataclasses.replace(generate_group(weyl_generators(_LAT3)), generators=(M,))
+
+
 # (call, the message it must raise): a bool, a float, None or a non-iterable
 # where an integer or a vector is meant, each read by `errors._index` or
 # `errors._ints`
@@ -243,6 +249,10 @@ _NOT_INTEGERS = {
     ),
     "dual-cone-none": (
         lambda: dual_cone_rays([(1, 0), None]), "inequality normal entry must be an integer"
+    ),
+    "invariant-sublattice-float": (
+        lambda: invariant_sublattice(_with_generator(((1.5, 0, 0, 0),) * 4), _LAT3),
+        "generator entries must be integers",
     ),
 }
 
@@ -323,6 +333,10 @@ _MALFORMED = {
     ),
     "invariant-sublattice-lattice-none": (
         lambda: invariant_sublattice(trivial_group(4), None), "lattice must be a PicardLattice"
+    ),
+    "invariant-sublattice-generator-shape": (
+        lambda: invariant_sublattice(_with_generator(((1, 0), (0, 1))), _LAT3),
+        "generator shape does not match rank 4",
     ),
 }
 

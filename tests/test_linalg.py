@@ -1,8 +1,9 @@
+import inspect
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -14,42 +15,70 @@ from delpezzo.curves import enumerate_neg_one_curves
 from delpezzo.errors import DomainError, ToolkitError
 from delpezzo.fujita import a_invariant, hirzebruch_polarized
 from delpezzo.linalg import (
+    _convex_hull_2d,
+    _dot,
+    _integer_kernel,
+    _primitive,
     cone_contains,
-    convex_hull_2d,
-    dot,
     dual_cone_rays,
-    integer_kernel,
-    mat_rank,
-    primitive,
 )
 from delpezzo.picard import make_lattice
 from delpezzo.weyl import _permutation_action, validate_isometry
 
 
+def test_public_functions_are_the_cone_layer():
+    # the exact helpers read no input, so they are private to the package
+    public = {name for name, f in vars(linalg).items() if inspect.isfunction(f)
+              and f.__module__ == linalg.__name__ and not name.startswith("_")}
+    assert public == {"cone_contains", "dual_cone_rays"}
+
+
 def test_primitive():
-    assert primitive((2, 4, -6)) == (1, 2, -3)
-    assert primitive((0, -5)) == (0, -1)
-    assert primitive((7,)) == (1,)
+    assert _primitive((2, 4, -6)) == (1, 2, -3)
+    assert _primitive((0, -5)) == (0, -1)
+    assert _primitive((7,)) == (1,)
     with pytest.raises(DomainError):
-        primitive((0, 0))
+        _primitive((0, 0))
 
 
-def test_rank():
-    assert mat_rank([(1, 0), (0, 1), (1, 1)]) == 2
-    assert mat_rank([(2, 4), (1, 2)]) == 1
-    assert mat_rank([]) == 0
+def _det(rows):
+    """The determinant of a square integer matrix (1 for the empty one), by
+    fraction-free (Bareiss) elimination."""
+    M, sign, last = [list(r) for r in rows], 1, 1
+    for k in range(len(M) - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, len(M)) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        for i in range(k + 1, len(M)):
+            for j in range(k + 1, len(M)):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // last
+        last = M[k][k]
+    return sign * M[-1][-1] if M else 1
 
 
-def test_rank_against_sympy():
+def test_integer_kernel_against_sympy():
+    # a basis of the kernel's size, in the kernel, and saturated: the gcd of
+    # its maximal minors is 1, so it spans every integer point of the kernel
     sympy = pytest.importorskip("sympy")
     rng = random.Random(3)
-    for _ in range(200):
-        ncols = rng.randint(1, 5)
-        rows = [
-            tuple(rng.randint(-3, 3) for _ in range(ncols))
-            for _ in range(rng.randint(1, 5))
-        ]
-        assert mat_rank(rows) == sympy.Matrix(rows).rank()
+    for k in range(300):
+        cols = rng.randint(1, 9)
+        near = 2**40 if k % 2 else 0
+        rows = [[rng.choice((-near, 0, near)) + rng.randint(-3, 3) for _ in range(cols)]
+                for _ in range(rng.randint(1, 6))]
+        if len(rows) > 2 and k % 3 == 0:  # a dependent row
+            rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+        basis = _integer_kernel(rows)
+        assert len(basis) == cols - sympy.Matrix(rows).rank()
+        assert all(_dot(r, v) == 0 for r in rows for v in basis)
+        minors = 0
+        for picked in itertools.combinations(range(cols), len(basis)):
+            minors = gcd(minors, _det([[v[j] for j in picked] for v in basis]))
+            if minors == 1:
+                break
+        assert minors == 1
 
 
 def _rays_by_inverse(sympy, normals):
@@ -60,7 +89,7 @@ def _rays_by_inverse(sympy, normals):
     for j in range(len(normals)):
         col = list(inv.col(j))
         den = sympy.ilcm(1, *[c.q for c in col])
-        rays.append(primitive(tuple(int(c * den) for c in col)))
+        rays.append(_primitive(tuple(int(c * den) for c in col)))
     return sorted(rays)
 
 
@@ -80,7 +109,7 @@ def test_simplicial_cone_rays_against_matrix_inverse():
 
 
 def test_integer_kernel():
-    ker = integer_kernel([(1, 1, 1)])
+    ker = _integer_kernel([(1, 1, 1)])
     assert len(ker) == 2
     for v in ker:
         assert sum(v) == 0
@@ -195,7 +224,7 @@ def test_kernel_peaks_in_blocks():
     assert _peak(cone_contains, normals, points) < 2**20
     lines = random.Random(0).sample(enumerate_neg_one_curves(make_lattice(8)), 40)
     normals = [(g[0],) + tuple(-x for x in g[1:]) for g in lines]
-    assert mat_rank(normals) == 9
+    assert not _integer_kernel(normals)  # rank 9
     assert _peak(dual_cone_rays, normals) < 2**20
 
 
@@ -248,9 +277,9 @@ def test_cone_contains_past_int64_matches_python_dot():
         x = [rng.randint(-(2**70), 2**70) for _ in range(4)]
         tight = rng.choice((-1, 0, 1, None))
         if tight is not None:  # the first normal ends in 1
-            x[3] += tight - dot(normals[0], x)
+            x[3] += tight - _dot(normals[0], x)
         xs.append(tuple(x))
-    want = [all(dot(h, x) >= 0 for h in normals) for x in xs]
+    want = [all(_dot(h, x) >= 0 for h in normals) for x in xs]
     assert 0 < sum(want) < len(xs)
     assert cone_contains(normals, xs).tolist() == want
     assert [cone_contains(normals, x) for x in xs] == want
@@ -300,7 +329,7 @@ def test_exact_products_at_dtype_edges(e):
     big = 2**e + 1
     normals = [(1, -1)]
     X = [(big - 1, big), (big, big - 1)]
-    assert [cone_contains(normals, x) for x in X] == [dot(normals[0], x) >= 0 for x in X]
+    assert [cone_contains(normals, x) for x in X] == [_dot(normals[0], x) >= 0 for x in X]
     assert cone_contains(normals, X).tolist() == [False, True]
     # F0 with L = (big, big): the facets (1, 0), (0, 1) pair with G L = L and
     # G K = (-2, -2), so a = 2 / big
@@ -329,7 +358,7 @@ def test_hull_square():
         (Fraction(0), Fraction(2)),
         (Fraction(1), Fraction(1)),
     ]
-    hull = convex_hull_2d(pts)
+    hull = _convex_hull_2d(pts)
     assert len(hull) == 4
     assert (Fraction(1), Fraction(1)) not in hull
 
@@ -341,17 +370,17 @@ def _rays_by_brute_force(normals):
     dim = len(normals[0])
     found = set()
     for sub in itertools.combinations(normals, dim - 1):
-        if sub and mat_rank(sub) < dim - 1:
+        line = _integer_kernel(sub) if sub else [(1,)]
+        if len(line) > 1:  # rank below dim - 1
             continue
-        line = integer_kernel(sub)[0] if sub else (1,)
-        for v in (line, tuple(-x for x in line)):
-            if all(dot(n, v) >= 0 for n in normals):
-                found.add(primitive(v))
+        for v in (line[0], tuple(-x for x in line[0])):
+            if all(_dot(n, v) >= 0 for n in normals):
+                found.add(_primitive(v))
     return sorted(found)
 
 
 def _check_against_brute_force(normals):
-    if mat_rank(normals) < len(normals[0]):
+    if _integer_kernel(normals):  # rank below dim
         with pytest.raises(DomainError):
             dual_cone_rays(normals)
         return False

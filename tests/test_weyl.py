@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -625,6 +626,19 @@ def test_orbit_sizes_divide_group_order():
 def test_invariant_sublattice_full_group(we6, lat6):
     basis = invariant_sublattice(we6, lat6)
     assert basis == [lat6.anticanonical]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_invariant_sublattice_reads_array_generators(lat6, dtype):
+    # generators as numpy arrays, a stack or a tuple of matrices, give the
+    # tuples' basis in Python ints
+    group = generate_group(weyl_generators(lat6)[:2])
+    want = invariant_sublattice(group, lat6)
+    assert len(want) == 5
+    stack = np.array(group.generators, dtype=dtype)
+    for gens in (stack, tuple(stack)):
+        basis = invariant_sublattice(dataclasses.replace(group, generators=gens), lat6)
+        assert basis == want and {type(x) for v in basis for x in v} == {int}
 
 
 def test_diagonal_cubic_subgroup(diag_subgroup, lat6):
