@@ -35,7 +35,8 @@ other bounds are structural: the number of normals for tight-set counts,
 rank * 128**2, rank**2 * 128**2 and rank**2 * 128**3 for int8 group
 products, traces and cubes, and the Hadamard bound above, which picks int64
 rays (for `np.gcd`) or Python ints.  A result used as a value (key, list,
-`Fraction`) or in another product is converted to int64 first: -0.0 and 0.0
+`Fraction`) or in another product is converted to an integer dtype first
+(int64, or the narrower key dtype of the Weyl action kernel): -0.0 and 0.0
 differ in their bytes.
 
 One bound, `_BLOCK` entries, sets how much a batch kernel of the package
@@ -43,9 +44,11 @@ holds at once, and this module applies it.  `_exact_tiles` is the one tiled
 exact product: it covers X @ rows.T with two-dimensional tiles of at most
 `_BLOCK` entries, never splits a matrix of a stack of right factors, and
 converts each operand tile to the product's dtype as it reads it.
-Membership, both counts of the adjacency test, the Weyl action kernel and
-the trace scan of the order-3 search read it; every other blocked loop takes
-its rows from `_block_rows`.
+Membership, both counts of the adjacency test (the second over only the rays
+that can hold a candidate pair's common tight set: those on the cut's
+hyperplane and the candidates' ends), the Weyl action kernel and the trace
+scan of the order-3 search read it; every other blocked loop takes its rows
+from `_block_rows`.
 
 numpy is imported once, here, as `np` for the whole package, and executes on
 its first attribute access: a command that never computes with it never
@@ -260,9 +263,15 @@ def _primitive_rows(X):
 def _adjacent_pairs(T, pos, neg, dim):
     """The adjacent pairs (i, j), i in `pos` and j in `neg`, among the rays
     whose tight sets are the rows of the bool matrix T: their common tight
-    set has at least dim - 2 normals and exactly two rows of T (i and j)
-    contain it.  Both counts are exact products over the tiles of
-    `_exact_tiles`."""
+    set Z has at least dim - 2 normals (the candidates) and exactly two rows
+    of T (i and j) contain it.  Both counts are exact products over the tiles
+    of `_exact_tiles`.
+
+    The second count reads only the rows that can contain Z: a third ray k
+    with T_k ⊇ Z lies on the cut's hyperplane (in neither `pos` nor `neg`),
+    or it is positive and (k, j) is a candidate too, or negative and (i, k)
+    is; so the rays on the hyperplane and the candidates' ends hold every
+    such k."""
     exact = _exact_dtype(T.shape[1])
     pairs = [np.empty((0, 3), dtype=np.intp)]
     for a, b, P in _exact_tiles(T[pos], T[neg], exact):
@@ -272,7 +281,10 @@ def _adjacent_pairs(T, pos, neg, dim):
     # products' dtype rather than promoted to float64 tile by tile
     i, j, size = np.concatenate(pairs).T
     size, holders = size[:, None].astype(exact), np.zeros(len(i), dtype=np.intp)
-    for a, _, P in _exact_tiles(T[i] & T[j], T, exact):
+    can_hold = np.ones(len(T), dtype=bool)
+    can_hold[pos] = can_hold[neg] = False
+    can_hold[i] = can_hold[j] = True
+    for a, _, P in _exact_tiles(T[i] & T[j], T[can_hold], exact):
         holders[a : a + len(P)] += (P == size[a : a + len(P)]).sum(axis=1)
     return i[holders == 2], j[holders == 2]
 

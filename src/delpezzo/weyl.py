@@ -23,9 +23,11 @@ one exact product (`linalg._exact_tiles`), and group products
 cap raises CapExceeded instead of thrashing memory, and the blow-up-count-8
 Weyl group (order 696729600, see `WEYL_ORDERS`) is refused by default.
 `_permutation_action` maps matrices to the permutations they induce on a
-finite class set, keyed by the same helpers, and `_orbit_labels` reads orbits
-off such permutations, so `orbits_under_generators` works for groups too
-large to materialize.  The two subgroup searches compute their permutation
+finite class set, keyed by the same helpers in the narrowest signed integer
+dtype that holds the classes' entries (int8 for the lines, conics and cubics
+of a del Pezzo lattice), and `_orbit_labels` reads orbits off such
+permutations, so `orbits_under_generators` works for groups too large to
+materialize.  The two subgroup searches compute their permutation
 tables once and read every group question off rows of them, orbit sizes
 through `_orbit_sizes`: the diagonal-cubic search off the actions on lines
 and on conics of the order-3 elements of W(E6), found by cubes of the coset
@@ -333,11 +335,15 @@ def _permutation_action(mats, classes) -> np.ndarray:
     Row g maps class index k to the index of mats[g] @ classes[k].  Images
     are exact products by the rule of `linalg` (`_integer_operands`), formed a
     tile of classes by whole matrices at a time (`_exact_tiles`); classes and
-    images are keyed by the bytes of their int64 rows (`_row_keys`, sorted,
-    then searched with `_find`).  So this is the one place where an integer
-    input is refused for its size: DomainError, before any product, where the
-    rule's bound reaches 2**62 and an image could leave int64, the key's
-    width (keying rows by tuples of Python ints would be a second index).
+    images are keyed by the bytes of their rows in the narrowest signed
+    integer dtype (int8 to int64) that holds every entry of the classes
+    (`_row_keys`, sorted, then searched with `_find`).  An image with an
+    entry outside the classes' range is no class, so it is a miss and is
+    never narrowed, where it would wrap onto a class.  So this is the one
+    place where an integer input is refused for its size: DomainError,
+    before any product, where the rule's bound reaches 2**62 and an image
+    could leave int64, the widest key (keying rows by tuples of Python ints
+    would be a second index).
     Raises DomainError too for a ragged or non-integer input, a class set that
     is not two-dimensional, duplicate classes or an image outside the set.
     """
@@ -353,7 +359,10 @@ def _permutation_action(mats, classes) -> np.ndarray:
     out = np.empty((len(mats), k), dtype=np.int32)
     if not len(mats):
         return out
-    keys = _row_keys(arr.astype(np.int64))
+    least, most = int(arr.min(initial=0)), int(arr.max(initial=0))
+    key = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+               if np.iinfo(t).min <= least and most <= np.iinfo(t).max)
+    keys = _row_keys(arr.astype(key))
     order = np.argsort(keys)
     keys = keys[order]  # sorted, and the unsorted copy of the classes is freed
     if (keys[1:] == keys[:-1]).any():
@@ -362,8 +371,11 @@ def _permutation_action(mats, classes) -> np.ndarray:
     # entry i of the image of class k under mats[g]; the images are keyed
     # matrix by matrix, whose lookups of a sorted class set run faster
     for lo, g, P in _exact_tiles(arr, mats.reshape(-1, r), exact, width=r):
-        images = P.reshape(len(P), -1, r).transpose(1, 0, 2).astype(np.int64, order="C")
-        pos, hit = _find(keys, _row_keys(images))
+        images = P.reshape(len(P), -1, r).transpose(1, 0, 2)
+        if least <= P.min() and P.max() <= most:  # so no entry wraps as it is narrowed
+            pos, hit = _find(keys, _row_keys(images.astype(key, order="C")))
+        else:  # the images with an entry outside the range are no class
+            hit = ((images >= least) & (images <= most)).all(axis=2)
         if not hit.all():
             c = tuple(int(x) for x in arr[lo + np.argwhere(~hit)[0][1]])
             raise DomainError(f"class set is not closed: a matrix moves {c} outside")

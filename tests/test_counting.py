@@ -180,10 +180,16 @@ def _box_scan(gens, height, translate, i):
     return int(cone_contains(dual_cone_rays(gens), pts).sum()) if len(pts) else 0
 
 
+# the draws a seeded helper makes before it fails rather than loop on: a
+# kernel that never comes out empty ends the test instead of hanging it
+TRIES = 1000
+
+
 def _seeded_cone(rng, rho):
     """Generators with entries -3..3 and a height covector with entries
-    -3..5, every generator of positive height, full rank."""
-    while True:
+    -3..5, every generator of positive height, full rank.  The seeds the
+    tests use need at most 75 draws."""
+    for _ in range(TRIES):
         gens = tuple(
             tuple(rng.randint(-3, 3) for _ in range(rho)) for _ in range(rho + rng.randint(0, 2))
         )
@@ -191,6 +197,7 @@ def _seeded_cone(rng, rho):
         positive = all(sum(a * b for a, b in zip(g, height)) > 0 for g in gens)
         if positive and not _integer_kernel(gens):
             return gens, height
+    raise AssertionError(f"no cone of positive height and full rank in {TRIES} draws")
 
 
 def test_interval_counter_matches_box_scan():
@@ -387,7 +394,7 @@ def test_count_linear_in_brauer(qnum, br):
 
 
 def _random_model(rng, rho):
-    while True:
+    for _ in range(TRIES):
         gens = tuple(
             tuple(rng.randint(0, 3) for _ in range(rho))
             for _ in range(rho + rng.randint(0, 1))
@@ -395,6 +402,8 @@ def _random_model(rng, rho):
         cov = tuple(rng.randint(1, 2) for _ in range(rho))
         if all(any(g) for g in gens) and not _integer_kernel(gens):
             break
+    else:
+        raise AssertionError(f"no nonzero generators of full rank in {TRIES} draws")
     profile = make_profile(
         rho, -1, gens, cov, br=rng.randint(1, 2), idx=rng.randint(1, 3)
     )

@@ -406,6 +406,14 @@ def test_dual_cone_rays_match_brute_force():
                   (-1, 0, 1, 0), (-1, 1, -1, 0), (1, 1, -1, 1)]
     assert _check_against_brute_force(degenerate)
     assert dual_cone_rays(degenerate) == [(-1, 0, 1, 2), (0, 1, 1, 0), (1, 2, 1, 0), (1, 2, 1, 2)]
+    # at the last cut, rays 0, 1, 2 and 4 hold a common tight set of three
+    # normals (a quadrilateral 2-face) and the cut runs through its diagonal,
+    # rays 1 and 2: the pair (0, 4) is not adjacent, and its only third rays
+    # lie on the hyperplane, where neither is the end of a candidate pair
+    diagonal = [(-1, 0, -1, -1, 1), (-1, 0, 1, 0, 1), (-1, 1, 0, -1, 0), (0, 1, 0, 1, 0),
+                (1, 1, 1, 1, -1), (-1, -1, -1, -1, 1), (0, 0, 0, 0, 1), (1, 1, -1, 1, 1)]
+    assert _check_against_brute_force(diagonal)
+    assert len(dual_cone_rays(diagonal)) == 5
     rng = random.Random(11)
     spanning = 0
     for k in range(600):
@@ -419,6 +427,55 @@ def test_dual_cone_rays_match_brute_force():
                 normals.append(n)
         spanning += _check_against_brute_force(normals)
     assert spanning >= 500
+
+
+def _full_adjacent_pairs(T, pos, neg, dim):
+    """The adjacency test with its second count over every ray: the
+    reference of the restricted count of `linalg._adjacent_pairs`."""
+    exact = linalg._exact_dtype(T.shape[1])
+    pairs = [np.empty((0, 3), dtype=np.intp)]
+    for a, b, P in linalg._exact_tiles(T[pos], T[neg], exact):
+        i, j = np.nonzero(P >= dim - 2)
+        pairs.append(np.stack([pos[a + i], neg[b + j], P[i, j].astype(np.intp)], axis=1))
+    i, j, size = np.concatenate(pairs).T
+    size, holders = size[:, None].astype(exact), np.zeros(len(i), dtype=np.intp)
+    for a, _, P in linalg._exact_tiles(T[i] & T[j], T, exact):
+        holders[a : a + len(P)] += (P == size[a : a + len(P)]).sum(axis=1)
+    return i[holders == 2], j[holders == 2]
+
+
+def test_restricted_holders_match_full_count(monkeypatch):
+    # the second count reads only the rays on the hyperplane and the ends of
+    # candidate pairs; at every cut it must return the pairs that counting
+    # holders among every ray returns, on the four 40-line rank-9 subcones of
+    # the benchmark and on seeded degenerate cones
+    cuts = []
+    adjacent_pairs = linalg._adjacent_pairs
+
+    def both(T, pos, neg, dim):
+        got = adjacent_pairs(T, pos, neg, dim)
+        want = _full_adjacent_pairs(T, pos, neg, dim)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        cuts.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(linalg, "_adjacent_pairs", both)
+    lines, sample = enumerate_neg_one_curves(make_lattice(8)), random.Random(0)
+    for _ in range(4):
+        normals = [(g[0],) + tuple(-x for x in g[1:]) for g in
+                   (lines[i] for i in sample.sample(range(240), 40))]
+        assert dual_cone_rays(normals)
+    rank9 = len(cuts)
+    rng = random.Random(49)
+    for k in range(300):
+        dim = 3 + k % 4
+        normals = [n for n in (tuple(rng.randint(-1, 1) for _ in range(dim))
+                               for _ in range(dim + rng.randint(1, 6))) if any(n)]
+        try:
+            dual_cone_rays(normals)
+        except DomainError:  # not pointed: the cuts before the refusal still count
+            pass
+    assert rank9 > 100 and len(cuts) > rank9 + 500 and sum(cuts) > 0
 
 
 def test_dual_cone_rays_cut_while_lines_remain(monkeypatch):

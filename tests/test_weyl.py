@@ -578,19 +578,37 @@ def test_permutation_action_keys_integer_rows(monkeypatch, lat6):
     # small entries make the images float32 products, and a BLAS that starts
     # a sum from its first product can write -0.0, whose bytes differ from
     # those of 0.0: every class and image the action keys must be an integer
-    # row
+    # row, in the narrowest signed dtype that holds the classes' entries
     keyed = []
 
     def integer_keys(rows):
         assert rows.dtype.kind in "iu", rows.dtype
-        keyed.append(len(rows))
+        keyed.append(rows.dtype)
         return _row_keys(rows)
 
     monkeypatch.setattr("delpezzo.weyl._row_keys", integer_keys)
     gens = weyl_generators(lat6)
     assert orbits_under_generators(gens, enumerate_conic_classes(lat6)).sizes == [27]
     assert _permutation_action(gens, enumerate_neg_one_curves(lat6)).shape == (6, 27)
-    assert keyed
+    assert set(keyed) == {np.dtype(np.int8)}
+    keyed.clear()
+    lat8 = make_lattice(8)
+    cubics = [c for c, _ in enumerate_cubic_classes(lat8)]
+    assert orbits_under_generators(weyl_generators(lat8), cubics).sizes == [240, 17280]
+    assert set(keyed) == {np.dtype(np.int8)}
+    for top, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):  # the edge of int32
+        keyed.clear()
+        assert _permutation_action([[[1, 0], [0, 1]]], [(-(2**31), top)]).tolist() == [[0]]
+        assert set(keyed) == {np.dtype(dtype)}
+
+
+def test_permutation_action_narrow_keys_stay_exact():
+    # the classes' entries fit int8 but the image 257 of the first does not:
+    # narrowed, it would wrap onto (1, 0), so it must be a miss instead
+    with pytest.raises(DomainError, match="class set is not closed: a matrix moves \\(1, 0\\)"):
+        _permutation_action([[[257, 0], [0, 1]]], [(1, 0), (0, 1)])
+    # two classes that float64 keys would merge into a false duplicate
+    assert _permutation_action([[[1, 0], [0, 1]]], [(-1, 2**60), (-1, 2**60 + 1)]).tolist() == [[0, 1]]
 
 
 def test_orbits_past_small_entries(lat6):
