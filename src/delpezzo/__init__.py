@@ -53,8 +53,7 @@ _EXPORTS = {
     "weyl": (
         "FiniteGroup", "OrbitPartition", "conic_bundle_extension_analysis",
         "find_diagonal_cubic_subgroup", "generate_group", "invariant_sublattice", "orbits",
-        "orbits_under_generators", "simple_roots", "trivial_group", "validate_isometry",
-        "weyl_generators",
+        "orbits_under_generators", "simple_roots", "validate_isometry", "weyl_generators",
     ),
 }
 # exported name -> its module; a submodule name is its own module

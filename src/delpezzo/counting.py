@@ -248,6 +248,18 @@ COUNT_BUDGET = 2**20
 COUNT_POWER_BITS = 2**12
 
 
+def _check_powers(m: CountingModel, exponents, request: str) -> None:
+    """Raise CapExceeded, naming `request`, unless every |exponent| times the
+    bit length of q's larger term is at most COUNT_POWER_BITS: the one power
+    rule of `check_count_budget` and `asymptotic`."""
+    q_bits = max(m.q.numerator.bit_length(), m.q.denominator.bit_length())
+    max_exponent = COUNT_POWER_BITS // q_bits
+    _check_budget(max(map(abs, exponents)), max_exponent,
+                  f"{request} is past the counting budget: powers of q at most "
+                  f"{COUNT_POWER_BITS} bits, so for a q of {q_bits} bits exponents at most "
+                  f"{max_exponent} in size")
+
+
 def check_count_budget(m: CountingModel, d: int) -> None:
     """Raise CapExceeded unless counting heights up to d fits the budget.
 
@@ -265,12 +277,7 @@ def check_count_budget(m: CountingModel, d: int) -> None:
     starts = [_dot(cone.height, t) for t in m.translates]
     starts = [start for start in starts if start <= d]
     exponents = [d] + [i + m.dim_rule for start in starts for i in (start, d)]
-    q_bits = max(m.q.numerator.bit_length(), m.q.denominator.bit_length())
-    max_exponent = COUNT_POWER_BITS // q_bits
-    _check_budget(max(map(abs, exponents)), max_exponent,
-                  f"--dmax {d} with dim_rule {m.dim_rule} is past the counting budget: "
-                  f"powers of q at most {COUNT_POWER_BITS} bits, so for a q of "
-                  f"{q_bits} bits exponents at most {max_exponent} in size")
+    _check_powers(m, exponents, f"--dmax {d} with dim_rule {m.dim_rule}")
     scan = sum(
         (d - start + 1)
         * prod(2 * b + 1 for b in box(d - start)[:-1])
@@ -321,10 +328,13 @@ def theorem_constant(m: CountingModel) -> Fraction:
 
 
 def asymptotic(m: CountingModel, d: int) -> Fraction:
-    """The closed form (tau * alpha * Br * q/(q-1)) * q^d * d^(rho-1)."""
+    """The closed form (tau * alpha * Br * q/(q-1)) * q^d * d^(rho-1).  A d
+    whose power q^d is past the power rule of `check_count_budget` raises
+    CapExceeded before any power is formed."""
     d = _index(d, "d")
     if d < 1:
         raise DomainError(f"asymptotic needs d >= 1, got {d}")
+    _check_powers(m, [d], f"asymptotic at d = {d}")
     rho = m.profile.rho_eta
     return theorem_constant(m) * m.q**d * d ** (rho - 1)
 

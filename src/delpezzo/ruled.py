@@ -387,6 +387,16 @@ def glue_normal_bundle(nb: NormalBundleType, vertical_degree: int) -> NormalBund
     return result
 
 
+# The one work budget of this module, checked before any work: at most
+# FUZZ_BUDGET blow-ups of the fuzz harness, trials x depth, however split,
+# since a trial costs O(depth log depth), and at most FUZZ_BUDGET heights above
+# the start closed by `reachable_balanced_heights`.  Cold on one CPU of a 2-CPU
+# Xeon host, one trial of depth 32768 takes 0.5-0.8 s and 33 MB, 32768 trials of
+# depth 1 0.4-0.7 s, and the heights from (1, 1) to 32768 above it 0.22 s and
+# 26 MB.
+FUZZ_BUDGET = 2**15
+
+
 def reachable_balanced_heights(
     start: NormalBundleType, h_max: int
 ) -> frozenset[tuple[int, NormalBundleType]]:
@@ -395,11 +405,15 @@ def reachable_balanced_heights(
 
     Checks on the way out that every height from start+6 to h_max carries the
     parity-appropriate balanced or near-balanced type; a gap would contradict
-    the stabilization claim and raises ToolkitError.
+    the stabilization claim and raises ToolkitError.  An h_max more than
+    FUZZ_BUDGET above the start raises CapExceeded before the search.
     """
     h_max = _index(h_max, "h_max")
     if start.b - start.a > 1:
         raise DomainError("start must be balanced or near-balanced")
+    _check_budget(max(0, h_max - start.height), FUZZ_BUDGET,
+                  f"h_max {h_max} is past the fuzz budget: at most {FUZZ_BUDGET} "
+                  f"heights above the start's {start.height}")
     if h_max < start.height:
         return frozenset()
     seen = {(start.height, start)}
@@ -424,13 +438,6 @@ def reachable_balanced_heights(
                 "stabilization claim falsified"
             )
     return frozenset(seen)
-
-
-# Work budget of the fuzz harness, checked before any trial: at most
-# FUZZ_BUDGET blow-ups, trials x depth, however split, since a trial costs
-# O(depth log depth).  Cold on one CPU of a 2-CPU Xeon host, one trial of
-# depth 32768 takes 0.5-0.8 s and 33 MB, and 32768 trials of depth 1 0.4-0.7 s.
-FUZZ_BUDGET = 2**15
 
 
 def check_fuzz_budget(count: int, depth: int) -> tuple[int, int]:

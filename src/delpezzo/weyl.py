@@ -1,9 +1,10 @@
 """Lattice isometries: Weyl groups, orbits, and monodromy-style subgroups.
 
-Every group in this module is a sorted table, or the cosets of one that are
-written as a table on first access, searched through one row index and acted
-on by one action kernel; all but the signed permutation group are closed by
-one routine.  The row index is a pair of helpers: `_row_keys`
+Every group in this module is a table, or the cosets of one that are written
+as a table on first access, acted on by one action kernel; all but the signed
+permutation group, built in the order of its definition, are sorted, searched
+through one row index and closed by one routine.
+The row index is a pair of helpers: `_row_keys`
 views each row of an integer array as one fixed-width byte key, and `_find`
 looks keys up in a sorted key array.  `generate_group` closes a set of int8
 matrices by Dimino's algorithm: a tower of subgroups from the identity, each
@@ -32,12 +33,13 @@ tables once and read every group question off rows of them, orbit sizes
 through `_orbit_sizes`: the diagonal-cubic search off the actions on lines
 and on conics of the order-3 elements of W(E6), found by cubes of the coset
 products h x whose trace admits order 3, with no table written; the conic
-bundle analysis off left multiplication by the 33 elements it reads of the
-signed permutation group on 4 letters (4 x 4 matrices, every permutation with
-every sign; products looked up in its table), whose subgroups are orbits of
-the identity, the 256 candidates labelled a block at a time, and off its
-action on sign vectors.  Every product, cube and image is exact by the one
-rule of `linalg`, which picks its dtype from a bound on its values.
+bundle analysis off the action of the signed permutation group on 4 letters
+(4 x 4 matrices, every permutation with every sign) on its own flattened
+elements, left multiplication by the 33 elements it reads and right
+multiplication by sigma, whose subgroups are orbits of the identity, the 256
+candidates labelled a block at a time, and off its action on sign vectors.
+Every product, cube and image is exact by the one rule of `linalg`, which
+picks its dtype from a bound on its values.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from itertools import permutations, product
 from operator import mul
 
 from . import curves
-from .errors import DomainError, NotFound, ToolkitError, _index, _ints
+from .errors import DomainError, NotFound, ToolkitError, _ints
 from .linalg import _block_rows, _exact_dtype, _exact_tiles, _integer_kernel, _integer_operands, np
 from .picard import DEFAULT_CAP, PicardLattice, Vec, _lattice, check_cap
 
@@ -152,12 +154,6 @@ class FiniteGroup:
 
     def element_matrices(self) -> np.ndarray:
         return self.elements.astype(np.int64)
-
-
-def trivial_group(rank: int) -> FiniteGroup:
-    if (rank := _index(rank, "rank")) < 1:
-        raise DomainError(f"trivial group needs rank >= 1, got {rank}")
-    return FiniteGroup(np.eye(rank, dtype=np.int8)[None], ())
 
 
 def _product_chunks(left: np.ndarray, right: np.ndarray):
@@ -563,15 +559,6 @@ def find_diagonal_cubic_subgroup(
     )
 
 
-def _left_table(table: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """left[i, f] = index of table[rows][i] @ table[f] in a group's sorted
-    table, only the given rows (all by default) multiplied: each exact
-    product (`_products`) is looked up by its row key (`_find`)."""
-    left = table[rows]
-    keys = _row_keys(_products(left, table).reshape(len(left), len(table), table[0].size))
-    return _find(_row_keys(table.reshape(len(table), -1)), keys)[0]
-
-
 def _signed_perm_matrix(perm, signs) -> Matrix:
     """4 x 4 matrix of a signed permutation acting on sign vectors by
     (g.v)_i = signs_i * v_{perm^-1(i)}, where perm maps position j to perm[j]."""
@@ -581,15 +568,13 @@ def _signed_perm_matrix(perm, signs) -> Matrix:
     return tuple(tuple(row) for row in M)
 
 
-def _signed_perm_table() -> tuple[np.ndarray, np.ndarray]:
-    """(the sorted int8 table of every permutation p of 4 letters with every
-    sign vector s, lifts): lifts[p, s] is the index of _signed_perm_matrix(p, s)
-    in it, for p and s in the order of permutations(range(4)) and
+def _signed_perm_table() -> np.ndarray:
+    """The int8 matrices of every permutation p of 4 letters with every sign
+    vector s, in product order: row 16 i + j is _signed_perm_matrix(p, s) for
+    p the i-th of permutations(range(4)) and s the j-th of
     product((-1, 1), repeat=4)."""
     signed = product(permutations(range(4)), product((-1, 1), repeat=4))
-    mats = np.array([_signed_perm_matrix(p, s) for p, s in signed], dtype=np.int8)
-    order = np.argsort(_row_keys(mats.reshape(len(mats), -1)))
-    return mats[order], np.argsort(order).reshape(24, 16)
+    return np.array([_signed_perm_matrix(p, s) for p, s in signed], dtype=np.int8)
 
 
 def conic_bundle_extension_analysis() -> dict:
@@ -605,29 +590,34 @@ def conic_bundle_extension_analysis() -> dict:
     Every such G is generated by sigma together with one lift of each of the
     transposition (0 1) and the 4-cycle (0 1 2 3); the scan over the 16 x 16
     lifts is therefore exhaustive.  The ambient group is every permutation
-    with every sign (`_signed_perm_table`).  Left multiplication by the 33
-    elements the scan reads, the lifts and sigma, and the action on the 16
-    sign vectors are computed once, as permutation tables (`_left_table`,
-    `_permutation_action`).  Each candidate G and complement is the orbit of
-    the identity under left multiplication by its generators: one
-    `_orbit_labels` call labels a block of candidates G, each on its own copy
-    of the elements, in the narrowest dtype that holds the block's positions,
-    and one the complements of each G found.  The orbits of G on sign vectors
-    are those of its generators' rows (`_orbit_sizes`); sigma is central when
-    its row of left matches the 384 products e sigma.
+    with every sign, in product order (`_signed_perm_table`).  Its tables are
+    two `_permutation_action` calls: its action on its row-major flattened
+    elements, where left multiplication by e is kron(e, I_4) and right
+    multiplication by sigma kron(I_4, sigma^T), for the 33 elements the scan
+    reads (the lifts and sigma) and sigma on the right, and its action on the
+    16 sign vectors.  Each candidate G and complement is the orbit of the
+    identity under left multiplication by its generators: one `_orbit_labels`
+    call labels a block of candidates G, each on its own copy of the
+    elements, in the narrowest dtype that holds the block's positions, and
+    one the complements of each G found.  The orbits of G on sign vectors are
+    those of its generators' rows (`_orbit_sizes`); sigma is central when its
+    left and right rows are equal.
     """
-    elems, lifts = _signed_perm_table()
-    perms = list(permutations(range(4)))
+    elems = _signed_perm_table()
+    lifts, perms = np.arange(len(elems)).reshape(24, 16), list(permutations(range(4)))
     # permutation 0 is the identity; the signs run from all -1 to all +1
-    one, sigma = int(lifts[0, -1]), int(lifts[0, 0])
+    one, sigma = lifts[0, -1], lifts[0, 0]
     diagonal, lifts_t, lifts_c = (
-        np.sort(lifts[perms.index(p)]) for p in ((0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0))
+        lifts[perms.index(p)] for p in ((0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0))
     )
-    # row i of left is lifts_t[i], row 16 + j is lifts_c[j], and row 32 sigma
-    left = _left_table(elems, np.concatenate((lifts_t, lifts_c, [sigma])))
+    # rows of left: e x for e in lifts_t, lifts_c and sigma, then x sigma
+    eye = np.eye(4, dtype=np.int8)
+    mats = np.kron(elems[np.concatenate((lifts_t, lifts_c, [sigma]))], eye)
+    mats = np.concatenate((mats, np.kron(eye, elems[sigma].T)[None]))
+    left = _permutation_action(mats, elems.reshape(len(elems), -1))
     left = left.astype(np.min_scalar_type(len(elems)))
     signs = _permutation_action(elems, list(product((-1, 1), repeat=4)))
-    sigma_central = bool((elems[left[32]] == _products(elems, elems[[sigma]])[:, 0]).all())
+    sigma_central = bool((left[32] == left[33]).all())
 
     def generated(*axes) -> np.ndarray:
         """Bool rows: for each choice of one row of left per axis, in the

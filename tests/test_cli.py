@@ -626,7 +626,7 @@ _EXPORTS = """
     non_dominant_threshold orbits orbits_under_generators pair picard polarized_del_pezzo
     profile_to_dict q_of_x reachable_balanced_heights ruled same_a_low_height_bound
     section_height simple_roots tau theorem_constant threshold_report thresholds
-    trivial_group validate_isometry verify_second_minus_one weyl weyl_generators with_marked
+    validate_isometry verify_second_minus_one weyl weyl_generators with_marked
 """.split()
 
 
@@ -634,7 +634,7 @@ def test_package_exports():
     import delpezzo
     from delpezzo import picard, weyl
 
-    assert sorted(delpezzo.__all__) == _EXPORTS and len(_EXPORTS) == 105
+    assert sorted(delpezzo.__all__) == _EXPORTS and len(_EXPORTS) == 104
     namespace = {}
     exec("from delpezzo import *", namespace)
     assert set(_EXPORTS) <= set(namespace) and set(_EXPORTS) <= set(dir(delpezzo))

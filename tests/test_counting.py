@@ -296,6 +296,18 @@ def test_asymptotic():
         asymptotic(m, 0)
 
 
+@pytest.mark.parametrize("d", [COUNT_POWER_BITS // 2 + 1, 10**8, 2**63 - 1])
+def test_asymptotic_power_budget(d):
+    # q = 2 has 2 bits: q**2048 is formed, and a larger power is refused by
+    # the power rule of check_count_budget before it is formed
+    m = CountingModel(profile=RANK1, translates=((1,),), q=Fraction(2))
+    assert asymptotic(m, COUNT_POWER_BITS // 2) == 2 * Fraction(2) ** 2048
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"asymptotic at d = {d} is past the counting budget"):
+        asymptotic(m, d)
+    assert time.perf_counter() - start < 0.1
+
+
 @given(st.integers(2, 30))
 def test_asymptotic_consecutive_ratio_rank1(d):
     m = CountingModel(profile=RANK1, translates=((1,),), q=Fraction(5, 3))

@@ -18,6 +18,7 @@ from delpezzo import (
     a_invariant,
     alpha,
     anticanonical_degree,
+    asymptotic,
     break_fiber_class,
     break_section,
     check_cap,
@@ -45,7 +46,6 @@ from delpezzo import (
     pair,
     polarized_del_pezzo,
     reachable_balanced_heights,
-    trivial_group,
     validate_isometry,
     weyl_generators,
 )
@@ -93,6 +93,12 @@ _REFUSALS = {
         "--dmax 10 is past the counting budget: the height slices of this cone would "
         "count up to 12 column-generator pairs, at most 11",
     ),
+    "asymptotic-powers": (
+        None,
+        lambda: asymptotic(_pencil(), 2049),
+        "asymptotic at d = 2049 is past the counting budget: powers of q at most "
+        "4096 bits, so for a q of 2 bits exponents at most 2048 in size",
+    ),
     "q-exponent": (
         None,
         lambda: _json_rational("1e4097", 4096),
@@ -102,6 +108,11 @@ _REFUSALS = {
         None,
         lambda: check_fuzz_budget(FUZZ_BUDGET + 1, 1),
         "--trials 32769 x --depth 1 is past the fuzz budget: trials x depth at most 32768",
+    ),
+    "reachable-heights": (
+        None,
+        lambda: reachable_balanced_heights(NormalBundleType(1, 1), 2 + FUZZ_BUDGET + 1),
+        "h_max 32771 is past the fuzz budget: at most 32768 heights above the start's 2",
     ),
     "corners": (
         None,
@@ -155,9 +166,6 @@ def _asymmetric():
 @pytest.mark.parametrize(
     "call, words",
     [
-        (lambda: trivial_group(-1), "needs rank >= 1"),
-        (lambda: trivial_group(0), "needs rank >= 1"),
-        (lambda: trivial_group(2.0), "rank must be an integer"),
         (lambda: minimal_moving_height(HirzebruchModel(1.5)), "must be an integer"),
         (lambda: break_section(2.5, 0.5), "must be an integer"),
         (lambda: break_section(3, 1.0), "must be an integer"),
@@ -166,7 +174,6 @@ def _asymmetric():
         (lambda: counting.check_count_budget(_pencil(), 2.5), "d must be an integer"),
     ],
     ids=[
-        "trivial-group-negative", "trivial-group-zero", "trivial-group-float",
         "hirzebruch-e", "break-section-q", "break-section-e", "asymmetric-gram",
         "count-budget-d",
     ],
@@ -332,7 +339,8 @@ _MALFORMED = {
         lambda: nef_curve_cone([3]), "lattice must be a PicardLattice, got [3]"
     ),
     "invariant-sublattice-lattice-none": (
-        lambda: invariant_sublattice(trivial_group(4), None), "lattice must be a PicardLattice"
+        lambda: invariant_sublattice(generate_group([np.eye(4, dtype=np.int8)]), None),
+        "lattice must be a PicardLattice",
     ),
     "invariant-sublattice-generator-shape": (
         lambda: invariant_sublattice(_with_generator(((1, 0), (0, 1))), _LAT3),
@@ -367,7 +375,6 @@ def test_budget_refused_in_a_json_field_is_both():
 
 
 def test_integer_reads_keep_python_ints():
-    assert trivial_group(np.int64(1)).order == 1
     assert type(HirzebruchModel(np.int64(2)).e) is int
     parts = break_section(np.int64(5), np.int8(1))
     assert (parts.rigid, parts.movable) == (3, 2)

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from delpezzo import (
     BreakResult,
+    CapExceeded,
     DomainError,
     FiberTree,
     HeightBelowModel,
@@ -493,6 +495,20 @@ def test_reachable_balanced_heights():
     )
     with pytest.raises(DomainError):
         reachable_balanced_heights(NormalBundleType(0, 2), 10)
+
+
+def test_reachable_heights_budget():
+    # FUZZ_BUDGET heights above the start are closed; one more, or h_max at
+    # the top of int64, is refused before the search
+    start = NormalBundleType(1, 1)
+    reach = reachable_balanced_heights(start, start.height + FUZZ_BUDGET)
+    assert max(h for h, _ in reach) == start.height + FUZZ_BUDGET
+    with pytest.raises(CapExceeded, match="past the fuzz budget"):
+        reachable_balanced_heights(start, start.height + FUZZ_BUDGET + 1)
+    t = time.perf_counter()
+    with pytest.raises(CapExceeded, match="past the fuzz budget"):
+        reachable_balanced_heights(start, 2**63 - 1)
+    assert time.perf_counter() - t < 0.1
 
 
 @given(st.integers(0, 4), st.integers(0, 1), st.integers(6, 20))

@@ -29,7 +29,6 @@ from delpezzo import (
     orbits_under_generators,
     pair,
     simple_roots,
-    trivial_group,
     validate_isometry,
     weyl_generators,
 )
@@ -39,12 +38,10 @@ from delpezzo.picard import WEYL_ORDERS as CLOSED_FORM_ORDERS
 from delpezzo.weyl import (
     FiniteGroup,
     _coset_table,
-    _left_table,
     _orbit_labels,
     _order3_elements,
     _order3_indices,
     _permutation_action,
-    _products,
     _row_keys,
     _signed_perm_matrix,
     _signed_perm_table,
@@ -404,7 +401,7 @@ def test_diagonal_search_without_order3_elements(lat6):
     # a group of rank 7 with no element of order 3 has no candidate: an
     # empty stack, and the search ends in NotFound
     reflection = generate_group(weyl_generators(lat6)[:1])
-    for group in (trivial_group(7), reflection):
+    for group in (_trivial_group(7), reflection):
         assert _order3_elements(group).shape == (0, 7, 7)
         with pytest.raises(NotFound):
             find_diagonal_cubic_subgroup(group, lat6)
@@ -461,9 +458,13 @@ def test_whole_table_action_peak(we6, lat6):
     assert _peak(_permutation_action, table, lines) < 8 * 2**20
 
 
+def _trivial_group(rank):
+    return generate_group([np.eye(rank, dtype=np.int8)])
+
+
 def test_trivial_group():
-    group = trivial_group(4)
-    assert group.order == 1 and group.generators == ()
+    group = _trivial_group(4)
+    assert group.order == 1 and group.levels == ()
     assert (group.element_matrices() == np.eye(4, dtype=np.int64)).all()
 
 
@@ -628,7 +629,7 @@ def test_orbits_refuse_inexact_entries():
 def test_orbits_trivial_group():
     lat = make_lattice(3)
     lines = enumerate_neg_one_curves(lat)
-    part = orbits(trivial_group(lat.rank), lines)
+    part = orbits(_trivial_group(lat.rank), lines)
     assert part.sizes == [1] * len(lines)
 
 
@@ -687,12 +688,12 @@ def test_rank_mismatch_is_a_domain_error(we6, lat6, monkeypatch):
     # the generators' rank must be the lattice's, in both directions; the
     # check comes before any element table is read
     e2 = generate_group(weyl_generators(make_lattice(2)))
-    wide = generate_group(weyl_generators(make_lattice(7))[:3])
-    for group, lat in ((we6, make_lattice(2)), (e2, lat6), (trivial_group(3), lat6)):
+    wide, trivial = generate_group(weyl_generators(make_lattice(7))[:3]), _trivial_group(3)
+    for group, lat in ((we6, make_lattice(2)), (e2, lat6), (trivial, lat6)):
         with pytest.raises(DomainError, match="rank"):
             invariant_sublattice(group, lat)
     monkeypatch.setattr("delpezzo.weyl._coset_table", None)
-    for group in (e2, wide, trivial_group(3)):
+    for group in (e2, wide, trivial):
         with pytest.raises(DomainError, match="rank"):
             find_diagonal_cubic_subgroup(group, lat6)
 
@@ -786,44 +787,51 @@ def _conic_bundle_report_by_closures() -> dict:
     }
 
 
-def test_left_table_matches_kron_action():
-    # the old route: elems[e] acts on the row-major flattened elements as
-    # kron(elems[e], I_4)
-    elems = generate_group(_signed_perm_gens(), cap=384).elements
-    flat = elems.reshape(len(elems), -1)
-    oracle = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
-    assert (_left_table(elems) == oracle).all()
-
-
 def _conic_bundle_scan_rows():
-    """The 33 elements the conic-bundle scan reads, in its order: the 16
-    lifts of (0 1), the 16 lifts of (0 1 2 3), then sigma."""
-    _, lifts = _signed_perm_table()
+    """The 33 elements the conic-bundle scan reads, in its order and as
+    indices of `_signed_perm_table`, which is in product order: the 16 lifts
+    of (0 1), the 16 lifts of (0 1 2 3), then sigma."""
     perms = list(itertools.permutations(range(4)))
-    t, c = (np.sort(lifts[perms.index(p)]) for p in ((1, 0, 2, 3), (1, 2, 3, 0)))
-    return np.concatenate((t, c, [lifts[0, 0]]))
+    t, c = (16 * perms.index(p) + np.arange(16) for p in ((1, 0, 2, 3), (1, 2, 3, 0)))
+    return np.concatenate((t, c, [0]))
 
 
-def test_left_table_rows_match_kron_action():
-    # each row asked for is the matching row of the full table's oracle, for
-    # the scan's 33 rows, seeded subsets (with repeats) and every row reversed
-    elems = generate_group(_signed_perm_gens(), cap=384).elements
-    flat = elems.reshape(len(elems), -1)
-    oracle = _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), flat)
-    rng = np.random.default_rng(24)
-    cases = [_conic_bundle_scan_rows(), [7, 7, 0, 7], np.arange(384)[::-1]]
-    cases += [rng.integers(0, 384, size=k) for k in (1, 5, 33, 200, 500)]
-    for rows in cases:
-        rows = np.asarray(rows)
-        left = _left_table(elems, rows)
-        assert left.shape == (len(rows), 384)
-        assert (left == oracle[rows]).all()
+def _kron_action(elems):
+    """left[e, f] = index of elems[e] @ elems[f], as the action of
+    kron(elems[e], I_4) on the row-major flattened elements."""
+    return _permutation_action(np.kron(elems, np.eye(4, dtype=np.int8)), elems.reshape(384, 16))
 
 
-def test_left_table_empty_rows():
-    elems = generate_group(_signed_perm_gens(), cap=384).elements
-    left = _left_table(elems, np.array([], dtype=int))
-    assert left.shape == (0, 384)
+def _record_actions(monkeypatch):
+    """Patch `_permutation_action`; the list returned grows by (mats,
+    classes, permutations) for each call."""
+    calls = []
+
+    def record(mats, classes):
+        perms = _permutation_action(mats, classes)
+        calls.append((np.asarray(mats), np.asarray(classes), perms))
+        return perms
+
+    monkeypatch.setattr("delpezzo.weyl._permutation_action", record)
+    return calls
+
+
+def test_conic_bundle_action_rows_match_products(monkeypatch):
+    # the 34 rows of the analysis's action on its own elements against int64
+    # products looked up by their entries: rows 0-32 are e x for the 33 scan
+    # rows e, and row 33 is x sigma
+    calls = _record_actions(monkeypatch)
+    conic_bundle_extension_analysis()
+    mats, classes, left = calls[0]
+    elems = _signed_perm_table().astype(np.int64)
+    assert mats.shape == (34, 16, 16) and (classes == elems.reshape(384, 16)).all()
+    index = {e.tobytes(): i for i, e in enumerate(elems)}
+    sigma = elems[0]
+    assert (sigma == -np.eye(4, dtype=np.int64)).all()
+    products = [[lift @ e for e in elems] for lift in elems[_conic_bundle_scan_rows()]]
+    products.append([e @ sigma for e in elems])
+    want = np.array([[index[p.tobytes()] for p in row] for row in products])
+    assert left.shape == (34, 384) and (left == want).all()
 
 
 def _candidate_blocks(labellings):
@@ -838,8 +846,8 @@ def test_union_labelling_matches_separate_calls(monkeypatch):
     # k * 384: one labelling of the union is, copy by copy, the labelling of
     # each generator set alone; first on seeded sets, then on each block the
     # analysis labels, whose copies are the 256 candidates in scan order, once
-    elems = generate_group(_signed_perm_gens(), cap=384).elements
-    left, n = _left_table(elems), len(elems)
+    elems = _signed_perm_table()
+    left, n = _kron_action(elems), len(elems)
     rng = np.random.default_rng(2024)
     for copies, gens in ((1, 1), (5, 2), (40, 3), (64, 1)):
         rows = rng.integers(0, n, size=(gens, copies))
@@ -869,25 +877,28 @@ def test_union_labelling_matches_separate_calls(monkeypatch):
 
 
 def test_conic_bundle_reads_only_its_rows(monkeypatch):
-    # the analysis multiplies by the table only the 33 rows it reads, and
-    # sigma's centrality costs the 384 products e sigma more; blocks of at
-    # most _BLOCK entries label the 256 candidates, each once, and each of
-    # the 16 subgroups found takes one labelling for its complements and one
-    # for its orbits on sign vectors
-    products, labellings = [], []
+    # the analysis forms no group product: its tables are two actions, the
+    # 34 rows it reads acting on the 384 flattened elements and the 384
+    # elements on the 16 sign vectors; blocks of at most _BLOCK entries
+    # label the 256 candidates, each once, and each of the 16 subgroups
+    # found takes one labelling for its complements and one for its orbits
+    # on sign vectors
+    labellings = []
 
-    def record_products(left, right, out=None):
-        products.append((len(left), len(right)))
-        return _products(left, right, out)
+    def refuse(*args, **kwargs):
+        raise AssertionError("_products called")
 
     def record_labels(perms):
         labellings.append(perms)
         return _orbit_labels(perms)
 
-    monkeypatch.setattr("delpezzo.weyl._products", record_products)
+    actions = _record_actions(monkeypatch)
+    monkeypatch.setattr("delpezzo.weyl._products", refuse)
     monkeypatch.setattr("delpezzo.weyl._orbit_labels", record_labels)
     assert conic_bundle_extension_analysis()["subgroup_count"] == 16
-    assert sorted(products) == [(33, 384), (384, 1)]
+    assert [(mats.shape, classes.shape) for mats, classes, _ in actions] == [
+        ((34, 16, 16), (384, 16)), ((384, 4, 4), (16, 4))
+    ]
     blocks = _candidate_blocks(labellings)
     assert all(perms.size <= _BLOCK for perms in blocks)
     assert sum(perms.shape[1] for perms in blocks) == 256 * 384
@@ -903,20 +914,20 @@ def test_signed_perm_table_matches_closure():
     # the routes the construction replaced are the oracle: Dimino's closure of
     # six generators, the identity and sigma by their traces, and each
     # element's permutation by the row of the nonzero entry of each column
-    table, lifts = _signed_perm_table()
+    table = _signed_perm_table()
     assert table.dtype == np.int8 and table.shape == (384, 4, 4)
-    assert table.tobytes() == generate_group(_signed_perm_gens(), cap=384).elements.tobytes()
+    by_bytes = table[np.argsort(_row_keys(table.reshape(384, 16)))]
+    assert by_bytes.tobytes() == generate_group(_signed_perm_gens(), cap=384).elements.tobytes()
     perms = list(itertools.permutations(range(4)))
     signs = list(itertools.product((-1, 1), repeat=4))
-    assert sorted(lifts.ravel().tolist()) == list(range(384))
     trace = table.trace(axis1=1, axis2=2)
-    assert np.flatnonzero(trace == 4).tolist() == [lifts[0, signs.index((1, 1, 1, 1))]]
-    assert np.flatnonzero(trace == -4).tolist() == [lifts[0, signs.index((-1, -1, -1, -1))]]
-    decoded = np.abs(table).argmax(axis=1)
-    for p, row in zip(perms, lifts):
-        assert (decoded[row] == p).all()
-        for s, e in zip(signs, row):
-            assert table[e].tolist() == [list(r) for r in _signed_perm_matrix(p, s)]
+    assert np.flatnonzero(trace == 4).tolist() == [signs.index((1, 1, 1, 1))]
+    assert np.flatnonzero(trace == -4).tolist() == [signs.index((-1, -1, -1, -1))]
+    decoded = np.abs(table).argmax(axis=1).reshape(24, 16, 4)
+    for i, p in enumerate(perms):
+        assert (decoded[i] == p).all()
+        for j, s in enumerate(signs):
+            assert table[16 * i + j].tolist() == [list(r) for r in _signed_perm_matrix(p, s)]
 
 
 def test_conic_bundle_analysis_never_closes(monkeypatch):
